@@ -1,6 +1,6 @@
 """Exact Wigner 3nj symbols and their semiclassical tetrahedron asymptotics."""
 
-from .halfint import HalfInt, Triad, triad_allowed
+from .halfint import HalfInt, triad_allowed
 from .primefac import DEFAULT_LEDGER, FactorialLedger
 from .sqrtrat import SqrtRational
 from .exact import (
@@ -54,7 +54,7 @@ from .asymptotics import (
 from .harness import SweepConfig, SweepResult, fig4_suite, run_sweep
 
 __all__ = [
-    "HalfInt", "Triad", "triad_allowed",
+    "HalfInt", "triad_allowed",
     "FactorialLedger", "DEFAULT_LEDGER",
     "SqrtRational",
     "Symbol9j", "Symbol3nj", "Wigner9jResult", "PIVOTS",

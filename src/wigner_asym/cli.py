@@ -25,16 +25,7 @@ from .asymptotics import (
     pr_6j,
 )
 from .errors import ConfigError, NotClassicallyAllowed, WignerAsymError
-from .exact import (
-    DEFAULT_DPS,
-    PIVOTS,
-    Symbol3nj,
-    Symbol9j,
-    wigner6j,
-    wigner9j,
-    wigner15j,
-    wigner3nj,
-)
+from .exact import PIVOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j, wigner3nj
 from .halfint import HalfInt
 from .harness import SweepConfig, fig4_suite, run_sweep, write_outputs
 
@@ -75,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("symbol", choices=("6j", "9j", "15j", "3nj"))
     p_exact.add_argument("spins", nargs="+", type=int, help="twice-integer spins")
     p_exact.add_argument("--pivot", choices=PIVOTS + ("j34",), default="j24")
-    p_exact.add_argument("--precision", type=int, default=DEFAULT_DPS)
+    p_exact.add_argument("--precision", type=int, default=50,
+                         help="significant digits printed (output formatting only)")
     p_exact.add_argument("--n", type=int, default=None, help="chain length for 3nj")
     p_exact.add_argument("--diagnostics", action="store_true")
     p_exact.set_defaults(handler=cmd_exact)
@@ -105,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verification suites")
     p_verify.add_argument("suite", choices=("fig4", "identities"))
     p_verify.add_argument("--out", default=None, help="output directory for fig4 CSVs")
-    p_verify.add_argument("--precision", type=int, default=DEFAULT_DPS)
     p_verify.set_defaults(handler=cmd_verify)
 
     return parser
@@ -116,38 +107,30 @@ def _half(t: int) -> HalfInt:
 
 
 def cmd_exact(args) -> int:
+    """Print the value at ``--precision`` digits, then its closed form."""
     spins = args.spins
+    terms = []
     if args.symbol == "6j":
         _need(spins, 6)
         value = wigner6j(*(_half(t) for t in spins))
-        with mpmath.workdps(args.precision):
-            print(f"{mpmath.nstr(value.to_mpf(), args.precision)}    [{value}]")
-        return EXIT_OK
-    if args.symbol == "9j":
+    elif args.symbol == "9j":
         _need(spins, 9)
-        sym = Symbol9j.from_twice(*spins)
-        res = wigner9j(sym, pivot=args.pivot, dps=args.precision)
-        with mpmath.workdps(args.precision):
-            print(mpmath.nstr(res.value, args.precision))
-            if args.diagnostics:
-                for x, term in res.terms:
-                    print(f"  x={x}: {mpmath.nstr(term, 12)}")
-        return EXIT_OK
-    n = args.n or (5 if args.symbol == "15j" else len(spins) // 3)
-    if args.symbol == "15j":
-        n = 5
-    _need(spins, 3 * n)
-    sym = Symbol3nj(
-        tuple(_half(t) for t in spins[:n]),
-        tuple(_half(t) for t in spins[n:2 * n]),
-        tuple(_half(t) for t in spins[2 * n:]),
-    )
-    if args.symbol == "15j":
-        value = wigner15j(sym.j, sym.k, sym.l, dps=args.precision)
+        res = wigner9j(Symbol9j.from_twice(*spins), pivot=args.pivot)
+        value, terms = res.value, res.terms
     else:
-        value = wigner3nj(sym, dps=args.precision)
+        n = 5 if args.symbol == "15j" else args.n or len(spins) // 3
+        _need(spins, 3 * n)
+        sym = Symbol3nj(
+            tuple(_half(t) for t in spins[:n]),
+            tuple(_half(t) for t in spins[n:2 * n]),
+            tuple(_half(t) for t in spins[2 * n:]),
+        )
+        value = wigner3nj(sym)
     with mpmath.workdps(args.precision):
-        print(mpmath.nstr(value, args.precision))
+        print(f"{mpmath.nstr(value.to_mpf(), args.precision)}    [{value}]")
+        if args.diagnostics:
+            for x, term in terms:
+                print(f"  x={x}: {mpmath.nstr(term.to_mpf(), 12)}")
     return EXIT_OK
 
 
@@ -246,7 +229,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "fig4":
-        reports, _ = fig4_suite(outdir=args.out, precision=args.precision)
+        reports, _ = fig4_suite(outdir=args.out)
         ok = True
         for r in reports:
             for name, passed in r.checks.items():
@@ -289,17 +272,14 @@ def _verify_identities(args) -> int:
                 defects += 1
         report("6j orthogonality (exact)", defects == 0)
 
-        sym = random_valid_9j(rng, tmax=20)
-        vals = [wigner9j(sym, pivot=p).value for p in PIVOTS]
-        spread = max(abs(v - vals[0]) for v in vals[1:])
-        report("9j pivot invariance", spread < tol * max(abs(vals[0]), mpmath.mpf(1) / 10**6))
+    sym = random_valid_9j(rng, tmax=20)
+    vals = [wigner9j(sym, pivot=p).value for p in PIVOTS]
+    report("9j pivot invariance (exact)", all(v == vals[0] for v in vals[1:]))
 
-        rows = (tuple(HalfInt(x) for x in (1, 2, 2, 1, 1)),
-                tuple(HalfInt(x) for x in (2, 1, 1, 2, 2)),
-                tuple(HalfInt(x) for x in (1, 1, 1, 1, 1)))
-        sym15 = Symbol3nj(*rows)
-        diff = abs(wigner3nj(sym15) - wigner15j(*rows))
-        report("3nj(n=5) vs 15j", diff < tol)
+    rows = (tuple(HalfInt(x) for x in (1, 2, 2, 1, 1)),
+            tuple(HalfInt(x) for x in (2, 1, 1, 2, 2)),
+            tuple(HalfInt(x) for x in (1, 1, 1, 1, 1)))
+    report("3nj(n=5) vs 15j (exact)", wigner3nj(Symbol3nj(*rows)) == wigner15j(*rows))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

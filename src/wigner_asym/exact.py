@@ -3,9 +3,10 @@
 3j and 6j symbols evaluate to closed :class:`SqrtRational` form via the
 single-sum formulas, with all factorial quotients assembled prime-wise.
 9j, 15j and first-kind 3nj symbols are chains of exact 6j factors summed
-over the intermediate spin; the sums are not closed in sqrt-rational form,
-so each exact term is converted to high-precision floating point (default
-50 significant digits plus guard digits) before accumulation.
+over the intermediate spin.  Every triad that contains the summation spin
+appears in exactly two factors of a term, so all nonzero terms share one
+squarefree radicand and the sum is again closed: sqrt(rad) times a sum of
+rationals.  No value depends on a floating-point working precision.
 """
 
 from __future__ import annotations
@@ -15,18 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-import mpmath
-
 from .errors import InternalConsistencyError
 from .halfint import HalfInt, halfint_sum, triad_allowed
 from .primefac import DEFAULT_LEDGER, FactorialLedger
 from .sqrtrat import SqrtRational
-
-#: Guard digits used on top of the requested precision.
-PRECISION_GUARD = 15
-
-DEFAULT_DPS = 50
-
 
 # ----------------------------------------------------------------------
 # 3j
@@ -243,23 +236,25 @@ class Symbol9j:
 
 @dataclass
 class Wigner9jResult:
-    value: mpmath.mpf
-    terms: list          # [(x: HalfInt, contribution: mpf)]
+    value: SqrtRational
+    terms: list          # [(x: HalfInt, contribution: SqrtRational)]
     pivot: str
 
 
-def wigner9j(sym: Symbol9j, pivot: str = "j24", dps: int = DEFAULT_DPS) -> Wigner9jResult:
+def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
     """Exact 9j symbol as a sum of signed products of three exact 6j symbols.
 
     The summation variable of every available decomposition satisfies
     Clebsch-Gordan conditions with the small-slot entry s; ``pivot`` selects
-    which entry it pairs with.  The value is pivot-independent.
+    which entry it pairs with.  The value is a closed :class:`SqrtRational`
+    and is identical for every pivot; ``terms`` lists each signed chain
+    term (phase and 2x+1 included) by summation spin x.
     """
     canonical = "j5" if pivot == "j34" else pivot
     if canonical not in PIVOTS:
         raise ValueError(f"unknown pivot {pivot!r}; expected one of {PIVOTS} (or 'j34')")
     if not sym.is_valid():
-        return Wigner9jResult(mpmath.mpf(0), [], pivot)
+        return Wigner9jResult(SqrtRational.zero(), [], pivot)
 
     g = sym.grid
     t_r = sym.r_total()
@@ -278,34 +273,54 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24", dps: int = DEFAULT_DPS) -> Wigne
         g = tuple((row[0], row[2], row[1]) for row in g)
         phase = -1 if odd_r else 1
 
-    with mpmath.workdps(dps + PRECISION_GUARD):
-        value, terms = _chain_9j_sum(g, phase)
-    return Wigner9jResult(value, terms, pivot)
+    terms = _chain_9j_terms(g, phase)
+    return Wigner9jResult(_sum_chain_terms(t for _, t in terms), terms, pivot)
 
 
-def _chain_9j_sum(g, phase: int):
-    """sum_x (-1)^(2x) d_x {g11 g12 g13; g23 g33 x}{g21 g22 g23; g12 x g32}
-    {g31 g32 g33; x g11 g21}, times an overall sign."""
+def _chain_9j_terms(g, phase: int):
+    """Terms of sum_x (-1)^(2x) d_x {g11 g12 g13; g23 g33 x}
+    {g21 g22 g23; g12 x g32}{g31 g32 g33; x g11 g21}, times an overall sign."""
     pairs = ((g[0][0], g[2][2]), (g[0][1], g[1][2]), (g[1][0], g[2][1]))
     parities = {(p.twice + q.twice) % 2 for p, q in pairs}
     if len(parities) != 1:
-        return mpmath.mpf(0), []
+        return []
     lo = max(abs(p.twice - q.twice) for p, q in pairs)
     hi = min(p.twice + q.twice for p, q in pairs)
 
-    total = mpmath.mpf(0)
     terms = []
     for tx in range(lo, hi + 1, 2):
         x = HalfInt.from_twice(tx)
         s1 = wigner6j(g[0][0], g[0][1], g[0][2], g[1][2], g[2][2], x)
         s2 = wigner6j(g[1][0], g[1][1], g[1][2], g[0][1], x, g[2][1])
         s3 = wigner6j(g[2][0], g[2][1], g[2][2], x, g[0][0], g[1][0])
-        prod = (s1 * s2 * s3).to_mpf()
         sign = -1 if tx % 2 else 1
-        contribution = phase * sign * (tx + 1) * prod
-        terms.append((x, contribution))
-        total += contribution
-    return total, terms
+        terms.append((x, s1 * s2 * s3 * (phase * sign * (tx + 1))))
+    return terms
+
+
+def _sum_chain_terms(terms) -> SqrtRational:
+    """Exact sum of signed 6j-chain terms.
+
+    Each triad containing the summation spin appears in exactly two 6j
+    factors of a term, so its square root squares out and every nonzero
+    term carries the same squarefree radicand; the sum is that radicand's
+    root times a sum of rationals.
+    """
+    total = Fraction(0)
+    rad = None
+    for term in terms:
+        if term.is_zero:
+            continue
+        if rad is None:
+            rad = term.rad
+        elif term.rad != rad:
+            raise InternalConsistencyError(
+                f"chain terms with different radicands {rad} and {term.rad}"
+            )
+        total += term.sign * term.rat
+    if total == 0:
+        return SqrtRational.zero()
+    return SqrtRational.from_canonical(1, total, int(rad))
 
 
 # ----------------------------------------------------------------------
@@ -374,70 +389,46 @@ class Symbol3nj:
         return Symbol3nj(self.k, self.j, self.l)
 
 
-def wigner15j(j_row, k_row, l_row, dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    """Exact first-kind 15j symbol: sum over x of five exact 6j factors
-    with the constant phase (-1)^(R_5)."""
+def wigner15j(j_row, k_row, l_row) -> SqrtRational:
+    """Exact first-kind 15j symbol: :func:`wigner3nj` with n = 5."""
     sym = Symbol3nj(tuple(j_row), tuple(k_row), tuple(l_row))
     if sym.n != 5:
         raise ValueError("wigner15j needs five columns")
-    if not sym.is_valid():
-        return mpmath.mpf(0)
-    t_r = sym.r_total()
-    if t_r.twice % 2 != 0:
-        raise InternalConsistencyError("15j with valid triads must have integer spin sum")
-    sign = -1 if (t_r.twice // 2) % 2 else 1
-
-    j, k, l = sym.j, sym.k, sym.l
-    window = _chain_window(j, k)
-    if window is None:
-        return mpmath.mpf(0)
-    lo, hi = window
-
-    with mpmath.workdps(dps + PRECISION_GUARD):
-        total = mpmath.mpf(0)
-        for tx in range(lo, hi + 1, 2):
-            x = HalfInt.from_twice(tx)
-            prod = wigner6j(j[0], k[0], x, k[1], j[1], l[0])
-            prod = prod * wigner6j(j[1], k[1], x, k[2], j[2], l[1])
-            prod = prod * wigner6j(j[2], k[2], x, k[3], j[3], l[2])
-            prod = prod * wigner6j(j[3], k[3], x, k[4], j[4], l[3])
-            prod = prod * wigner6j(j[4], k[4], x, j[0], k[0], l[4])
-            total += sign * (tx + 1) * prod.to_mpf()
-        return total
+    return wigner3nj(sym)
 
 
-def wigner3nj(sym: Symbol3nj, dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    """Exact first-kind 3nj symbol via the cyclic 6j chain
+def wigner3nj(sym: Symbol3nj) -> SqrtRational:
+    """Exact first-kind 3nj symbol as a closed :class:`SqrtRational`, via
+    the cyclic 6j chain
     sum_x d_x (-1)^(R_n + (n-1) x) prod_p {j_p k_p x; k_{p+1} j_{p+1} l_p}."""
     if not sym.is_valid():
-        return mpmath.mpf(0)
+        return SqrtRational.zero()
     n = sym.n
     j, k, l = sym.j, sym.k, sym.l
     window = _chain_window(j, k)
     if window is None:
-        return mpmath.mpf(0)
+        return SqrtRational.zero()
     lo, hi = window
     t_r = sym.r_total().twice
 
-    with mpmath.workdps(dps + PRECISION_GUARD):
-        total = mpmath.mpf(0)
-        for tx in range(lo, hi + 1, 2):
-            twice_exp = t_r + (n - 1) * tx
-            if twice_exp % 2 != 0:
-                raise InternalConsistencyError(
-                    "phase exponent R_n + (n-1)x must be an integer for valid symbols"
-                )
-            sign = -1 if (twice_exp // 2) % 2 else 1
-            x = HalfInt.from_twice(tx)
-            prod = SqrtRational.of(1)
-            for p in range(n - 1):
-                prod = prod * wigner6j(j[p], k[p], x, k[p + 1], j[p + 1], l[p])
-                if prod.is_zero:
-                    break
-            if not prod.is_zero:
-                prod = prod * wigner6j(j[n - 1], k[n - 1], x, j[0], k[0], l[n - 1])
-            total += sign * (tx + 1) * prod.to_mpf()
-        return total
+    terms = []
+    for tx in range(lo, hi + 1, 2):
+        twice_exp = t_r + (n - 1) * tx
+        if twice_exp % 2 != 0:
+            raise InternalConsistencyError(
+                "phase exponent R_n + (n-1)x must be an integer for valid symbols"
+            )
+        sign = -1 if (twice_exp // 2) % 2 else 1
+        x = HalfInt.from_twice(tx)
+        prod = SqrtRational.of(1)
+        for p in range(n - 1):
+            prod = prod * wigner6j(j[p], k[p], x, k[p + 1], j[p + 1], l[p])
+            if prod.is_zero:
+                break
+        if not prod.is_zero:
+            prod = prod * wigner6j(j[n - 1], k[n - 1], x, j[0], k[0], l[n - 1])
+        terms.append(prod * (sign * (tx + 1)))
+    return _sum_chain_terms(terms)
 
 
 def _chain_window(j, k):

@@ -145,17 +145,6 @@ def halfint_sum(values) -> HalfInt:
     return HalfInt.from_twice(t)
 
 
-def phase_from_integer_exponent(e: HalfInt) -> int:
-    """(-1)**e for an exponent that must be an integer.
-
-    Raises ValueError when ``e`` is a genuine half-integer; callers that
-    can tolerate that case should use :func:`phase_complex` instead.
-    """
-    if e.twice % 2 != 0:
-        raise ValueError(f"phase exponent {e} is not an integer")
-    return -1 if (e.twice // 2) % 2 else 1
-
-
 def phase_complex(e: HalfInt) -> complex:
     """exp(i*pi*e) evaluated exactly on the quarter lattice: one of +-1, +-i."""
     return (1, 1j, -1, -1j)[e.twice % 4]
@@ -170,21 +159,3 @@ def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
         return False
     return abs(ta - tb) <= tc <= ta + tb
 
-
-class Triad:
-    """A coupled spin triple; raises ValueError when not allowed."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: HalfInt, b: HalfInt, c: HalfInt):
-        if not triad_allowed(a, b, c):
-            raise ValueError(f"({a}, {b}, {c}) violates the Clebsch-Gordan conditions")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triad is immutable")
-
-    def __repr__(self):
-        return f"Triad({self.a}, {self.b}, {self.c})"

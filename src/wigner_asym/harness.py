@@ -6,9 +6,10 @@ Clebsch-Gordan-allowed point, and emits one CSV row per point:
 
     sweep_twice, exact, asym, abs_err, vol_1..vol_P, flag
 
-Values are formatted at 17 significant digits and the summary metrics are
-recomputed from the formatted text, so a sweep is reproducible bit-for-bit
-and the CSV is self-contained.
+Exact values are closed :class:`SqrtRational` numbers; every value is
+formatted at 17 significant digits and the summary metrics are recomputed
+from the formatted text, so a sweep is reproducible bit-for-bit and the
+CSV is self-contained.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import mpmath
@@ -33,18 +33,10 @@ from .asymptotics import (
     pr_6j,
 )
 from .errors import ConfigError, WignerAsymError
-from .exact import (
-    DEFAULT_DPS,
-    PRECISION_GUARD as _GUARD,
-    Symbol3nj,
-    Symbol9j,
-    wigner6j,
-    wigner9j,
-    wigner15j,
-    wigner3nj,
-)
+from .exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
 from .geometry import DEFAULT_CAUSTIC_EPS, Tetrahedron
 from .halfint import HalfInt
+from .sqrtrat import SqrtRational
 
 SLOT_NAMES = {
     "6j": ("a", "b", "c", "d", "e", "f"),
@@ -82,11 +74,9 @@ class SweepConfig:
     n: int = 5                     # for 3nj
     pivot: str = "j24"
     marking: SmallSpinMarking | None = None
-    precision: int = DEFAULT_DPS
     caustic_eps: float = DEFAULT_CAUSTIC_EPS
     trim_fraction: float = 0.1
     edmonds_lengths: str = "half"
-    workers: int = 1
     out: str | None = None
 
     @classmethod
@@ -151,9 +141,6 @@ class SweepConfig:
         if kind in ("15j", "3nj") and any(f != "exact" for f in formulas) and marking is None:
             if not any(f in _15J_WRAPPERS for f in formulas):
                 problems["marking"] = "3nj asymptotics need a small-spin marking"
-        precision = doc.get("precision", DEFAULT_DPS)
-        if not isinstance(precision, int) or precision < 10:
-            problems["precision"] = "must be an integer >= 10"
         if sweep.get("step_twice") is not None and isinstance(step, int) and step > 0:
             start = sweep.get("start_twice")
             stop = sweep.get("stop_twice")
@@ -172,11 +159,9 @@ class SweepConfig:
             n=n,
             pivot=doc.get("pivot", "j24"),
             marking=marking,
-            precision=precision,
             caustic_eps=float(doc.get("caustic_eps", DEFAULT_CAUSTIC_EPS)),
             trim_fraction=float(doc.get("trim_fraction", 0.1)),
             edmonds_lengths=doc.get("edmonds_lengths", "half"),
-            workers=int(doc.get("workers", 1)),
             out=doc.get("out"),
         )
 
@@ -228,9 +213,15 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _fmt_mpf(x, dps: int) -> str:
-    with mpmath.workdps(max(dps, 17)):
-        return mpmath.nstr(x, 17, strip_zeros=False)
+#: Decimal working precision for writing exact values as text: far above
+#: the 17 printed digits, and fixed, so the emitted bytes never depend on
+#: the caller's mpmath context.
+_FORMAT_DPS = 65
+
+
+def _fmt_exact(value: SqrtRational) -> str:
+    with mpmath.workdps(_FORMAT_DPS):
+        return mpmath.nstr(value.to_mpf(), 17, strip_zeros=False)
 
 
 @dataclass
@@ -242,7 +233,7 @@ class DerivedNineJSweep(SweepConfig):
     derived: dict = field(default_factory=dict)
 
     def __init__(self, base, derived, sweep_slot, start_twice, stop_twice,
-                 step_twice=2, precision=DEFAULT_DPS):
+                 step_twice=2):
         super().__init__(
             kind="9j",
             spins_twice=dict(base),
@@ -251,7 +242,6 @@ class DerivedNineJSweep(SweepConfig):
             stop_twice=stop_twice,
             step_twice=step_twice,
             formulas=("exact", "asym9j"),
-            precision=precision,
         )
         self.base = dict(base)
         self.derived = dict(derived)
@@ -277,14 +267,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             spins[cfg.sweep_slot] = t_sweep
         return _evaluate_point(cfg, spins, t_sweep, want_exact, asym_formula)
 
-    # One shared precision context: worker threads then only ever re-enter
-    # the same dps value, so the global mpmath precision never moves.
-    with mpmath.workdps(cfg.precision + _GUARD):
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                rows = [r for r in pool.map(evaluate, points) if r is not None]
-        else:
-            rows = [r for r in map(evaluate, points) if r is not None]
+    rows = [r for r in map(evaluate, points) if r is not None]
 
     n_vol = max((len(r.volumes) for r in rows), default=0)
     result = SweepResult(cfg, rows, n_vol)
@@ -302,7 +285,7 @@ def _evaluate_point(cfg, spins, t_sweep, want_exact, asym_formula):
     if want_exact:
         try:
             value = _exact_value(cfg, sym)
-            row.exact = _fmt_mpf(value, cfg.precision)
+            row.exact = _fmt_exact(value)
         except WignerAsymError as exc:
             row.note = f"exact: {exc}"
     if asym_formula is not None:
@@ -346,15 +329,12 @@ def _build_chain(cfg, spins):
 _SYMBOL_BUILDERS = {"6j": _build_6j, "9j": _build_9j, "15j": _build_chain, "3nj": _build_chain}
 
 
-def _exact_value(cfg, sym):
+def _exact_value(cfg, sym) -> SqrtRational:
     if cfg.kind == "6j":
-        with mpmath.workdps(cfg.precision + _GUARD):
-            return wigner6j(*sym).to_mpf()
+        return wigner6j(*sym)
     if cfg.kind == "9j":
-        return wigner9j(sym, pivot=cfg.pivot, dps=cfg.precision).value
-    if cfg.kind == "15j":
-        return wigner15j(sym.j, sym.k, sym.l, dps=cfg.precision)
-    return wigner3nj(sym, dps=cfg.precision)
+        return wigner9j(sym, pivot=cfg.pivot).value
+    return wigner3nj(sym)   # 15j: a 3nj chain with n = 5
 
 
 def _asym_value(cfg, sym, formula):
@@ -533,8 +513,7 @@ def write_outputs(result: SweepResult, csv_path: str) -> None:
 # The four reference sweeps (one small spin, eight large)
 # ----------------------------------------------------------------------
 
-def _nine_j_config(spins: dict, slot: str, start: int, stop: int, out: str,
-                   precision: int = DEFAULT_DPS) -> SweepConfig:
+def _nine_j_config(spins: dict, slot: str, start: int, stop: int, out: str) -> SweepConfig:
     spins = dict(spins)
     spins.pop(slot, None)
     return SweepConfig(
@@ -545,12 +524,11 @@ def _nine_j_config(spins: dict, slot: str, start: int, stop: int, out: str,
         stop_twice=stop,
         step_twice=2,
         formulas=("exact", "asym9j"),
-        precision=precision,
         out=out,
     )
 
 
-def reference_sweep_configs(precision: int = DEFAULT_DPS) -> dict:
+def reference_sweep_configs() -> dict:
     """The four benchmark 9j sweeps measuring exact-vs-asymptotic agreement.
 
     a: {430 30 430; 1 60 61; 431 j24 430}, j24 over its allowed window;
@@ -567,8 +545,8 @@ def reference_sweep_configs(precision: int = DEFAULT_DPS) -> dict:
     d_spins = dict(zip(nine, (51, 53, 56, 1, 47, 48, 50, 54, None)))
     del d_spins["j5"]
     configs = {
-        "a": _nine_j_config(a_spins, "j24", 60, 180, "fig_a.csv", precision),
-        "d": _nine_j_config(d_spins, "j5", 8, 104, "fig_d.csv", precision),
+        "a": _nine_j_config(a_spins, "j24", 60, 180, "fig_a.csv"),
+        "d": _nine_j_config(d_spins, "j5", 8, 104, "fig_d.csv"),
     }
     return configs
 
@@ -581,7 +559,7 @@ class PanelReport:
     passed: bool
 
 
-def fig4_suite(outdir: str | None = None, precision: int = DEFAULT_DPS):
+def fig4_suite(outdir: str | None = None):
     """Run the four reference sweeps and evaluate their agreement checks.
 
     Returns (reports, results).  Panel b is the error view of panel a and
@@ -593,7 +571,7 @@ def fig4_suite(outdir: str | None = None, precision: int = DEFAULT_DPS):
     reports = []
     results = {}
 
-    cfg_a = reference_sweep_configs(precision)["a"]
+    cfg_a = reference_sweep_configs()["a"]
     res_a = run_sweep(cfg_a)
     results["a"] = res_a
     s = res_a.summary
@@ -615,7 +593,7 @@ def fig4_suite(outdir: str | None = None, precision: int = DEFAULT_DPS):
         )
     )
 
-    res_c = run_sweep(_panel_c_config(precision))
+    res_c = run_sweep(_panel_c_config())
     results["c"] = res_c
     sc = res_c.summary
     slopes_c = edge_error_slopes(res_c) or (0.0, 0.0)
@@ -625,7 +603,7 @@ def fig4_suite(outdir: str | None = None, precision: int = DEFAULT_DPS):
     }
     reports.append(PanelReport("c", sc, checks_c, all(checks_c.values())))
 
-    cfg_d = reference_sweep_configs(precision)["d"]
+    cfg_d = reference_sweep_configs()["d"]
     res_d = run_sweep(cfg_d)
     results["d"] = res_d
     sd = res_d.summary
@@ -647,7 +625,7 @@ def fig4_suite(outdir: str | None = None, precision: int = DEFAULT_DPS):
     return reports, results
 
 
-def _panel_c_config(precision: int) -> SweepConfig:
+def _panel_c_config() -> SweepConfig:
     """Sweep over j1 with the grid {j1+1/2, 201/2, j1+3; 1, 60, 61;
     j1+3/2, 225/2, 99/2}: realized as a 3nj-style scan by rebuilding the
     9j at each point, encoded through the derived-slot mechanism."""
@@ -658,7 +636,6 @@ def _panel_c_config(precision: int) -> SweepConfig:
         start_twice=127,   # swept parameter is half-odd: 63.5 .. 159.5
         stop_twice=319,
         step_twice=2,
-        precision=precision,
     )
 
 

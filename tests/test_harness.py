@@ -26,7 +26,6 @@ FIG_A_CONFIG = {
                     "j4": 120, "j34": 122, "j13": 862, "j5": 860},
     "sweep": {"slot": "j24", "start_twice": 60, "stop_twice": 180, "step_twice": 2},
     "formulas": ["exact", "asym9j"],
-    "precision": 50,
 }
 
 
@@ -90,8 +89,6 @@ def test_sweep_determinism():
     a = run_sweep(cfg).csv_text()
     b = run_sweep(cfg).csv_text()
     assert a == b
-    c = run_sweep(small_sweep_config(workers=3)).csv_text()
-    assert a == c
 
 
 def test_summary_recomputable_from_csv():
