@@ -30,7 +30,6 @@ from .geometry import (
     volume,
 )
 from .wigner_d import (
-    DMatrixQuery,
     EulerTriple,
     Unitary2,
     d_symmetry_flip,
@@ -63,7 +62,7 @@ __all__ = [
     "dihedral_internal", "dihedral_external", "regge_action",
     "schlafli_residual", "euler_from_glued_triangles", "build_sigma_tet",
     "omega_classify", "f_phase", "edge_length_from_spin",
-    "DMatrixQuery", "Unitary2", "EulerTriple", "small_d", "d_symmetry_flip",
+    "Unitary2", "EulerTriple", "small_d", "d_symmetry_flip",
     "su2_euler_product", "su2_extract_euler",
     "AsymDiagnostics", "SmallSpinMarking", "pr_6j", "edmonds_6j",
     "asym_9j_one_small", "asym_3nj", "validate_hypotheses",

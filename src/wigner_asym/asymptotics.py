@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     CaseAngleOutOfRange,
@@ -66,15 +67,36 @@ class Violation:
     message: str
 
 
-def _tet_from_spins_strict(spins, label: str) -> Tetrahedron:
-    """Length-level triangle failures count as deep classically-forbidden."""
-    try:
-        return Tetrahedron.from_spins(spins)
-    except DegenerateTriangle as exc:
-        raise NotClassicallyAllowed(
-            f"{label}: edge lengths do not close into a tetrahedron ({exc})",
-            float("-inf"),
-        ) from exc
+def _oscillatory_tet(spins, label: str, key: str, caustic_eps: float,
+                     diag: AsymDiagnostics, tet: Tetrahedron | None = None):
+    """Tetrahedron, volume and Regge action of an all-large 6j factor.
+
+    ``tet`` is the tetrahedron of ``spins`` if already built.  Edge lengths
+    that do not close count as deep classically-forbidden: like a
+    tetrahedron beyond the caustic guard or a flat one, they raise
+    NotClassicallyAllowed.  Within the guard the factor is flagged
+    ``near_caustic:<key>``; its volume and action are recorded under ``key``.
+    """
+    if tet is None:
+        try:
+            tet = Tetrahedron.from_spins(spins)
+        except DegenerateTriangle as exc:
+            raise NotClassicallyAllowed(
+                f"{label}: edge lengths do not close into a tetrahedron ({exc})",
+                float("-inf"),
+            ) from exc
+    status = tet.status(caustic_eps)
+    if status == "forbidden":
+        raise NotClassicallyAllowed(f"{label} not classically allowed", tet.cayley_menger())
+    if status == "near_caustic":
+        diag.flags.append(f"near_caustic:{key}")
+    vol = volume(tet, caustic_eps)
+    if vol <= 0.0:
+        raise NotClassicallyAllowed(f"{label} is flat", tet.cayley_menger())
+    action = regge_action(tet, spins, caustic_eps)
+    diag.volumes[key] = vol
+    diag.regge_actions[key] = action
+    return tet, vol, action
 
 
 # ----------------------------------------------------------------------
@@ -85,23 +107,9 @@ def pr_6j(spins, caustic_eps: float = DEFAULT_CAUSTIC_EPS):
     """Oscillatory 6j asymptotics cos(S_R + pi/4)/sqrt(12 pi V) for six
     large spins in the standard layout {a b c; d e f}."""
     spins = [HalfInt(j) for j in spins]
-    tet = _tet_from_spins_strict(spins, "tetrahedron")
-    status = tet.status(caustic_eps)
-    if status == "forbidden":
-        raise NotClassicallyAllowed(
-            "tetrahedron not classically allowed", tet.cayley_menger()
-        )
-    vol = volume(tet, caustic_eps)
-    if vol <= 0.0:
-        raise NotClassicallyAllowed("tetrahedron volume is zero", tet.cayley_menger())
-    action = regge_action(tet, spins, caustic_eps)
+    diag = AsymDiagnostics()
+    _, vol, action = _oscillatory_tet(spins, "tetrahedron", "tet", caustic_eps, diag)
     value = math.cos(action + QUARTER_PI) / math.sqrt(12.0 * math.pi * vol)
-    diag = AsymDiagnostics(
-        volumes={"tet": vol},
-        regge_actions={"tet": action},
-        angles={},
-        flags=["near_caustic:tet"] if status == "near_caustic" else [],
-    )
     return value, diag
 
 
@@ -115,7 +123,7 @@ def edmonds_6j(a, b, c, m, n, f, lengths: str = "half") -> float:
     a, b, c, f = HalfInt(a), HalfInt(b), HalfInt(c), HalfInt(f)
     m, n = HalfInt(m), HalfInt(n)
     for proj in (m, n):
-        if abs(proj.twice) > f.twice or (f.twice - proj.twice) % 2 != 0:
+        if not _projection_ok(proj, f):
             raise ValueError(f"projection {proj} invalid for small spin {f}")
     if lengths == "half":
         la, lb, lc = (edge_length_from_spin(x) for x in (a, b, c))
@@ -164,17 +172,9 @@ def asym_9j_one_small(
         )
 
     tet1_spins = (sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24)
-    tet1 = _tet_from_spins_strict(tet1_spins, "reference tetrahedron")
-    if tet1.status(caustic_eps) == "forbidden":
-        raise NotClassicallyAllowed(
-            "reference tetrahedron not classically allowed", tet1.cayley_menger()
-        )
-    if tet1.status(caustic_eps) == "near_caustic":
-        diag.flags.append("near_caustic:tet1")
-    vol1 = volume(tet1, caustic_eps)
-    if vol1 <= 0.0:
-        raise NotClassicallyAllowed("reference tetrahedron is flat", tet1.cayley_menger())
-    action = regge_action(tet1, tet1_spins, caustic_eps)
+    tet1, vol1, action = _oscillatory_tet(
+        tet1_spins, "reference tetrahedron", "tet1", caustic_eps, diag
+    )
     theta24_ext = dihedral_external(tet1, "f", caustic_eps)
 
     l1 = edge_length_from_spin(sym.j1)
@@ -199,8 +199,6 @@ def asym_9j_one_small(
         / math.sqrt(sym.j1.dim * sym.j34.dim * 12.0 * math.pi * vol1)
     )
 
-    diag.volumes["tet1"] = vol1
-    diag.regge_actions["tet1"] = action
     diag.angles.update(
         {
             "phi_1_24": phi_1_24,
@@ -270,6 +268,11 @@ def validate_hypotheses(
     separation.
     """
     nsym, small_l = normalize_marking(sym, mark)
+    return _violations(nsym, small_l, _chain_tets(nsym, small_l), caustic_eps, small_ratio)
+
+
+def _violations(nsym: Symbol3nj, small_l, tets: dict, caustic_eps: float,
+                small_ratio: float) -> list:
     n = nsym.n
     out = []
     for m in sorted(small_l):
@@ -310,15 +313,14 @@ def validate_hypotheses(
                         f"undeclared spin {v} is comparable to the declared small spins",
                     )
                 )
-    for p in _oscillatory_indices(n, small_l):
-        try:
-            tet = _chain_tet(nsym, p)
-        except DegenerateTriangle as exc:
+    for p, tet in tets.items():
+        if tet is None:
             out.append(
                 Violation(
                     "caustic",
                     "error",
-                    f"tetrahedron p={p} has no Euclidean realization ({exc})",
+                    f"tetrahedron p={p} has no Euclidean realization "
+                    f"(a face violates the triangle inequality)",
                 )
             )
             continue
@@ -337,19 +339,125 @@ def validate_hypotheses(
     return out
 
 
-def _oscillatory_indices(n: int, small_l) -> list:
-    return [p for p in range(2, n) if p not in small_l]
+def oscillatory_tetrahedra(sym: Symbol3nj, mark: SmallSpinMarking) -> dict:
+    """The oscillatory tetrahedra of a chain symbol under a marking.
+
+    Maps each index p of an all-large decomposition 6j
+    {j_p k_p x; k_{p+1} j_{p+1} l_p} at x = k1 of the normalized symbol
+    (see :func:`normalize_marking`) to its tetrahedron, or to None when
+    its edge lengths do not close into one.
+    """
+    nsym, small_l = normalize_marking(sym, mark)
+    return _chain_tets(nsym, small_l)
 
 
-def _chain_tet(nsym: Symbol3nj, p: int) -> Tetrahedron:
-    """Tetrahedron of the all-large decomposition 6j
-    {j_p k_p x; k_{p+1} j_{p+1} l_p} at x = k1."""
-    return Tetrahedron.from_spins(_chain_tet_spins(nsym, p))
+def _chain_tets(nsym: Symbol3nj, small_l) -> dict:
+    out = {}
+    for p in range(2, nsym.n):
+        if p in small_l:
+            continue
+        try:
+            out[p] = Tetrahedron.from_spins(_chain_tet_spins(nsym, p))
+        except DegenerateTriangle:
+            out[p] = None
+    return out
 
 
 def _chain_tet_spins(nsym: Symbol3nj, p: int):
     j, k, l = nsym.j, nsym.k, nsym.l
     return (j[p - 1], k[p - 1], k[0], k[p], j[p], l[p - 1])
+
+
+class _Chain(NamedTuple):
+    """A chain symbol prepared for its mixed-spin asymptotics."""
+
+    sym: Symbol3nj        # normalized: the small j/k spin sits at j1
+    small_l: frozenset
+    mu: HalfInt           # j2 - l1
+    nu: HalfInt           # k_n - l_n
+    etas: dict            # m -> j_{m+1} - j_m, per small l_m
+    kappas: dict          # m -> k_{m+1} - k_m, per small l_m
+    volumes: dict         # p -> volume of the oscillatory tetrahedron
+    actions: dict         # p -> its Regge action
+    thetas: dict          # p -> its internal dihedral at the k1 edge
+
+
+def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, caustic_eps: float,
+                diag: AsymDiagnostics, small_ratio: float | None = None):
+    """The set-up shared by the chain asymptotics.
+
+    Normalizes the marking and, when ``small_ratio`` is given, checks the
+    hypotheses: HypothesisViolation on a hard violation, warnings into
+    ``diag``.  Returns None, flagging ``invalid_symbol``, when a projection
+    offset is out of range and the symbol vanishes.  Otherwise returns a
+    :class:`_Chain`; every oscillatory tetrahedron is checked and recorded
+    as in :func:`_oscillatory_tet`.
+    """
+    nsym, small_l = normalize_marking(sym, mark)
+    tets = _chain_tets(nsym, small_l)
+    if small_ratio is not None:
+        violations = _violations(nsym, small_l, tets, caustic_eps, small_ratio)
+        hard = [v for v in violations if v.severity == "error" and v.code != "caustic"]
+        if hard:
+            raise HypothesisViolation("marking violates applicability conditions", hard)
+        diag.warnings.extend(v.message for v in violations if v.severity == "warning")
+
+    j, k, l = nsym.j, nsym.k, nsym.l
+    mu = j[1] - l[0]
+    nu = k[-1] - l[-1]
+    if not _projection_ok(mu, j[0]) or not _projection_ok(nu, j[0]):
+        diag.flags.append("invalid_symbol")
+        return None
+    etas, kappas = {}, {}
+    for m in sorted(small_l):
+        etas[m] = j[m] - j[m - 1]
+        kappas[m] = k[m] - k[m - 1]
+        if not _projection_ok(etas[m], l[m - 1]) or not _projection_ok(kappas[m], l[m - 1]):
+            diag.flags.append("invalid_symbol")
+            return None
+
+    volumes, actions, thetas = {}, {}, {}
+    for p, tet in tets.items():
+        tet, volumes[p], actions[p] = _oscillatory_tet(
+            _chain_tet_spins(nsym, p), f"tetrahedron p={p}", f"tet_{p}",
+            caustic_eps, diag, tet,
+        )
+        thetas[p] = dihedral_internal(tet, "c", caustic_eps)
+    return _Chain(nsym, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
+
+
+def _end_triangles(nsym: Symbol3nj):
+    """Edge lengths of the triangles (k1, l1, k2) and (k1, l_n, j_n) that
+    the sign-configuration sum glues along k1."""
+    j, k, l = nsym.j, nsym.k, nsym.l
+    lk1 = edge_length_from_spin(k[0])
+    return (
+        (lk1, edge_length_from_spin(l[0]), edge_length_from_spin(k[1])),
+        (lk1, edge_length_from_spin(l[-1]), edge_length_from_spin(j[-1])),
+    )
+
+
+def _spin_angle(a, b, c) -> float:
+    """Angle between the edges of spins a and b in the triangle (a, b, c),
+    with edge lengths j + 1/2."""
+    return triangle_angle(
+        edge_length_from_spin(a), edge_length_from_spin(b), edge_length_from_spin(c)
+    )
+
+
+def _small_l_factor(chain: _Chain, diag: AsymDiagnostics) -> float:
+    """Product over the small l_m of d^(l_m)_{kappa_m eta_m}(phi_m) /
+    sqrt(d_{j_m} d_{k_m}), phi_m the angle between the j_m and k_m edges of
+    the triangle (j_m, k_m, k1)."""
+    j, k, l = chain.sym.j, chain.sym.k, chain.sym.l
+    factor = 1.0
+    for m in sorted(chain.small_l):
+        phi_m = _spin_angle(j[m - 1], k[m - 1], k[0])
+        diag.angles[f"phi_{m}"] = phi_m
+        factor *= small_d(l[m - 1], chain.kappas[m], chain.etas[m], phi_m) / math.sqrt(
+            j[m - 1].dim * k[m - 1].dim
+        )
+    return factor
 
 
 def asym_3nj(
@@ -366,84 +474,35 @@ def asym_3nj(
     residual phase.
     """
     diag = AsymDiagnostics()
-    violations = validate_hypotheses(sym, mark, caustic_eps, small_ratio)
-    hard = [v for v in violations if v.severity == "error" and v.code != "caustic"]
-    if hard:
-        raise HypothesisViolation("marking violates applicability conditions", hard)
-    diag.warnings.extend(v.message for v in violations if v.severity == "warning")
-
-    nsym, small_l = normalize_marking(sym, mark)
-    n = nsym.n
-    j, k, l = nsym.j, nsym.k, nsym.l
-    j1 = j[0]
-    m_count = len(small_l)
-    p_set = _oscillatory_indices(n, small_l)
-    p_count = len(p_set)
-
-    mu = j[1] - l[0]
-    nu = k[n - 1] - l[n - 1]
-    if not _projection_ok(mu, j1) or not _projection_ok(nu, j1):
-        diag.flags.append("invalid_symbol")
+    chain = _chain_prep(sym, mark, caustic_eps, diag, small_ratio)
+    if chain is None:
         return 0.0, diag
-    etas, kappas = {}, {}
-    for m in sorted(small_l):
-        etas[m] = j[m] - j[m - 1]
-        kappas[m] = k[m] - k[m - 1]
-        if not _projection_ok(etas[m], l[m - 1]) or not _projection_ok(kappas[m], l[m - 1]):
-            diag.flags.append("invalid_symbol")
-            return 0.0, diag
+    nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
+    n = nsym.n
+    j1 = nsym.j[0]
+    l = nsym.l
+    m_count = len(small_l)
+    p_set = list(chain.volumes)
 
-    lk1 = edge_length_from_spin(k[0])
-    phi1 = triangle_angle(lk1, edge_length_from_spin(l[0]), edge_length_from_spin(k[1]))
-    phin = triangle_angle(lk1, edge_length_from_spin(l[n - 1]), edge_length_from_spin(j[n - 1]))
+    tri1, trin = _end_triangles(nsym)
+    phi1, phin = triangle_angle(*tri1), triangle_angle(*trin)
     diag.angles["phi1"] = phi1
     diag.angles["phin"] = phin
+    theta_list = [math.pi - chain.thetas[p] for p in p_set]
+    diag.angles.update({f"Theta_k1_{p}": th for p, th in zip(p_set, theta_list)})
+    small_factor = _small_l_factor(chain, diag)
 
-    volumes, actions, thetas_ext = {}, {}, {}
-    for p in p_set:
-        spins = _chain_tet_spins(nsym, p)
-        tet = _tet_from_spins_strict(spins, f"tetrahedron p={p}")
-        if tet.status(caustic_eps) == "forbidden":
-            raise NotClassicallyAllowed(
-                f"tetrahedron p={p} not classically allowed", tet.cayley_menger()
-            )
-        if tet.status(caustic_eps) == "near_caustic":
-            diag.flags.append(f"near_caustic:tet_{p}")
-        volumes[p] = volume(tet, caustic_eps)
-        if volumes[p] <= 0.0:
-            raise NotClassicallyAllowed(f"tetrahedron p={p} is flat", tet.cayley_menger())
-        actions[p] = regge_action(tet, spins, caustic_eps)
-        thetas_ext[p] = dihedral_external(tet, "c", caustic_eps)
-        diag.volumes[f"tet_{p}"] = volumes[p]
-        diag.regge_actions[f"tet_{p}"] = actions[p]
-        diag.angles[f"Theta_k1_{p}"] = thetas_ext[p]
-
-    small_factor = 1.0
-    for m in sorted(small_l):
-        phi_m = triangle_angle(
-            edge_length_from_spin(j[m - 1]), edge_length_from_spin(k[m - 1]), lk1
-        )
-        diag.angles[f"phi_{m}"] = phi_m
-        small_factor *= small_d(l[m - 1], kappas[m], etas[m], phi_m) / math.sqrt(
-            j[m - 1].dim * k[m - 1].dim
-        )
-
-    theta_list = [thetas_ext[p] for p in p_set]
     config_sum = 0.0
-    for sigma in product((1, -1), repeat=p_count):
+    for sigma in product((1, -1), repeat=len(p_set)):
         cfg = omega_classify(n, m_count, theta_list, sigma, j1)
         theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, cfg.theta_k1, phin)
         f_val = f_phase(cfg, mu, nu, theta_l1, theta_ln, j1)
         argument = (
-            sum(s * (actions[p] + QUARTER_PI) for s, p in zip(sigma, p_set))
+            sum(s * (chain.actions[p] + QUARTER_PI) for s, p in zip(sigma, p_set))
             + math.pi * (n + m_count) * float(j1)
             + f_val
         )
-        sigma_tet = build_sigma_tet(
-            (lk1, edge_length_from_spin(l[0]), edge_length_from_spin(k[1])),
-            (lk1, edge_length_from_spin(l[n - 1]), edge_length_from_spin(j[n - 1])),
-            cfg.theta_k1,
-        )
+        sigma_tet = build_sigma_tet(tri1, trin, cfg.theta_k1)
         config_sum += math.cos(argument) * small_d(j1, mu, nu, phi_mid)
         diag.sign_configs.append(
             {
@@ -460,9 +519,9 @@ def asym_3nj(
             }
         )
 
-    amplitude = small_factor / (2.0 ** p_count * math.sqrt(l[0].dim * l[n - 1].dim))
+    amplitude = small_factor / (2.0 ** len(p_set) * math.sqrt(l[0].dim * l[n - 1].dim))
     for p in p_set:
-        amplitude /= math.sqrt(12.0 * math.pi * volumes[p])
+        amplitude /= math.sqrt(12.0 * math.pi * chain.volumes[p])
 
     r_exp = _chain_sign_exponent(nsym, small_l, mu)
     value = _apply_half_integer_phase(r_exp, amplitude * config_sum)
@@ -479,47 +538,17 @@ def asym_3nj_xi_sum(
     direct sum over the residual intermediate-spin offset.  Agrees with
     :func:`asym_3nj` to machine precision; kept as an independent route
     through the angle bookkeeping."""
-    violations = validate_hypotheses(sym, mark, caustic_eps, small_ratio)
-    hard = [v for v in violations if v.severity == "error" and v.code != "caustic"]
-    if hard:
-        raise HypothesisViolation("marking violates applicability conditions", hard)
-    nsym, small_l = normalize_marking(sym, mark)
-    n = nsym.n
-    j, k, l = nsym.j, nsym.k, nsym.l
-    j1 = j[0]
-    m_count = len(small_l)
-    p_set = _oscillatory_indices(n, small_l)
-
-    mu = j[1] - l[0]
-    nu = k[n - 1] - l[n - 1]
-    if not _projection_ok(mu, j1) or not _projection_ok(nu, j1):
+    diag = AsymDiagnostics()
+    chain = _chain_prep(sym, mark, caustic_eps, diag, small_ratio)
+    if chain is None:
         return 0.0
-    lk1 = edge_length_from_spin(k[0])
-    phi1 = triangle_angle(lk1, edge_length_from_spin(l[0]), edge_length_from_spin(k[1]))
-    phin = triangle_angle(lk1, edge_length_from_spin(l[n - 1]), edge_length_from_spin(j[n - 1]))
-
-    volumes, actions, thetas_ext = {}, {}, {}
-    for p in p_set:
-        spins = _chain_tet_spins(nsym, p)
-        tet = _tet_from_spins_strict(spins, f"tetrahedron p={p}")
-        volumes[p] = volume(tet, caustic_eps)
-        if volumes[p] <= 0.0:
-            raise NotClassicallyAllowed(f"tetrahedron p={p} is flat", tet.cayley_menger())
-        actions[p] = regge_action(tet, spins, caustic_eps)
-        thetas_ext[p] = dihedral_external(tet, "c", caustic_eps)
-
-    small_factor = 1.0
-    for m in sorted(small_l):
-        eta = j[m] - j[m - 1]
-        kappa = k[m] - k[m - 1]
-        if not _projection_ok(eta, l[m - 1]) or not _projection_ok(kappa, l[m - 1]):
-            return 0.0
-        phi_m = triangle_angle(
-            edge_length_from_spin(j[m - 1]), edge_length_from_spin(k[m - 1]), lk1
-        )
-        small_factor *= small_d(l[m - 1], kappa, eta, phi_m) / math.sqrt(
-            j[m - 1].dim * k[m - 1].dim
-        )
+    nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
+    n = nsym.n
+    j1 = nsym.j[0]
+    l = nsym.l
+    m_count = len(small_l)
+    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(nsym))
+    small_factor = _small_l_factor(chain, diag)
 
     total = 0.0
     for t_xi in range(-j1.twice, j1.twice + 1, 2):
@@ -527,9 +556,9 @@ def asym_3nj_xi_sum(
         wrap = (n + m_count) * ((j1.twice - t_xi) // 2)
         sign = -1.0 if wrap % 2 else 1.0
         prod = 1.0
-        for p in p_set:
-            prod *= math.cos(actions[p] + float(xi) * thetas_ext[p] + QUARTER_PI)
-            prod /= math.sqrt(12.0 * math.pi * volumes[p])
+        for p, theta in chain.thetas.items():
+            prod *= math.cos(chain.actions[p] + float(xi) * (math.pi - theta) + QUARTER_PI)
+            prod /= math.sqrt(12.0 * math.pi * chain.volumes[p])
         total += sign * small_d(j1, mu, xi, phi1) * small_d(j1, xi, nu, phin) * prod
 
     amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
@@ -576,7 +605,7 @@ def _int_phase(e: HalfInt, context: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# 15j special cases (closed forms, independent of the general driver)
+# 15j special cases (closed forms; only the set-up is shared with asym_3nj)
 # ----------------------------------------------------------------------
 
 def _require_pattern(sym: Symbol3nj, mark: SmallSpinMarking, expected_l):
@@ -588,52 +617,6 @@ def _require_pattern(sym: Symbol3nj, mark: SmallSpinMarking, expected_l):
         raise ValueError(f"marking must declare small l indices {set(expected_l)}")
 
 
-def _wrapper_offsets(sym: Symbol3nj, small_l, diag: AsymDiagnostics):
-    """mu, nu and the per-small-l offsets, or None when the symbol vanishes."""
-    j, k, l = sym.j, sym.k, sym.l
-    mu = j[1] - l[0]
-    nu = k[4] - l[4]
-    if not _projection_ok(mu, j[0]) or not _projection_ok(nu, j[0]):
-        diag.flags.append("invalid_symbol")
-        return None
-    etas, kappas = {}, {}
-    for m in sorted(small_l):
-        etas[m] = j[m] - j[m - 1]
-        kappas[m] = k[m] - k[m - 1]
-        if not _projection_ok(etas[m], l[m - 1]) or not _projection_ok(kappas[m], l[m - 1]):
-            diag.flags.append("invalid_symbol")
-            return None
-    return mu, nu, etas, kappas
-
-
-def _phi_mid_triangle(sym: Symbol3nj) -> float:
-    """Angle between the j2 and k2 edges in the triangle (j2, k2, k1)."""
-    return triangle_angle(
-        edge_length_from_spin(sym.j[1]),
-        edge_length_from_spin(sym.k[1]),
-        edge_length_from_spin(sym.k[0]),
-    )
-
-
-def _oscillatory_tet(sym: Symbol3nj, p: int, caustic_eps: float, diag: AsymDiagnostics):
-    spins = _chain_tet_spins(sym, p)
-    tet = _tet_from_spins_strict(spins, f"tetrahedron p={p}")
-    status = tet.status(caustic_eps)
-    if status == "forbidden":
-        raise NotClassicallyAllowed(
-            f"tetrahedron p={p} not classically allowed", tet.cayley_menger()
-        )
-    if status == "near_caustic":
-        diag.flags.append(f"near_caustic:tet_{p}")
-    vol = volume(tet, caustic_eps)
-    if vol <= 0.0:
-        raise NotClassicallyAllowed(f"tetrahedron p={p} is flat", tet.cayley_menger())
-    action = regge_action(tet, spins, caustic_eps)
-    diag.volumes[f"tet_{p}"] = vol
-    diag.regge_actions[f"tet_{p}"] = action
-    return tet, vol, action
-
-
 def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking,
                         caustic_eps: float = DEFAULT_CAUSTIC_EPS):
     """15j with j1, l2, l3, l4 small: all decomposition 6js carry one small
@@ -641,12 +624,12 @@ def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking,
     to (j2, k2, k1)."""
     _require_pattern(sym, mark, {2, 3, 4})
     diag = AsymDiagnostics()
-    offsets = _wrapper_offsets(sym, {2, 3, 4}, diag)
-    if offsets is None:
+    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    if chain is None:
         return 0.0, diag
-    mu, nu, etas, kappas = offsets
+    mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
     j, k, l = sym.j, sym.k, sym.l
-    phi2 = _phi_mid_triangle(sym)
+    phi2 = _spin_angle(j[1], k[1], k[0])
     diag.angles["phi2"] = phi2
     value = 1.0 / (j[1].dim ** 2 * k[1].dim ** 2)
     for m in (2, 3, 4):
@@ -662,27 +645,23 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking,
     as the new internal angle."""
     _require_pattern(sym, mark, {2, 3})
     diag = AsymDiagnostics()
-    offsets = _wrapper_offsets(sym, {2, 3}, diag)
-    if offsets is None:
+    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    if chain is None:
         return 0.0, diag
-    mu, nu, etas, kappas = offsets
+    mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
     j, k, l = sym.j, sym.k, sym.l
 
-    tet4, vol4, action4 = _oscillatory_tet(sym, 4, caustic_eps, diag)
-    theta_ext = dihedral_external(tet4, "c", caustic_eps)
-    phi_a = triangle_angle(
-        edge_length_from_spin(k[0]), edge_length_from_spin(j[3]), edge_length_from_spin(k[3])
-    )
-    phi_b = triangle_angle(
-        edge_length_from_spin(k[0]), edge_length_from_spin(k[4]), edge_length_from_spin(j[4])
-    )
+    vol4, action4 = chain.volumes[4], chain.actions[4]
+    theta_ext = math.pi - chain.thetas[4]
+    phi_a = _spin_angle(k[0], j[3], k[3])
+    phi_b = _spin_angle(k[0], k[4], j[4])
     theta_j4, phi_mid, theta_k5 = euler_from_glued_triangles(phi_a, theta_ext, phi_b)
     diag.angles.update(
         {"phi_a": phi_a, "phi_b": phi_b, "theta_k1_ext": theta_ext,
          "theta_j4": theta_j4, "phi_j4_k5": phi_mid, "theta_k5": theta_k5}
     )
 
-    phi2 = _phi_mid_triangle(sym)
+    phi2 = _spin_angle(j[1], k[1], k[0])
     diag.angles["phi2"] = phi2
     phase = _int_phase(
         halfint_sum([sym.k[0], sym.j[3], sym.l[3], sym.k[4], 2 * sym.j[0], mu]),
@@ -710,16 +689,15 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking,
     otherwise, in which case the general driver applies."""
     _require_pattern(sym, mark, {2})
     diag = AsymDiagnostics()
-    offsets = _wrapper_offsets(sym, {2}, diag)
-    if offsets is None:
+    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    if chain is None:
         return 0.0, diag
-    mu, nu, etas, kappas = offsets
+    mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
     j, k, l = sym.j, sym.k, sym.l
 
-    tet3, vol3, action3 = _oscillatory_tet(sym, 3, caustic_eps, diag)
-    tet4, vol4, action4 = _oscillatory_tet(sym, 4, caustic_eps, diag)
-    theta3 = dihedral_internal(tet3, "c", caustic_eps)
-    theta4 = dihedral_internal(tet4, "c", caustic_eps)
+    vol3, vol4 = chain.volumes[3], chain.volumes[4]
+    action3, action4 = chain.actions[3], chain.actions[4]
+    theta3, theta4 = chain.thetas[3], chain.thetas[4]
 
     theta_pp = math.pi - (theta3 + theta4)
     if theta_pp < -1e-12:
@@ -737,12 +715,8 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking,
         action_diff = action4 - action3
         theta_pm = math.pi - (theta4 - theta3)
 
-    phi_a = triangle_angle(
-        edge_length_from_spin(k[0]), edge_length_from_spin(j[2]), edge_length_from_spin(k[2])
-    )
-    phi_b = triangle_angle(
-        edge_length_from_spin(k[0]), edge_length_from_spin(k[4]), edge_length_from_spin(j[4])
-    )
+    phi_a = _spin_angle(k[0], j[2], k[2])
+    phi_b = _spin_angle(k[0], k[4], j[4])
     theta_j3_pp, mid_pp, theta_k5_pp = euler_from_glued_triangles(phi_a, theta_pp, phi_b)
     theta_j3_pm, mid_pm, theta_k5_pm = euler_from_glued_triangles(phi_a, theta_pm, phi_b)
     diag.angles.update(
@@ -751,7 +725,7 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking,
          "phi_j3_k5_pp": mid_pp, "phi_j3_k5_pm": mid_pm}
     )
 
-    phi2 = _phi_mid_triangle(sym)
+    phi2 = _spin_angle(j[1], k[1], k[0])
     phase = _int_phase(
         halfint_sum([j[2], l[2], j[3], k[3], l[3], k[4], j[0], mu, 2 * k[0]]),
         "two-small phase",
@@ -780,20 +754,13 @@ def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking,
     from the three internal dihedrals at k1 (near-regular regime)."""
     _require_pattern(sym, mark, set())
     diag = AsymDiagnostics()
-    offsets = _wrapper_offsets(sym, set(), diag)
-    if offsets is None:
+    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    if chain is None:
         return 0.0, diag
-    mu, nu, _, _ = offsets
+    mu, nu = chain.mu, chain.nu
     j, k, l = sym.j, sym.k, sym.l
-
-    tets = {}
-    vols = {}
-    actions = {}
-    thetas = {}
-    for p in (2, 3, 4):
-        tets[p], vols[p], actions[p] = _oscillatory_tet(sym, p, caustic_eps, diag)
-        thetas[p] = dihedral_internal(tets[p], "c", caustic_eps)
-    t2, t3, t4 = thetas[2], thetas[3], thetas[4]
+    vols, actions = chain.volumes, chain.actions
+    t2, t3, t4 = chain.thetas[2], chain.thetas[3], chain.thetas[4]
     combos = {
         "ppp": t2 + t3 + t4 - math.pi,
         "ppm": math.pi - t2 - t3 + t4,
@@ -808,12 +775,8 @@ def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking,
             )
         combos[name] = min(math.pi, max(0.0, theta))
 
-    phi_a = triangle_angle(
-        edge_length_from_spin(k[0]), edge_length_from_spin(j[1]), edge_length_from_spin(k[1])
-    )
-    phi_b = triangle_angle(
-        edge_length_from_spin(k[0]), edge_length_from_spin(k[4]), edge_length_from_spin(j[4])
-    )
+    phi_a = _spin_angle(k[0], j[1], k[1])
+    phi_b = _spin_angle(k[0], k[4], j[4])
     euler = {name: euler_from_glued_triangles(phi_a, theta, phi_b)
              for name, theta in combos.items()}
     diag.angles.update({"phi_a": phi_a, "phi_b": phi_b})
@@ -853,3 +816,13 @@ def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking,
         * sum(terms)
     )
     return value, diag
+
+
+#: The closed 15j forms by name, each with the small-l set it assumes
+#: (small spin at j1); the CLI and the sweep harness both read this table.
+CLOSED_15J_FORMS = {
+    "15j-1": (asym_15j_one_small, frozenset()),
+    "15j-2": (asym_15j_two_small, frozenset({2})),
+    "15j-3": (asym_15j_three_small, frozenset({2, 3})),
+    "15j-4": (asym_15j_four_small, frozenset({2, 3, 4})),
+}

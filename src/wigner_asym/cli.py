@@ -14,13 +14,10 @@ import sys
 import mpmath
 
 from .asymptotics import (
+    CLOSED_15J_FORMS,
     SmallSpinMarking,
     asym_3nj,
     asym_9j_one_small,
-    asym_15j_four_small,
-    asym_15j_one_small,
-    asym_15j_three_small,
-    asym_15j_two_small,
     edmonds_6j,
     pr_6j,
 )
@@ -75,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym = sub.add_parser("asym", help="asymptotic formulas")
     p_asym.add_argument(
         "formula",
-        choices=("pr6j", "edmonds", "9j", "3nj", "15j-1", "15j-2", "15j-3", "15j-4"),
+        choices=("pr6j", "edmonds", "9j", "3nj", *CLOSED_15J_FORMS),
     )
     p_asym.add_argument("spins", nargs="+", type=int, help="twice-integer spins")
     p_asym.add_argument("--small-jk", default="j:1",
@@ -165,16 +162,9 @@ def cmd_asym(args) -> int:
     if args.formula == "3nj":
         value, diag = asym_3nj(sym, marking, args.caustic_eps)
     else:
-        func = {
-            "15j-1": asym_15j_one_small,
-            "15j-2": asym_15j_two_small,
-            "15j-3": asym_15j_three_small,
-            "15j-4": asym_15j_four_small,
-        }[args.formula]
-        expected = {"15j-1": frozenset(), "15j-2": frozenset({2}),
-                    "15j-3": frozenset({2, 3}), "15j-4": frozenset({2, 3, 4})}
-        if marking.small_l != expected[args.formula] and not args.small_l:
-            marking = SmallSpinMarking(marking.small_jk, expected[args.formula])
+        func, expected = CLOSED_15J_FORMS[args.formula]
+        if marking.small_l != expected and not args.small_l:
+            marking = SmallSpinMarking(marking.small_jk, expected)
         value, diag = func(sym, marking, args.caustic_eps)
     return _print_asym(args, value, diag)
 

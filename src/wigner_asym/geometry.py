@@ -93,18 +93,23 @@ class Tetrahedron:
         return self.lengths[EDGE_NAMES.index(edge)]
 
     def cayley_menger(self) -> float:
-        """The 5x5 Cayley-Menger determinant (= 288 V^2)."""
-        a, b, c, d, e, f = self.lengths
-        m = np.array(
-            [
-                [0.0, 1.0, 1.0, 1.0, 1.0],
-                [1.0, 0.0, a * a, c * c, e * e],
-                [1.0, a * a, 0.0, b * b, f * f],
-                [1.0, c * c, b * b, 0.0, d * d],
-                [1.0, e * e, f * f, d * d, 0.0],
-            ]
-        )
-        return float(np.linalg.det(m))
+        """The 5x5 Cayley-Menger determinant (= 288 V^2), evaluated on the
+        first call and cached: the edge lengths never change."""
+        cm = self.__dict__.get("_cm")
+        if cm is None:
+            a, b, c, d, e, f = self.lengths
+            m = np.array(
+                [
+                    [0.0, 1.0, 1.0, 1.0, 1.0],
+                    [1.0, 0.0, a * a, c * c, e * e],
+                    [1.0, a * a, 0.0, b * b, f * f],
+                    [1.0, c * c, b * b, 0.0, d * d],
+                    [1.0, e * e, f * f, d * d, 0.0],
+                ]
+            )
+            cm = float(np.linalg.det(m))
+            object.__setattr__(self, "_cm", cm)
+        return cm
 
     def caustic_tolerance(self, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
         mean = sum(self.lengths) / 6.0
@@ -122,24 +127,29 @@ class Tetrahedron:
         return "allowed"
 
 
+def _allowed_determinant(t: Tetrahedron, eps: float, context: str) -> float:
+    """The Cayley-Menger determinant of ``t``; NotClassicallyAllowed when
+    its status is forbidden."""
+    if t.status(eps) == "forbidden":
+        cm = t.cayley_menger()
+        raise NotClassicallyAllowed(f"{context}: Cayley-Menger determinant {cm:.6g} < 0", cm)
+    return t.cayley_menger()
+
+
 def volume(t: Tetrahedron, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
     """Euclidean volume; 0 on the caustic; NotClassicallyAllowed beyond it."""
-    cm = t.cayley_menger()
-    if cm < -t.caustic_tolerance(eps):
-        raise NotClassicallyAllowed(
-            f"Cayley-Menger determinant {cm:.6g} < 0: not classically allowed", cm
-        )
+    cm = _allowed_determinant(t, eps, "not classically allowed")
     return math.sqrt(max(cm, 0.0) / 288.0)
 
 
 def dihedral_internal(t: Tetrahedron, edge: str, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
     """Internal dihedral angle at an edge, from the face angles at a shared
     node (spherical law of cosines)."""
-    cm = t.cayley_menger()
-    if cm < -t.caustic_tolerance(eps):
-        raise NotClassicallyAllowed(
-            f"dihedral angles undefined: determinant {cm:.6g} < 0", cm
-        )
+    _allowed_determinant(t, eps, "dihedral angles undefined")
+    return _dihedral(t, edge)
+
+
+def _dihedral(t: Tetrahedron, edge: str) -> float:
     x, tx, y, ty, txy = _DIHEDRAL_TABLE[edge]
     le, lx, ly = t.length(edge), t.length(x), t.length(y)
     phi_ex = triangle_angle(le, lx, t.length(tx))
@@ -164,8 +174,9 @@ def regge_action(t: Tetrahedron, spins: Sequence, eps: float = DEFAULT_CAUSTIC_E
     for j, l in zip(spins, t.lengths):
         if abs(edge_length_from_spin(j) - l) > 1e-9:
             raise ValueError("tetrahedron was not built from these spins (l != j + 1/2)")
+    _allowed_determinant(t, eps, "Regge action undefined")
     return sum(
-        (float(j) + 0.5) * dihedral_external(t, name, eps)
+        (float(j) + 0.5) * (math.pi - _dihedral(t, name))
         for j, name in zip(spins, EDGE_NAMES)
     )
 

@@ -22,20 +22,18 @@ from dataclasses import dataclass, field
 import mpmath
 
 from .asymptotics import (
+    CLOSED_15J_FORMS,
     SmallSpinMarking,
     asym_3nj,
     asym_9j_one_small,
-    asym_15j_four_small,
-    asym_15j_one_small,
-    asym_15j_three_small,
-    asym_15j_two_small,
     edmonds_6j,
+    oscillatory_tetrahedra,
     pr_6j,
 )
 from .errors import ConfigError, WignerAsymError
 from .exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
-from .geometry import DEFAULT_CAUSTIC_EPS, Tetrahedron
-from .halfint import HalfInt
+from .geometry import DEFAULT_CAUSTIC_EPS, FACES, Tetrahedron
+from .halfint import HalfInt, triad_allowed
 from .sqrtrat import SqrtRational
 
 SLOT_NAMES = {
@@ -53,14 +51,6 @@ ASYM_FORMULAS = {
     "15j-3": "15j",
     "15j-4": "15j",
 }
-
-_15J_WRAPPERS = {
-    "15j-1": (asym_15j_one_small, frozenset()),
-    "15j-2": (asym_15j_two_small, frozenset({2})),
-    "15j-3": (asym_15j_three_small, frozenset({2, 3})),
-    "15j-4": (asym_15j_four_small, frozenset({2, 3, 4})),
-}
-
 
 @dataclass
 class SweepConfig:
@@ -139,13 +129,11 @@ class SweepConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 problems["marking"] = f"invalid marking: {exc}"
         if kind in ("15j", "3nj") and any(f != "exact" for f in formulas) and marking is None:
-            if not any(f in _15J_WRAPPERS for f in formulas):
+            if not any(f in CLOSED_15J_FORMS for f in formulas):
                 problems["marking"] = "3nj asymptotics need a small-spin marking"
-        if sweep.get("step_twice") is not None and isinstance(step, int) and step > 0:
-            start = sweep.get("start_twice")
-            stop = sweep.get("stop_twice")
-            if isinstance(start, int) and isinstance(stop, int) and stop < start:
-                problems["sweep.stop_twice"] = "must be >= start_twice"
+        start, stop = sweep.get("start_twice"), sweep.get("stop_twice")
+        if isinstance(start, int) and isinstance(stop, int) and stop < start:
+            problems["sweep.stop_twice"] = "must be >= start_twice"
         if problems:
             raise ConfigError(problems)
         return cls(
@@ -302,10 +290,10 @@ def _evaluate_point(cfg, spins, t_sweep, want_exact, asym_formula):
 
 
 def _build_6j(cfg, spins):
-    vals = [HalfInt.from_twice(spins[s]) for s in SLOT_NAMES["6j"]]
-    if any(v.twice < 0 for v in vals):
+    vals = tuple(HalfInt.from_twice(spins[s]) for s in SLOT_NAMES["6j"])
+    if not all(triad_allowed(*(vals[i] for i in face)) for face in FACES):
         return None
-    return tuple(vals)
+    return vals
 
 
 def _build_9j(cfg, spins):
@@ -352,8 +340,8 @@ def _asym_value(cfg, sym, formula):
     if formula == "asym3nj":
         value, diag = asym_3nj(sym, cfg.marking, cfg.caustic_eps)
         return value, tuple(sc["case"] for sc in diag.sign_configs)
-    if formula in _15J_WRAPPERS:
-        func, expected_l = _15J_WRAPPERS[formula]
+    if formula in CLOSED_15J_FORMS:
+        func, expected_l = CLOSED_15J_FORMS[formula]
         marking = cfg.marking or SmallSpinMarking(("j", 1), expected_l)
         value, diag = func(sym, marking, cfg.caustic_eps)
         return value, tuple(sc["case"] for sc in diag.sign_configs)
@@ -367,7 +355,6 @@ def _geometry_columns(cfg, sym, asym_formula):
     flag = "allowed"
     rank = {"allowed": 0, "near_caustic": 1, "forbidden": 2}
     try:
-        tets = []
         if cfg.kind == "6j":
             if asym_formula == "edmonds":
                 return (), "allowed"
@@ -376,15 +363,13 @@ def _geometry_columns(cfg, sym, asym_formula):
             tets = [Tetrahedron.from_spins((sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24))]
         else:
             marking = cfg.marking
-            if marking is None and asym_formula in _15J_WRAPPERS:
-                marking = SmallSpinMarking(("j", 1), _15J_WRAPPERS[asym_formula][1])
+            if marking is None and asym_formula in CLOSED_15J_FORMS:
+                marking = SmallSpinMarking(("j", 1), CLOSED_15J_FORMS[asym_formula][1])
             if marking is None:
                 return (), "allowed"
-            from .asymptotics import _chain_tet, _oscillatory_indices, normalize_marking
-
-            nsym, small_l = normalize_marking(sym, marking)
-            for p in _oscillatory_indices(nsym.n, small_l):
-                tets.append(_chain_tet(nsym, p))
+            tets = list(oscillatory_tetrahedra(sym, marking).values())
+            if any(tet is None for tet in tets):
+                return (), "forbidden"
         for tet in tets:
             status = tet.status(cfg.caustic_eps)
             if rank[status] > rank[flag]:

@@ -21,17 +21,10 @@ from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
 
-@dataclass(frozen=True)
-class DMatrixQuery:
-    s: HalfInt
-    mu: HalfInt
-    nu: HalfInt
-    beta: float
-
-    def validate(self):
-        for m in (self.mu, self.nu):
-            if abs(m.twice) > self.s.twice or (self.s.twice - m.twice) % 2 != 0:
-                raise InvalidProjection(f"projection {m} invalid for spin {self.s}")
+def _check_projections(s: HalfInt, mu: HalfInt, nu: HalfInt) -> None:
+    for m in (mu, nu):
+        if abs(m.twice) > s.twice or (s.twice - m.twice) % 2 != 0:
+            raise InvalidProjection(f"projection {m} invalid for spin {s}")
 
 
 _COEFF_CACHE: dict = {}
@@ -68,12 +61,12 @@ def _d_coefficients(ts: int, tmu: int, tnu: int):
 
 def small_d(s, mu, nu, beta: float) -> float:
     """d^(s)_{mu nu}(beta), real, for any real angle beta."""
-    q = DMatrixQuery(HalfInt(s), HalfInt(mu), HalfInt(nu), float(beta))
-    q.validate()
+    s, mu, nu = HalfInt(s), HalfInt(mu), HalfInt(nu)
+    _check_projections(s, mu, nu)
     c = math.cos(beta / 2.0)
     z = math.sin(beta / 2.0)
     total = 0.0
-    for cos_pow, sin_pow, coeff in _d_coefficients(q.s.twice, q.mu.twice, q.nu.twice):
+    for cos_pow, sin_pow, coeff in _d_coefficients(s.twice, mu.twice, nu.twice):
         total += coeff * c ** cos_pow * z ** sin_pow
     return total
 
@@ -86,7 +79,7 @@ def d_symmetry_flip(s, mu, nu, beta: float):
     namely d_{mu nu}(b) = (-1)^(s+mu) d_{mu, -nu}(pi - b).
     """
     s, mu, nu = HalfInt(s), HalfInt(mu), HalfInt(nu)
-    DMatrixQuery(s, mu, nu, beta).validate()
+    _check_projections(s, mu, nu)
     phase = -1 if ((s.twice + mu.twice) // 2) % 2 else 1
     return phase, (s, mu, -nu, math.pi - beta)
 

@@ -266,6 +266,32 @@ def test_hypothesis_validation_flags_caustic_tet():
     assert any(v.code == "caustic" for v in violations)
 
 
+def test_determinant_evaluated_once_per_tetrahedron(monkeypatch, rng):
+    from wigner_asym import geometry
+
+    calls = []
+    det = geometry.np.linalg.det
+
+    def counting_det(m):
+        calls.append(1)
+        return det(m)
+
+    monkeypatch.setattr(geometry.np.linalg, "det", counting_det)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(pr_6j, [50] * 6) == 1
+    assert count(asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)) == 1
+    # a 15j with only j1 small: three oscillatory tetrahedra (p = 2, 3, 4)
+    sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=0)
+    mark = SmallSpinMarking(("j", 1))
+    assert count(asym_3nj, sym, mark) == 3
+    assert count(asym_15j_one_small, sym, mark) == 3
+
+
 def test_n3_specialization_exact_against_9j_formula():
     with mpmath.workdps(45):
         for ts, tets in ((2, (120, 124, 122, 118, 126, 120)),

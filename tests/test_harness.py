@@ -63,6 +63,16 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SweepConfig.from_json("{not json")
 
+    # stop < start is rejected also when step_twice is left at its default
+    backwards = {
+        "kind": "6j",
+        "spins_twice": {"a": 20, "b": 20, "c": 20, "d": 20, "e": 20},
+        "sweep": {"slot": "f", "start_twice": 30, "stop_twice": 10},
+    }
+    with pytest.raises(ConfigError) as err:
+        SweepConfig.from_json(json.dumps(backwards))
+    assert "sweep.stop_twice" in err.value.problems
+
 
 def test_sweep_rows_and_csv_schema(tmp_path):
     cfg = small_sweep_config()
@@ -154,6 +164,18 @@ def test_all_forbidden_sweep_reports_empty_interior():
     assert result.rows
     assert all(r.flag == "forbidden" for r in result.rows)
     assert result.summary["n_interior"] == 0
+
+
+def test_6j_sweep_skips_clebsch_gordan_forbidden_points():
+    cfg = SweepConfig.from_json(json.dumps({
+        "kind": "6j",
+        "spins_twice": {"a": 20, "b": 20, "c": 20, "d": 20, "e": 20},
+        "sweep": {"slot": "f", "start_twice": 0, "stop_twice": 8, "step_twice": 1},
+        "formulas": ["exact", "pr6j"],
+    }))
+    result = run_sweep(cfg)
+    # f = 1/2, 3/2, ... break the triads (a, e, f) and (d, b, f)
+    assert [r.sweep_twice for r in result.rows] == [0, 2, 4, 6, 8]
 
 
 def test_reference_configs_exposed():
