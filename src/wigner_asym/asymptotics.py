@@ -247,6 +247,8 @@ def normalize_marking(sym: Symbol3nj, mark: SmallSpinMarking):
     Returns (rotated symbol, small-l index set in the rotated labels).
     """
     shift = mark.normalized_shift(sym.n)
+    if shift == 0:
+        return sym, mark.small_l
     rotated = sym.rotated(shift)
     ls = shift % sym.n
     small_l = frozenset(((m - 1 - ls) % sym.n) + 1 for m in mark.small_l)

@@ -13,23 +13,29 @@ import sys
 
 import mpmath
 
-from .asymptotics import (
-    CLOSED_15J_FORMS,
-    SmallSpinMarking,
-    asym_3nj,
-    asym_9j_one_small,
-    edmonds_6j,
-    pr_6j,
-)
-from .errors import ConfigError, NotClassicallyAllowed, WignerAsymError
-from .exact import PIVOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j, wigner3nj
+from .asymptotics import CLOSED_15J_FORMS, SmallSpinMarking
+from .errors import NotClassicallyAllowed, WignerAsymError
+from .exact import PIVOTS, Symbol3nj, wigner15j
 from .halfint import HalfInt
-from .harness import SweepConfig, fig4_suite, run_sweep, write_outputs
+from .harness import (
+    ASYM_FORMULAS,
+    CHAIN_KINDS,
+    SweepConfig,
+    build_symbol,
+    default_marking,
+    exact_value,
+    fig4_suite,
+    run_sweep,
+    write_outputs,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NOT_ALLOWED = 3
 EXIT_VERIFY_FAILED = 4
+
+#: CLI spellings of the harness formula names.
+_FORMULA_ALIASES = {"9j": "asym9j", "3nj": "asym3nj"}
 
 
 def main(argv=None) -> int:
@@ -43,10 +49,7 @@ def main(argv=None) -> int:
             return EXIT_NOT_ALLOWED
         print("nan")
         return EXIT_OK
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except WignerAsymError as exc:
+    except (ValueError, WignerAsymError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym = sub.add_parser("asym", help="asymptotic formulas")
     p_asym.add_argument(
         "formula",
-        choices=("pr6j", "edmonds", "9j", "3nj", *CLOSED_15J_FORMS),
+        choices=("pr6j", "edmonds", *_FORMULA_ALIASES, *CLOSED_15J_FORMS),
     )
     p_asym.add_argument("spins", nargs="+", type=int, help="twice-integer spins")
     p_asym.add_argument("--small-jk", default="j:1",
@@ -99,30 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _half(t: int) -> HalfInt:
-    return HalfInt.from_twice(t)
-
-
 def cmd_exact(args) -> int:
     """Print the value at ``--precision`` digits, then its closed form."""
-    spins = args.spins
-    terms = []
-    if args.symbol == "6j":
-        _need(spins, 6)
-        value = wigner6j(*(_half(t) for t in spins))
-    elif args.symbol == "9j":
-        _need(spins, 9)
-        res = wigner9j(Symbol9j.from_twice(*spins), pivot=args.pivot)
-        value, terms = res.value, res.terms
-    else:
-        n = 5 if args.symbol == "15j" else args.n or len(spins) // 3
-        _need(spins, 3 * n)
-        sym = Symbol3nj(
-            tuple(_half(t) for t in spins[:n]),
-            tuple(_half(t) for t in spins[n:2 * n]),
-            tuple(_half(t) for t in spins[2 * n:]),
-        )
-        value = wigner3nj(sym)
+    sym = build_symbol(args.symbol, args.spins, args.n or len(args.spins) // 3)
+    value, terms = exact_value(args.symbol, sym, args.pivot)
     with mpmath.workdps(args.precision):
         print(f"{mpmath.nstr(value.to_mpf(), args.precision)}    [{value}]")
         if args.diagnostics:
@@ -132,57 +115,36 @@ def cmd_exact(args) -> int:
 
 
 def cmd_asym(args) -> int:
+    formula = _FORMULA_ALIASES.get(args.formula, args.formula)
+    kind, call = ASYM_FORMULAS[formula]
     spins = args.spins
-    if args.formula == "pr6j":
-        _need(spins, 6)
-        value, diag = pr_6j([_half(t) for t in spins], args.caustic_eps)
-        return _print_asym(args, value, diag)
-    if args.formula == "edmonds":
-        _need(spins, 6, "a b c m n f (twice-values; m, n projections of f)")
-        a, b, c, m, n, f = spins
-        value = edmonds_6j(_half(a), _half(b), _half(c), _half(m), _half(n), _half(f),
-                           lengths=args.edmonds_lengths)
-        print(f"{value:.17g}")
-        return EXIT_OK
-    if args.formula == "9j":
-        _need(spins, 9)
-        sym = Symbol9j.from_twice(*spins)
-        value, diag = asym_9j_one_small(sym, args.caustic_eps)
-        return _print_asym(args, value, diag)
-    n = args.n or (5 if args.formula.startswith("15j") else len(spins) // 3)
-    if args.formula.startswith("15j"):
-        n = 5
-    _need(spins, 3 * n)
-    sym = Symbol3nj(
-        tuple(_half(t) for t in spins[:n]),
-        tuple(_half(t) for t in spins[n:2 * n]),
-        tuple(_half(t) for t in spins[2 * n:]),
-    )
-    marking = _parse_marking(args)
-    if args.formula == "3nj":
-        value, diag = asym_3nj(sym, marking, args.caustic_eps)
-    else:
-        func, expected = CLOSED_15J_FORMS[args.formula]
-        if marking.small_l != expected and not args.small_l:
-            marking = SmallSpinMarking(marking.small_jk, expected)
-        value, diag = func(sym, marking, args.caustic_eps)
+    if formula == "edmonds" and len(spins) == 6:
+        a, b, c, m, n, f = spins   # m, n: projections of f -> {a b c; b+m a+n f}
+        spins = [a, b, c, b + m, a + n, f]
+    sym = build_symbol(kind, spins, args.n or len(spins) // 3)
+    marking = _parse_marking(args, formula) if kind in CHAIN_KINDS else None
+    value, diag = call(sym, marking, args.caustic_eps, args.edmonds_lengths)
     return _print_asym(args, value, diag)
 
 
-def _parse_marking(args) -> SmallSpinMarking:
+def _parse_marking(args, formula: str) -> SmallSpinMarking:
     row, _, idx = args.small_jk.partition(":")
-    small_l = frozenset(int(s) for s in args.small_l.split(",") if s.strip())
-    return SmallSpinMarking((row, int(idx or 1)), small_l)
+    small_jk = (row, int(idx or 1))
+    if not args.small_l:
+        return default_marking(formula, small_jk)
+    return SmallSpinMarking(small_jk, frozenset(int(s) for s in args.small_l.split(",") if s.strip()))
 
 
 def _print_asym(args, value: float, diag) -> int:
-    if getattr(args, "strict_allowed", False) and any(
+    """Print the value; ``diag`` is None for a formula without diagnostics
+    (edmonds), which ignores ``--strict-allowed`` and ``--diagnostics``."""
+    if diag is not None and args.strict_allowed and any(
         fl.startswith("near_caustic") or fl == "invalid_symbol" for fl in diag.flags
     ):
         print(f"{value:.17g}", file=sys.stderr)
         return EXIT_NOT_ALLOWED
     print(f"{value:.17g}")
-    if args.diagnostics:
+    if diag is not None and args.diagnostics:
         dump = {
             "volumes": diag.volumes,
             "regge_actions": diag.regge_actions,
@@ -193,14 +155,6 @@ def _print_asym(args, value: float, diag) -> int:
         }
         print(json.dumps(dump, indent=2, default=str))
     return EXIT_OK
-
-
-def _need(spins, count: int, what: str = "") -> None:
-    if len(spins) != count:
-        raise ValueError(
-            f"expected {count} twice-integer spins{' (' + what + ')' if what else ''}, "
-            f"got {len(spins)}"
-        )
 
 
 def cmd_sweep(args) -> int:
@@ -263,13 +217,13 @@ def _verify_identities(args) -> int:
         report("6j orthogonality (exact)", defects == 0)
 
     sym = random_valid_9j(rng, tmax=20)
-    vals = [wigner9j(sym, pivot=p).value for p in PIVOTS]
+    vals = [exact_value("9j", sym, p)[0] for p in PIVOTS]
     report("9j pivot invariance (exact)", all(v == vals[0] for v in vals[1:]))
 
     rows = (tuple(HalfInt(x) for x in (1, 2, 2, 1, 1)),
             tuple(HalfInt(x) for x in (2, 1, 1, 2, 2)),
             tuple(HalfInt(x) for x in (1, 1, 1, 1, 1)))
-    report("3nj(n=5) vs 15j (exact)", wigner3nj(Symbol3nj(*rows)) == wigner15j(*rows))
+    report("3nj(n=5) vs 15j (exact)", exact_value("3nj", Symbol3nj(*rows))[0] == wigner15j(*rows))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

@@ -31,7 +31,7 @@ from .asymptotics import (
     pr_6j,
 )
 from .errors import ConfigError, WignerAsymError
-from .exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
+from .exact import PIVOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
 from .geometry import DEFAULT_CAUSTIC_EPS, FACES, Tetrahedron
 from .halfint import HalfInt, triad_allowed
 from .sqrtrat import SqrtRational
@@ -41,16 +41,73 @@ SLOT_NAMES = {
     "9j": ("j1", "j2", "j12", "s", "j4", "j34", "j13", "j24", "j5"),
 }
 
+CHAIN_KINDS = ("15j", "3nj")
+
+
+def slot_names(kind: str, n: int = 5) -> tuple:
+    """The slots of a symbol kind, in the order :func:`build_symbol` reads
+    them (a 15j is the n = 5 chain)."""
+    if kind in SLOT_NAMES:
+        return SLOT_NAMES[kind]
+    if kind == "15j":
+        n = 5
+    return tuple(
+        f"{row}{i}" for row in ("j", "k", "l") for i in range(1, n + 1)
+    )
+
+
+def build_symbol(kind: str, twice, n: int = 5):
+    """A 6j tuple of ``HalfInt``, a :class:`Symbol9j` or a
+    :class:`Symbol3nj` from twice-integer spins in slot order."""
+    names = slot_names(kind, n)
+    if len(twice) != len(names):
+        raise ValueError(f"expected {len(names)} twice-integer spins, got {len(twice)}")
+    spins = [HalfInt.from_twice(t) for t in twice]
+    if kind == "6j":
+        return tuple(spins)
+    if kind == "9j":
+        return Symbol9j(*spins)
+    n = len(spins) // 3
+    return Symbol3nj(tuple(spins[:n]), tuple(spins[n:2 * n]), tuple(spins[2 * n:]))
+
+
+def exact_value(kind: str, sym, pivot: str = "j24"):
+    """(exact value, 9j term trace) of a symbol from :func:`build_symbol`;
+    the trace is empty for the other kinds."""
+    if kind == "6j":
+        return wigner6j(*sym), []
+    if kind == "9j":
+        res = wigner9j(sym, pivot=pivot)
+        return res.value, res.terms
+    return wigner3nj(sym), []   # 15j: a 3nj chain with n = 5
+
+
+def _edmonds(sym, lengths: str) -> float:
+    a, b, c, d, e, f = sym   # {a b c; b+m a+n f}
+    return edmonds_6j(a, b, c, d - b, e - a, f, lengths)
+
+
+#: The asymptotic formulas by name: the symbol kind each applies to and
+#: its call (sym, marking, caustic_eps, edmonds_lengths) -> (value,
+#: diagnostics); ``edmonds`` has no diagnostics (None).
 ASYM_FORMULAS = {
-    "pr6j": "6j",
-    "edmonds": "6j",
-    "asym9j": "9j",
-    "asym3nj": "3nj",
-    "15j-1": "15j",
-    "15j-2": "15j",
-    "15j-3": "15j",
-    "15j-4": "15j",
+    "pr6j": ("6j", lambda sym, mark, eps, lengths: pr_6j(sym, eps)),
+    "edmonds": ("6j", lambda sym, mark, eps, lengths: (_edmonds(sym, lengths), None)),
+    "asym9j": ("9j", lambda sym, mark, eps, lengths: asym_9j_one_small(sym, eps)),
+    "asym3nj": ("3nj", lambda sym, mark, eps, lengths: asym_3nj(sym, mark, eps)),
+    **{
+        name: ("15j", lambda sym, mark, eps, lengths, func=func: func(sym, mark, eps))
+        for name, (func, _) in CLOSED_15J_FORMS.items()
+    },
 }
+
+
+def default_marking(formula: str, small_jk=("j", 1)) -> SmallSpinMarking:
+    """The marking a chain formula runs with when no small-l set is given:
+    the small j/k spin at ``small_jk`` and the small-l set a closed 15j
+    form is written for (none for ``asym3nj``)."""
+    return SmallSpinMarking(small_jk, CLOSED_15J_FORMS.get(formula, (None, frozenset()))[1])
+
 
 @dataclass
 class SweepConfig:
@@ -68,6 +125,8 @@ class SweepConfig:
     trim_fraction: float = 0.1
     edmonds_lengths: str = "half"
     out: str | None = None
+    # slot -> twice offset from the swept value; empty means {sweep_slot: 0}
+    offsets: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -75,14 +134,18 @@ class SweepConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError({"<document>": f"invalid JSON: {exc}"}) from exc
+        if not isinstance(doc, dict):
+            raise ConfigError({"<document>": "must be a JSON object"})
         problems = {}
         kind = doc.get("kind")
-        if kind not in ("6j", "9j", "15j", "3nj"):
+        if kind not in ("6j", "9j", *CHAIN_KINDS):
             problems["kind"] = f"expected 6j|9j|15j|3nj, got {kind!r}"
         n = doc.get("n", 5)
         if kind == "15j":
             n = 5
-        slots = _slot_names(kind, n) if kind else ()
+        elif kind == "3nj" and not (isinstance(n, int) and n >= 3):
+            problems["n"] = f"must be an integer >= 3, got {n!r}"
+        slots = () if "kind" in problems or "n" in problems else slot_names(kind, n)
         spins = doc.get("spins_twice")
         if not isinstance(spins, dict):
             problems["spins_twice"] = "must be an object of slot -> twice-integer"
@@ -109,14 +172,17 @@ class SweepConfig:
             missing = [s for s in slots if s != slot and s not in spins]
             if missing:
                 problems["spins_twice"] = f"missing slots: {', '.join(missing)}"
-        formulas = tuple(doc.get("formulas", ("exact",)))
+        formulas = doc.get("formulas", ["exact"])
+        if not (isinstance(formulas, list) and all(isinstance(f, str) for f in formulas)):
+            problems["formulas"] = "must be a list of formula names"
+            formulas = []
         for f in formulas:
             if f != "exact" and f not in ASYM_FORMULAS:
                 problems["formulas"] = f"unknown formula {f!r}"
-            elif f != "exact" and kind and ASYM_FORMULAS[f] != kind:
+            elif f != "exact" and kind and ASYM_FORMULAS[f][0] != kind:
                 problems["formulas"] = f"{f} does not apply to a {kind} symbol"
-        n_asym = sum(1 for f in formulas if f != "exact")
-        if n_asym > 1:
+        asym = [f for f in formulas if f != "exact"]
+        if len(asym) > 1:
             problems["formulas"] = "at most one asymptotic formula per sweep"
         marking = None
         if "marking" in doc:
@@ -126,11 +192,38 @@ class SweepConfig:
                     (m["small_jk"][0], int(m["small_jk"][1])),
                     frozenset(int(i) for i in m.get("small_l", ())),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
                 problems["marking"] = f"invalid marking: {exc}"
-        if kind in ("15j", "3nj") and any(f != "exact" for f in formulas) and marking is None:
-            if not any(f in CLOSED_15J_FORMS for f in formulas):
+        if kind in CHAIN_KINDS and asym and "marking" not in problems:
+            if asym[0] in CLOSED_15J_FORMS:
+                expected = default_marking(asym[0])
+                if marking not in (None, expected):
+                    problems["marking"] = (
+                        f"{asym[0]} assumes small_jk ['j', 1] and small_l "
+                        f"{sorted(expected.small_l)}; omit the marking or match it"
+                    )
+            elif marking is None:
                 problems["marking"] = "3nj asymptotics need a small-spin marking"
+            elif isinstance(n, int) and marking.small_jk[1] > n:
+                problems["marking"] = f"small_jk index {marking.small_jk[1]} exceeds n = {n}"
+        pivot = doc.get("pivot", "j24")
+        if pivot not in PIVOTS + ("j34",):
+            problems["pivot"] = f"expected one of {', '.join(PIVOTS + ('j34',))}, got {pivot!r}"
+        numbers = {}
+        for key, default, upper in (("caustic_eps", DEFAULT_CAUSTIC_EPS, math.inf),
+                                    ("trim_fraction", 0.1, 0.5)):
+            try:
+                numbers[key] = float(doc.get(key, default))
+            except (TypeError, ValueError):
+                numbers[key] = math.nan
+            if not 0.0 <= numbers[key] <= upper:
+                problems[key] = f"must be a number in [0, {upper}]"
+        lengths = doc.get("edmonds_lengths", "half")
+        if lengths not in ("half", "sqrt"):
+            problems["edmonds_lengths"] = f"expected half|sqrt, got {lengths!r}"
+        out = doc.get("out")
+        if out is not None and not isinstance(out, str):
+            problems["out"] = "must be a file path"
         start, stop = sweep.get("start_twice"), sweep.get("stop_twice")
         if isinstance(start, int) and isinstance(stop, int) and stop < start:
             problems["sweep.stop_twice"] = "must be >= start_twice"
@@ -143,25 +236,15 @@ class SweepConfig:
             start_twice=sweep["start_twice"],
             stop_twice=sweep["stop_twice"],
             step_twice=step,
-            formulas=formulas,
+            formulas=tuple(formulas),
             n=n,
-            pivot=doc.get("pivot", "j24"),
+            pivot=pivot,
             marking=marking,
-            caustic_eps=float(doc.get("caustic_eps", DEFAULT_CAUSTIC_EPS)),
-            trim_fraction=float(doc.get("trim_fraction", 0.1)),
-            edmonds_lengths=doc.get("edmonds_lengths", "half"),
-            out=doc.get("out"),
+            caustic_eps=numbers["caustic_eps"],
+            trim_fraction=numbers["trim_fraction"],
+            edmonds_lengths=lengths,
+            out=out,
         )
-
-
-def _slot_names(kind: str, n: int) -> tuple:
-    if kind in SLOT_NAMES:
-        return SLOT_NAMES[kind]
-    if kind == "15j":
-        n = 5
-    return tuple(
-        f"{row}{i}" for row in ("j", "k", "l") for i in range(1, n + 1)
-    )
 
 
 @dataclass
@@ -212,50 +295,21 @@ def _fmt_exact(value: SqrtRational) -> str:
         return mpmath.nstr(value.to_mpf(), 17, strip_zeros=False)
 
 
-@dataclass
-class DerivedNineJSweep(SweepConfig):
-    """A 9j sweep where several grid slots move together with the swept
-    parameter (slot -> twice-value function of the swept twice-value)."""
-
-    base: dict = field(default_factory=dict)
-    derived: dict = field(default_factory=dict)
-
-    def __init__(self, base, derived, sweep_slot, start_twice, stop_twice,
-                 step_twice=2):
-        super().__init__(
-            kind="9j",
-            spins_twice=dict(base),
-            sweep_slot=sweep_slot,
-            start_twice=start_twice,
-            stop_twice=stop_twice,
-            step_twice=step_twice,
-            formulas=("exact", "asym9j"),
-        )
-        self.base = dict(base)
-        self.derived = dict(derived)
-
-    def grid_at(self, t_sweep: int) -> dict:
-        spins = dict(self.base)
-        for slot, fn in self.derived.items():
-            spins[slot] = fn(t_sweep)
-        return spins
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate one sweep; row errors are recorded in-row, never raised."""
-    points = list(range(cfg.start_twice, cfg.stop_twice + 1, cfg.step_twice))
-    want_exact = "exact" in cfg.formulas
+    """Evaluate one sweep; row errors are recorded in-row, never raised.
+
+    Points whose symbol has a Clebsch-Gordan-forbidden triad are skipped.
+    """
     asym_formula = next((f for f in cfg.formulas if f != "exact"), None)
-
-    def evaluate(t_sweep: int):
-        if isinstance(cfg, DerivedNineJSweep):
-            spins = cfg.grid_at(t_sweep)
-        else:
-            spins = dict(cfg.spins_twice)
-            spins[cfg.sweep_slot] = t_sweep
-        return _evaluate_point(cfg, spins, t_sweep, want_exact, asym_formula)
-
-    rows = [r for r in map(evaluate, points) if r is not None]
+    marking = cfg.marking or (default_marking(asym_formula) if asym_formula else None)
+    names = slot_names(cfg.kind, cfg.n)
+    offsets = cfg.offsets or {cfg.sweep_slot: 0}
+    rows = []
+    for t_sweep in range(cfg.start_twice, cfg.stop_twice + 1, cfg.step_twice):
+        spins = {**cfg.spins_twice, **{s: t_sweep + dt for s, dt in offsets.items()}}
+        sym = build_symbol(cfg.kind, [spins[s] for s in names], cfg.n)
+        if _triads_allowed(cfg.kind, sym):
+            rows.append(_evaluate_point(cfg, sym, t_sweep, asym_formula, marking))
 
     n_vol = max((len(r.volumes) for r in rows), default=0)
     result = SweepResult(cfg, rows, n_vol)
@@ -263,24 +317,27 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return result
 
 
-def _evaluate_point(cfg, spins, t_sweep, want_exact, asym_formula):
-    builder = _SYMBOL_BUILDERS[cfg.kind]
-    sym = builder(cfg, spins)
-    if sym is None:
-        return None   # slot assignment is not a valid symbol (CG-excluded)
+def _triads_allowed(kind: str, sym) -> bool:
+    if kind == "6j":
+        return all(triad_allowed(*(sym[i] for i in face)) for face in FACES)
+    return sym.is_valid()
+
+
+def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
     row = SweepRow(sweep_twice=t_sweep)
-    row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula)
-    if want_exact:
+    row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking)
+    if "exact" in cfg.formulas:
         try:
-            value = _exact_value(cfg, sym)
-            row.exact = _fmt_exact(value)
+            row.exact = _fmt_exact(exact_value(cfg.kind, sym, cfg.pivot)[0])
         except WignerAsymError as exc:
             row.note = f"exact: {exc}"
     if asym_formula is not None:
         try:
-            value, cases = _asym_value(cfg, sym, asym_formula)
+            value, diag = ASYM_FORMULAS[asym_formula][1](sym, marking, cfg.caustic_eps,
+                                                         cfg.edmonds_lengths)
             row.asym = _fmt(value)
-            row.sigma_cases = cases
+            if diag is not None:
+                row.sigma_cases = tuple(sc["case"] for sc in diag.sign_configs)
         except WignerAsymError as exc:
             row.note = (row.note + "; " if row.note else "") + f"asym: {exc}"
     if row.exact and row.asym:
@@ -289,66 +346,7 @@ def _evaluate_point(cfg, spins, t_sweep, want_exact, asym_formula):
     return row
 
 
-def _build_6j(cfg, spins):
-    vals = tuple(HalfInt.from_twice(spins[s]) for s in SLOT_NAMES["6j"])
-    if not all(triad_allowed(*(vals[i] for i in face)) for face in FACES):
-        return None
-    return vals
-
-
-def _build_9j(cfg, spins):
-    sym = Symbol9j.from_twice(*(spins[s] for s in SLOT_NAMES["9j"]))
-    return sym if sym.is_valid() else None
-
-
-def _build_chain(cfg, spins):
-    n = 5 if cfg.kind == "15j" else cfg.n
-    names = _slot_names(cfg.kind, n)
-    j = tuple(HalfInt.from_twice(spins[s]) for s in names[:n])
-    k = tuple(HalfInt.from_twice(spins[s]) for s in names[n:2 * n])
-    l = tuple(HalfInt.from_twice(spins[s]) for s in names[2 * n:])
-    try:
-        sym = Symbol3nj(j, k, l)
-    except ValueError:
-        return None
-    return sym if sym.is_valid() else None
-
-
-_SYMBOL_BUILDERS = {"6j": _build_6j, "9j": _build_9j, "15j": _build_chain, "3nj": _build_chain}
-
-
-def _exact_value(cfg, sym) -> SqrtRational:
-    if cfg.kind == "6j":
-        return wigner6j(*sym)
-    if cfg.kind == "9j":
-        return wigner9j(sym, pivot=cfg.pivot).value
-    return wigner3nj(sym)   # 15j: a 3nj chain with n = 5
-
-
-def _asym_value(cfg, sym, formula):
-    if formula == "pr6j":
-        value, diag = pr_6j(sym, cfg.caustic_eps)
-        return value, ()
-    if formula == "edmonds":
-        a, b, c, d, e, f = sym
-        m = d - b
-        n = e - a
-        return edmonds_6j(a, b, c, m, n, f, cfg.edmonds_lengths), ()
-    if formula == "asym9j":
-        value, diag = asym_9j_one_small(sym, cfg.caustic_eps)
-        return value, ()
-    if formula == "asym3nj":
-        value, diag = asym_3nj(sym, cfg.marking, cfg.caustic_eps)
-        return value, tuple(sc["case"] for sc in diag.sign_configs)
-    if formula in CLOSED_15J_FORMS:
-        func, expected_l = CLOSED_15J_FORMS[formula]
-        marking = cfg.marking or SmallSpinMarking(("j", 1), expected_l)
-        value, diag = func(sym, marking, cfg.caustic_eps)
-        return value, tuple(sc["case"] for sc in diag.sign_configs)
-    raise ConfigError({"formulas": f"unknown formula {formula!r}"})
-
-
-def _geometry_columns(cfg, sym, asym_formula):
+def _geometry_columns(cfg, sym, asym_formula, marking):
     """Volumes of the oscillatory tetrahedra at this point, and the
     allowed/near-caustic/forbidden flag from the Cayley-Menger sign."""
     vols = []
@@ -362,9 +360,6 @@ def _geometry_columns(cfg, sym, asym_formula):
         elif cfg.kind == "9j":
             tets = [Tetrahedron.from_spins((sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24))]
         else:
-            marking = cfg.marking
-            if marking is None and asym_formula in CLOSED_15J_FORMS:
-                marking = SmallSpinMarking(("j", 1), CLOSED_15J_FORMS[asym_formula][1])
             if marking is None:
                 return (), "allowed"
             tets = list(oscillatory_tetrahedra(sym, marking).values())
@@ -514,15 +509,13 @@ def _nine_j_config(spins: dict, slot: str, start: int, stop: int, out: str) -> S
 
 
 def reference_sweep_configs() -> dict:
-    """The four benchmark 9j sweeps measuring exact-vs-asymptotic agreement.
+    """The single-slot reference 9j sweeps, by panel:
 
     a: {430 30 430; 1 60 61; 431 j24 430}, j24 over its allowed window;
-    b: the pointwise |exact - asym| of sweep a;
-    c: {j1+1/2, 201/2, j1+3; 1 60 61; j1+3/2, 225/2, 99/2}, j1 = 63..160;
     d: {51/2 53/2 28; 1/2 47/2 24; 25 27 j5}, j5 over its allowed window.
-    Sweep c keeps j24 = 225/2, a mid-window value valid across the whole
-    j1 range (the error is expected to grow as j1 shrinks and the
-    reference tetrahedron approaches the caustic).
+    Panel b is the error view of sweep a; panel c moves three slots with
+    its swept parameter (``_panel_c_config``).  ``fig4_suite`` runs all
+    four.
     """
     nine = SLOT_NAMES["9j"]
     a_spins = dict(zip(nine, (860, 60, 860, 2, 120, 122, 862, None, 860)))
@@ -612,15 +605,16 @@ def fig4_suite(outdir: str | None = None):
 
 def _panel_c_config() -> SweepConfig:
     """Sweep over j1 with the grid {j1+1/2, 201/2, j1+3; 1, 60, 61;
-    j1+3/2, 225/2, 99/2}: realized as a 3nj-style scan by rebuilding the
-    9j at each point, encoded through the derived-slot mechanism."""
-    return DerivedNineJSweep(
-        base={"j2": 201, "s": 2, "j4": 120, "j34": 122, "j24": 225, "j5": 99},
-        derived={"j1": lambda t: t + 1, "j12": lambda t: t + 6, "j13": lambda t: t + 3},
+    j1+3/2, 225/2, 99/2}: j1, j12 and j13 move with the half-odd swept
+    parameter j1_base, at fixed twice offsets."""
+    return SweepConfig(
+        kind="9j",
+        spins_twice={"j2": 201, "s": 2, "j4": 120, "j34": 122, "j24": 225, "j5": 99},
         sweep_slot="j1_base",
         start_twice=127,   # swept parameter is half-odd: 63.5 .. 159.5
         stop_twice=319,
-        step_twice=2,
+        formulas=("exact", "asym9j"),
+        offsets={"j1": 1, "j12": 6, "j13": 3},
     )
 
 

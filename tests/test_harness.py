@@ -4,19 +4,25 @@ recomputation, and the CLI surface."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wigner_asym
+from wigner_asym import cli
 from wigner_asym.errors import ConfigError
 from wigner_asym.harness import (
     SweepConfig,
     reference_sweep_configs,
     run_sweep,
+    slot_names,
     write_outputs,
 )
 
@@ -72,6 +78,42 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError) as err:
         SweepConfig.from_json(json.dumps(backwards))
     assert "sweep.stop_twice" in err.value.problems
+
+    # every field the sweep later reads is checked up front: each of these
+    # documents used to load and then fail (or do nothing) mid-sweep
+    fifteen = {
+        "kind": "15j",
+        "spins_twice": dict(zip(
+            [f"{row}{i}" for row in "jkl" for i in range(1, 6)],
+            (4, 68, 66, 60, 64, 66, 66, 68, 62, 66, 68, 2, 60, 62),
+        )),
+        "sweep": {"slot": "l5", "start_twice": 70, "stop_twice": 70},
+        "formulas": ["exact", "15j-2"],
+        "marking": {"small_jk": ["j", 1], "small_l": [2, 3]},
+    }
+    chain = {**fifteen, "kind": "3nj", "formulas": ["exact"]}
+    bad_fields = [
+        (fifteen, "marking"),
+        ({**fifteen, "marking": {"small_jk": ["k", 1], "small_l": [2]}}, "marking"),
+        ({**fifteen, "marking": {"small_jk": ["j"]}}, "marking"),
+        ({**fifteen, "kind": "3nj", "formulas": ["asym3nj"],
+          "marking": {"small_jk": ["j", 6]}}, "marking"),
+        ({**FIG_A_CONFIG, "pivot": "zz"}, "pivot"),
+        ({**FIG_A_CONFIG, "edmonds_lengths": "cube"}, "edmonds_lengths"),
+        ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
+        ({**FIG_A_CONFIG, "trim_fraction": 0.9}, "trim_fraction"),
+        ({**FIG_A_CONFIG, "out": 5}, "out"),
+        ({**FIG_A_CONFIG, "formulas": 5}, "formulas"),
+        ({**chain, "n": "4"}, "n"),
+        ({"kind": "3nj", "n": 2, "spins_twice": {"j1": 2, "j2": 2, "k1": 2, "k2": 2, "l1": 2},
+          "sweep": {"slot": "l2", "start_twice": 2, "stop_twice": 2}}, "n"),
+    ]
+    for doc, key in bad_fields:
+        with pytest.raises(ConfigError) as err:
+            SweepConfig.from_json(json.dumps(doc))
+        assert key in err.value.problems, (key, err.value.problems)
+    with pytest.raises(ConfigError):
+        SweepConfig.from_json("[]")
 
 
 def test_sweep_rows_and_csv_schema(tmp_path):
@@ -188,12 +230,19 @@ def test_reference_configs_exposed():
 # CLI
 # ----------------------------------------------------------------------
 
+#: the directory holding the package under test, so the subprocess imports
+#: the same code whether or not the package is installed
+SRC = str(Path(wigner_asym.__file__).resolve().parent.parent)
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "wigner_asym.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -245,3 +294,76 @@ def test_cli_asym_diagnostics_dump():
     lines = proc.stdout.splitlines()
     payload = json.loads("\n".join(lines[1:]))
     assert "volumes" in payload and payload["volumes"]["tet1"] > 0
+
+
+#: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, numpy and
+#: mpmath as pinned in pyproject; x86-64)
+FIG4_SHA256 = {
+    "fig_a.csv": "e810103f0d349a370059fbd1859868746a352b466c9c541c5896b588f5efe2d5",
+    "fig_a.gnuplot": "b499eaa8e2e9447310c5cccdc6ec8be04810831bfc2e28f9c21b54ff83b015b4",
+    "fig_b.csv": "9c709170866d76eb1df997b8a27ccf76e2bc9708e375980f1f7d0fc5e0b86c18",
+    "fig_b.gnuplot": "71777fb15f435547d86e9f8f9cb0121aa27394ef5954def98c414f1b42e65687",
+    "fig_c.csv": "35e23183ff5519b73ba4cfd0ca835ad83f38e6e24e0b1c9380422794a0ef8689",
+    "fig_c.gnuplot": "0fcccad565b212527e4631bef1d6797d2b5c9fbd07bdf0f2f33b2411fbbcced7",
+    "fig_d.csv": "751fc0311cadf92a0a3ad39d6437de3ae0efccb2e177f20e170215a5d22e7af0",
+    "fig_d.gnuplot": "790c6b3cf34c266cc6657583f62ba2ac448db53d820b3eeb31654f7f992f6230",
+}
+
+
+def test_verify_fig4_outputs_are_pinned(tmp_path, capsys):
+    assert cli.main(["verify", "fig4", "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == FIG4_SHA256
+
+
+def _one_point_config(kind, twice, formula, marking=None):
+    slots = slot_names(kind, len(twice) // 3)
+    doc = {
+        "kind": kind,
+        "spins_twice": dict(zip(slots[:-1], twice[:-1])),
+        "sweep": {"slot": slots[-1], "start_twice": twice[-1], "stop_twice": twice[-1]},
+        "formulas": [formula],
+    }
+    if kind == "3nj":
+        doc["n"] = len(twice) // 3
+    if marking:
+        doc["marking"] = marking
+    return SweepConfig.from_json(json.dumps(doc))
+
+
+# (CLI formula, CLI arguments, harness formula, symbol kind, twice spins in
+# slot order, sweep marking): edmonds takes a b c m n f on the CLI and
+# {a b c; b+m a+n f} in a sweep; the 15j forms run with their default marking
+CLI_SWEEP_CASES = [
+    ("pr6j", [100] * 6, "pr6j", "6j", [100] * 6, None),
+    ("edmonds", [240, 456, 362, 1, -1, 3], "edmonds", "6j",
+     [240, 456, 362, 457, 239, 3], None),
+    ("9j", [860, 60, 860, 2, 120, 122, 862, 120, 860], "asym9j", "9j",
+     [860, 60, 860, 2, 120, 122, 862, 120, 860], None),
+    ("3nj", ["--small-jk", "k:4", "--small-l", "2",
+             79, 81, 79, 82, 72, 76, 78, 76, 1, 77, 80, 2, 75, 76, 72], "asym3nj", "3nj",
+     [79, 81, 79, 82, 72, 76, 78, 76, 1, 77, 80, 2, 75, 76, 72],
+     {"small_jk": ["k", 4], "small_l": [2]}),
+    ("15j-1", [4, 128, 124, 130, 128, 128, 128, 128, 136, 136, 130, 130, 126, 130, 140],
+     "15j-1", "15j", [4, 128, 124, 130, 128, 128, 128, 128, 136, 136, 130, 130, 126, 130, 140],
+     None),
+    ("15j-2", [4, 68, 66, 60, 64, 66, 66, 68, 62, 66, 68, 2, 60, 62, 70],
+     "15j-2", "15j", [4, 68, 66, 60, 64, 66, 66, 68, 62, 66, 68, 2, 60, 62, 70], None),
+    ("15j-3", [3, 95, 99, 101, 91, 88, 88, 84, 84, 90, 94, 4, 4, 88, 89],
+     "15j-3", "15j", [3, 95, 99, 101, 91, 88, 88, 84, 84, 90, 94, 4, 4, 88, 89], None),
+    ("15j-4", [3, 145, 147, 145, 145, 142, 140, 144, 142, 142, 144, 4, 2, 4, 145],
+     "15j-4", "15j", [3, 145, 147, 145, 145, 142, 140, 144, 142, 142, 144, 4, 2, 4, 145],
+     None),
+]
+
+
+@pytest.mark.parametrize("cli_name, cli_args, formula, kind, twice, marking", CLI_SWEEP_CASES,
+                         ids=[c[0] for c in CLI_SWEEP_CASES])
+def test_cli_asym_matches_one_point_sweep(capsys, cli_name, cli_args, formula, kind, twice,
+                                          marking):
+    assert cli.main(["asym", cli_name, *map(str, cli_args)]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    rows = run_sweep(_one_point_config(kind, twice, formula, marking)).rows
+    assert len(rows) == 1 and rows[0].asym
+    assert printed == rows[0].asym
