@@ -245,13 +245,17 @@ def normalize_marking(sym: Symbol3nj, mark: SmallSpinMarking):
     """Rotate the symbol (a symmetry) so the small j/k spin sits at j1.
 
     Returns (rotated symbol, small-l index set in the rotated labels).
+    Indices outside 1..n are passed through unmapped, so the hypothesis
+    check rejects them under every marking.
     """
-    shift = mark.normalized_shift(sym.n)
+    n = sym.n
+    shift = mark.normalized_shift(n)
     if shift == 0:
         return sym, mark.small_l
     rotated = sym.rotated(shift)
-    ls = shift % sym.n
-    small_l = frozenset(((m - 1 - ls) % sym.n) + 1 for m in mark.small_l)
+    ls = shift % n
+    small_l = frozenset(((m - 1 - ls) % n) + 1 if 1 <= m <= n else m
+                        for m in mark.small_l)
     return rotated, small_l
 
 

@@ -1,7 +1,10 @@
 """Exact Wigner 3j/6j/9j/15j/3nj symbols over big-rational arithmetic.
 
 3j and 6j symbols evaluate to closed :class:`SqrtRational` form via the
-single-sum formulas, with all factorial quotients assembled prime-wise.
+single-sum formulas.  The first term of each sum and the square-root
+prefactor are factorial quotients assembled prime-wise by the ledger; the
+sum itself runs Horner's rule on the ratio of consecutive terms from the
+top of the window down, in plain ints, and makes one Fraction at the end.
 9j, 15j and first-kind 3nj symbols are chains of exact 6j factors summed
 over the intermediate spin.  Every triad that contains the summation spin
 appears in exactly two factors of a term, so all nonzero terms share one
@@ -50,17 +53,19 @@ def wigner3j(j1, j2, j3, m1, m2, m3, ledger: FactorialLedger = DEFAULT_LEDGER) -
     if kmax < kmin:
         return SqrtRational.zero()
 
-    term = ledger.factorial_quotient(
+    head = ledger.factorial_quotient(
         [(kmin, -1), (a - kmin, -1), (b - kmin, -1),
          (c - kmin, -1), (d + kmin, -1), (e + kmin, -1)]
     )
     if kmin % 2:
-        term = -term
-    total = term
-    for k in range(kmin, kmax):
-        term *= Fraction(-(a - k) * (b - k) * (c - k),
-                         (k + 1) * (d + k + 1) * (e + k + 1))
-        total += term
+        head = -head
+    # sum_k (-1)^k / [k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!] as
+    # head * (1 + r_kmin (1 + r_kmin+1 (1 + ...))), r_k the term ratio.
+    num = den = 1
+    for k in range(kmax - 1, kmin - 1, -1):
+        step = (k + 1) * (d + k + 1) * (e + k + 1) * den
+        num, den = step - (a - k) * (b - k) * (c - k) * num, step
+    total = head * Fraction(num, den)
     if total == 0:
         return SqrtRational.zero()
 
@@ -151,29 +156,26 @@ def wigner6j(a, b, c, d, e, f, ledger: FactorialLedger = DEFAULT_LEDGER) -> Sqrt
 
 
 def _racah_sum(tsum, psum, ledger) -> Fraction:
-    """sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!] over the allowed window."""
+    """sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!] over the allowed window,
+    as head * (1 + r_zmin (1 + r_zmin+1 (1 + ...))), r_z the term ratio."""
     zmin = max(tsum)
     zmax = min(psum)
     if zmax < zmin:
         return Fraction(0)
-    term = ledger.factorial_quotient(
+    head = ledger.factorial_quotient(
         [(zmin + 1, 1)]
         + [(zmin - t, -1) for t in tsum]
         + [(p - zmin, -1) for p in psum]
     )
     if zmin % 2:
-        term = -term
-    total = term
-    for z in range(zmin, zmax):
-        num = -(z + 2)
-        for p in psum:
-            num *= p - z
-        den = 1
-        for t in tsum:
-            den *= z + 1 - t
-        term *= Fraction(num, den)
-        total += term
-    return total
+        head = -head
+    t1, t2, t3, t4 = tsum
+    p1, p2, p3 = psum
+    num = den = 1
+    for z in range(zmax - 1, zmin - 1, -1):
+        step = (z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) * den
+        num, den = step - (z + 2) * (p1 - z) * (p2 - z) * (p3 - z) * num, step
+    return head * Fraction(num, den)
 
 
 # ----------------------------------------------------------------------

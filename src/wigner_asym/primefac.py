@@ -4,12 +4,24 @@ Quotients of factorial products are assembled as prime-exponent vectors
 (Legendre's formula), so the only big integers ever materialized are the
 reduced numerator and denominator of the final result.  This is what keeps
 exact 6j evaluation viable at spins of several hundred.
+
+The exponent vector of n! is computed once per n and cached as a list
+aligned with the prime table (entry i is the exponent of the i-th prime).
+Growing the table only appends primes, so a cached vector stays aligned.
+The cache holds at most 2**20 exponents in total, about 8 MB of list slots
+on a 64-bit build; it is emptied when a new vector would exceed that.  A
+cold run of 24 3j and 10 6j at spins 100-2000 plus one 15j stores about 50k.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt, prod
+from operator import add
+
+_VECTOR_CACHE_ENTRIES = 1 << 20
 
 
 def _sieve(limit: int) -> list:
@@ -41,13 +53,18 @@ class FactorialLedger:
 
     Reads never block: the prime table is grown by building a fresh list and
     publishing it with a single reference swap under ``_grow_lock``, so
-    concurrent symbol evaluations only ever see a complete table.
+    concurrent symbol evaluations only ever see a complete table.  The
+    vector cache is read without a lock; only storing a new vector takes
+    ``_vector_lock``.
     """
 
     def __init__(self, initial_limit: int = 256):
         self._grow_lock = threading.Lock()
         self._limit = max(4, initial_limit)
         self._primes = _sieve(self._limit)
+        self._vector_lock = threading.Lock()
+        self._vectors = {}          # n -> exponents of n!, aligned with _primes
+        self._vector_entries = 0
 
     def primes_upto(self, n: int) -> list:
         if n > self._limit:
@@ -57,42 +74,58 @@ class FactorialLedger:
                     self._primes = _sieve(new_limit)   # grow, then publish
                     self._limit = new_limit
         primes = self._primes
-        # The published list may extend beyond n; slice by bisection.
-        lo, hi = 0, len(primes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if primes[mid] <= n:
-                lo = mid + 1
-            else:
-                hi = mid
-        return primes[:lo]
+        # The published list may extend beyond n.
+        return primes[:bisect_right(primes, n)]
+
+    def _exponent_vector(self, n: int) -> list:
+        """Exponents of the primes <= n in n!, in prime-table order."""
+        vec = self._vectors.get(n)
+        if vec is None:
+            primes = self.primes_upto(n)
+            # A prime above sqrt(n) divides n! exactly n // p times.
+            split = bisect_right(primes, isqrt(n))
+            vec = [prime_exponent_in_factorial(n, p) for p in primes[:split]]
+            vec += map(n.__floordiv__, primes[split:])
+            with self._vector_lock:
+                if self._vector_entries + len(vec) > _VECTOR_CACHE_ENTRIES:
+                    self._vectors.clear()
+                    self._vector_entries = 0
+                self._vectors[n] = vec
+                self._vector_entries += len(vec)
+        return vec
 
     def factorial_exponents(self, n: int) -> dict:
         """{prime: exponent} for n!."""
         if n < 0:
             raise ValueError("factorial of a negative number")
-        return {p: prime_exponent_in_factorial(n, p) for p in self.primes_upto(n)}
+        vec = self._exponent_vector(n)
+        return dict(zip(self._primes, vec))
 
     def combined_exponents(self, terms) -> dict:
         """Exponent vector of prod_i (n_i!)**c_i for terms = [(n_i, c_i)]."""
-        n_max = 0
-        for n, _ in terms:
+        weights = {}
+        for n, c in terms:
             if n < 0:
                 raise ValueError("factorial of a negative number")
-            n_max = max(n_max, n)
-        out = {}
-        for p in self.primes_upto(n_max):
-            e = 0
-            for n, c in terms:
-                if n >= p:
-                    e += c * prime_exponent_in_factorial(n, p)
-            if e:
-                out[p] = e
-        return out
+            weights[n] = weights.get(n, 0) + c
+        acc = []
+        # Longest vector first, so every later one adds into a prefix.
+        for n in sorted(weights, reverse=True):
+            c = weights[n]
+            if c == 0:
+                continue
+            vec = self._exponent_vector(n)
+            scaled = vec if c == 1 else map(c.__mul__, vec)
+            if acc:
+                acc[:len(vec)] = map(add, acc, scaled)
+            else:
+                acc = list(scaled)
+        # Read the table after any growth above, so it covers acc.
+        return {p: e for p, e in zip(self._primes, acc) if e}
 
     def factorial(self, n: int) -> int:
         """n! reconstructed from its exponent vector."""
-        return _pow_product(self.factorial_exponents(n))
+        return prod(p ** e for p, e in self.factorial_exponents(n).items())
 
     def factorial_quotient(self, terms) -> Fraction:
         """Exact value of prod_i (n_i!)**c_i as a Fraction in lowest terms."""
@@ -121,13 +154,6 @@ class FactorialLedger:
             if odd:
                 rad *= p
         return Fraction(num, den), rad
-
-
-def _pow_product(exponents: dict) -> int:
-    out = 1
-    for p, e in exponents.items():
-        out *= p ** e
-    return out
 
 
 DEFAULT_LEDGER = FactorialLedger()

@@ -253,6 +253,24 @@ def test_hypothesis_validation():
                for v in validate_hypotheses(sym, big_small))
 
 
+def test_out_of_range_small_l_rejected_under_every_marking():
+    # n = 5 chain with small k4 and small l2; a small-l index outside 1..5
+    # must be a violation whether or not the marking rotates the symbol
+    t = [79, 81, 79, 82, 72, 76, 78, 76, 1, 77, 80, 2, 75, 76, 72]
+    sym = Symbol3nj(tuple(H(x) for x in t[:5]), tuple(H(x) for x in t[5:10]),
+                    tuple(H(x) for x in t[10:]))
+    value, _ = asym_3nj(sym, SmallSpinMarking(("k", 4), frozenset({2})))
+    assert abs(value - 2.1000202208802697e-10) < 1e-18
+    for small_jk in (("j", 1), ("j", 3), ("k", 4)):
+        for index in (0, 7, 12):
+            mark = SmallSpinMarking(small_jk, frozenset({index}))
+            violations = validate_hypotheses(sym, mark)
+            assert any(v.code == "small_l_index" and v.severity == "error"
+                       for v in violations), (small_jk, index)
+            with pytest.raises(HypothesisViolation):
+                asym_3nj(sym, mark)
+
+
 def test_hypothesis_validation_flags_caustic_tet():
     # an oscillatory tetrahedron with two long opposite edges: valid spin
     # triads, no Euclidean realization

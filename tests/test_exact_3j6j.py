@@ -123,6 +123,62 @@ def test_3j_zero_conditions():
     assert wigner3j("1/2", 1, "1/2", "1/2", 0, 0).is_zero   # m3 parity
 
 
+def threej_ledger_free(t):
+    """Racah's 3j sum with plain math.factorial fractions: an independent
+    route around the prime-exponent ledger and the term-ratio recurrence.
+    t holds the twice values (j1 j2 j3 m1 m2 m3) of a valid symbol.
+    Returns (signed sum with the phase, squared prefactor); the 3j is
+    sum * sqrt(prefactor)."""
+    tj1, tj2, tj3, tm1, tm2, tm3 = t
+    fact = math.factorial
+
+    def f(twice):
+        return fact(twice // 2)
+
+    kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
+    kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        tk = 2 * k
+        den = (f(tk) * f(tj3 - tj2 + tk + tm1) * f(tj3 - tj1 + tk - tm2)
+               * f(tj1 + tj2 - tj3 - tk) * f(tj1 - tk - tm1) * f(tj2 - tk + tm2))
+        total += Fraction((-1) ** k, den)
+    rad2 = Fraction(f(tj1 + tj2 - tj3) * f(tj1 - tj2 + tj3) * f(-tj1 + tj2 + tj3),
+                    f(tj1 + tj2 + tj3 + 2))
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+        rad2 *= f(tj + tm) * f(tj - tm)
+    phase = -1 if (tj1 - tj2 - tm3) // 2 % 2 else 1
+    return phase * total, rad2
+
+
+def test_3j_against_ledger_free_racah():
+    # spins 100-1000; the sum starts at kmin = 0, at an even kmin > 0 and at
+    # an odd kmin, whose (-1)^kmin sets the sign of the head term
+    rng = random.Random(313)
+    seen = {"zero": 0, "even": 0, "odd": 0}
+    while min(seen.values()) < 3:
+        tj1, tj2 = rng.randrange(200, 2001), rng.randrange(200, 2001)
+        tj3 = rng.randrange(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
+        tm3 = -tm1 - tm2
+        if tj3 < 200 or abs(tm3) > tj3:
+            continue
+        kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
+        kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+        kind = "zero" if kmin == 0 else ("odd" if kmin % 2 else "even")
+        if kmax - kmin > 60 or seen[kind] >= 3:
+            continue   # keep the oracle quick
+        t = (tj1, tj2, tj3, tm1, tm2, tm3)
+        total, rad2 = threej_ledger_free(t)
+        ours = wigner3j(*(H(x) for x in t))
+        if total == 0:
+            assert ours.is_zero, t
+            continue
+        assert ours.sign == (1 if total > 0 else -1), t
+        assert ours.value_squared() == total * total * rad2, t
+        seen[kind] += 1
+
+
 # ----------------------------------------------------------------------
 # oracle: 6j as a contraction of four 3j symbols
 # ----------------------------------------------------------------------
@@ -179,22 +235,27 @@ def test_6j_matches_contraction_oracle():
             checked += 1
 
 
-def test_6j_large_spin_half_integer():
-    # engine handles spins of several hundred and mixed parities
-    v = wigner6j(H(861), H(61), H(860), H(120), H(862), H(121))
-    assert not math.isnan(float(v))
-    # symmetry: column permutation leaves the value unchanged
-    w = wigner6j(H(61), H(861), H(860), H(862), H(120), H(121))
-    assert v == w
+def sixj_window(t):
+    """(triads, T sums, P sums) of the 6j with twice values t, or None when
+    a triad fails; the Racah sum runs over max(T) <= z <= min(P)."""
+    tri = ((t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2]))
+    for (x, y, z) in tri:
+        if (x + y + z) % 2 or z < abs(x - y) or z > x + y:
+            return None
+    t_sums = [(x + y + z) // 2 for (x, y, z) in tri]
+    p_sums = [(t[0] + t[1] + t[3] + t[4]) // 2, (t[1] + t[2] + t[4] + t[5]) // 2,
+              (t[0] + t[2] + t[3] + t[5]) // 2]
+    return tri, t_sums, p_sums
 
 
 def sixj_ledger_free(t):
     """Racah sum with plain math.factorial fractions: an independent route
-    around the prime-exponent ledger."""
-    tri = ((t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2]))
-    for (x, y, z) in tri:
-        if (x + y + z) % 2 or z < abs(x - y) or z > x + y:
-            return Fraction(0), Fraction(1)
+    around the prime-exponent ledger and the term-ratio recurrence.
+    Returns (signed sum, squared prefactor); the 6j is sum * sqrt(prefactor)."""
+    window = sixj_window(t)
+    if window is None:
+        return Fraction(0), Fraction(1)
+    tri, t_sums, p_sums = window
     fact = math.factorial
 
     def delta2(x, y, z):
@@ -203,9 +264,6 @@ def sixj_ledger_free(t):
             fact((x + y + z) // 2 + 1),
         )
 
-    t_sums = [(x + y + z) // 2 for (x, y, z) in tri]
-    p_sums = [(t[0] + t[1] + t[3] + t[4]) // 2, (t[1] + t[2] + t[4] + t[5]) // 2,
-              (t[0] + t[2] + t[3] + t[5]) // 2]
     total = Fraction(0)
     for z in range(max(t_sums), min(p_sums) + 1):
         term = Fraction(fact(z + 1))
@@ -219,21 +277,40 @@ def sixj_ledger_free(t):
 
 
 def test_6j_against_ledger_free_racah():
-    import mpmath
-
     rng = random.Random(909)
-    with mpmath.workdps(45):
-        checked = 0
-        while checked < 12:
-            t = tuple(rng.randrange(0, 60) for _ in range(6))
-            total, rad2 = sixj_ledger_free(t)
-            if total == 0:
-                continue
-            ours = wigner6j(*(H(x) for x in t)).to_mpf()
-            oracle = (mpmath.mpf(total.numerator) / total.denominator
-                      * mpmath.sqrt(mpmath.mpf(rad2.numerator) / rad2.denominator))
-            assert abs(ours - oracle) < mpmath.mpf(10) ** -35 * max(1, abs(oracle)), t
-            checked += 1
+    cases = []
+    while len(cases) < 12:
+        t = tuple(rng.randrange(0, 60) for _ in range(6))
+        total, rad2 = sixj_ledger_free(t)
+        if total != 0:
+            cases.append((t, total, rad2))
+    # spins 200-1000, windows of at most 60 terms to keep the oracle quick
+    while len(cases) < 17:
+        t = tuple(rng.randrange(400, 2001) for _ in range(6))
+        window = sixj_window(t)
+        if window is None or min(window[2]) - max(window[1]) > 60:
+            continue
+        total, rad2 = sixj_ledger_free(t)
+        if total != 0:
+            cases.append((t, total, rad2))
+    for t, total, rad2 in cases:
+        ours = wigner6j(*(H(x) for x in t))
+        assert ours.sign == (1 if total > 0 else -1), t
+        assert ours.value_squared() == total * total * rad2, t
+
+
+def test_6j_large_spin_half_integer():
+    # engine handles spins of several hundred and mixed parities
+    t = (861, 61, 860, 120, 862, 121)
+    v = wigner6j(*(H(x) for x in t))
+    total, rad2 = sixj_ledger_free(t)
+    assert total != 0
+    assert v.sign == (1 if total > 0 else -1)
+    assert v.value_squared() == total * total * rad2
+    assert math.isfinite(float(v)) and float(v) != 0.0
+    # symmetry: column permutation leaves the value unchanged
+    w = wigner6j(H(61), H(861), H(860), H(862), H(120), H(121))
+    assert v == w
 
 
 def test_6j_all_24_symmetry_layouts_fresh():

@@ -1,7 +1,12 @@
 import math
+import random
+import sys
 import threading
 from fractions import Fraction
 
+import pytest
+
+from wigner_asym import primefac
 from wigner_asym.primefac import FactorialLedger, prime_exponent_in_factorial
 
 
@@ -57,3 +62,70 @@ def test_prime_growth_is_monotonic_and_threadsafe():
     for n, value in results:
         assert value == Fraction(n)
     assert ledger.primes_upto(10) == [2, 3, 5, 7]
+
+
+def naive_combined_exponents(terms) -> dict:
+    """Legendre's formula per prime and per term, without the ledger."""
+    n_max = max((n for n, _ in terms), default=0)
+    out = {}
+    for p in range(2, n_max + 1):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        e = sum(c * prime_exponent_in_factorial(n, p) for n, c in terms)
+        if e:
+            out[p] = e
+    return out
+
+
+def test_combined_exponents_match_naive_legendre():
+    rng = random.Random(4242)
+    ledger = FactorialLedger(initial_limit=16)
+    for _ in range(40):
+        terms = [(rng.choice((0, 1, rng.randrange(2, 400))), rng.randint(-3, 3))
+                 for _ in range(rng.randrange(1, 12))]
+        n, c = rng.choice(terms)
+        terms += [(n, -c), (n, rng.choice((1, 2)))]   # repeated n, net-zero weight
+        assert ledger.combined_exponents(terms) == naive_combined_exponents(terms), terms
+    # vectors cached under a 16-limit table stay aligned after it grows
+    ledger = FactorialLedger(initial_limit=16)
+    assert ledger.combined_exponents([(16, 1), (10, -1)]) == naive_combined_exponents(
+        [(16, 1), (10, -1)])
+    terms = [(1500, 2), (1499, -1), (16, -3), (1500, -1), (0, 5), (1, -4), (10, 1)]
+    assert ledger.combined_exponents(terms) == naive_combined_exponents(terms)
+    assert ledger.factorial_quotient(terms) == Fraction(
+        1500 * math.factorial(10), math.factorial(16) ** 3)
+    # terms that cancel exactly give the empty vector
+    assert ledger.combined_exponents([(300, 2), (300, -1), (300, -1)]) == {}
+    with pytest.raises(ValueError):
+        ledger.combined_exponents([(10, 1), (-1, 1)])
+    with pytest.raises(ValueError):
+        ledger.factorial_exponents(-1)
+
+
+def test_vector_cache_stays_bounded_under_threads(monkeypatch):
+    # a 200-exponent budget forces the cache to empty itself again and
+    # again while eight threads read and fill it
+    monkeypatch.setattr(primefac, "_VECTOR_CACHE_ENTRIES", 200)
+    ledger = FactorialLedger(initial_limit=8)
+    jobs = [[(n, 1), (n - 1, -1), (n // 2, 2), (n // 2, -2)] for n in range(100, 900, 7)]
+    failures = []
+
+    def worker(offset):
+        for i in range(len(jobs)):
+            terms = jobs[(i + offset) % len(jobs)]
+            if ledger.factorial_quotient(terms) != terms[0][0]:
+                failures.append(terms)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 13,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert sum(len(v) for v in ledger._vectors.values()) <= 200
