@@ -38,7 +38,7 @@ from .geometry import (
     triangle_angle,
     volume,
 )
-from .halfint import HalfInt, halfint_sum, phase_complex
+from .halfint import HalfInt, halfint_sum
 from .wigner_d import small_d
 
 QUARTER_PI = math.pi / 4.0
@@ -529,8 +529,7 @@ def asym_3nj(
     for p in p_set:
         amplitude /= math.sqrt(12.0 * math.pi * chain.volumes[p])
 
-    r_exp = _chain_sign_exponent(nsym, small_l, mu)
-    value = _apply_half_integer_phase(r_exp, amplitude * config_sum)
+    value = _chain_sign(nsym, small_l, mu) * (amplitude * config_sum)
     return value, diag
 
 
@@ -568,17 +567,16 @@ def asym_3nj_xi_sum(
         total += sign * small_d(j1, mu, xi, phi1) * small_d(j1, xi, nu, phin) * prod
 
     amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
-    r_exp = _chain_sign_exponent(nsym, small_l, mu)
-    return _apply_half_integer_phase(r_exp, amplitude * total)
+    return _chain_sign(nsym, small_l, mu) * (amplitude * total)
 
 
 def _projection_ok(m: HalfInt, j: HalfInt) -> bool:
     return abs(m.twice) <= j.twice and (j.twice - m.twice) % 2 == 0
 
 
-def _chain_sign_exponent(nsym: Symbol3nj, small_l, mu: HalfInt) -> HalfInt:
-    """Global sign exponent of the mixed-spin formula (integer on valid
-    symbols): R_n + (n+M-1)(k1+j1) + (mu-j1) + (k1+k2+l1) + (k1+jn+ln)
+def _chain_sign(nsym: Symbol3nj, small_l, mu: HalfInt) -> int:
+    """Global sign (-1)**e of the mixed-spin formula, e (an integer on valid
+    symbols) = R_n + (n+M-1)(k1+j1) + (mu-j1) + (k1+k2+l1) + (k1+jn+ln)
     + sum_m (j_m + l_m + k_{m+1})."""
     n = nsym.n
     j, k, l = nsym.j, nsym.k, nsym.l
@@ -587,21 +585,7 @@ def _chain_sign_exponent(nsym: Symbol3nj, small_l, mu: HalfInt) -> HalfInt:
              k[0] + k[1] + l[0], k[0] + j[n - 1] + l[n - 1]]
     for m in sorted(small_l):
         terms.append(j[m - 1] + l[m - 1] + k[m])
-    return halfint_sum(terms)
-
-
-def _apply_half_integer_phase(exponent: HalfInt, magnitude: float) -> float:
-    """(-1)**exponent * magnitude, tolerating a (never expected) half-integer
-    exponent as a complex phase whose imaginary part must cancel."""
-    if exponent.twice % 2 == 0:
-        sign = -1.0 if (exponent.twice // 2) % 2 else 1.0
-        return sign * magnitude
-    out = phase_complex(exponent) * magnitude
-    if abs(out.imag) > 1e-9 * (abs(out.real) + 1e-300):
-        raise InternalConsistencyError(
-            f"half-integer sign exponent {exponent} left an imaginary part"
-        )
-    return out.real
+    return _int_phase(halfint_sum(terms), "chain sign exponent")
 
 
 def _int_phase(e: HalfInt, context: str) -> int:

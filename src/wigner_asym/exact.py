@@ -322,7 +322,7 @@ def _sum_chain_terms(terms) -> SqrtRational:
         total += term.sign * term.rat
     if total == 0:
         return SqrtRational.zero()
-    return SqrtRational.from_canonical(1, total, int(rad))
+    return SqrtRational.from_canonical(1, total, rad)
 
 
 # ----------------------------------------------------------------------

@@ -145,11 +145,6 @@ def halfint_sum(values) -> HalfInt:
     return HalfInt.from_twice(t)
 
 
-def phase_complex(e: HalfInt) -> complex:
-    """exp(i*pi*e) evaluated exactly on the quarter lattice: one of +-1, +-i."""
-    return (1, 1j, -1, -1j)[e.twice % 4]
-
-
 def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
     """Clebsch-Gordan condition: triangle inequality plus integer sum."""
     ta, tb, tc = a.twice, b.twice, c.twice

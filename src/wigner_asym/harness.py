@@ -6,10 +6,10 @@ Clebsch-Gordan-allowed point, and emits one CSV row per point:
 
     sweep_twice, exact, asym, abs_err, vol_1..vol_P, flag
 
-Exact values are closed :class:`SqrtRational` numbers; every value is
-formatted at 17 significant digits and the summary metrics are recomputed
-from the formatted text, so a sweep is reproducible bit-for-bit and the
-CSV is self-contained.
+Exact values are closed :class:`SqrtRational` numbers, written from
+integers by ``SqrtRational.to_decimal``; every value has 17 significant
+digits and the summary metrics are recomputed from the formatted text, so
+a sweep is reproducible bit-for-bit and the CSV is self-contained.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-
-import mpmath
 
 from .asymptotics import (
     CLOSED_15J_FORMS,
@@ -34,7 +32,6 @@ from .errors import ConfigError, WignerAsymError
 from .exact import PIVOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
 from .geometry import DEFAULT_CAUSTIC_EPS, FACES, Tetrahedron
 from .halfint import HalfInt, triad_allowed
-from .sqrtrat import SqrtRational
 
 SLOT_NAMES = {
     "6j": ("a", "b", "c", "d", "e", "f"),
@@ -284,17 +281,6 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-#: Decimal working precision for writing exact values as text: far above
-#: the 17 printed digits, and fixed, so the emitted bytes never depend on
-#: the caller's mpmath context.
-_FORMAT_DPS = 65
-
-
-def _fmt_exact(value: SqrtRational) -> str:
-    with mpmath.workdps(_FORMAT_DPS):
-        return mpmath.nstr(value.to_mpf(), 17, strip_zeros=False)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate one sweep; row errors are recorded in-row, never raised.
 
@@ -328,7 +314,7 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
     row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking)
     if "exact" in cfg.formulas:
         try:
-            row.exact = _fmt_exact(exact_value(cfg.kind, sym, cfg.pivot)[0])
+            row.exact = exact_value(cfg.kind, sym, cfg.pivot)[0].to_decimal(17, strip_zeros=False)
         except WignerAsymError as exc:
             row.note = f"exact: {exc}"
     if asym_formula is not None:

@@ -3,6 +3,10 @@
 Closed form for 3j and 6j symbols: a signed rational times the square root
 of a squarefree positive integer.  Canonicalization pulls every square
 factor of the radicand into the rational part, so equality is structural.
+
+This module also owns how an exact value becomes a float or decimal text.
+Both come from one integer core, floor(|v| * base**k) = isqrt of the scaled
+square rat**2 * rad, so neither depends on any floating-point context.
 """
 
 from __future__ import annotations
@@ -10,31 +14,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .primefac import DEFAULT_LEDGER
 
 
 class SqrtRational:
-    """sign * rat * sqrt(rad) with rat a positive Fraction, rad squarefree."""
+    """sign * rat * sqrt(rad) with rat a positive Fraction, rad a squarefree int."""
 
     __slots__ = ("sign", "rat", "rad")
 
     def __init__(self, sign: int, rat, rad):
-        rat = Fraction(rat)
-        rad = Fraction(rad)
+        rat, rad = Fraction(rat), Fraction(rad)
         if rad < 0:
             raise ValueError("radicand must be non-negative")
-        if sign == 0 or rat == 0 or rad == 0:
-            sign, rat, rad = 0, Fraction(0), Fraction(1)
-        else:
-            if sign not in (-1, 1):
-                raise ValueError("sign must be -1, 0 or +1")
-            if rat < 0:
-                sign, rat = -sign, -rat
-            rat_extra, rad_int = _canonical_radicand(rad)
+        if sign not in (-1, 0, 1):
+            raise ValueError("sign must be -1, 0 or +1")
+        if sign and rat and rad:
+            rat_extra, rad = _canonical_radicand(rad)
             rat *= rat_extra
-            rad = Fraction(rad_int)
+        self._set(sign, rat, rad)
+
+    def _set(self, sign: int, rat: Fraction, rad: int) -> None:
+        """Store the parts, making rat positive (sign absorbs it) or the
+        whole value the canonical zero."""
+        if not (sign and rat and rad):
+            sign, rat, rad = 0, Fraction(0), 1
+        elif rat < 0:
+            sign, rat = -sign, -rat
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "rad", rad)
@@ -42,29 +47,17 @@ class SqrtRational:
     @classmethod
     def of(cls, value) -> "SqrtRational":
         """Exact rational value, radicand 1."""
-        v = Fraction(value)
-        if v == 0:
-            return cls.zero()
-        return cls(1 if v > 0 else -1, abs(v), 1)
+        return cls.from_canonical(1, Fraction(value), 1)
 
     @classmethod
     def zero(cls) -> "SqrtRational":
-        return cls(0, 0, 1)
+        return cls.from_canonical(0, Fraction(0), 1)
 
     @classmethod
     def from_canonical(cls, sign: int, rat: Fraction, squarefree_rad: int) -> "SqrtRational":
         """Fast path for radicands already known to be squarefree."""
         obj = cls.__new__(cls)
-        if sign == 0 or rat == 0:
-            object.__setattr__(obj, "sign", 0)
-            object.__setattr__(obj, "rat", Fraction(0))
-            object.__setattr__(obj, "rad", Fraction(1))
-            return obj
-        if rat < 0:
-            sign, rat = -sign, -rat
-        object.__setattr__(obj, "sign", sign)
-        object.__setattr__(obj, "rat", rat)
-        object.__setattr__(obj, "rad", Fraction(squarefree_rad))
+        obj._set(sign, rat, squarefree_rad)
         return obj
 
     # -- queries ---------------------------------------------------------
@@ -77,29 +70,63 @@ class SqrtRational:
         """Exact square (always rational)."""
         return self.rat * self.rat * self.rad
 
-    def to_mpf(self) -> mpmath.mpf:
-        """Value at the current mpmath working precision."""
-        if self.sign == 0:
-            return mpmath.mpf(0)
-        v = mpmath.mpf(self.rat.numerator) / self.rat.denominator
-        if self.rad != 1:
-            v *= mpmath.sqrt(mpmath.mpf(self.rad.numerator))
-        return self.sign * v
+    def _scaled_floor(self, base: int, k: int) -> int:
+        """floor(|self| * base**k), exactly, for any integer k."""
+        sq = self.value_squared() * Fraction(base) ** (2 * k)
+        return math.isqrt(sq.numerator // sq.denominator)
+
+    def _log2_square(self) -> int:
+        """log2(value**2), to within 1."""
+        sq = self.value_squared()
+        return sq.numerator.bit_length() - sq.denominator.bit_length()
 
     def __float__(self) -> float:
-        with mpmath.workdps(40):
-            return float(self.to_mpf())
+        """The correctly rounded float."""
+        if self.rad == 1:
+            return float(self.sign * self.rat)
+        # m has at least 64 bits.  rad > 1 makes the value irrational, so it
+        # lies strictly inside (m, m + 1), which holds no rounding boundary:
+        # m + 1/2 (a sticky bit) rounds the same way.
+        k = 66 - self._log2_square() // 2
+        m = self._scaled_floor(2, k)
+        return self.sign * float(Fraction(2 * m + 1) / Fraction(2) ** (k + 1))
+
+    def to_decimal(self, digits: int, strip_zeros: bool = True) -> str:
+        """The value rounded half up to ``digits`` significant digits: fixed
+        notation when the decimal exponent lies strictly between
+        min(-(digits//3), -5) and ``digits``, else ``d.ddde-N``/``d.ddde+N``;
+        ``0.0`` for zero.  Trailing zeros go unless ``strip_zeros`` is off."""
+        if digits < 1:
+            raise ValueError("digits must be at least 1")
+        if self.sign == 0:
+            return "0.0"
+        # a lower bound of the exponent, so t has at least digits + 1 digits
+        exp = math.floor((self._log2_square() - 1) * math.log10(2) / 2) - 1
+        t = self._scaled_floor(10, digits - exp)
+        extra = len(str(t)) - digits - 1
+        mant, last = divmod(t // 10 ** extra, 10)
+        exp += extra
+        if last >= 5:
+            mant += 1
+            if mant == 10 ** digits:   # 9.99... carries into the exponent
+                mant, exp = mant // 10, exp + 1
+        text, split = str(mant), 1
+        if min(-(digits // 3), -5) < exp < digits:
+            text, split, exp = "0" * -exp + text, max(exp, 0) + 1, 0
+        frac = (text[split:].rstrip("0") or "0") if strip_zeros else text[split:]
+        suffix = f"e{exp:+d}" if exp else ""
+        return f"{'-' if self.sign < 0 else ''}{text[:split]}.{frac}{suffix}"
 
     # -- algebra ---------------------------------------------------------
 
     def __neg__(self):
-        return SqrtRational.from_canonical(-self.sign, self.rat, int(self.rad))
+        return SqrtRational.from_canonical(-self.sign, self.rat, self.rad)
 
     def __mul__(self, other):
         if isinstance(other, SqrtRational):
             if self.sign == 0 or other.sign == 0:
                 return SqrtRational.zero()
-            r1, r2 = int(self.rad), int(other.rad)
+            r1, r2 = self.rad, other.rad
             g = math.gcd(r1, r2)
             # squarefree * squarefree: the shared part squares out exactly
             return SqrtRational.from_canonical(
@@ -112,7 +139,7 @@ class SqrtRational:
             if q == 0 or self.sign == 0:
                 return SqrtRational.zero()
             s = self.sign if q > 0 else -self.sign
-            return SqrtRational.from_canonical(s, self.rat * abs(q), int(self.rad))
+            return SqrtRational.from_canonical(s, self.rat * abs(q), self.rad)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -1,4 +1,4 @@
-"""Shared samplers for the test suite.
+"""Shared samplers and helpers for the test suite.
 
 All randomness is seeded per test; samplers reject invalid configurations
 so every returned object satisfies the exact engine's validity conditions.
@@ -8,12 +8,23 @@ from __future__ import annotations
 
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from wigner_asym.exact import Symbol3nj
 from wigner_asym.geometry import Tetrahedron
 from wigner_asym.halfint import HalfInt
+
+
+def to_mpf(value) -> mpmath.mpf:
+    """An exact SqrtRational at the current mpmath working precision."""
+    if value.sign == 0:
+        return mpmath.mpf(0)
+    v = mpmath.mpf(value.rat.numerator) / value.rat.denominator
+    if value.rad != 1:
+        v *= mpmath.sqrt(mpmath.mpf(value.rad))
+    return value.sign * v
 
 
 def random_realizable_tet(rng: np.random.RandomState, margin: float = 0.05,

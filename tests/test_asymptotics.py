@@ -34,7 +34,7 @@ from wigner_asym.exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j
 from wigner_asym.geometry import Tetrahedron, volume
 from wigner_asym.halfint import HalfInt
 
-from conftest import sample_chain_15j
+from conftest import sample_chain_15j, to_mpf
 
 H = HalfInt.from_twice
 
@@ -63,7 +63,7 @@ def test_pr6j_regular_envelope_and_accuracy():
     assert abs(diag.volumes["tet"] - (50.5) ** 3 / (6 * math.sqrt(2))) < 1e-9
     assert abs(value) <= envelope * (1 + 1e-12)
     with mpmath.workdps(40):
-        exact = float(wigner6j(*(HalfInt(50),) * 6).to_mpf())
+        exact = float(to_mpf(wigner6j(*(HalfInt(50),) * 6)))
     assert abs(exact - value) <= 0.15 * envelope
 
 
@@ -99,9 +99,9 @@ def test_edmonds_vs_exact_sample():
             if abs(phi / (2 * (a + 0.5) * (b + 0.5))) > 0.9:
                 continue
             approx = edmonds_6j(a, b, c, H(tm), H(tn), H(tf))
-            exact = float(
+            exact = float(to_mpf(
                 wigner6j(HalfInt(a), HalfInt(b), HalfInt(c),
-                         HalfInt(b) + H(tm), HalfInt(a) + H(tn), H(tf)).to_mpf()
+                         HalfInt(b) + H(tm), HalfInt(a) + H(tn), H(tf)))
             )
             assert abs(approx - exact) <= 0.02 * abs(exact), (a, b, c, tm, tn, tf)
             checked += 1

@@ -7,7 +7,6 @@ from wigner_asym.errors import InternalConsistencyError
 from wigner_asym.halfint import (
     HalfInt,
     halfint_sum,
-    phase_complex,
     triad_allowed,
 )
 
@@ -56,9 +55,6 @@ def test_phases():
     assert _int_phase(HalfInt(4), "test") == 1
     with pytest.raises(InternalConsistencyError):
         _int_phase(HalfInt("1/2"), "test")
-    assert phase_complex(HalfInt("1/2")) == 1j
-    assert phase_complex(HalfInt("-1/2")) == -1j
-    assert phase_complex(HalfInt(1)) == -1
 
 
 def test_triad_examples():

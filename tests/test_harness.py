@@ -235,16 +235,20 @@ def test_reference_configs_exposed():
 SRC = str(Path(wigner_asym.__file__).resolve().parent.parent)
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "wigner_asym.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": path},
     )
     return proc
+
+
+def run_cli(*args):
+    return run_python("-m", "wigner_asym.cli", *args)
 
 
 def test_cli_exact_6j_prints_both_forms():
@@ -262,6 +266,43 @@ def test_cli_triad_violation_is_value_zero_not_error():
 def test_cli_malformed_spin_count_exits_2():
     proc = run_cli("exact", "6j", "2", "2", "2", "2", "2")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_cli_exact_rejects_precision_below_one(precision):
+    proc = run_cli("exact", "6j", "2", "2", "2", "2", "2", "2", "--precision", precision)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--precision" in proc.stderr
+
+
+def test_cli_exact_last_digit_is_correctly_rounded(capsys):
+    # 2/3003*sqrt(595) = 0.01624550238781281114356725056894285122090116251065649...
+    assert cli.main(["exact", "6j", "6", "10", "12", "10", "6", "12"]) == 0
+    assert capsys.readouterr().out == (
+        "0.016245502387812811143567250568942851220901162510656    [2/3003*sqrt(595)]\n")
+
+
+#: stdout of the ``exact`` examples in the README
+README_EXACT = {
+    "6j 2 2 2 2 2 2": "0.16666666666666666666666666666666666666666666666667    [1/6]\n",
+    "9j 860 60 860 2 120 122 862 120 860 --pivot j2":
+        "0.00000058356187924896623390162599222385821224382121410998    "
+        "[31436881667413326522394267433456755632507960618189794/"
+        "61788518373623070321669236910993471348620614347471219237662818928067436463424903988"
+        "402311060236745*sqrt(13155594254202550484890091511095064728966192676505107737559155"
+        "10101369675381478)]\n",
+    "15j 2 80 80 80 80  90 84 84 84 84  80 2 4 2 84":
+        "-0.00000000034144831297142229799924289719755888203430952154974    "
+        "[-5917082614/1436666065042831851375*sqrt(6873)]\n",
+    "3nj --n 4  6 6 6 6  8 10 10 8  2 4 6 2":
+        "0.00031336213060803097591788858056223419160308848692265    [1/10584*sqrt(11)]\n",
+}
+
+
+@pytest.mark.parametrize("args", list(README_EXACT))
+def test_cli_exact_readme_outputs(capsys, args):
+    assert cli.main(["exact", *args.split()]) == 0
+    assert capsys.readouterr().out == README_EXACT[args]
 
 
 def test_cli_strict_allowed_exit_3():
@@ -296,8 +337,8 @@ def test_cli_asym_diagnostics_dump():
     assert "volumes" in payload and payload["volumes"]["tet1"] > 0
 
 
-#: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, numpy and
-#: mpmath as pinned in pyproject; x86-64)
+#: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, numpy as
+#: pinned in pyproject; x86-64)
 FIG4_SHA256 = {
     "fig_a.csv": "e810103f0d349a370059fbd1859868746a352b466c9c541c5896b588f5efe2d5",
     "fig_a.gnuplot": "b499eaa8e2e9447310c5cccdc6ec8be04810831bfc2e28f9c21b54ff83b015b4",
@@ -313,6 +354,24 @@ FIG4_SHA256 = {
 def test_verify_fig4_outputs_are_pinned(tmp_path, capsys):
     assert cli.main(["verify", "fig4", "--out", str(tmp_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == FIG4_SHA256
+
+
+def test_runs_without_mpmath(tmp_path):
+    """The package, ``exact``, ``verify identities`` and ``verify fig4`` run
+    with mpmath unimportable, and fig4 writes the pinned bytes."""
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import wigner_asym, wigner_asym.cli\n"
+        "argvs = (['exact', '9j', '860', '60', '860', '2', '120', '122', '862', '120', '860',"
+        " '--diagnostics'], ['verify', 'identities'], ['verify', 'fig4', '--out', sys.argv[1]])\n"
+        "sys.exit(max(wigner_asym.cli.main(argv) for argv in argvs))\n"
+    )
+    proc = run_python("-c", script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "x=" in proc.stdout and "PASS" in proc.stdout and "FAIL" not in proc.stdout
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == FIG4_SHA256
 
