@@ -5,11 +5,13 @@ single-sum formulas.  The first term of each sum and the square-root
 prefactor are factorial quotients assembled prime-wise by the ledger; the
 sum itself runs Horner's rule on the ratio of consecutive terms from the
 top of the window down, in plain ints, and makes one Fraction at the end.
-9j, 15j and first-kind 3nj symbols are chains of exact 6j factors summed
-over the intermediate spin.  Every triad that contains the summation spin
-appears in exactly two factors of a term, so all nonzero terms share one
-squarefree radicand and the sum is again closed: sqrt(rad) times a sum of
-rationals.  No value depends on a floating-point working precision.
+9j, 15j and first-kind 3nj symbols (and the pentagon identity's left side)
+are 6j chains summed over the intermediate spin x by one engine,
+:func:`_chain_sum`, which never calls :func:`wigner6j` or its cache.  A
+triad with x occurs in exactly two 6j of a term, so its triangle
+coefficient enters squared and rational; the triads without x give the
+symbol one square root, taken once.  Each x costs one factorial quotient
+and one Fraction.  No value depends on a floating-point working precision.
 """
 
 from __future__ import annotations
@@ -127,23 +129,12 @@ def wigner6j(a, b, c, d, e, f, ledger: FactorialLedger = DEFAULT_LEDGER) -> Sqrt
     if cached is not None:
         return cached
 
-    tsum = [(x.twice + y.twice + z.twice) // 2 for x, y, z in triads]
-    psum = [
-        (a.twice + b.twice + d.twice + e.twice) // 2,
-        (b.twice + c.twice + e.twice + f.twice) // 2,
-        (a.twice + c.twice + d.twice + f.twice) // 2,
-    ]
-    total = _racah_sum(tsum, psum, ledger)
+    head, num, den = _racah_series(a.twice, b.twice, c.twice, d.twice, e.twice, f.twice)
+    total = ledger.factorial_quotient(head) * Fraction(num, den)
     if total == 0:
         result = SqrtRational.zero()
     else:
-        pre = []
-        for x, y, z in triads:
-            tx, ty, tz = x.twice, y.twice, z.twice
-            pre += [
-                ((tx + ty - tz) // 2, 1), ((tx - ty + tz) // 2, 1),
-                ((-tx + ty + tz) // 2, 1), ((tx + ty + tz) // 2 + 1, -1),
-            ]
+        pre = [t for x, y, z in triads for t in _delta_terms(x.twice, y.twice, z.twice)]
         rat, rad = ledger.sqrt_factorial_quotient(pre)
         result = SqrtRational.from_canonical(1 if total > 0 else -1, abs(total) * rat, rad)
 
@@ -155,27 +146,86 @@ def wigner6j(a, b, c, d, e, f, ledger: FactorialLedger = DEFAULT_LEDGER) -> Sqrt
     return result
 
 
-def _racah_sum(tsum, psum, ledger) -> Fraction:
-    """sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!] over the allowed window,
-    as head * (1 + r_zmin (1 + r_zmin+1 (1 + ...))), r_z the term ratio."""
+def _delta_terms(ta, tb, tc):
+    """Factorial terms of the squared triangle coefficient (twice values)
+    Delta(abc)^2 = (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!."""
+    return [((ta + tb - tc) // 2, 1), ((ta - tb + tc) // 2, 1),
+            ((-ta + tb + tc) // 2, 1), ((ta + tb + tc) // 2 + 1, -1)]
+
+
+def _racah_series(ta, tb, tc, td, te, tf):
+    """The Racah sum of {a b c; d e f} (twice values),
+    sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!], as (head, num, den): the
+    factorial terms of the first term and the ints with
+    num/den = (-1)^zmin (1 + r_zmin (1 + r_zmin+1 (1 + ...))), r_z the term
+    ratio, summed by Horner's rule from the top of the window down.  The
+    window min P_j - max T_i is never empty: each P_j - T_i is the excess
+    a+b-c of one of the four triads, which must be allowed."""
+    t1, t2, t3, t4 = tsum = ((ta + tb + tc) // 2, (ta + te + tf) // 2,
+                             (td + tb + tf) // 2, (td + te + tc) // 2)
+    p1, p2, p3 = psum = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
+                         (ta + tc + td + tf) // 2)
     zmin = max(tsum)
     zmax = min(psum)
-    if zmax < zmin:
-        return Fraction(0)
-    head = ledger.factorial_quotient(
-        [(zmin + 1, 1)]
-        + [(zmin - t, -1) for t in tsum]
-        + [(p - zmin, -1) for p in psum]
-    )
-    if zmin % 2:
-        head = -head
-    t1, t2, t3, t4 = tsum
-    p1, p2, p3 = psum
+    head = ([(zmin + 1, 1)] + [(zmin - t, -1) for t in tsum]
+            + [(p - zmin, -1) for p in psum])
     num = den = 1
     for z in range(zmax - 1, zmin - 1, -1):
         step = (z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) * den
         num, den = step - (z + 2) * (p1 - z) * (p2 - z) * (p3 - z) * num, step
-    return head * Fraction(num, den)
+    return head, -num if zmin % 2 else num, den
+
+
+# ----------------------------------------------------------------------
+# 6j chains
+# ----------------------------------------------------------------------
+
+#: Marks the summation spin x in the twice-value 6-tuples of a chain.
+X = None
+
+
+def _chain_sum(sixjs, weight):
+    """Exact sum_x weight(x) prod_i {6j_i}(x) over the summation spin x.
+
+    ``sixjs`` holds each 6j of the chain as a twice-value 6-tuple with
+    :data:`X` in the one slot of x; ``weight(tx)`` is the integer phase
+    times 2x+1.  Returns (value, pre, [(tx, q)]): the SqrtRational value,
+    the square root of the triads without x, and one rational q per x in
+    the window (where every triad with x is allowed), the term of x being
+    pre * q.  q holds the Racah heads and the squared coefficients of the
+    triads with x, which must pair up (as a multiset) across the chain.
+    """
+    fixed, xtri = [], []
+    for a, b, c, d, e, f in sixjs:
+        for tri in ((a, b, c), (a, e, f), (d, b, f), (d, e, c)):
+            if X in tri:
+                xtri.append(tuple(sorted(v for v in tri if v is not X)))
+            else:
+                fixed.append(tri)
+    xtri.sort()
+    pairs = xtri[::2]
+    if pairs != xtri[1::2]:
+        raise InternalConsistencyError(f"chain triads with x do not pair up: {xtri}")
+    if len({(p + q) % 2 for p, q in pairs}) != 1 or not all(
+            (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in fixed):
+        return SqrtRational.zero(), SqrtRational.zero(), []
+    lo = max(abs(p - q) for p, q in pairs)
+    hi = min(p + q for p, q in pairs)
+
+    pre = SqrtRational.from_canonical(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
+        [t for tri in fixed for t in _delta_terms(*tri)]))
+    terms = []
+    for tx in range(lo, hi + 1, 2):
+        facts = [t for p, q in pairs for t in _delta_terms(p, q, tx)]
+        num = den = 1
+        for s in sixjs:
+            head, n6, d6 = _racah_series(*(tx if v is X else v for v in s))
+            facts += head
+            num *= n6
+            den *= d6
+        q = DEFAULT_LEDGER.factorial_quotient(facts) if num else 0
+        terms.append((tx, Fraction(weight(tx) * num * q.numerator, den * q.denominator)))
+    return pre * sum(q for _, q in terms), pre, terms
 
 
 # ----------------------------------------------------------------------
@@ -275,54 +325,14 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
         g = tuple((row[0], row[2], row[1]) for row in g)
         phase = -1 if odd_r else 1
 
-    terms = _chain_9j_terms(g, phase)
-    return Wigner9jResult(_sum_chain_terms(t for _, t in terms), terms, pivot)
-
-
-def _chain_9j_terms(g, phase: int):
-    """Terms of sum_x (-1)^(2x) d_x {g11 g12 g13; g23 g33 x}
-    {g21 g22 g23; g12 x g32}{g31 g32 g33; x g11 g21}, times an overall sign."""
-    pairs = ((g[0][0], g[2][2]), (g[0][1], g[1][2]), (g[1][0], g[2][1]))
-    parities = {(p.twice + q.twice) % 2 for p, q in pairs}
-    if len(parities) != 1:
-        return []
-    lo = max(abs(p.twice - q.twice) for p, q in pairs)
-    hi = min(p.twice + q.twice for p, q in pairs)
-
-    terms = []
-    for tx in range(lo, hi + 1, 2):
-        x = HalfInt.from_twice(tx)
-        s1 = wigner6j(g[0][0], g[0][1], g[0][2], g[1][2], g[2][2], x)
-        s2 = wigner6j(g[1][0], g[1][1], g[1][2], g[0][1], x, g[2][1])
-        s3 = wigner6j(g[2][0], g[2][1], g[2][2], x, g[0][0], g[1][0])
-        sign = -1 if tx % 2 else 1
-        terms.append((x, s1 * s2 * s3 * (phase * sign * (tx + 1))))
-    return terms
-
-
-def _sum_chain_terms(terms) -> SqrtRational:
-    """Exact sum of signed 6j-chain terms.
-
-    Each triad containing the summation spin appears in exactly two 6j
-    factors of a term, so its square root squares out and every nonzero
-    term carries the same squarefree radicand; the sum is that radicand's
-    root times a sum of rationals.
-    """
-    total = Fraction(0)
-    rad = None
-    for term in terms:
-        if term.is_zero:
-            continue
-        if rad is None:
-            rad = term.rad
-        elif term.rad != rad:
-            raise InternalConsistencyError(
-                f"chain terms with different radicands {rad} and {term.rad}"
-            )
-        total += term.sign * term.rat
-    if total == 0:
-        return SqrtRational.zero()
-    return SqrtRational.from_canonical(1, total, rad)
+    t = [[v.twice for v in row] for row in g]
+    # sum_x (-1)^(2x) d_x {g11 g12 g13; g23 g33 x}{g21 g22 g23; g12 x g32}
+    # {g31 g32 g33; x g11 g21}, times the pivot's phase
+    sixjs = ((t[0][0], t[0][1], t[0][2], t[1][2], t[2][2], X),
+             (t[1][0], t[1][1], t[1][2], t[0][1], X, t[2][1]),
+             (t[2][0], t[2][1], t[2][2], X, t[0][0], t[1][0]))
+    value, pre, terms = _chain_sum(sixjs, lambda tx: (-phase if tx % 2 else phase) * (tx + 1))
+    return Wigner9jResult(value, [(HalfInt.from_twice(tx), pre * q) for tx, q in terms], pivot)
 
 
 # ----------------------------------------------------------------------
@@ -402,45 +412,20 @@ def wigner15j(j_row, k_row, l_row) -> SqrtRational:
 def wigner3nj(sym: Symbol3nj) -> SqrtRational:
     """Exact first-kind 3nj symbol as a closed :class:`SqrtRational`, via
     the cyclic 6j chain
-    sum_x d_x (-1)^(R_n + (n-1) x) prod_p {j_p k_p x; k_{p+1} j_{p+1} l_p}."""
-    if not sym.is_valid():
-        return SqrtRational.zero()
+    sum_x d_x (-1)^(R_n + (n-1) x) prod_p {j_p k_p x; k_{p+1} j_{p+1} l_p},
+    whose triads without x are the symbol's own: exact 0 unless all hold."""
     n = sym.n
-    j, k, l = sym.j, sym.k, sym.l
-    window = _chain_window(j, k)
-    if window is None:
-        return SqrtRational.zero()
-    lo, hi = window
+    j, k, l = ([v.twice for v in row] for row in (sym.j, sym.k, sym.l))
     t_r = sym.r_total().twice
 
-    terms = []
-    for tx in range(lo, hi + 1, 2):
+    def weight(tx):
         twice_exp = t_r + (n - 1) * tx
         if twice_exp % 2 != 0:
             raise InternalConsistencyError(
                 "phase exponent R_n + (n-1)x must be an integer for valid symbols"
             )
-        sign = -1 if (twice_exp // 2) % 2 else 1
-        x = HalfInt.from_twice(tx)
-        prod = SqrtRational.of(1)
-        for p in range(n - 1):
-            prod = prod * wigner6j(j[p], k[p], x, k[p + 1], j[p + 1], l[p])
-            if prod.is_zero:
-                break
-        if not prod.is_zero:
-            prod = prod * wigner6j(j[n - 1], k[n - 1], x, j[0], k[0], l[n - 1])
-        terms.append(prod * (sign * (tx + 1)))
-    return _sum_chain_terms(terms)
+        return (-1 if (twice_exp // 2) % 2 else 1) * (tx + 1)
 
-
-def _chain_window(j, k):
-    """Intersection of the Clebsch-Gordan windows (j_i, k_i, x), as twice
-    values; None when empty or parity-inconsistent."""
-    parities = {(a.twice + b.twice) % 2 for a, b in zip(j, k)}
-    if len(parities) != 1:
-        return None
-    lo = max(abs(a.twice - b.twice) for a, b in zip(j, k))
-    hi = min(a.twice + b.twice for a, b in zip(j, k))
-    if hi < lo:
-        return None
-    return lo, hi
+    sixjs = [(j[p], k[p], X, k[p + 1], j[p + 1], l[p]) for p in range(n - 1)]
+    sixjs.append((j[n - 1], k[n - 1], X, j[0], k[0], l[n - 1]))
+    return _chain_sum(sixjs, weight)[0]

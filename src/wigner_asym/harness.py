@@ -311,12 +311,7 @@ def _triads_allowed(kind: str, sym) -> bool:
 
 def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
     row = SweepRow(sweep_twice=t_sweep)
-    row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking)
-    if "exact" in cfg.formulas:
-        try:
-            row.exact = exact_value(cfg.kind, sym, cfg.pivot)[0].to_decimal(17, strip_zeros=False)
-        except WignerAsymError as exc:
-            row.note = f"exact: {exc}"
+    notes, diag = [], None
     if asym_formula is not None:
         try:
             value, diag = ASYM_FORMULAS[asym_formula][1](sym, marking, cfg.caustic_eps,
@@ -325,16 +320,28 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
             if diag is not None:
                 row.sigma_cases = tuple(sc["case"] for sc in diag.sign_configs)
         except WignerAsymError as exc:
-            row.note = (row.note + "; " if row.note else "") + f"asym: {exc}"
+            notes.append(f"asym: {exc}")
+    row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking, diag)
+    if "exact" in cfg.formulas:
+        try:
+            row.exact = exact_value(cfg.kind, sym, cfg.pivot)[0].to_decimal(17, strip_zeros=False)
+        except WignerAsymError as exc:
+            notes.insert(0, f"exact: {exc}")
+    row.note = "; ".join(notes)
     if row.exact and row.asym:
         err = abs(float(row.exact) - float(row.asym))
         row.abs_err = _fmt(err)
     return row
 
 
-def _geometry_columns(cfg, sym, asym_formula, marking):
+def _geometry_columns(cfg, sym, asym_formula, marking, diag):
     """Volumes of the oscillatory tetrahedra at this point, and the
-    allowed/near-caustic/forbidden flag from the Cayley-Menger sign."""
+    allowed/near-caustic/forbidden flag from the Cayley-Menger sign.  A
+    6j/9j formula that built its one tetrahedron (same edges) recorded its
+    volume and any near-caustic flag in ``diag``: those are reused."""
+    if diag is not None and diag.volumes and cfg.kind in ("6j", "9j"):
+        near = any(fl.startswith("near_caustic") for fl in diag.flags)
+        return tuple(diag.volumes.values()), "near_caustic" if near else "allowed"
     vols = []
     flag = "allowed"
     rank = {"allowed": 0, "near_caustic": 1, "forbidden": 2}

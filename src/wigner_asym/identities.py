@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Symbol3nj, Symbol9j, _sum_chain_terms, wigner6j
+from .exact import X, Symbol3nj, Symbol9j, _chain_sum, wigner6j
 from .halfint import HalfInt, halfint_sum, triad_allowed
 
 
@@ -53,27 +53,21 @@ def pentagon_sides(spins):
     """Exact (lhs, rhs) of sum_x (-1)^(R+x) d_x {a b x; c d p}{c d x; e f q}
     {e f x; b a r} = {p q r; e a d}{p q r; f b c}.
 
-    The left side is a 6j chain: each triad containing x appears in two
-    factors, so every term shares one radicand and the sum is closed."""
+    The left side goes through the exact chain engine, the right side
+    through two standalone 6j, so the identity cross-checks both paths."""
     a, b, c, d, e, f, p, q, r = spins
-    r_all = halfint_sum([a, b, c, d, e, f, p, q, r])
-    lo = max(abs(a.twice - b.twice), abs(c.twice - d.twice), abs(e.twice - f.twice))
-    hi = min(a.twice + b.twice, c.twice + d.twice, e.twice + f.twice)
-    terms = []
-    for tx in range(lo, hi + 1, 2):
-        x = HalfInt.from_twice(tx)
-        exp2 = r_all.twice + tx
-        if exp2 % 2:
+    t_r = halfint_sum(spins).twice
+
+    def weight(tx):
+        if (t_r + tx) % 2:
             raise ValueError("pentagon phase exponent R + x must be an integer")
-        sign = -1 if (exp2 // 2) % 2 else 1
-        terms.append(
-            wigner6j(a, b, x, c, d, p)
-            * wigner6j(c, d, x, e, f, q)
-            * wigner6j(e, f, x, b, a, r)
-            * (sign * (tx + 1))
-        )
+        return (-1 if ((t_r + tx) // 2) % 2 else 1) * (tx + 1)
+
+    ta, tb, tc, td, te, tf, tp, tq, tr = (v.twice for v in spins)
+    lhs = _chain_sum(((ta, tb, X, tc, td, tp), (tc, td, X, te, tf, tq),
+                      (te, tf, X, tb, ta, tr)), weight)[0]
     rhs = wigner6j(p, q, r, e, a, d) * wigner6j(p, q, r, f, b, c)
-    return _sum_chain_terms(terms), rhs
+    return lhs, rhs
 
 
 def random_orthogonality_instance(rng, tmax: int = 16):

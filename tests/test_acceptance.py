@@ -89,24 +89,32 @@ def test_criterion_01_exact_identities():
 
 def test_criterion_02_pivot_invariance():
     """All four pivot decompositions agree exactly on 100 random 9j
-    symbols with spins <= 20, < 60 s."""
+    symbols with spins <= 20, exact zeros included, < 60 s."""
     t0 = time.monotonic()
     rng = random.Random(202)
-    with mpmath.workdps(50):
-        floor = mpmath.mpf(10) ** -40
-        done = 0
-        while done < 100:
-            sym = random_valid_9j(rng, tmax=40)
-            vals = [wigner9j(sym, pivot=p).value for p in PIVOTS]
-            scale = max(abs(to_mpf(v)) for v in vals)
-            if scale < floor:
-                continue
-            for v in vals[1:]:
-                assert v == vals[0], sym
-            done += 1
+    zeros = 0
+    for _ in range(100):
+        sym = random_valid_9j(rng, tmax=40)
+        vals = [wigner9j(sym, pivot=p).value for p in PIVOTS]
+        for v in vals[1:]:
+            assert v == vals[0], sym
+        zeros += vals[0].is_zero
+    # random grids are seldom zero: add ten that vanish by symmetry (two
+    # equal columns and odd R), which every pivot must return as exact 0
+    structural = 0
+    while structural < 10:
+        ta, td, tg = (rng.randrange(0, 41) for _ in range(3))
+        tc, tf, ti = (2 * rng.randrange(0, t + 1) for t in (ta, td, tg))
+        sym = Symbol9j.from_twice(ta, ta, tc, td, td, tf, tg, tg, ti)
+        if not sym.is_valid() or (sym.r_total().twice // 2) % 2 == 0:
+            continue
+        for p in PIVOTS:
+            assert wigner9j(sym, pivot=p).value.is_zero, (sym, p)
+        structural += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
-    report(2, f"all four pivots exactly equal on 100 symbols, {elapsed:.1f}s")
+    report(2, f"all four pivots exactly equal on 100 symbols ({zeros} exactly zero) "
+              f"and exactly 0 on 10 symmetry zeros, {elapsed:.1f}s")
 
 
 def test_criterion_03_3nj_consistency():

@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from wigner_asym import exact
 from wigner_asym.errors import InternalConsistencyError
 from wigner_asym.exact import (
     PIVOTS,
+    X,
     Symbol3nj,
     Symbol9j,
-    _sum_chain_terms,
+    _chain_sum,
     wigner6j,
     wigner9j,
     wigner15j,
     wigner3nj,
 )
 from wigner_asym.halfint import HalfInt
+from wigner_asym.primefac import DEFAULT_LEDGER
 from wigner_asym.sqrtrat import SqrtRational
 from wigner_asym.identities import (
     orthogonality_defect,
@@ -84,12 +89,151 @@ def test_9j_exact_zero_for_every_pivot():
         assert wigner9j(sym, pivot=p).value == SqrtRational.zero(), p
 
 
-def test_chain_sum_rejects_mixed_radicands():
-    terms = [SqrtRational(1, 1, 2), SqrtRational(1, 1, 3)]
+def test_chain_sum_rejects_unpaired_x_triads():
+    # {1 2 x; 1 1 1} alone: the x-triads (1, 2, x) and (1, 1, x) each occur
+    # once, so their triangle coefficients cannot square out
     with pytest.raises(InternalConsistencyError):
-        _sum_chain_terms(terms)
-    assert _sum_chain_terms([SqrtRational.zero(), SqrtRational(1, 1, 3)]) == SqrtRational(1, 1, 3)
-    assert _sum_chain_terms([SqrtRational(1, 1, 2), SqrtRational(-1, 1, 2)]) == SqrtRational.zero()
+        _chain_sum([(2, 4, X, 2, 2, 2)], lambda tx: tx + 1)
+    # three uses of one x-triad and one of another: still unpaired
+    with pytest.raises(InternalConsistencyError):
+        _chain_sum([(2, 2, X, 2, 2, 2), (2, 2, X, 4, 2, 2)], lambda tx: tx + 1)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the chain sum as a product of standalone exact 6j per term
+# ----------------------------------------------------------------------
+
+def _oracle_sum(terms) -> SqrtRational:
+    """Sum of SqrtRational terms that share one radicand."""
+    nonzero = [t for t in terms if not t.is_zero]
+    assert len({t.rad for t in nonzero}) <= 1, nonzero
+    total = sum((t.sign * t.rat for t in nonzero), Fraction(0))
+    return SqrtRational.from_canonical(1, total, nonzero[0].rad) if total else SqrtRational.zero()
+
+
+def _oracle_9j_terms(sym, pivot):
+    g = sym.grid
+    odd_r = (sym.r_total().twice // 2) % 2 == 1
+    phase = 1
+    if pivot == "j2":
+        g = (g[2], g[1], g[0])
+        phase = -1 if odd_r else 1
+    elif pivot == "j12":
+        g = tuple((row[0], row[2], row[1]) for row in g)
+        g = (g[2], g[1], g[0])
+    elif pivot == "j5":
+        g = tuple((row[0], row[2], row[1]) for row in g)
+        phase = -1 if odd_r else 1
+    pairs = ((g[0][0], g[2][2]), (g[0][1], g[1][2]), (g[1][0], g[2][1]))
+    if len({(p.twice + q.twice) % 2 for p, q in pairs}) != 1:
+        return []
+    lo = max(abs(p.twice - q.twice) for p, q in pairs)
+    hi = min(p.twice + q.twice for p, q in pairs)
+    terms = []
+    for tx in range(lo, hi + 1, 2):
+        x = H(tx)
+        s1 = wigner6j(g[0][0], g[0][1], g[0][2], g[1][2], g[2][2], x)
+        s2 = wigner6j(g[1][0], g[1][1], g[1][2], g[0][1], x, g[2][1])
+        s3 = wigner6j(g[2][0], g[2][1], g[2][2], x, g[0][0], g[1][0])
+        sign = -1 if tx % 2 else 1
+        terms.append((x, s1 * s2 * s3 * (phase * sign * (tx + 1))))
+    return terms
+
+
+def _oracle_3nj(sym):
+    n, j, k, l = sym.n, sym.j, sym.k, sym.l
+    if len({(a.twice + b.twice) % 2 for a, b in zip(j, k)}) != 1:
+        return SqrtRational.zero()
+    lo = max(abs(a.twice - b.twice) for a, b in zip(j, k))
+    hi = min(a.twice + b.twice for a, b in zip(j, k))
+    terms = []
+    for tx in range(lo, hi + 1, 2):
+        twice_exp = sym.r_total().twice + (n - 1) * tx
+        sign = -1 if (twice_exp // 2) % 2 else 1
+        x = H(tx)
+        prod = SqrtRational.of(sign * (tx + 1))
+        for p in range(n - 1):
+            prod = prod * wigner6j(j[p], k[p], x, k[p + 1], j[p + 1], l[p])
+        terms.append(prod * wigner6j(j[n - 1], k[n - 1], x, j[0], k[0], l[n - 1]))
+    return _oracle_sum(terms)
+
+
+def test_9j_engine_matches_6j_product_oracle():
+    """Every pivot, half-integer spins and exact zeros included: value and
+    term trace equal the products of standalone 6j exactly."""
+    rng = random.Random(71)
+    zeros = half = 0
+    for _ in range(40):
+        sym = random_valid_9j(rng, tmax=13)
+        half += any(v.twice % 2 for v in sym.grid[0] + sym.grid[1] + sym.grid[2])
+        for p in PIVOTS:
+            res = wigner9j(sym, pivot=p)
+            expect = _oracle_9j_terms(sym, p)
+            assert res.terms == expect, (sym, p)
+            assert res.value == _oracle_sum(t for _, t in expect), (sym, p)
+            zeros += res.value.is_zero
+    sym = Symbol9j.from_values(60, 60, 60, 60, 60, 60, 60, 60, 59)
+    for p in PIVOTS:
+        res = wigner9j(sym, pivot=p)
+        assert res.terms == _oracle_9j_terms(sym, p)
+        assert res.value.is_zero
+    assert zeros > 0 and half > 0, (zeros, half)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_3nj_engine_matches_6j_product_oracle(n):
+    rng = random.Random(100 + n)
+    for _ in range(8):
+        sym = random_valid_chain(rng, n, tmax=12 if n < 6 else 8)
+        assert wigner3nj(sym) == _oracle_3nj(sym), sym
+
+
+def test_3nj_engine_with_equal_columns():
+    """Equal (j_p, k_p) columns repeat an x-triad beyond two uses; each use
+    pair contributes its own squared triangle coefficient."""
+    two_equal = Symbol3nj((H(4), H(4), H(3), H(5), H(4)), (H(6), H(6), H(5), H(5), H(6)),
+                          (H(2), H(3), H(4), H(3), H(4)))
+    all_equal = Symbol3nj((H(4),) * 5, (H(6),) * 5, (H(2), H(4), H(6), H(8), H(4)))
+    for sym in (two_equal, all_equal):
+        assert sym.is_valid(), sym
+        value = wigner3nj(sym)
+        assert not value.is_zero
+        assert value == _oracle_3nj(sym)
+
+
+def test_chain_work_count(monkeypatch):
+    """A chain takes one square root per symbol and at most one factorial
+    quotient per summation spin, and never calls the standalone 6j."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("sqrt_factorial_quotient", "factorial_quotient"):
+        monkeypatch.setattr(DEFAULT_LEDGER, name, counting(name, getattr(DEFAULT_LEDGER, name)))
+    monkeypatch.setattr(exact, "wigner6j", counting("wigner6j", exact.wigner6j))
+
+    sym = Symbol9j.from_values(5, 4, 3, 2, 3, 4, 4, 5, 2)
+    for p in PIVOTS:
+        counts.clear()
+        res = wigner9j(sym, pivot=p)
+        assert not res.value.is_zero
+        assert counts["sqrt_factorial_quotient"] == 1, (p, counts)
+        assert counts["factorial_quotient"] <= len(res.terms), (p, counts)
+        assert counts["wigner6j"] == 0, (p, counts)
+    rng = random.Random(17)
+    for n in (3, 5, 6):
+        chain = random_valid_chain(rng, n, tmax=16)
+        lo = max(abs(a.twice - b.twice) for a, b in zip(chain.j, chain.k))
+        hi = min(a.twice + b.twice for a, b in zip(chain.j, chain.k))
+        counts.clear()
+        wigner3nj(chain)
+        assert counts["sqrt_factorial_quotient"] == 1, (n, counts)
+        assert counts["factorial_quotient"] <= (hi - lo) // 2 + 1, (n, counts)
+        assert counts["wigner6j"] == 0, (n, counts)
 
 
 def test_9j_matches_sympy_oracle():

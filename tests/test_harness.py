@@ -195,6 +195,27 @@ def test_flags_match_cayley_menger_sign():
             assert row.flag == "forbidden"
 
 
+def test_sweep_row_reuses_formula_tetrahedron(monkeypatch):
+    """A 6j/9j row whose formula built its tetrahedron evaluates the
+    Cayley-Menger determinant once: the volume column reuses it."""
+    from wigner_asym import geometry
+
+    calls = []
+    det = geometry.np.linalg.det
+    monkeypatch.setattr(geometry.np.linalg, "det", lambda m: calls.append(1) or det(m))
+    six = SweepConfig.from_json(json.dumps({
+        "kind": "6j",
+        "spins_twice": {"a": 60, "b": 60, "c": 60, "d": 60, "e": 60},
+        "sweep": {"slot": "f", "start_twice": 40, "stop_twice": 80, "step_twice": 4},
+        "formulas": ["pr6j"],
+    }))
+    for cfg in (small_sweep_config(), six):
+        calls.clear()
+        result = run_sweep(cfg)
+        assert all(r.flag == "allowed" and r.asym for r in result.rows)
+        assert len(calls) == len(result.rows), cfg.kind
+
+
 def test_all_forbidden_sweep_reports_empty_interior():
     cfg = SweepConfig.from_json(json.dumps({
         "kind": "6j",
