@@ -29,14 +29,7 @@ from .geometry import (
     triangle_angle,
     volume,
 )
-from .wigner_d import (
-    EulerTriple,
-    Unitary2,
-    d_symmetry_flip,
-    small_d,
-    su2_euler_product,
-    su2_extract_euler,
-)
+from .wigner_d import d_symmetry_flip, small_d
 from .asymptotics import (
     AsymDiagnostics,
     SmallSpinMarking,
@@ -62,8 +55,7 @@ __all__ = [
     "dihedral_internal", "dihedral_external", "regge_action",
     "schlafli_residual", "euler_from_glued_triangles", "build_sigma_tet",
     "omega_classify", "f_phase", "edge_length_from_spin",
-    "Unitary2", "EulerTriple", "small_d", "d_symmetry_flip",
-    "su2_euler_product", "su2_extract_euler",
+    "small_d", "d_symmetry_flip",
     "AsymDiagnostics", "SmallSpinMarking", "pr_6j", "edmonds_6j",
     "asym_9j_one_small", "asym_3nj", "validate_hypotheses",
     "asym_15j_one_small", "asym_15j_two_small", "asym_15j_three_small",

@@ -1,4 +1,5 @@
-"""Euclidean tetrahedron geometry from edge lengths.
+"""Euclidean tetrahedron geometry from edge lengths, in plain floats and,
+for the Cayley-Menger determinant, exact integers.
 
 The canonical edge labeling follows the 6j layout {a b c; d e f} with faces
 (a,b,c), (a,e,f), (d,b,f), (d,e,c).  Equivalently, for vertices P, Q, R, S:
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateTriangle,
@@ -75,8 +74,8 @@ class Tetrahedron:
         if len(self.lengths) != 6:
             raise ValueError("a tetrahedron has six edges")
         lengths = tuple(float(x) for x in self.lengths)
-        if min(lengths) <= 0.0:
-            raise ValueError("edge lengths must be positive")
+        if not all(0.0 < x < math.inf for x in lengths):
+            raise ValueError("edge lengths must be positive and finite")
         object.__setattr__(self, "lengths", lengths)
         for face in FACES:
             x, y, z = (lengths[i] for i in face)
@@ -93,21 +92,11 @@ class Tetrahedron:
         return self.lengths[EDGE_NAMES.index(edge)]
 
     def cayley_menger(self) -> float:
-        """The 5x5 Cayley-Menger determinant (= 288 V^2), evaluated on the
-        first call and cached: the edge lengths never change."""
+        """The Cayley-Menger determinant (= 288 V^2), evaluated on the first
+        call and cached: the edge lengths never change."""
         cm = self.__dict__.get("_cm")
         if cm is None:
-            a, b, c, d, e, f = self.lengths
-            m = np.array(
-                [
-                    [0.0, 1.0, 1.0, 1.0, 1.0],
-                    [1.0, 0.0, a * a, c * c, e * e],
-                    [1.0, a * a, 0.0, b * b, f * f],
-                    [1.0, c * c, b * b, 0.0, d * d],
-                    [1.0, e * e, f * f, d * d, 0.0],
-                ]
-            )
-            cm = float(np.linalg.det(m))
+            cm = cayley_menger_determinant(self.lengths)
             object.__setattr__(self, "_cm", cm)
         return cm
 
@@ -125,6 +114,28 @@ class Tetrahedron:
         if cm <= tol:
             return "near_caustic"
         return "allowed"
+
+
+def cayley_menger_determinant(lengths: Sequence[float]) -> float:
+    """288 V^2 of the edge lengths (a, b, c, d, e, f), correctly rounded.
+
+    Expands the 5x5 Cayley-Menger determinant in the squared lengths
+    A = a^2, ...: 288 V^2 = 2 [sum over the opposite pairs (A, D), (B, E),
+    (C, F) of p q (other four - p - q) - sum over the faces of the product
+    of their three squares].  Each float length is p / 2^k exactly, so the
+    polynomial is evaluated in integers over the largest denominator and
+    rounded once: a flat tetrahedron gives exactly 0.
+    """
+    ratios = [float(x).as_integer_ratio() for x in lengths]
+    den = max(q for _, q in ratios)
+    A, B, C, D, E, F = ((p * (den // q)) ** 2 for p, q in ratios)
+    v = (
+        A * D * (B + C + E + F - A - D)
+        + B * E * (A + C + D + F - B - E)
+        + C * F * (A + B + D + E - C - F)
+        - A * B * C - A * E * F - D * B * F - D * E * C
+    )
+    return 2 * v / den ** 6
 
 
 def _allowed_determinant(t: Tetrahedron, eps: float, context: str) -> float:
@@ -206,31 +217,6 @@ def schlafli_residual(t: Tetrahedron, h_rel: float = 1e-5) -> float:
     return worst
 
 
-def embed_vertices(t: Tetrahedron) -> np.ndarray:
-    """Coordinates (4 x 3) of P, Q, R, S realizing the edge lengths."""
-    a, b, c, d, e, f = t.lengths
-    p = np.zeros(3)
-    q = np.array([a, 0.0, 0.0])
-    xr = (a * a + c * c - b * b) / (2.0 * a)
-    yr_sq = c * c - xr * xr
-    if yr_sq < -ACOS_CLAMP_TOL * c * c:
-        raise DegenerateTriangle("face (a, b, c) is not realizable")
-    yr = math.sqrt(max(yr_sq, 0.0))
-    r = np.array([xr, yr, 0.0])
-    xs = (a * a + e * e - f * f) / (2.0 * a)
-    if yr < _SINE_TOL:
-        raise DegenerateVertex("base face degenerate, embedding undefined")
-    ys = (e * e - d * d - 2.0 * xs * xr + xr * xr + yr * yr) / (2.0 * yr)
-    zs_sq = e * e - xs * xs - ys * ys
-    scale = max(t.lengths) ** 2
-    if zs_sq < -1e-9 * scale:
-        raise NotClassicallyAllowed(
-            f"no Euclidean embedding: apex height^2 = {zs_sq:.6g} < 0", zs_sq
-        )
-    s = np.array([xs, ys, math.sqrt(max(zs_sq, 0.0))])
-    return np.vstack([p, q, r, s])
-
-
 # ----------------------------------------------------------------------
 # Glued-triangle constructions
 # ----------------------------------------------------------------------
@@ -275,8 +261,8 @@ def build_sigma_tet(tri_a: Sequence[float], tri_b: Sequence[float], theta_shared
     ``apex`` runs from the apex node of the shared edge, ``base`` closes the
     triangle from the other node.  ``theta_shared`` is the internal dihedral
     along the shared edge.  The sixth edge (between the two far corners) is
-    computed by explicit embedding: shared edge on the z-axis, second
-    triangle rotated by the dihedral.
+    the distance between them in an explicit embedding: shared edge on the
+    z-axis, second triangle rotated by the dihedral.
     """
     sa, apex_a, base_a = (float(x) for x in tri_a)
     sb, apex_b, base_b = (float(x) for x in tri_b)
@@ -287,15 +273,13 @@ def build_sigma_tet(tri_a: Sequence[float], tri_b: Sequence[float], theta_shared
     theta_shared = min(math.pi, max(0.0, theta_shared))
     phi_a = triangle_angle(sa, apex_a, base_a)
     phi_b = triangle_angle(sa, apex_b, base_b)
-    corner_a = apex_a * np.array([math.sin(phi_a), 0.0, math.cos(phi_a)])
-    corner_b = apex_b * np.array(
-        [
-            math.sin(phi_b) * math.cos(theta_shared),
-            math.sin(phi_b) * math.sin(theta_shared),
-            math.cos(phi_b),
-        ]
+    corner_a = (apex_a * math.sin(phi_a), 0.0, apex_a * math.cos(phi_a))
+    corner_b = (
+        apex_b * (math.sin(phi_b) * math.cos(theta_shared)),
+        apex_b * (math.sin(phi_b) * math.sin(theta_shared)),
+        apex_b * math.cos(phi_b),
     )
-    ab = float(np.linalg.norm(corner_a - corner_b))
+    ab = math.dist(corner_a, corner_b)
     if ab <= 0.0:
         raise DegenerateTriangle("glued corners coincide")
     return Tetrahedron((sa, apex_a, base_a, ab, base_b, apex_b))

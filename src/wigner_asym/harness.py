@@ -337,9 +337,10 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
 def _geometry_columns(cfg, sym, asym_formula, marking, diag):
     """Volumes of the oscillatory tetrahedra at this point, and the
     allowed/near-caustic/forbidden flag from the Cayley-Menger sign.  A
-    6j/9j formula that built its one tetrahedron (same edges) recorded its
-    volume and any near-caustic flag in ``diag``: those are reused."""
-    if diag is not None and diag.volumes and cfg.kind in ("6j", "9j"):
+    formula that built its tetrahedra (the same edges, in the same order)
+    recorded their volumes and any near-caustic flag in ``diag``: those are
+    reused."""
+    if diag is not None and diag.volumes:
         near = any(fl.startswith("near_caustic") for fl in diag.flags)
         return tuple(diag.volumes.values()), "near_caustic" if near else "allowed"
     vols = []

@@ -40,7 +40,6 @@ from wigner_asym.exact import (
 from wigner_asym.geometry import (
     Tetrahedron,
     dihedral_internal,
-    embed_vertices,
     euler_from_glued_triangles,
     schlafli_residual,
     volume,
@@ -54,9 +53,9 @@ from wigner_asym.identities import (
     random_valid_chain,
 )
 from wigner_asym.harness import edge_error_slopes, fig4_suite
-from wigner_asym.wigner_d import su2_euler_product, su2_extract_euler
 
 from conftest import random_realizable_tet, sample_chain_15j, to_mpf
+from oracles import embed_vertices, su2_euler_product, su2_extract_euler
 
 H = HalfInt.from_twice
 

@@ -288,13 +288,13 @@ def test_determinant_evaluated_once_per_tetrahedron(monkeypatch, rng):
     from wigner_asym import geometry
 
     calls = []
-    det = geometry.np.linalg.det
+    det = geometry.cayley_menger_determinant
 
-    def counting_det(m):
+    def counting_det(lengths):
         calls.append(1)
-        return det(m)
+        return det(lengths)
 
-    monkeypatch.setattr(geometry.np.linalg, "det", counting_det)
+    monkeypatch.setattr(geometry, "cayley_menger_determinant", counting_det)
 
     def count(fn, *args):
         calls.clear()

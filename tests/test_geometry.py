@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from wigner_asym.errors import (
     DegenerateTriangle,
@@ -22,7 +24,6 @@ from wigner_asym.geometry import (
     dihedral_external,
     dihedral_internal,
     edge_length_from_spin,
-    embed_vertices,
     euler_from_glued_triangles,
     f_phase,
     omega_classify,
@@ -32,9 +33,9 @@ from wigner_asym.geometry import (
     volume,
 )
 from wigner_asym.halfint import HalfInt
-from wigner_asym.wigner_d import su2_euler_product, su2_extract_euler
 
 from conftest import embedded_tet, random_realizable_tet
+from oracles import embed_vertices, su2_euler_product, su2_extract_euler
 
 
 def test_triangle_angle_frozen_cases():
@@ -56,6 +57,64 @@ def test_volume_frozen_cases():
     flat = Tetrahedron((2, 2, 2) + (2 / math.sqrt(3),) * 3)
     assert flat.status() == "near_caustic"
     assert volume(flat) < 1e-6
+
+
+def _sympy_cayley_menger(lengths) -> float:
+    """The 5x5 Cayley-Menger determinant in exact rationals, rounded once."""
+    sq = [sympy.Rational(*float(x).as_integer_ratio()) ** 2 for x in lengths]
+    a, b, c, d, e, f = sq
+    det = sympy.Matrix([
+        [0, 1, 1, 1, 1],
+        [1, 0, a, c, e],
+        [1, a, 0, b, f],
+        [1, c, b, 0, d],
+        [1, e, f, d, 0],
+    ]).det()
+    return float(Fraction(int(det.p), int(det.q)))
+
+
+def test_cayley_menger_matches_exact_determinant(np_rng):
+    """Equal to the correctly rounded exact determinant, for spin-built
+    tetrahedra (half-integer spins up to 2000, forbidden ones included) and
+    for float-edged ones."""
+    rng = random.Random(288)
+    tets = []
+    while len(tets) < 60:
+        try:
+            tets.append(Tetrahedron.from_spins(
+                [HalfInt.from_twice(rng.randint(1, 4000)) for _ in range(6)]))
+        except DegenerateTriangle:
+            continue
+    assert {t.status() for t in tets} >= {"allowed", "forbidden"}
+    tets += [random_realizable_tet(np_rng) for _ in range(30)]
+    tets += [Tetrahedron(tuple(rng.uniform(0.9, 1.1) for _ in range(6))) for _ in range(30)]
+    for tet in tets:
+        assert tet.cayley_menger() == _sympy_cayley_menger(tet.lengths), tet.lengths
+    for tet in tets[60:90]:
+        a, b, c, d, e, f = (x * x for x in tet.lengths)
+        lapack = np.linalg.det(np.array([
+            [0.0, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 0.0, a, c, e],
+            [1.0, a, 0.0, b, f],
+            [1.0, c, b, 0.0, d],
+            [1.0, e, f, d, 0.0],
+        ]))
+        assert abs(tet.cayley_menger() - lapack) <= 1e-12 * abs(lapack)
+
+
+def test_flat_tetrahedron_determinant_is_exactly_zero():
+    flat = Tetrahedron((3, 4, 5, 3, 4, 5))
+    assert flat.cayley_menger() == 0.0
+    assert flat.status() == "near_caustic"
+    assert volume(flat) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_tetrahedron_rejects_non_finite_or_non_positive_edges(bad):
+    with pytest.raises(ValueError):
+        Tetrahedron((bad, 1, 1, 1, 1, 1))
+    with pytest.raises(ValueError):
+        Tetrahedron((1, 1, 1, 1, 1, bad))
 
 
 def test_forbidden_raises_with_determinant():

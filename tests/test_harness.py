@@ -196,24 +196,31 @@ def test_flags_match_cayley_menger_sign():
 
 
 def test_sweep_row_reuses_formula_tetrahedron(monkeypatch):
-    """A 6j/9j row whose formula built its tetrahedron evaluates the
-    Cayley-Menger determinant once: the volume column reuses it."""
+    """A row whose formula built its tetrahedra evaluates each Cayley-Menger
+    determinant once: the volume column reuses them.  One tetrahedron per
+    6j/9j row, three for a 15j with one small spin, two with two."""
     from wigner_asym import geometry
 
     calls = []
-    det = geometry.np.linalg.det
-    monkeypatch.setattr(geometry.np.linalg, "det", lambda m: calls.append(1) or det(m))
+    det = geometry.cayley_menger_determinant
+    monkeypatch.setattr(geometry, "cayley_menger_determinant",
+                        lambda lengths: calls.append(1) or det(lengths))
     six = SweepConfig.from_json(json.dumps({
         "kind": "6j",
         "spins_twice": {"a": 60, "b": 60, "c": 60, "d": 60, "e": 60},
         "sweep": {"slot": "f", "start_twice": 40, "stop_twice": 80, "step_twice": 4},
         "formulas": ["pr6j"],
     }))
-    for cfg in (small_sweep_config(), six):
+    chain_tets = {"15j-1": 3, "15j-2": 2}
+    cases = [(small_sweep_config(), 1), (six, 1)] + [
+        (_one_point_config(kind, twice, formula, marking), chain_tets[formula])
+        for _, _, formula, kind, twice, marking in CLI_SWEEP_CASES if formula in chain_tets
+    ]
+    for cfg, tets_per_row in cases:
         calls.clear()
         result = run_sweep(cfg)
         assert all(r.flag == "allowed" and r.asym for r in result.rows)
-        assert len(calls) == len(result.rows), cfg.kind
+        assert len(calls) == tets_per_row * len(result.rows), cfg.kind
 
 
 def test_all_forbidden_sweep_reports_empty_interior():
@@ -358,16 +365,17 @@ def test_cli_asym_diagnostics_dump():
     assert "volumes" in payload and payload["volumes"]["tet1"] > 0
 
 
-#: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, numpy as
-#: pinned in pyproject; x86-64)
+#: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, x86-64;
+#: the Cayley-Menger determinants are exact integer sums rounded once, so
+#: no linear-algebra library enters these bytes)
 FIG4_SHA256 = {
-    "fig_a.csv": "e810103f0d349a370059fbd1859868746a352b466c9c541c5896b588f5efe2d5",
+    "fig_a.csv": "7db8cf1a38ac264ae9dc411832178b0d9d4d779ce77035c9473c61cf12edf46d",
     "fig_a.gnuplot": "b499eaa8e2e9447310c5cccdc6ec8be04810831bfc2e28f9c21b54ff83b015b4",
-    "fig_b.csv": "9c709170866d76eb1df997b8a27ccf76e2bc9708e375980f1f7d0fc5e0b86c18",
+    "fig_b.csv": "bfedc2f58b1567e6f13443055ca7052e5059979b2b039e39c5d7709e8c918c01",
     "fig_b.gnuplot": "71777fb15f435547d86e9f8f9cb0121aa27394ef5954def98c414f1b42e65687",
-    "fig_c.csv": "35e23183ff5519b73ba4cfd0ca835ad83f38e6e24e0b1c9380422794a0ef8689",
+    "fig_c.csv": "f4df9ae289cb1d9f0a0eca8c2c925ecc87ad040dd0d530148ad58d86e46f30f5",
     "fig_c.gnuplot": "0fcccad565b212527e4631bef1d6797d2b5c9fbd07bdf0f2f33b2411fbbcced7",
-    "fig_d.csv": "751fc0311cadf92a0a3ad39d6437de3ae0efccb2e177f20e170215a5d22e7af0",
+    "fig_d.csv": "34d295123fc003e3187dd16fe22cffe1038df1e6fa328c8e176338483db25e75",
     "fig_d.gnuplot": "790c6b3cf34c266cc6657583f62ba2ac448db53d820b3eeb31654f7f992f6230",
 }
 
@@ -381,10 +389,12 @@ def test_verify_fig4_outputs_are_pinned(tmp_path, capsys):
 
 def test_runs_without_mpmath(tmp_path):
     """The package, ``exact``, ``verify identities`` and ``verify fig4`` run
-    with mpmath unimportable, and fig4 writes the pinned bytes."""
+    with mpmath and numpy unimportable, and fig4 writes the pinned bytes; a
+    plain import of the package and its CLI loads neither."""
     script = (
         "import sys\n"
         "sys.modules['mpmath'] = None\n"
+        "sys.modules['numpy'] = None\n"
         "import wigner_asym, wigner_asym.cli\n"
         "argvs = (['exact', '9j', '860', '60', '860', '2', '120', '122', '862', '120', '860',"
         " '--diagnostics'], ['verify', 'identities'], ['verify', 'fig4', '--out', sys.argv[1]])\n"
@@ -395,6 +405,10 @@ def test_runs_without_mpmath(tmp_path):
     assert "x=" in proc.stdout and "PASS" in proc.stdout and "FAIL" not in proc.stdout
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == FIG4_SHA256
+    proc = run_python("-c", "import sys, wigner_asym, wigner_asym.cli\n"
+                            "print(sorted({'mpmath', 'numpy'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _one_point_config(kind, twice, formula, marking=None):

@@ -12,13 +12,13 @@ import pytest
 
 from wigner_asym.errors import InvalidProjection
 from wigner_asym.halfint import HalfInt
-from wigner_asym.wigner_d import (
+from wigner_asym.wigner_d import d_symmetry_flip, small_d
+
+from oracles import (
     EulerTriple,
     Unitary2,
-    d_symmetry_flip,
     rotation_y,
     rotation_z,
-    small_d,
     su2_euler_product,
     su2_extract_euler,
 )
