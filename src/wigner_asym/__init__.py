@@ -17,7 +17,6 @@ from .exact import (
 from .geometry import (
     SignConfig,
     Tetrahedron,
-    build_sigma_tet,
     dihedral_external,
     dihedral_internal,
     edge_length_from_spin,
@@ -53,7 +52,7 @@ __all__ = [
     "wigner3j", "wigner6j", "wigner9j", "wigner15j", "wigner3nj",
     "Tetrahedron", "SignConfig", "triangle_angle", "volume",
     "dihedral_internal", "dihedral_external", "regge_action",
-    "schlafli_residual", "euler_from_glued_triangles", "build_sigma_tet",
+    "schlafli_residual", "euler_from_glued_triangles",
     "omega_classify", "f_phase", "edge_length_from_spin",
     "small_d", "d_symmetry_flip",
     "AsymDiagnostics", "SmallSpinMarking", "pr_6j", "edmonds_6j",

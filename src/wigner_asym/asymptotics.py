@@ -27,12 +27,12 @@ from .exact import Symbol3nj, Symbol9j
 from .geometry import (
     DEFAULT_CAUSTIC_EPS,
     Tetrahedron,
-    build_sigma_tet,
     dihedral_external,
     dihedral_internal,
     edge_length_from_spin,
     euler_from_glued_triangles,
     f_phase,
+    law_of_cosines,
     omega_classify,
     regge_action,
     triangle_angle,
@@ -185,7 +185,6 @@ def asym_9j_one_small(
     phi_1_24 = triangle_angle(l1, l24, l5)
     phi_34_24 = triangle_angle(l34, l24, l2)
     theta_1, phi_1_34, theta_34 = euler_from_glued_triangles(phi_1_24, theta24_ext, phi_34_24)
-    tet2 = build_sigma_tet((l24, l1, l5), (l24, l34, l2), theta24_ext)
 
     phase = _int_phase(
         halfint_sum([sym.j13, sym.j2, sym.j34, sym.j5, sym.s]),
@@ -207,7 +206,7 @@ def asym_9j_one_small(
             "theta_1": theta_1,
             "phi_1_34": phi_1_34,
             "theta_34": theta_34,
-            "companion_sixth_edge": tet2.lengths[3],
+            "companion_sixth_edge": law_of_cosines(l1, l34, phi_1_34),
         }
     )
     return value, diag
@@ -508,7 +507,6 @@ def asym_3nj(
             + math.pi * (n + m_count) * float(j1)
             + f_val
         )
-        sigma_tet = build_sigma_tet(tri1, trin, cfg.theta_k1)
         config_sum += math.cos(argument) * small_d(j1, mu, nu, phi_mid)
         diag.sign_configs.append(
             {
@@ -521,7 +519,7 @@ def asym_3nj(
                 "theta_ln": theta_ln,
                 "f": f_val,
                 "boundary": cfg.boundary,
-                "glued_sixth_edge": sigma_tet.lengths[3],
+                "glued_sixth_edge": law_of_cosines(tri1[1], trin[1], phi_mid),
             }
         )
 

@@ -188,7 +188,7 @@ def _verify_identities(args) -> int:
     import random
 
     from .identities import (
-        orthogonality_defect,
+        orthogonality_sides,
         pentagon_mismatches,
         random_orthogonality_instance,
         random_valid_9j,
@@ -209,8 +209,8 @@ def _verify_identities(args) -> int:
         inst = random_orthogonality_instance(rng, tmax=14)
         if inst is None:
             continue
-        if orthogonality_defect(*inst):
-            defects += 1
+        lhs, rhs = orthogonality_sides(*inst)
+        defects += lhs != rhs
     report("6j orthogonality (exact)", defects == 0)
 
     sym = random_valid_9j(rng, tmax=20)

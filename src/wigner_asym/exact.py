@@ -1,36 +1,35 @@
 """Exact Wigner 3j/6j/9j/15j/3nj symbols over big-rational arithmetic.
 
-3j and 6j symbols evaluate to closed :class:`SqrtRational` form via the
-single-sum formulas.  The first term of each sum and the square-root
-prefactor are factorial quotients assembled prime-wise by the ledger; the
-sum itself runs Horner's rule on the ratio of consecutive terms from the
-top of the window down, in plain ints, and makes one Fraction at the end.
-9j, 15j and first-kind 3nj symbols (and the pentagon identity's left side)
-are 6j chains summed over the intermediate spin x by one engine,
-:func:`_chain_sum`, which never calls :func:`wigner6j` or its cache.  A
-triad with x occurs in exactly two 6j of a term, so its triangle
-coefficient enters squared and rational; the triads without x give the
-symbol one square root, taken once.  Each x costs one factorial quotient
-and one Fraction.  No value depends on a floating-point working precision.
+3j symbols evaluate to closed :class:`SqrtRational` form via the single-sum
+formula: the first term and the square-root prefactor are factorial
+quotients assembled prime-wise by the ledger; the sum itself runs Horner's
+rule on the ratio of consecutive terms from the top of the window down, in
+plain ints, and makes one Fraction at the end.  Every 6j-based value goes
+through one engine, :func:`_chain_sum`, which sums products of 6j over an
+intermediate spin x: 9j, 15j and first-kind 3nj symbols, the pentagon and
+orthogonality left sides, and the standalone 6j as a chain of one symbol
+with no x (a single term).  A triad with x occurs in exactly two 6j of a
+term, so its triangle coefficient enters squared and rational; the triads
+without x give the value one square root, taken once.  Each x costs one
+factorial quotient and one Fraction.  No symbol value is cached, and no
+value depends on a floating-point working precision.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import InternalConsistencyError
 from .halfint import HalfInt, halfint_sum, triad_allowed
-from .primefac import DEFAULT_LEDGER, FactorialLedger
+from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
 # ----------------------------------------------------------------------
 # 3j
 # ----------------------------------------------------------------------
 
-def wigner3j(j1, j2, j3, m1, m2, m3, ledger: FactorialLedger = DEFAULT_LEDGER) -> SqrtRational:
+def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
     """Exact Wigner 3j symbol.  Invalid quantum numbers give exact 0."""
     j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
     m1, m2, m3 = HalfInt(m1), HalfInt(m2), HalfInt(m3)
@@ -55,7 +54,7 @@ def wigner3j(j1, j2, j3, m1, m2, m3, ledger: FactorialLedger = DEFAULT_LEDGER) -
     if kmax < kmin:
         return SqrtRational.zero()
 
-    head = ledger.factorial_quotient(
+    head = DEFAULT_LEDGER.factorial_quotient(
         [(kmin, -1), (a - kmin, -1), (b - kmin, -1),
          (c - kmin, -1), (d + kmin, -1), (e + kmin, -1)]
     )
@@ -78,7 +77,7 @@ def wigner3j(j1, j2, j3, m1, m2, m3, ledger: FactorialLedger = DEFAULT_LEDGER) -
         ((t2 + u2) // 2, 1), ((t2 - u2) // 2, 1),
         ((t3 + u3) // 2, 1), ((t3 - u3) // 2, 1),
     ]
-    rat, rad = ledger.sqrt_factorial_quotient(pre)
+    rat, rad = DEFAULT_LEDGER.sqrt_factorial_quotient(pre)
     sign = 1 if total > 0 else -1
     if ((t1 - t2 - u3) // 2) % 2:
         sign = -sign
@@ -89,61 +88,15 @@ def wigner3j(j1, j2, j3, m1, m2, m3, ledger: FactorialLedger = DEFAULT_LEDGER) -
 # 6j
 # ----------------------------------------------------------------------
 
-_SIX_J_CACHE: dict = {}
-_SIX_J_CACHE_MAX = 200_000
-_six_j_cache_lock = threading.Lock()
-
-_COLUMN_PERMS = tuple(permutations((0, 1, 2)))
-_ROW_FLIPS = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-
-def _canonical_6j_key(ta, tb, tc, td, te, tf):
-    cols = ((ta, td), (tb, te), (tc, tf))
-    best = None
-    for perm in _COLUMN_PERMS:
-        picked = (cols[perm[0]], cols[perm[1]], cols[perm[2]])
-        for flips in _ROW_FLIPS:
-            key = (
-                picked[0][flips[0]], picked[1][flips[1]], picked[2][flips[2]],
-                picked[0][1 - flips[0]], picked[1][1 - flips[1]], picked[2][1 - flips[2]],
-            )
-            if best is None or key < best:
-                best = key
-    return best
-
-
-def wigner6j(a, b, c, d, e, f, ledger: FactorialLedger = DEFAULT_LEDGER) -> SqrtRational:
-    """Exact 6j symbol {a b c; d e f} via the Racah single sum.
+def wigner6j(a, b, c, d, e, f) -> SqrtRational:
+    """Exact 6j symbol {a b c; d e f} via the Racah single sum: a chain of
+    one 6j with no summation spin.
 
     Returns exact 0 when any of the four coupled triads
     (a,b,c), (a,e,f), (d,b,f), (d,e,c) fails.
     """
-    a, b, c, d, e, f = (HalfInt(x) for x in (a, b, c, d, e, f))
-    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
-    for tri in triads:
-        if not triad_allowed(*tri):
-            return SqrtRational.zero()
-
-    key = _canonical_6j_key(a.twice, b.twice, c.twice, d.twice, e.twice, f.twice)
-    cached = _SIX_J_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    head, num, den = _racah_series(a.twice, b.twice, c.twice, d.twice, e.twice, f.twice)
-    total = ledger.factorial_quotient(head) * Fraction(num, den)
-    if total == 0:
-        result = SqrtRational.zero()
-    else:
-        pre = [t for x, y, z in triads for t in _delta_terms(x.twice, y.twice, z.twice)]
-        rat, rad = ledger.sqrt_factorial_quotient(pre)
-        result = SqrtRational.from_canonical(1 if total > 0 else -1, abs(total) * rat, rad)
-
-    if len(_SIX_J_CACHE) >= _SIX_J_CACHE_MAX:
-        with _six_j_cache_lock:
-            if len(_SIX_J_CACHE) >= _SIX_J_CACHE_MAX:
-                _SIX_J_CACHE.clear()
-    _SIX_J_CACHE[key] = result
-    return result
+    six = tuple(HalfInt(x).twice for x in (a, b, c, d, e, f))
+    return _chain_sum((six,), lambda tx: 1)[0]
 
 
 def _delta_terms(ta, tb, tc):
@@ -193,7 +146,8 @@ def _chain_sum(sixjs, weight):
     the square root of the triads without x, and one rational q per x in
     the window (where every triad with x is allowed), the term of x being
     pre * q.  q holds the Racah heads and the squared coefficients of the
-    triads with x, which must pair up (as a multiset) across the chain.
+    triads with x, which must pair up (as a multiset) across the chain.  A
+    chain without x (one standalone 6j) has the single term tx = 0.
     """
     fixed, xtri = [], []
     for a, b, c, d, e, f in sixjs:
@@ -206,11 +160,11 @@ def _chain_sum(sixjs, weight):
     pairs = xtri[::2]
     if pairs != xtri[1::2]:
         raise InternalConsistencyError(f"chain triads with x do not pair up: {xtri}")
-    if len({(p + q) % 2 for p, q in pairs}) != 1 or not all(
+    if len({(p + q) % 2 for p, q in pairs}) > 1 or not all(
             (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in fixed):
         return SqrtRational.zero(), SqrtRational.zero(), []
-    lo = max(abs(p - q) for p, q in pairs)
-    hi = min(p + q for p, q in pairs)
+    lo = max((abs(p - q) for p, q in pairs), default=0)
+    hi = min((p + q for p, q in pairs), default=0)
 
     pre = SqrtRational.from_canonical(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
         [t for tri in fixed for t in _delta_terms(*tri)]))
@@ -224,7 +178,7 @@ def _chain_sum(sixjs, weight):
             num *= n6
             den *= d6
         q = DEFAULT_LEDGER.factorial_quotient(facts) if num else 0
-        terms.append((tx, Fraction(weight(tx) * num * q.numerator, den * q.denominator)))
+        terms.append((tx, Fraction(weight(tx) * num, den) * q))
     return pre * sum(q for _, q in terms), pre, terms
 
 

@@ -10,6 +10,7 @@ are always l = j + 1/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,10 @@ FACES = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
 
 #: Caustic guard: "classically allowed" needs CM > eps * (mean edge)^6.
 DEFAULT_CAUSTIC_EPS = 1e-6
+
+#: Largest edge length a Tetrahedron accepts: up to it, the Cayley-Menger
+#: determinant (|288 V^2| <= 24 l^6) and the caustic guard are finite floats.
+MAX_EDGE = (sys.float_info.max / 24.0) ** (1.0 / 6.0)
 
 #: Tolerance for arccos arguments that may stick out of [-1, 1] by rounding.
 ACOS_CLAMP_TOL = 1e-9
@@ -74,8 +79,8 @@ class Tetrahedron:
         if len(self.lengths) != 6:
             raise ValueError("a tetrahedron has six edges")
         lengths = tuple(float(x) for x in self.lengths)
-        if not all(0.0 < x < math.inf for x in lengths):
-            raise ValueError("edge lengths must be positive and finite")
+        if not all(0.0 < x <= MAX_EDGE for x in lengths):
+            raise ValueError(f"edge lengths must be positive and at most {MAX_EDGE:.3g}")
         object.__setattr__(self, "lengths", lengths)
         for face in FACES:
             x, y, z = (lengths[i] for i in face)
@@ -254,35 +259,13 @@ def euler_from_glued_triangles(phi1: float, theta: float, phin: float):
     return theta_a, phi_mid, theta_b
 
 
-def build_sigma_tet(tri_a: Sequence[float], tri_b: Sequence[float], theta_shared: float) -> Tetrahedron:
-    """Tetrahedron from two triangles glued along a shared edge.
-
-    Each triangle is (shared, apex, base): ``shared`` is the common edge,
-    ``apex`` runs from the apex node of the shared edge, ``base`` closes the
-    triangle from the other node.  ``theta_shared`` is the internal dihedral
-    along the shared edge.  The sixth edge (between the two far corners) is
-    the distance between them in an explicit embedding: shared edge on the
-    z-axis, second triangle rotated by the dihedral.
-    """
-    sa, apex_a, base_a = (float(x) for x in tri_a)
-    sb, apex_b, base_b = (float(x) for x in tri_b)
-    if abs(sa - sb) > 1e-12 * max(sa, sb):
-        raise ValueError("triangles do not share an edge of equal length")
-    if not -ACOS_CLAMP_TOL <= theta_shared <= math.pi + ACOS_CLAMP_TOL:
-        raise ValueError(f"dihedral {theta_shared!r} out of [0, pi]")
-    theta_shared = min(math.pi, max(0.0, theta_shared))
-    phi_a = triangle_angle(sa, apex_a, base_a)
-    phi_b = triangle_angle(sa, apex_b, base_b)
-    corner_a = (apex_a * math.sin(phi_a), 0.0, apex_a * math.cos(phi_a))
-    corner_b = (
-        apex_b * (math.sin(phi_b) * math.cos(theta_shared)),
-        apex_b * (math.sin(phi_b) * math.sin(theta_shared)),
-        apex_b * math.cos(phi_b),
-    )
-    ab = math.dist(corner_a, corner_b)
-    if ab <= 0.0:
-        raise DegenerateTriangle("glued corners coincide")
-    return Tetrahedron((sa, apex_a, base_a, ab, base_b, apex_b))
+def law_of_cosines(la: float, lb: float, angle: float) -> float:
+    """Third side of the triangle with sides la, lb enclosing ``angle``,
+    sqrt(la^2 + lb^2 - 2 la lb cos(angle)), written as
+    sqrt((la - lb)^2 + 4 la lb sin^2(angle/2)) so it never goes negative.
+    With the mid-angle of :func:`euler_from_glued_triangles` and the two
+    apex edges it is the sixth edge of the glued tetrahedron."""
+    return math.sqrt((la - lb) ** 2 + 4.0 * la * lb * math.sin(angle / 2.0) ** 2)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@
 The pentagon (Biedenharn-Elliott) identity and the 6j orthogonality
 relation are classical consistency conditions tying many 6j values
 together; they validate the exact engine without reference to any
-external table.  Both are checked in exact arithmetic, with no tolerance.
+external table.  Each is a pair of exact sides, compared with no
+tolerance.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from .exact import X, Symbol3nj, Symbol9j, _chain_sum, wigner6j
 from .halfint import HalfInt, halfint_sum, triad_allowed
+from .sqrtrat import SqrtRational
 
 
 def _window(x: HalfInt, y: HalfInt):
@@ -84,27 +86,15 @@ def random_orthogonality_instance(rng, tmax: int = 16):
     return None
 
 
-def orthogonality_defect(a, b, c, d, p, q):
-    """Exact defect of sum_x d_x {a b x; c d p}{a b x; c d q} = delta_pq / d_p.
+def orthogonality_sides(a, b, c, d, p, q):
+    """Exact (lhs, rhs) of sum_x d_x {a b x; c d p}{a b x; c d q} = delta_pq / d_p.
 
-    Terms are grouped by the (squarefree) radicand of the exact product,
-    so the comparison is pure rational arithmetic: the returned dict maps
-    radicand -> leftover rational coefficient; an empty dict means the
-    identity holds exactly.
-    """
-    lo = max(abs(a.twice - b.twice), abs(c.twice - d.twice))
-    hi = min(a.twice + b.twice, c.twice + d.twice)
-    buckets: dict = {}
-    for tx in range(lo, hi + 1, 2):
-        x = HalfInt.from_twice(tx)
-        prod = wigner6j(a, b, x, c, d, p) * wigner6j(a, b, x, c, d, q)
-        if prod.is_zero:
-            continue
-        coeff = prod.sign * prod.rat * (tx + 1)
-        buckets[prod.rad] = buckets.get(prod.rad, Fraction(0)) + coeff
-    if p == q:
-        buckets[1] = buckets.get(1, Fraction(0)) - Fraction(1, p.dim)
-    return {k: v for k, v in buckets.items() if v != 0}
+    The left side goes through the exact chain engine, the right side is
+    the closed form, so the identity checks the engine against it."""
+    ta, tb, tc, td, tp, tq = (v.twice for v in (a, b, c, d, p, q))
+    lhs = _chain_sum(((ta, tb, X, tc, td, tp), (ta, tb, X, tc, td, tq)), lambda tx: tx + 1)[0]
+    rhs = SqrtRational.of(Fraction(1, p.dim)) if p == q else SqrtRational.zero()
+    return lhs, rhs
 
 
 def pentagon_mismatches(rng, instances: int, tmax: int = 20) -> int:

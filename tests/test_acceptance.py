@@ -46,7 +46,7 @@ from wigner_asym.geometry import (
 )
 from wigner_asym.halfint import HalfInt
 from wigner_asym.identities import (
-    orthogonality_defect,
+    orthogonality_sides,
     pentagon_mismatches,
     random_orthogonality_instance,
     random_valid_9j,
@@ -77,7 +77,8 @@ def test_criterion_01_exact_identities():
         inst = random_orthogonality_instance(rng2, tmax=16)
         if inst is None:
             continue
-        if orthogonality_defect(*inst):
+        lhs, rhs = orthogonality_sides(*inst)
+        if lhs != rhs:
             defects += 1
         done += 1
     assert defects == 0

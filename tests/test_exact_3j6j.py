@@ -315,11 +315,8 @@ def test_6j_large_spin_half_integer():
 
 def test_6j_all_24_symmetry_layouts_fresh():
     """Every column permutation combined with an even number of row flips
-    gives the same value when computed from scratch; this also certifies
-    the cache's canonical-key collapsing."""
+    gives the same value when computed from scratch."""
     from itertools import permutations as _perms
-
-    from wigner_asym import exact as _exact
 
     rng = random.Random(911)
     for _ in range(6):
@@ -336,7 +333,6 @@ def test_6j_all_24_symmetry_layouts_fresh():
                 if layout in seen:
                     continue
                 seen.add(layout)
-                _exact._SIX_J_CACHE.clear()
                 value = wigner6j(*(H(x) for x in layout))
                 if reference is None:
                     reference = value

@@ -26,7 +26,7 @@ from wigner_asym.halfint import HalfInt
 from wigner_asym.primefac import DEFAULT_LEDGER
 from wigner_asym.sqrtrat import SqrtRational
 from wigner_asym.identities import (
-    orthogonality_defect,
+    orthogonality_sides,
     pentagon_mismatches,
     random_orthogonality_instance,
     random_valid_9j,
@@ -203,7 +203,9 @@ def test_3nj_engine_with_equal_columns():
 
 def test_chain_work_count(monkeypatch):
     """A chain takes one square root per symbol and at most one factorial
-    quotient per summation spin, and never calls the standalone 6j."""
+    quotient per summation spin, and never calls the standalone 6j.  A
+    standalone 6j is a chain of one symbol: one square root and one
+    factorial quotient per call, a repeat or a symmetry image included."""
     counts = Counter()
 
     def counting(name, fn):
@@ -234,6 +236,12 @@ def test_chain_work_count(monkeypatch):
         assert counts["sqrt_factorial_quotient"] == 1, (n, counts)
         assert counts["factorial_quotient"] <= (hi - lo) // 2 + 1, (n, counts)
         assert counts["wigner6j"] == 0, (n, counts)
+    six = (5, 4, 3, 2, 3, 4)
+    for spins in (six, six, (4, 5, 3, 3, 2, 4), (2, 3, 3, 5, 4, 4)):
+        counts.clear()
+        assert not wigner6j(*spins).is_zero
+        assert counts["sqrt_factorial_quotient"] == 1, (spins, counts)
+        assert counts["factorial_quotient"] == 1, (spins, counts)
 
 
 def test_9j_matches_sympy_oracle():
@@ -404,4 +412,5 @@ def test_pentagon_and_orthogonality_small():
         inst = random_orthogonality_instance(rng, tmax=12)
         if inst is None:
             continue
-        assert orthogonality_defect(*inst) == {}
+        lhs, rhs = orthogonality_sides(*inst)
+        assert lhs == rhs, inst

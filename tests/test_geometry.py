@@ -20,12 +20,12 @@ from wigner_asym.geometry import (
     EDGE_NAMES,
     SignConfig,
     Tetrahedron,
-    build_sigma_tet,
     dihedral_external,
     dihedral_internal,
     edge_length_from_spin,
     euler_from_glued_triangles,
     f_phase,
+    law_of_cosines,
     omega_classify,
     regge_action,
     schlafli_residual,
@@ -109,7 +109,7 @@ def test_flat_tetrahedron_determinant_is_exactly_zero():
     assert volume(flat) == 0.0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e60])
 def test_tetrahedron_rejects_non_finite_or_non_positive_edges(bad):
     with pytest.raises(ValueError):
         Tetrahedron((bad, 1, 1, 1, 1, 1))
@@ -240,12 +240,21 @@ def test_euler_glued_round_trip():
         assert abs(theta_b_back - theta_b) < 1e-9
 
 
+def _glued_sixth_edge(tri_a, tri_b, theta):
+    """Sixth edge of two triangles (shared, apex, base) glued along the
+    shared edge at internal dihedral theta: the law of cosines on the two
+    apex edges and the glued mid-angle."""
+    phi_a, phi_b = triangle_angle(*tri_a), triangle_angle(*tri_b)
+    _, phi_mid, _ = euler_from_glued_triangles(phi_a, theta, phi_b)
+    return law_of_cosines(tri_a[1], tri_b[1], phi_mid)
+
+
 def test_build_sigma_tet_round_trip(np_rng):
     for _ in range(40):
         tet = random_realizable_tet(np_rng)
         a, b, c, d, e, f = tet.lengths
         theta = dihedral_internal(tet, "a")
-        rebuilt = build_sigma_tet((a, b, c), (a, f, e), theta)
+        rebuilt = Tetrahedron((a, b, c, _glued_sixth_edge((a, b, c), (a, f, e), theta), e, f))
         assert abs(rebuilt.lengths[3] - d) < 1e-9
         assert abs(dihedral_internal(rebuilt, "a") - theta) < 1e-9
         # face angles reproduce the inputs
@@ -253,7 +262,8 @@ def test_build_sigma_tet_round_trip(np_rng):
 
 
 def test_build_sigma_tet_flat_and_vector_oracle(np_rng):
-    flat = build_sigma_tet((2.0, 1.0, 1.8), (2.0, 1.0, 1.8), math.pi)
+    flat = Tetrahedron((2.0, 1.0, 1.8, _glued_sixth_edge((2.0, 1.0, 1.8), (2.0, 1.0, 1.8), math.pi),
+                        1.8, 1.0))
     assert flat.status() in ("near_caustic", "forbidden") or volume(flat) < 1e-9
     # companion construction: gluing two faces of a spin tetrahedron along
     # the f edge with the external dihedral reproduces |J_a + J_d|
@@ -269,12 +279,12 @@ def test_build_sigma_tet_flat_and_vector_oracle(np_rng):
             except Exception:
                 continue
             la, lb, lc, ld, le, lf = tet.lengths
-            glued = build_sigma_tet((lf, la, le), (lf, ld, lb), theta_ext)
+            glued = _glued_sixth_edge((lf, la, le), (lf, ld, lb), theta_ext)
             verts = embed_vertices(tet)
             p, q, r, s = verts
             j_a = q - p      # edge a
             j_d = s - r      # edge d
-            assert abs(glued.lengths[3] - np.linalg.norm(j_a + j_d)) < 1e-8
+            assert abs(glued - np.linalg.norm(j_a + j_d)) < 1e-8
 
 
 def test_omega_classification_cases():

@@ -296,6 +296,13 @@ def test_cli_malformed_spin_count_exits_2():
     assert proc.returncode == 2
 
 
+def test_cli_asym_huge_edges_exit_2():
+    # spins of 10^60: the determinant and the caustic guard would overflow a float
+    proc = run_cli("asym", "pr6j", *[str(2 * 10 ** 60)] * 6)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("precision", ["0", "-3"])
 def test_cli_exact_rejects_precision_below_one(precision):
     proc = run_cli("exact", "6j", "2", "2", "2", "2", "2", "2", "--precision", precision)
