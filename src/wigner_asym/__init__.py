@@ -24,11 +24,10 @@ from .geometry import (
     f_phase,
     omega_classify,
     regge_action,
-    schlafli_residual,
     triangle_angle,
     volume,
 )
-from .wigner_d import d_symmetry_flip, small_d
+from .wigner_d import small_d
 from .asymptotics import (
     AsymDiagnostics,
     SmallSpinMarking,
@@ -52,9 +51,9 @@ __all__ = [
     "wigner3j", "wigner6j", "wigner9j", "wigner15j", "wigner3nj",
     "Tetrahedron", "SignConfig", "triangle_angle", "volume",
     "dihedral_internal", "dihedral_external", "regge_action",
-    "schlafli_residual", "euler_from_glued_triangles",
+    "euler_from_glued_triangles",
     "omega_classify", "f_phase", "edge_length_from_spin",
-    "small_d", "d_symmetry_flip",
+    "small_d",
     "AsymDiagnostics", "SmallSpinMarking", "pr_6j", "edmonds_6j",
     "asym_9j_one_small", "asym_3nj", "validate_hypotheses",
     "asym_15j_one_small", "asym_15j_two_small", "asym_15j_three_small",

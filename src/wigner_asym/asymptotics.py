@@ -531,43 +531,6 @@ def asym_3nj(
     return value, diag
 
 
-def asym_3nj_xi_sum(
-    sym: Symbol3nj,
-    mark: SmallSpinMarking,
-    caustic_eps: float = DEFAULT_CAUSTIC_EPS,
-    small_ratio: float = DEFAULT_SMALL_RATIO,
-) -> float:
-    """The same asymptotics before the sign-configuration resummation: a
-    direct sum over the residual intermediate-spin offset.  Agrees with
-    :func:`asym_3nj` to machine precision; kept as an independent route
-    through the angle bookkeeping."""
-    diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag, small_ratio)
-    if chain is None:
-        return 0.0
-    nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
-    n = nsym.n
-    j1 = nsym.j[0]
-    l = nsym.l
-    m_count = len(small_l)
-    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(nsym))
-    small_factor = _small_l_factor(chain, diag)
-
-    total = 0.0
-    for t_xi in range(-j1.twice, j1.twice + 1, 2):
-        xi = HalfInt.from_twice(t_xi)
-        wrap = (n + m_count) * ((j1.twice - t_xi) // 2)
-        sign = -1.0 if wrap % 2 else 1.0
-        prod = 1.0
-        for p, theta in chain.thetas.items():
-            prod *= math.cos(chain.actions[p] + float(xi) * (math.pi - theta) + QUARTER_PI)
-            prod /= math.sqrt(12.0 * math.pi * chain.volumes[p])
-        total += sign * small_d(j1, mu, xi, phi1) * small_d(j1, xi, nu, phin) * prod
-
-    amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
-    return _chain_sign(nsym, small_l, mu) * (amplitude * total)
-
-
 def _projection_ok(m: HalfInt, j: HalfInt) -> bool:
     return abs(m.twice) <= j.twice and (j.twice - m.twice) % 2 == 0
 

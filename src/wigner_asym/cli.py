@@ -174,12 +174,10 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite == "fig4":
         reports, _ = fig4_suite(outdir=args.out)
-        ok = True
         for r in reports:
             for name, passed in r.checks.items():
                 print(f"panel {r.name}: {name}: {'PASS' if passed else 'FAIL'}")
-            ok = ok and r.passed
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
     return _verify_identities(args)
 
 

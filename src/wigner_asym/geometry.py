@@ -106,6 +106,10 @@ class Tetrahedron:
         return cm
 
     def caustic_tolerance(self, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
+        """eps * (mean edge)^6; ValueError unless eps is a number >= 0 (a
+        NaN guard would call every tetrahedron allowed)."""
+        if not eps >= 0.0:
+            raise ValueError(f"caustic eps must be a number >= 0, got {eps!r}")
         mean = sum(self.lengths) / 6.0
         return eps * mean ** 6
 
@@ -195,31 +199,6 @@ def regge_action(t: Tetrahedron, spins: Sequence, eps: float = DEFAULT_CAUSTIC_E
         (float(j) + 0.5) * (math.pi - _dihedral(t, name))
         for j, name in zip(spins, EDGE_NAMES)
     )
-
-
-def schlafli_residual(t: Tetrahedron, h_rel: float = 1e-5) -> float:
-    """Numerical defect of the Schlafli identity sum_e l_e dTheta_e = 0.
-
-    For each edge e0, perturb its length by +-h (h = h_rel * l_e0), and
-    evaluate |sum_e l_e (Theta_e(+h) - Theta_e(-h)) / (2h)|; returns the
-    maximum over the six choices of e0.
-    """
-    worst = 0.0
-    base = list(t.lengths)
-    for i0 in range(6):
-        h = h_rel * base[i0]
-        plus = list(base)
-        minus = list(base)
-        plus[i0] += h
-        minus[i0] -= h
-        t_plus = Tetrahedron(tuple(plus))
-        t_minus = Tetrahedron(tuple(minus))
-        acc = 0.0
-        for i, name in enumerate(EDGE_NAMES):
-            d_theta = dihedral_external(t_plus, name) - dihedral_external(t_minus, name)
-            acc += base[i] * d_theta / (2.0 * h)
-        worst = max(worst, abs(acc))
-    return worst
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,18 @@ Exact values are closed :class:`SqrtRational` numbers, written from
 integers by ``SqrtRational.to_decimal``; every value has 17 significant
 digits and the summary metrics are recomputed from the formatted text, so
 a sweep is reproducible bit-for-bit and the CSV is self-contained.
+
+The fig4 reference study is one table of sweeps,
+:func:`reference_sweep_configs` (panels a, c and d; panel b is the error
+view of a), which :func:`fig4_suite` runs once and checks.  Every CSV comes
+with a gnuplot script from one writer.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .asymptotics import (
@@ -253,7 +258,6 @@ class SweepRow:
     volumes: tuple = ()
     flag: str = "allowed"
     note: str = ""
-    sigma_cases: tuple = ()
 
 
 @dataclass
@@ -264,17 +268,18 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        vol_headers = [f"vol_{i + 1}" for i in range(self.n_volume_columns)]
-        buf.write(",".join(["sweep_twice", "exact", "asym", "abs_err"] + vol_headers + ["flag"]) + "\n")
+        n_vol = self.n_volume_columns
+        lines = [["sweep_twice", "exact", "asym", "abs_err",
+                  *(f"vol_{i + 1}" for i in range(n_vol)), "flag"]]
         for row in self.rows:
             vols = [_fmt(v) for v in row.volumes]
-            vols += [""] * (self.n_volume_columns - len(vols))
-            buf.write(
-                ",".join([str(row.sweep_twice), row.exact, row.asym, row.abs_err] + vols + [row.flag])
-                + "\n"
-            )
-        return buf.getvalue()
+            lines.append([str(row.sweep_twice), row.exact, row.asym, row.abs_err, *vols,
+                          *[""] * (n_vol - len(vols)), row.flag])
+        return _csv(lines)
+
+
+def _csv(lines) -> str:
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _fmt(x) -> str:
@@ -317,8 +322,6 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
             value, diag = ASYM_FORMULAS[asym_formula][1](sym, marking, cfg.caustic_eps,
                                                          cfg.edmonds_lengths)
             row.asym = _fmt(value)
-            if diag is not None:
-                row.sigma_cases = tuple(sc["case"] for sc in diag.sign_configs)
         except WignerAsymError as exc:
             notes.append(f"asym: {exc}")
     row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking, diag)
@@ -329,9 +332,11 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
             notes.insert(0, f"exact: {exc}")
     row.note = "; ".join(notes)
     if row.exact and row.asym:
-        err = abs(float(row.exact) - float(row.asym))
-        row.abs_err = _fmt(err)
+        row.abs_err = _fmt(abs(float(row.exact) - float(row.asym)))
     return row
+
+
+_FLAG_RANK = ("allowed", "near_caustic", "forbidden")
 
 
 def _geometry_columns(cfg, sym, asym_formula, marking, diag):
@@ -345,7 +350,6 @@ def _geometry_columns(cfg, sym, asym_formula, marking, diag):
         return tuple(diag.volumes.values()), "near_caustic" if near else "allowed"
     vols = []
     flag = "allowed"
-    rank = {"allowed": 0, "near_caustic": 1, "forbidden": 2}
     try:
         if cfg.kind == "6j":
             if asym_formula == "edmonds":
@@ -360,11 +364,8 @@ def _geometry_columns(cfg, sym, asym_formula, marking, diag):
             if any(tet is None for tet in tets):
                 return (), "forbidden"
         for tet in tets:
-            status = tet.status(cfg.caustic_eps)
-            if rank[status] > rank[flag]:
-                flag = status
-            cm = tet.cayley_menger()
-            vols.append(math.sqrt(max(cm, 0.0) / 288.0))
+            flag = max(flag, tet.status(cfg.caustic_eps), key=_FLAG_RANK.index)
+            vols.append(math.sqrt(max(tet.cayley_menger(), 0.0) / 288.0))
     except WignerAsymError:
         return tuple(vols), "forbidden"
     return tuple(vols), flag
@@ -383,7 +384,6 @@ def summarize(result: SweepResult) -> dict:
     cfg = result.config
     rows = result.rows
     have = [r for r in rows if r.exact and r.asym]
-    swept = [r.sweep_twice for r in rows]
     out = {
         "n_rows": len(rows),
         "n_compared": len(have),
@@ -391,13 +391,11 @@ def summarize(result: SweepResult) -> dict:
             sum(1 for r in rows if r.flag == "near_caustic") / len(rows) if rows else 0.0
         ),
     }
+    interior = []
     if rows:
-        lo, hi = min(swept), max(swept)
+        lo, hi = min(r.sweep_twice for r in rows), max(r.sweep_twice for r in rows)
         trim = cfg.trim_fraction * (hi - lo)
-        ilo, ihi = lo + trim, hi - trim
-        interior = [r for r in have if ilo <= r.sweep_twice <= ihi]
-    else:
-        interior = []
+        interior = [r for r in have if lo + trim <= r.sweep_twice <= hi - trim]
     out["n_interior"] = len(interior)
     if have:
         out["max_abs_exact"] = max(abs(float(r.exact)) for r in have)
@@ -417,15 +415,17 @@ def summarize(result: SweepResult) -> dict:
     return out
 
 
+def _centred_sums(xs, ys):
+    """sum (x - mean)^2, sum (y - mean)^2 and sum (x - mean)(y - mean)."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) ** 2 for x in xs), sum((y - my) ** 2 for y in ys),
+            sum((x - mx) * (y - my) for x, y in zip(xs, ys)))
+
+
 def _pearson(xs, ys) -> float:
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         return float("nan")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx, syy, sxy = _centred_sums(xs, ys)
     if sxx <= 0 or syy <= 0:
         return float("nan")
     return sxy / math.sqrt(sxx * syy)
@@ -439,88 +439,89 @@ def edge_error_slopes(result: SweepResult, n_points: int = 5):
     if len(have) < 2 * n_points:
         return None
     have.sort(key=lambda r: r.sweep_twice)
+    low, high = have[:n_points], have[-n_points:]
 
-    def slope(rows, toward_low):
-        # abscissa: distance toward the boundary
-        if toward_low:
-            xs = [rows[-1].sweep_twice - r.sweep_twice for r in rows]
-        else:
-            xs = [r.sweep_twice - rows[0].sweep_twice for r in rows]
-        ys = [float(r.abs_err) for r in rows]
-        n = len(xs)
-        mx, my = sum(xs) / n, sum(ys) / n
-        den = sum((x - mx) ** 2 for x in xs)
-        if den == 0:
-            return 0.0
-        return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
+    def slope(rows, xs):
+        # xs: distance toward the boundary
+        sxx, _, sxy = _centred_sums(xs, [float(r.abs_err) for r in rows])
+        return sxy / sxx if sxx else 0.0
 
-    return slope(have[:n_points], True), slope(have[-n_points:], False)
+    return (slope(low, [low[-1].sweep_twice - r.sweep_twice for r in low]),
+            slope(high, [r.sweep_twice - high[0].sweep_twice for r in high]))
 
 
 # ----------------------------------------------------------------------
 # Output files
 # ----------------------------------------------------------------------
 
+def _write_plot(csv_path: str, csv_text: str, settings: list, curves: list) -> None:
+    """Write ``csv_text`` to ``csv_path`` and a companion gnuplot script that
+    applies ``settings`` and plots each (column, style, title) curve
+    against the swept value."""
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(csv_text)
+    name = csv_path.rsplit("/", 1)[-1]
+    plots = [f"'{name}' using ($1/2):{col} every ::1 with {style} title '{title}'"
+             for col, style, title in curves]
+    script = ["set datafile separator ','", *settings, "plot " + ", \\\n     ".join(plots),
+              "pause -1"]
+    with open(csv_path.rsplit(".", 1)[0] + ".gnuplot", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(script) + "\n")
+
+
 def write_outputs(result: SweepResult, csv_path: str) -> None:
     """Write the CSV and a companion gnuplot script (points = exact,
     line = asymptotic)."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(result.csv_text())
-    plot_path = csv_path.rsplit(".", 1)[0] + ".gnuplot"
-    name = csv_path.rsplit("/", 1)[-1]
-    script = "\n".join(
-        [
-            "set datafile separator ','",
-            f"set title '{result.config.kind} sweep over {result.config.sweep_slot}'",
-            f"set xlabel '{result.config.sweep_slot}'",
-            "set key left top",
-            f"plot '{name}' using ($1/2):2 every ::1 with points pt 7 ps 0.5 title 'exact', \\",
-            f"     '{name}' using ($1/2):3 every ::1 with lines lw 1 title 'asymptotic'",
-            "pause -1",
-        ]
+    cfg = result.config
+    _write_plot(
+        csv_path, result.csv_text(),
+        [f"set title '{cfg.kind} sweep over {cfg.sweep_slot}'",
+         f"set xlabel '{cfg.sweep_slot}'", "set key left top"],
+        [(2, "points pt 7 ps 0.5", "exact"), (3, "lines lw 1", "asymptotic")],
     )
-    with open(plot_path, "w", encoding="utf-8") as fh:
-        fh.write(script + "\n")
+
+
+def _write_error_view(result: SweepResult, csv_path: str) -> None:
+    """Panel-b style output: sweep value against |exact - asym|."""
+    rows = [[str(r.sweep_twice), r.abs_err, r.flag] for r in result.rows if r.abs_err]
+    _write_plot(
+        csv_path, _csv([["sweep_twice", "abs_err", "flag"], *rows]),
+        ["set title 'absolute error, exact vs asymptotic'", "set logscale y"],
+        [(2, "points pt 7 ps 0.5", "|exact-asym|")],
+    )
 
 
 # ----------------------------------------------------------------------
-# The four reference sweeps (one small spin, eight large)
+# The fig4 reference study (one small spin, eight large)
 # ----------------------------------------------------------------------
 
-def _nine_j_config(spins: dict, slot: str, start: int, stop: int, out: str) -> SweepConfig:
-    spins = dict(spins)
-    spins.pop(slot, None)
+def _reference_9j(panel: str, twice: tuple, slot: str, start: int, stop: int,
+                  **offsets) -> SweepConfig:
+    """An exact-vs-asym9j sweep of the 9j with twice-spins ``twice`` in
+    slot order, None where the sweep sets the spin."""
     return SweepConfig(
-        kind="9j",
-        spins_twice=spins,
-        sweep_slot=slot,
-        start_twice=start,
-        stop_twice=stop,
-        step_twice=2,
-        formulas=("exact", "asym9j"),
-        out=out,
+        kind="9j", sweep_slot=slot, start_twice=start, stop_twice=stop,
+        spins_twice={s: t for s, t in zip(SLOT_NAMES["9j"], twice) if t is not None},
+        formulas=("exact", "asym9j"), out=f"fig_{panel}.csv", offsets=offsets,
     )
 
 
 def reference_sweep_configs() -> dict:
-    """The single-slot reference 9j sweeps, by panel:
+    """The reference 9j sweeps, by panel:
 
     a: {430 30 430; 1 60 61; 431 j24 430}, j24 over its allowed window;
+    c: {j1+1/2 201/2 j1+3; 1 60 61; j1+3/2 225/2 99/2}: j1, j12 and j13
+       move with the half-odd swept parameter j1_base = 63.5 .. 159.5;
     d: {51/2 53/2 28; 1/2 47/2 24; 25 27 j5}, j5 over its allowed window.
-    Panel b is the error view of sweep a; panel c moves three slots with
-    its swept parameter (``_panel_c_config``).  ``fig4_suite`` runs all
-    four.
+
+    Panel b is the error view of sweep a.
     """
-    nine = SLOT_NAMES["9j"]
-    a_spins = dict(zip(nine, (860, 60, 860, 2, 120, 122, 862, None, 860)))
-    del a_spins["j24"]
-    d_spins = dict(zip(nine, (51, 53, 56, 1, 47, 48, 50, 54, None)))
-    del d_spins["j5"]
-    configs = {
-        "a": _nine_j_config(a_spins, "j24", 60, 180, "fig_a.csv"),
-        "d": _nine_j_config(d_spins, "j5", 8, 104, "fig_d.csv"),
+    return {
+        "a": _reference_9j("a", (860, 60, 860, 2, 120, 122, 862, None, 860), "j24", 60, 180),
+        "c": _reference_9j("c", (None, 201, None, 2, 120, 122, None, 225, 99), "j1_base",
+                           127, 319, j1=1, j12=6, j13=3),
+        "d": _reference_9j("d", (51, 53, 56, 1, 47, 48, 50, 54, None), "j5", 8, 104),
     }
-    return configs
 
 
 @dataclass
@@ -528,11 +529,14 @@ class PanelReport:
     name: str
     summary: dict
     checks: dict
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def fig4_suite(outdir: str | None = None):
-    """Run the four reference sweeps and evaluate their agreement checks.
+    """Run the reference sweeps and evaluate their agreement checks.
 
     Returns (reports, results).  Panel b is the error view of panel a and
     shares its sweep.  Thresholds: panel a needs interior correlation
@@ -540,97 +544,34 @@ def fig4_suite(outdir: str | None = None):
     need interior correlation >= 0.95 and the error must trend upward over
     the 5 outermost compared points at each end.
     """
-    reports = []
-    results = {}
-
-    cfg_a = reference_sweep_configs()["a"]
-    res_a = run_sweep(cfg_a)
-    results["a"] = res_a
-    s = res_a.summary
-    checks_a = {
-        "interior_correlation>=0.99": s.get("correlation_interior", 0.0) >= 0.99,
-        "interior_err<=0.1*max_exact": (
-            s.get("max_abs_err_interior", math.inf) <= 0.1 * s.get("max_abs_exact", 0.0)
-        ),
-    }
-    reports.append(PanelReport("a", s, checks_a, all(checks_a.values())))
-
-    # panel b: the |exact - asym| column of sweep a, emitted separately
-    reports.append(
+    results = {panel: run_sweep(cfg) for panel, cfg in reference_sweep_configs().items()}
+    s = results["a"].summary
+    reports = [
+        PanelReport("a", s, {
+            "interior_correlation>=0.99": s.get("correlation_interior", 0.0) >= 0.99,
+            "interior_err<=0.1*max_exact": (
+                s.get("max_abs_err_interior", math.inf) <= 0.1 * s.get("max_abs_exact", 0.0)
+            ),
+        }),
+        # panel b: the |exact - asym| column of sweep a, emitted separately
         PanelReport(
             "b",
             {"n_rows": s.get("n_rows"), "source": "abs_err column of panel a"},
-            {"err_column_present": all(bool(r.abs_err) for r in res_a.rows if r.exact and r.asym)},
-            all(bool(r.abs_err) for r in res_a.rows if r.exact and r.asym),
-        )
-    )
-
-    res_c = run_sweep(_panel_c_config())
-    results["c"] = res_c
-    sc = res_c.summary
-    slopes_c = edge_error_slopes(res_c) or (0.0, 0.0)
-    checks_c = {
-        "interior_correlation>=0.95": sc.get("correlation_interior", 0.0) >= 0.95,
-        "error_grows_toward_edges": slopes_c[0] > 0.0 and slopes_c[1] > 0.0,
-    }
-    reports.append(PanelReport("c", sc, checks_c, all(checks_c.values())))
-
-    cfg_d = reference_sweep_configs()["d"]
-    res_d = run_sweep(cfg_d)
-    results["d"] = res_d
-    sd = res_d.summary
-    slopes_d = edge_error_slopes(res_d) or (0.0, 0.0)
-    checks_d = {
-        "interior_correlation>=0.95": sd.get("correlation_interior", 0.0) >= 0.95,
-        "error_grows_toward_edges": slopes_d[0] > 0.0 and slopes_d[1] > 0.0,
-    }
-    reports.append(PanelReport("d", sd, checks_d, all(checks_d.values())))
+            {"err_column_present": all(bool(r.abs_err) for r in results["a"].rows
+                                       if r.exact and r.asym)},
+        ),
+    ]
+    for panel in ("c", "d"):
+        summary = results[panel].summary
+        slopes = edge_error_slopes(results[panel]) or (0.0, 0.0)
+        reports.append(PanelReport(panel, summary, {
+            "interior_correlation>=0.95": summary.get("correlation_interior", 0.0) >= 0.95,
+            "error_grows_toward_edges": slopes[0] > 0.0 and slopes[1] > 0.0,
+        }))
 
     if outdir is not None:
-        import os
-
         os.makedirs(outdir, exist_ok=True)
-        write_outputs(res_a, os.path.join(outdir, "fig_a.csv"))
-        _write_error_view(res_a, os.path.join(outdir, "fig_b.csv"))
-        write_outputs(res_c, os.path.join(outdir, "fig_c.csv"))
-        write_outputs(res_d, os.path.join(outdir, "fig_d.csv"))
+        for result in results.values():
+            write_outputs(result, os.path.join(outdir, result.config.out))
+        _write_error_view(results["a"], os.path.join(outdir, "fig_b.csv"))
     return reports, results
-
-
-def _panel_c_config() -> SweepConfig:
-    """Sweep over j1 with the grid {j1+1/2, 201/2, j1+3; 1, 60, 61;
-    j1+3/2, 225/2, 99/2}: j1, j12 and j13 move with the half-odd swept
-    parameter j1_base, at fixed twice offsets."""
-    return SweepConfig(
-        kind="9j",
-        spins_twice={"j2": 201, "s": 2, "j4": 120, "j34": 122, "j24": 225, "j5": 99},
-        sweep_slot="j1_base",
-        start_twice=127,   # swept parameter is half-odd: 63.5 .. 159.5
-        stop_twice=319,
-        formulas=("exact", "asym9j"),
-        offsets={"j1": 1, "j12": 6, "j13": 3},
-    )
-
-
-def _write_error_view(result: SweepResult, csv_path: str) -> None:
-    """Panel-b style output: sweep value against |exact - asym|."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("sweep_twice,abs_err,flag\n")
-        for row in result.rows:
-            if row.abs_err:
-                fh.write(f"{row.sweep_twice},{row.abs_err},{row.flag}\n")
-    plot_path = csv_path.rsplit(".", 1)[0] + ".gnuplot"
-    name = csv_path.rsplit("/", 1)[-1]
-    with open(plot_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "\n".join(
-                [
-                    "set datafile separator ','",
-                    "set title 'absolute error, exact vs asymptotic'",
-                    "set logscale y",
-                    f"plot '{name}' using ($1/2):2 every ::1 with points pt 7 ps 0.5 title '|exact-asym|'",
-                    "pause -1",
-                ]
-            )
-            + "\n"
-        )

@@ -11,6 +11,8 @@ Growing the table only appends primes, so a cached vector stays aligned.
 The cache holds at most 2**20 exponents in total, about 8 MB of list slots
 on a 64-bit build; it is emptied when a new vector would exceed that.  A
 cold run of 24 3j and 10 6j at spins 100-2000 plus one 15j stores about 50k.
+Factorial arguments above ``MAX_FACTORIAL`` raise ValueError before any
+sieving.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from math import isqrt, prod
 from operator import add
 
 _VECTOR_CACHE_ENTRIES = 1 << 20
+
+#: Largest n whose n! the ledger factors.  Its prime sieve takes one byte
+#: per integer up to n, so this bound caps the sieve at 10 MB.
+MAX_FACTORIAL = 10**7
 
 
 def _sieve(limit: int) -> list:
@@ -68,9 +74,11 @@ class FactorialLedger:
 
     def primes_upto(self, n: int) -> list:
         if n > self._limit:
+            if n > MAX_FACTORIAL:
+                raise ValueError(f"cannot factor {n}!: above the bound {MAX_FACTORIAL}")
             with self._grow_lock:
                 if n > self._limit:
-                    new_limit = max(n, 2 * self._limit)
+                    new_limit = min(max(n, 2 * self._limit), MAX_FACTORIAL)
                     self._primes = _sieve(new_limit)   # grow, then publish
                     self._limit = new_limit
         primes = self._primes

@@ -66,15 +66,3 @@ def small_d(s, mu, nu, beta: float) -> float:
         total += coeff * c ** cos_pow * z ** sin_pow
     return total
 
-
-def d_symmetry_flip(s, mu, nu, beta: float):
-    """The reflection used to flip both projections of a small-d element.
-
-    Returns (phase, (s, mu', nu', beta')) with
-    phase * d(s, mu', nu', beta') == d(s, mu, nu, beta),
-    namely d_{mu nu}(b) = (-1)^(s+mu) d_{mu, -nu}(pi - b).
-    """
-    s, mu, nu = HalfInt(s), HalfInt(mu), HalfInt(nu)
-    _check_projections(s, mu, nu)
-    phase = -1 if ((s.twice + mu.twice) // 2) % 2 else 1
-    return phase, (s, mu, -nu, math.pi - beta)

@@ -1,8 +1,9 @@
-"""Test-only oracles: numpy SU(2) algebra and vertex embeddings.
+"""Test-only oracles: numpy SU(2) algebra, vertex embeddings, the Schlafli
+residual, the small-d reflection and the xi-sum form of the 3nj asymptotics.
 
 They check the package from outside it (Euler angles of the glued
-triangles, dihedrals and volumes from coordinates) and are not part of its
-runtime.
+triangles, dihedrals and volumes from coordinates, the resummed chain
+formula against its unresummed form) and are not part of its runtime.
 """
 
 from __future__ import annotations
@@ -13,8 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wigner_asym.asymptotics import (
+    DEFAULT_SMALL_RATIO,
+    QUARTER_PI,
+    AsymDiagnostics,
+    SmallSpinMarking,
+    _chain_prep,
+    _chain_sign,
+    _end_triangles,
+    _small_l_factor,
+)
 from wigner_asym.errors import DegenerateTriangle, DegenerateVertex, NotClassicallyAllowed
-from wigner_asym.geometry import _SINE_TOL, ACOS_CLAMP_TOL, Tetrahedron
+from wigner_asym.exact import Symbol3nj
+from wigner_asym.geometry import (
+    _SINE_TOL,
+    ACOS_CLAMP_TOL,
+    DEFAULT_CAUSTIC_EPS,
+    EDGE_NAMES,
+    Tetrahedron,
+    dihedral_external,
+    triangle_angle,
+)
+from wigner_asym.halfint import HalfInt
+from wigner_asym.wigner_d import _check_projections, small_d
 
 
 def embed_vertices(t: Tetrahedron) -> np.ndarray:
@@ -129,3 +151,82 @@ def _wrap_pi(angle: float) -> float:
     if out < 0:
         out += 2.0 * math.pi
     return out - math.pi
+
+
+# ----------------------------------------------------------------------
+# Independent routes through the package's formulas
+# ----------------------------------------------------------------------
+
+def d_symmetry_flip(s, mu, nu, beta: float):
+    """The reflection used to flip both projections of a small-d element.
+
+    Returns (phase, (s, mu', nu', beta')) with
+    phase * d(s, mu', nu', beta') == d(s, mu, nu, beta),
+    namely d_{mu nu}(b) = (-1)^(s+mu) d_{mu, -nu}(pi - b).
+    """
+    s, mu, nu = HalfInt(s), HalfInt(mu), HalfInt(nu)
+    _check_projections(s, mu, nu)
+    phase = -1 if ((s.twice + mu.twice) // 2) % 2 else 1
+    return phase, (s, mu, -nu, math.pi - beta)
+
+
+def schlafli_residual(t: Tetrahedron, h_rel: float = 1e-5) -> float:
+    """Numerical defect of the Schlafli identity sum_e l_e dTheta_e = 0.
+
+    For each edge e0, perturb its length by +-h (h = h_rel * l_e0), and
+    evaluate |sum_e l_e (Theta_e(+h) - Theta_e(-h)) / (2h)|; returns the
+    maximum over the six choices of e0.
+    """
+    worst = 0.0
+    base = list(t.lengths)
+    for i0 in range(6):
+        h = h_rel * base[i0]
+        plus = list(base)
+        minus = list(base)
+        plus[i0] += h
+        minus[i0] -= h
+        t_plus = Tetrahedron(tuple(plus))
+        t_minus = Tetrahedron(tuple(minus))
+        acc = 0.0
+        for i, name in enumerate(EDGE_NAMES):
+            d_theta = dihedral_external(t_plus, name) - dihedral_external(t_minus, name)
+            acc += base[i] * d_theta / (2.0 * h)
+        worst = max(worst, abs(acc))
+    return worst
+
+
+def asym_3nj_xi_sum(
+    sym: Symbol3nj,
+    mark: SmallSpinMarking,
+    caustic_eps: float = DEFAULT_CAUSTIC_EPS,
+    small_ratio: float = DEFAULT_SMALL_RATIO,
+) -> float:
+    """The 3nj asymptotics of ``asym_3nj`` before the sign-configuration
+    resummation: a direct sum over the residual intermediate-spin offset.
+    Agrees with ``asym_3nj`` to machine precision; kept as an independent
+    route through the angle bookkeeping."""
+    diag = AsymDiagnostics()
+    chain = _chain_prep(sym, mark, caustic_eps, diag, small_ratio)
+    if chain is None:
+        return 0.0
+    nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
+    n = nsym.n
+    j1 = nsym.j[0]
+    l = nsym.l
+    m_count = len(small_l)
+    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(nsym))
+    small_factor = _small_l_factor(chain, diag)
+
+    total = 0.0
+    for t_xi in range(-j1.twice, j1.twice + 1, 2):
+        xi = HalfInt.from_twice(t_xi)
+        wrap = (n + m_count) * ((j1.twice - t_xi) // 2)
+        sign = -1.0 if wrap % 2 else 1.0
+        prod = 1.0
+        for p, theta in chain.thetas.items():
+            prod *= math.cos(chain.actions[p] + float(xi) * (math.pi - theta) + QUARTER_PI)
+            prod /= math.sqrt(12.0 * math.pi * chain.volumes[p])
+        total += sign * small_d(j1, mu, xi, phi1) * small_d(j1, xi, nu, phin) * prod
+
+    amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
+    return _chain_sign(nsym, small_l, mu) * (amplitude * total)

@@ -41,7 +41,6 @@ from wigner_asym.geometry import (
     Tetrahedron,
     dihedral_internal,
     euler_from_glued_triangles,
-    schlafli_residual,
     volume,
 )
 from wigner_asym.halfint import HalfInt
@@ -55,7 +54,7 @@ from wigner_asym.identities import (
 from wigner_asym.harness import edge_error_slopes, fig4_suite
 
 from conftest import random_realizable_tet, sample_chain_15j, to_mpf
-from oracles import embed_vertices, su2_euler_product, su2_extract_euler
+from oracles import embed_vertices, schlafli_residual, su2_euler_product, su2_extract_euler
 
 H = HalfInt.from_twice
 

@@ -15,7 +15,6 @@ from wigner_asym.asymptotics import (
     SmallSpinMarking,
     Violation,
     asym_3nj,
-    asym_3nj_xi_sum,
     asym_9j_one_small,
     asym_15j_four_small,
     asym_15j_one_small,
@@ -35,6 +34,7 @@ from wigner_asym.geometry import Tetrahedron, volume
 from wigner_asym.halfint import HalfInt
 
 from conftest import sample_chain_15j, to_mpf
+from oracles import asym_3nj_xi_sum
 
 H = HalfInt.from_twice
 

@@ -28,14 +28,13 @@ from wigner_asym.geometry import (
     law_of_cosines,
     omega_classify,
     regge_action,
-    schlafli_residual,
     triangle_angle,
     volume,
 )
 from wigner_asym.halfint import HalfInt
 
 from conftest import embedded_tet, random_realizable_tet
-from oracles import embed_vertices, su2_euler_product, su2_extract_euler
+from oracles import embed_vertices, schlafli_residual, su2_euler_product, su2_extract_euler
 
 
 def test_triangle_angle_frozen_cases():

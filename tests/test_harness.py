@@ -250,7 +250,7 @@ def test_6j_sweep_skips_clebsch_gordan_forbidden_points():
 
 def test_reference_configs_exposed():
     cfgs = reference_sweep_configs()
-    assert set(cfgs) == {"a", "d"}
+    assert set(cfgs) == {"a", "c", "d"}
     assert cfgs["a"].sweep_slot == "j24"
 
 
@@ -301,6 +301,24 @@ def test_cli_asym_huge_edges_exit_2():
     proc = run_cli("asym", "pr6j", *[str(2 * 10 ** 60)] * 6)
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+def test_cli_exact_huge_spins_exit_2():
+    # spins of 10^60: the factorial ledger would sieve primes up to 3*10^60
+    proc = run_cli("exact", "6j", *[str(2 * 10 ** 60)] * 5, "2")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_cli_asym_rejects_bad_caustic_eps(capsys, eps):
+    # {4 4 6; 4 4 6} is forbidden; a NaN guard would call it allowed and
+    # report it as flat, and --strict-allowed would never fire
+    for strict in ([], ["--strict-allowed"]):
+        assert cli.main(["asym", "pr6j", "8", "8", "12", "8", "8", "12",
+                         "--caustic-eps", eps, *strict]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])
@@ -387,9 +405,23 @@ FIG4_SHA256 = {
 }
 
 
+#: stdout of ``verify fig4``: every check of every panel, in order
+FIG4_STDOUT = (
+    "panel a: interior_correlation>=0.99: PASS\n"
+    "panel a: interior_err<=0.1*max_exact: PASS\n"
+    "panel b: err_column_present: PASS\n"
+    "panel c: interior_correlation>=0.95: PASS\n"
+    "panel c: error_grows_toward_edges: PASS\n"
+    "panel d: interior_correlation>=0.95: PASS\n"
+    "panel d: error_grows_toward_edges: PASS\n"
+)
+
+
 def test_verify_fig4_outputs_are_pinned(tmp_path, capsys):
     assert cli.main(["verify", "fig4", "--out", str(tmp_path)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out == FIG4_STDOUT
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == FIG4_SHA256
 

@@ -129,3 +129,19 @@ def test_vector_cache_stays_bounded_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert sum(len(v) for v in ledger._vectors.values()) <= 200
+
+
+def test_factorial_above_bound_rejected_before_sieving(monkeypatch):
+    ledger = FactorialLedger()
+    limit, primes = ledger._limit, ledger._primes
+    n = primefac.MAX_FACTORIAL + 1
+    for call in (ledger.factorial_exponents, lambda n: ledger.combined_exponents([(n, 1)])):
+        with pytest.raises(ValueError, match="above the bound"):
+            call(n)
+    # no prime table was built for n
+    assert ledger._limit == limit and ledger._primes is primes
+    # doubling the table stops at the bound
+    monkeypatch.setattr(primefac, "MAX_FACTORIAL", 1000)
+    ledger.primes_upto(300)
+    ledger.primes_upto(900)
+    assert ledger._limit == 1000 and ledger._primes[-1] == 997

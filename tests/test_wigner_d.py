@@ -12,11 +12,12 @@ import pytest
 
 from wigner_asym.errors import InvalidProjection
 from wigner_asym.halfint import HalfInt
-from wigner_asym.wigner_d import d_symmetry_flip, small_d
+from wigner_asym.wigner_d import small_d
 
 from oracles import (
     EulerTriple,
     Unitary2,
+    d_symmetry_flip,
     rotation_y,
     rotation_z,
     su2_euler_product,
