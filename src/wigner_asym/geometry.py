@@ -106,10 +106,10 @@ class Tetrahedron:
         return cm
 
     def caustic_tolerance(self, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
-        """eps * (mean edge)^6; ValueError unless eps is a number >= 0 (a
-        NaN guard would call every tetrahedron allowed)."""
-        if not eps >= 0.0:
-            raise ValueError(f"caustic eps must be a number >= 0, got {eps!r}")
+        """eps * (mean edge)^6; ValueError unless eps is finite and >= 0 (a NaN
+        guard calls every tetrahedron allowed, an infinite one near-caustic)."""
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"caustic eps must be a finite number >= 0, got {eps!r}")
         mean = sum(self.lengths) / 6.0
         return eps * mean ** 6
 

@@ -218,8 +218,8 @@ class SweepConfig:
                 numbers[key] = float(doc.get(key, default))
             except (TypeError, ValueError):
                 numbers[key] = math.nan
-            if not 0.0 <= numbers[key] <= upper:
-                problems[key] = f"must be a number in [0, {upper}]"
+            if not 0.0 <= numbers[key] <= upper or numbers[key] == math.inf:
+                problems[key] = f"must be a finite number in [0, {upper}]"
         lengths = doc.get("edmonds_lengths", "half")
         if lengths not in ("half", "sqrt"):
             problems["edmonds_lengths"] = f"expected half|sqrt, got {lengths!r}"

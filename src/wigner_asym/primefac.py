@@ -1,16 +1,16 @@
 """Prime-factorized factorial arithmetic.
 
 Quotients of factorial products are assembled as prime-exponent vectors
-(Legendre's formula), so the only big integers ever materialized are the
-reduced numerator and denominator of the final result.  This is what keeps
-exact 6j evaluation viable at spins of several hundred.
+(Legendre's formula) and multiplied out by a balanced product tree, so every
+big integer formed divides the reduced numerator or denominator.  This is
+what keeps exact 6j evaluation viable at spins of several hundred.
 
 The exponent vector of n! is computed once per n and cached as a list
 aligned with the prime table (entry i is the exponent of the i-th prime).
 Growing the table only appends primes, so a cached vector stays aligned.
 The cache holds at most 2**20 exponents in total, about 8 MB of list slots
 on a 64-bit build; it is emptied when a new vector would exceed that.  A
-cold run of 24 3j and 10 6j at spins 100-2000 plus one 15j stores about 50k.
+cold run of 24 3j and 10 6j at spins 100-2000 plus one 15j stores about 66k.
 Factorial arguments above ``MAX_FACTORIAL`` raise ValueError before any
 sieving.
 """
@@ -20,8 +20,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from fractions import Fraction
-from math import isqrt, prod
-from operator import add
+from math import isqrt
+from operator import add, mul
 
 _VECTOR_CACHE_ENTRIES = 1 << 20
 
@@ -102,13 +102,6 @@ class FactorialLedger:
                 self._vector_entries += len(vec)
         return vec
 
-    def factorial_exponents(self, n: int) -> dict:
-        """{prime: exponent} for n!."""
-        if n < 0:
-            raise ValueError("factorial of a negative number")
-        vec = self._exponent_vector(n)
-        return dict(zip(self._primes, vec))
-
     def combined_exponents(self, terms) -> dict:
         """Exponent vector of prod_i (n_i!)**c_i for terms = [(n_i, c_i)]."""
         weights = {}
@@ -131,19 +124,11 @@ class FactorialLedger:
         # Read the table after any growth above, so it covers acc.
         return {p: e for p, e in zip(self._primes, acc) if e}
 
-    def factorial(self, n: int) -> int:
-        """n! reconstructed from its exponent vector."""
-        return prod(p ** e for p, e in self.factorial_exponents(n).items())
-
     def factorial_quotient(self, terms) -> Fraction:
         """Exact value of prod_i (n_i!)**c_i as a Fraction in lowest terms."""
-        num, den = 1, 1
-        for p, e in self.combined_exponents(terms).items():
-            if e > 0:
-                num *= p ** e
-            else:
-                den *= p ** (-e)
-        return Fraction(num, den)
+        exps = self.combined_exponents(terms).items()
+        return Fraction(_product([p ** e for p, e in exps if e > 0]),
+                        _product([p ** -e for p, e in exps if e < 0]))
 
     def sqrt_factorial_quotient(self, terms):
         """Split sqrt(prod_i (n_i!)**c_i) into (rational, squarefree radicand).
@@ -151,17 +136,24 @@ class FactorialLedger:
         Returns (r, q) with the exact value equal to r*sqrt(q), r a positive
         Fraction and q a squarefree positive int.
         """
-        num, den = 1, 1
-        rad = 1
+        num, den, rad = [], [], []
         for p, e in self.combined_exponents(terms).items():
             half, odd = divmod(e, 2)   # divmod keeps odd in {0, 1} for e < 0
             if half > 0:
-                num *= p ** half
+                num.append(p ** half)
             elif half < 0:
-                den *= p ** (-half)
+                den.append(p ** -half)
             if odd:
-                rad *= p
-        return Fraction(num, den), rad
+                rad.append(p)
+        return Fraction(_product(num), _product(den)), _product(rad)
+
+
+def _product(factors: list) -> int:
+    """Product of ints by a balanced tree: adjacent pairs level by level, so
+    the big multiplications meet operands of like size."""
+    while len(factors) > 1:
+        factors = list(map(mul, factors[::2], factors[1::2] + [1]))
+    return factors[0] if factors else 1
 
 
 DEFAULT_LEDGER = FactorialLedger()

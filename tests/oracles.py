@@ -1,9 +1,11 @@
 """Test-only oracles: numpy SU(2) algebra, vertex embeddings, the Schlafli
-residual, the small-d reflection and the xi-sum form of the 3nj asymptotics.
+residual, the small-d reflection, the xi-sum form of the 3nj asymptotics,
+the Horner-rule 3j and 6j series and n! from the factorial ledger.
 
 They check the package from outside it (Euler angles of the glued
 triangles, dihedrals and volumes from coordinates, the resummed chain
-formula against its unresummed form) and are not part of its runtime.
+formula against its unresummed form, binary splitting against Horner's
+rule) and are not part of its runtime.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from wigner_asym.geometry import (
     triangle_angle,
 )
 from wigner_asym.halfint import HalfInt
+from wigner_asym.primefac import FactorialLedger as _Ledger
 from wigner_asym.wigner_d import _check_projections, small_d
 
 
@@ -230,3 +233,53 @@ def asym_3nj_xi_sum(
 
     amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
     return _chain_sign(nsym, small_l, mu) * (amplitude * total)
+
+
+# ----------------------------------------------------------------------
+# Exact sums by the plain route
+# ----------------------------------------------------------------------
+
+def threej_series_horner(a, b, c, d, e):
+    """``exact._threej_series`` by Horner's rule on the whole window."""
+    kmin = max(0, -d, -e)
+    kmax = min(a, b, c)
+    head = [(kmin, -1), (a - kmin, -1), (b - kmin, -1),
+            (c - kmin, -1), (d + kmin, -1), (e + kmin, -1)]
+    num = den = 1
+    for k in range(kmax - 1, kmin - 1, -1):
+        step = (k + 1) * (d + k + 1) * (e + k + 1) * den
+        num, den = step - (a - k) * (b - k) * (c - k) * num, step
+    return head, -num if kmin % 2 else num, den
+
+
+def racah_series_horner(ta, tb, tc, td, te, tf):
+    """``exact._racah_series`` by Horner's rule on the whole window."""
+    t1, t2, t3, t4 = tsum = ((ta + tb + tc) // 2, (ta + te + tf) // 2,
+                             (td + tb + tf) // 2, (td + te + tc) // 2)
+    p1, p2, p3 = psum = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
+                         (ta + tc + td + tf) // 2)
+    zmin = max(tsum)
+    zmax = min(psum)
+    head = ([(zmin + 1, 1)] + [(zmin - t, -1) for t in tsum]
+            + [(p - zmin, -1) for p in psum])
+    num = den = 1
+    for z in range(zmax - 1, zmin - 1, -1):
+        step = (z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) * den
+        num, den = step - (z + 2) * (p1 - z) * (p2 - z) * (p3 - z) * num, step
+    return head, -num if zmin % 2 else num, den
+
+
+class FactorialLedger(_Ledger):
+    """The package's factorial ledger plus n! and its exponent dict, which
+    only tests read."""
+
+    def factorial_exponents(self, n: int) -> dict:
+        """{prime: exponent} for n!."""
+        if n < 0:
+            raise ValueError("factorial of a negative number")
+        vec = self._exponent_vector(n)
+        return dict(zip(self._primes, vec))
+
+    def factorial(self, n: int) -> int:
+        """n! reconstructed from its exponent vector."""
+        return math.prod(p ** e for p, e in self.factorial_exponents(n).items())

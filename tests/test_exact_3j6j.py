@@ -3,7 +3,8 @@
 The 3j engine is checked against Clebsch-Gordan coefficients built by
 highest-weight construction, ladder lowering and Gram-Schmidt (no Racah
 sum anywhere); the 6j engine is then checked against the contraction of
-four 3j symbols over all projections.
+four 3j symbols over all projections.  The binary splitting of long
+windows is checked against Horner's rule integer for integer.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wigner_asym import exact
 from wigner_asym.exact import wigner3j, wigner6j
 from wigner_asym.halfint import HalfInt
 from wigner_asym.sqrtrat import SqrtRational
+
+from oracles import racah_series_horner, threej_series_horner
 
 H = HalfInt.from_twice
 
@@ -338,3 +342,72 @@ def test_6j_all_24_symmetry_layouts_fresh():
                     reference = value
                 else:
                     assert value == reference, (t, layout)
+
+
+# ----------------------------------------------------------------------
+# binary splitting against Horner's rule
+# ----------------------------------------------------------------------
+
+def threej_with_window(rng, terms):
+    """(a, b, c, d, e) of a 3j series whose window has ``terms`` terms."""
+    d, e = rng.randrange(-60, 60), rng.randrange(-60, 60)
+    top = max(0, -d, -e) + terms - 1
+    abc = [top, top + rng.randrange(0, 40), top + rng.randrange(0, 40)]
+    rng.shuffle(abc)
+    return (*abc, d, e)
+
+
+def sixj_with_window(rng, terms, spread=40):
+    """Twice values of a valid 6j whose Racah window has ``terms`` terms."""
+    while True:
+        t = tuple(rng.randrange(2 * terms - 2, 2 * terms + spread) for _ in range(6))
+        window = sixj_window(t)
+        if window is not None and min(window[2]) - max(window[1]) + 1 == terms:
+            return t
+
+
+@pytest.mark.parametrize("terms", [31, 32, 33, 64, 65])
+def test_split_matches_horner_at_leaf_edges(monkeypatch, terms):
+    """With every window sent to binary splitting, leaves of the split meet
+    each window on either side of one and two leaf lengths; the split gives
+    Horner's own head, numerator and denominator, not just an equal
+    fraction."""
+    assert exact._LEAF == 32
+    monkeypatch.setattr(exact, "_HORNER", 0)
+    rng = random.Random(terms)
+    for _ in range(3):
+        abcde = threej_with_window(rng, terms)
+        assert exact._threej_series(*abcde) == threej_series_horner(*abcde), abcde
+        t = sixj_with_window(rng, terms)
+        assert exact._racah_series(*t) == racah_series_horner(*t), t
+
+
+def test_split_matches_horner_on_long_windows():
+    """Unpatched, on both sides of the switch from Horner's rule to binary
+    splitting and on one 6j near spin 2000."""
+    rng = random.Random(2000)
+    for terms in (exact._HORNER, exact._HORNER + 1, 900):
+        abcde = threej_with_window(rng, terms)
+        assert exact._threej_series(*abcde) == threej_series_horner(*abcde), abcde
+        t = sixj_with_window(rng, terms, spread=400)
+        assert exact._racah_series(*t) == racah_series_horner(*t), t
+    t = (3818, 3307, 3937, 3542, 3815, 3695)
+    _, t_sums, p_sums = sixj_window(t)
+    assert min(p_sums) - max(t_sums) + 1 > 1500
+    assert exact._racah_series(*t) == racah_series_horner(*t)
+
+
+def test_split_6j_matches_sympy():
+    """Exact equality with sympy.physics.wigner on a 6j whose window is
+    summed by binary splitting."""
+    wigner = pytest.importorskip("sympy.physics.wigner")
+    import sympy
+
+    t = (1401, 1301, 1200, 1250, 1350, 1321)
+    _, t_sums, p_sums = sixj_window(t)
+    assert min(p_sums) - max(t_sums) + 1 > exact._HORNER
+    ours = wigner6j(*(H(x) for x in t))
+    theirs = wigner.wigner_6j(*(sympy.Rational(x, 2) for x in t), prec=None)
+    assert not ours.is_zero
+    assert theirs == (ours.sign * sympy.Rational(ours.rat.numerator, ours.rat.denominator)
+                      * sympy.sqrt(ours.rad))

@@ -89,6 +89,16 @@ def test_9j_exact_zero_for_every_pivot():
         assert wigner9j(sym, pivot=p).value == SqrtRational.zero(), p
 
 
+def test_factorial_step_rejects_unpaired_terms():
+    # (5!/3!) (5!/4!) (1!/2!)^2 = 20 * 5 / 4
+    assert exact._factorial_step([(3, 1), (5, -1), (2, 2)],
+                                 [(5, 1), (4, -1), (1, 2)]) == 25
+    with pytest.raises(InternalConsistencyError):
+        exact._factorial_step([(3, 1), (2, -1)], [(4, 1)])
+    with pytest.raises(InternalConsistencyError):
+        exact._factorial_step([(3, 1)], [(4, -1)])
+
+
 def test_chain_sum_rejects_unpaired_x_triads():
     # {1 2 x; 1 1 1} alone: the x-triads (1, 2, x) and (1, 1, x) each occur
     # once, so their triangle coefficients cannot square out
@@ -201,11 +211,30 @@ def test_3nj_engine_with_equal_columns():
         assert value == _oracle_3nj(sym)
 
 
+def _chain_sixjs(sym):
+    """The twice-value 6j of wigner3nj's chain for sym, X in the x slot."""
+    n = sym.n
+    j, k, l = ([v.twice for v in row] for row in (sym.j, sym.k, sym.l))
+    return ([(j[p], k[p], X, k[p + 1], j[p + 1], l[p]) for p in range(n - 1)]
+            + [(j[n - 1], k[n - 1], X, j[0], k[0], l[n - 1])])
+
+
+def _zmin_triads(six):
+    """Indices of the triads (abc, aef, dbf, dec) whose sum sets the lower
+    end of the 6j's Racah window (twice values)."""
+    a, b, c, d, e, f = six
+    t = ((a + b + c) // 2, (a + e + f) // 2, (d + b + f) // 2, (d + e + c) // 2)
+    return {i for i, v in enumerate(t) if v == max(t)}
+
+
 def test_chain_work_count(monkeypatch):
-    """A chain takes one square root per symbol and at most one factorial
-    quotient per summation spin, and never calls the standalone 6j.  A
-    standalone 6j is a chain of one symbol: one square root and one
-    factorial quotient per call, a repeat or a symmetry image included."""
+    """A chain takes one square root and one factorial quotient, and never
+    calls the standalone 6j: every x after the first steps the factorial
+    part by an integer ratio.  That holds when the lower end of a Racah
+    window moves from a triad without x to one with x, and across an x
+    whose term is exactly 0.  A standalone 6j is a chain of one symbol: one
+    square root and one factorial quotient per call, a repeat or a
+    symmetry image included."""
     counts = Counter()
 
     def counting(name, fn):
@@ -223,19 +252,33 @@ def test_chain_work_count(monkeypatch):
         counts.clear()
         res = wigner9j(sym, pivot=p)
         assert not res.value.is_zero
+        assert len(res.terms) > 1, p
         assert counts["sqrt_factorial_quotient"] == 1, (p, counts)
-        assert counts["factorial_quotient"] <= len(res.terms), (p, counts)
+        assert counts["factorial_quotient"] == 1, (p, counts)
         assert counts["wigner6j"] == 0, (p, counts)
     rng = random.Random(17)
-    for n in (3, 5, 6):
-        chain = random_valid_chain(rng, n, tmax=16)
-        lo = max(abs(a.twice - b.twice) for a, b in zip(chain.j, chain.k))
-        hi = min(a.twice + b.twice for a, b in zip(chain.j, chain.k))
+    chains = [random_valid_chain(rng, n, tmax=16) for n in (3, 5, 6)]
+    # in its third 6j the lower end of the Racah window moves from the
+    # triad (k4 k3 l3), without x, to (k4 j4 x)
+    switch = Symbol3nj((H(8), H(6), H(4), H(8)), (H(10), H(10), H(12), H(10)),
+                       (H(8), H(8), H(10), H(6)))
+    # the term of the seventh x is exactly 0
+    zero = Symbol3nj((H(10), H(10), H(10)), (H(14), H(12), H(12)), (H(2), H(2), H(8)))
+    for chain in chains + [switch, zero]:
         counts.clear()
-        wigner3nj(chain)
-        assert counts["sqrt_factorial_quotient"] == 1, (n, counts)
-        assert counts["factorial_quotient"] <= (hi - lo) // 2 + 1, (n, counts)
-        assert counts["wigner6j"] == 0, (n, counts)
+        value = wigner3nj(chain)
+        assert counts["sqrt_factorial_quotient"] == 1, (chain, counts)
+        assert counts["factorial_quotient"] == 1, (chain, counts)
+        assert counts["wigner6j"] == 0, (chain, counts)
+        assert value == _oracle_3nj(chain), chain
+    sixjs = _chain_sixjs(switch)
+    lo = max(abs(a - b) for a, b, *_ in sixjs)
+    hi = min(a + b for a, b, *_ in sixjs)
+    third = [(lo if v is X else v for v in sixjs[2]), (hi if v is X else v for v in sixjs[2])]
+    assert [_zmin_triads(tuple(s)) for s in third] == [{2}, {3}]
+    _, _, terms = _chain_sum(_chain_sixjs(zero), lambda tx: tx + 1)
+    assert [q == 0 for _, q in terms].index(True) == 6 and terms[-1][1] != 0
+    assert not wigner3nj(zero).is_zero
     six = (5, 4, 3, 2, 3, 4)
     for spins in (six, six, (4, 5, 3, 3, 2, 4), (2, 3, 3, 5, 4, 4)):
         counts.clear()

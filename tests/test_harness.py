@@ -101,6 +101,7 @@ def test_config_validation_errors():
         ({**FIG_A_CONFIG, "pivot": "zz"}, "pivot"),
         ({**FIG_A_CONFIG, "edmonds_lengths": "cube"}, "edmonds_lengths"),
         ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
+        ({**FIG_A_CONFIG, "caustic_eps": math.inf}, "caustic_eps"),
         ({**FIG_A_CONFIG, "trim_fraction": 0.9}, "trim_fraction"),
         ({**FIG_A_CONFIG, "out": 5}, "out"),
         ({**FIG_A_CONFIG, "formulas": 5}, "formulas"),
@@ -310,10 +311,11 @@ def test_cli_exact_huge_spins_exit_2():
     assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("eps", ["-1", "nan"])
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
 def test_cli_asym_rejects_bad_caustic_eps(capsys, eps):
-    # {4 4 6; 4 4 6} is forbidden; a NaN guard would call it allowed and
-    # report it as flat, and --strict-allowed would never fire
+    # {4 4 6; 4 4 6} is forbidden; a NaN guard would call it allowed and an
+    # infinite one near-caustic, both report it as flat, and
+    # --strict-allowed would never fire
     for strict in ([], ["--strict-allowed"]):
         assert cli.main(["asym", "pr6j", "8", "8", "12", "8", "8", "12",
                          "--caustic-eps", eps, *strict]) == 2

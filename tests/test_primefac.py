@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from wigner_asym import primefac
-from wigner_asym.primefac import FactorialLedger, prime_exponent_in_factorial
+from wigner_asym.primefac import prime_exponent_in_factorial
+
+from oracles import FactorialLedger
 
 
 def test_reconstructed_factorials_match_iterative():
