@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exact import Symbol3nj, Symbol9j
 from .geometry import (
-    DEFAULT_CAUSTIC_EPS,
     Tetrahedron,
     dihedral_external,
     dihedral_internal,
@@ -67,15 +66,15 @@ class Violation:
     message: str
 
 
-def _oscillatory_tet(spins, label: str, key: str, caustic_eps: float,
-                     diag: AsymDiagnostics, tet: Tetrahedron | None = None):
+def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics,
+                     tet: Tetrahedron | None = None):
     """Tetrahedron, volume and Regge action of an all-large 6j factor.
 
-    ``tet`` is the tetrahedron of ``spins`` if already built.  Edge lengths
-    that do not close count as deep classically-forbidden: like a
-    tetrahedron beyond the caustic guard or a flat one, they raise
-    NotClassicallyAllowed.  Within the guard the factor is flagged
-    ``near_caustic:<key>``; its volume and action are recorded under ``key``.
+    ``tet`` is the tetrahedron of ``spins`` if already built.  A Cayley-Menger
+    determinant <= 0 (forbidden or flat) raises NotClassicallyAllowed, and
+    so do edge lengths that do not close, as deep classically-forbidden.
+    Within the caustic guard the factor is flagged ``near_caustic:<key>``;
+    its volume and action are recorded under ``key``.
     """
     if tet is None:
         try:
@@ -85,15 +84,14 @@ def _oscillatory_tet(spins, label: str, key: str, caustic_eps: float,
                 f"{label}: edge lengths do not close into a tetrahedron ({exc})",
                 float("-inf"),
             ) from exc
-    status = tet.status(caustic_eps)
-    if status == "forbidden":
-        raise NotClassicallyAllowed(f"{label} not classically allowed", tet.cayley_menger())
-    if status == "near_caustic":
+    cm = tet.cayley_menger()
+    if cm <= 0.0:
+        raise NotClassicallyAllowed(
+            f"{label} not classically allowed (Cayley-Menger determinant {cm:.6g})", cm)
+    if tet.status() == "near_caustic":
         diag.flags.append(f"near_caustic:{key}")
-    vol = volume(tet, caustic_eps)
-    if vol <= 0.0:
-        raise NotClassicallyAllowed(f"{label} is flat", tet.cayley_menger())
-    action = regge_action(tet, spins, caustic_eps)
+    vol = volume(tet)
+    action = regge_action(tet, spins)
     diag.volumes[key] = vol
     diag.regge_actions[key] = action
     return tet, vol, action
@@ -103,35 +101,28 @@ def _oscillatory_tet(spins, label: str, key: str, caustic_eps: float,
 # 6j asymptotics
 # ----------------------------------------------------------------------
 
-def pr_6j(spins, caustic_eps: float = DEFAULT_CAUSTIC_EPS):
+def pr_6j(spins):
     """Oscillatory 6j asymptotics cos(S_R + pi/4)/sqrt(12 pi V) for six
     large spins in the standard layout {a b c; d e f}."""
     spins = [HalfInt(j) for j in spins]
     diag = AsymDiagnostics()
-    _, vol, action = _oscillatory_tet(spins, "tetrahedron", "tet", caustic_eps, diag)
+    _, vol, action = _oscillatory_tet(spins, "tetrahedron", "tet", diag)
     value = math.cos(action + QUARTER_PI) / math.sqrt(12.0 * math.pi * vol)
     return value, diag
 
 
-def edmonds_6j(a, b, c, m, n, f, lengths: str = "half") -> float:
+def edmonds_6j(a, b, c, m, n, f) -> float:
     """One-small-spin 6j asymptotics for {a b c; b+m a+n f}:
     (-1)^(a+b+c+f+m) d^(f)_{mn}(phi_ab) / sqrt(d_a d_b),
     with phi_ab the angle between the a and b edges of the triangle
-    (a, b, c).  ``lengths`` picks l = j + 1/2 ("half") or sqrt(j(j+1))
-    ("sqrt"); the two differ at sub-leading order only.
+    (a, b, c), edge lengths l = j + 1/2.
     """
     a, b, c, f = HalfInt(a), HalfInt(b), HalfInt(c), HalfInt(f)
     m, n = HalfInt(m), HalfInt(n)
     for proj in (m, n):
         if not _projection_ok(proj, f):
             raise ValueError(f"projection {proj} invalid for small spin {f}")
-    if lengths == "half":
-        la, lb, lc = (edge_length_from_spin(x) for x in (a, b, c))
-    elif lengths == "sqrt":
-        la, lb, lc = (math.sqrt(float(x) * (float(x) + 1.0)) for x in (a, b, c))
-    else:
-        raise ValueError("lengths must be 'half' or 'sqrt'")
-    phi = triangle_angle(la, lb, lc)
+    phi = _spin_angle(a, b, c)
     phase = _int_phase(halfint_sum([a, b, c, f, m]), "edmonds phase a+b+c+f+m")
     return phase * small_d(f, m, n, phi) / math.sqrt(a.dim * b.dim)
 
@@ -140,11 +131,7 @@ def edmonds_6j(a, b, c, m, n, f, lengths: str = "half") -> float:
 # 9j with one small spin
 # ----------------------------------------------------------------------
 
-def asym_9j_one_small(
-    sym: Symbol9j,
-    caustic_eps: float = DEFAULT_CAUSTIC_EPS,
-    small_ratio: float = DEFAULT_SMALL_RATIO,
-):
+def asym_9j_one_small(sym: Symbol9j):
     """Asymptotics of a 9j symbol with a single small spin in the s slot.
 
     The eight large spins define a reference tetrahedron (the 6j
@@ -165,17 +152,15 @@ def asym_9j_one_small(
     large = [float(getattr(sym, name)) for name in
              ("j1", "j2", "j12", "j4", "j34", "j13", "j24", "j5")]
     med = sorted(large)[len(large) // 2]
-    if med > 0 and float(sym.s) / med > small_ratio:
+    if med > 0 and float(sym.s) / med > DEFAULT_SMALL_RATIO:
         diag.warnings.append(
             f"declared small spin s={sym.s} is {float(sym.s) / med:.2f} of the "
             f"median large spin; asymptotics may be poor"
         )
 
     tet1_spins = (sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24)
-    tet1, vol1, action = _oscillatory_tet(
-        tet1_spins, "reference tetrahedron", "tet1", caustic_eps, diag
-    )
-    theta24_ext = dihedral_external(tet1, "f", caustic_eps)
+    tet1, vol1, action = _oscillatory_tet(tet1_spins, "reference tetrahedron", "tet1", diag)
+    theta24_ext = dihedral_external(tet1, "f")
 
     l1 = edge_length_from_spin(sym.j1)
     l2 = edge_length_from_spin(sym.j2)
@@ -258,12 +243,7 @@ def normalize_marking(sym: Symbol3nj, mark: SmallSpinMarking):
     return rotated, small_l
 
 
-def validate_hypotheses(
-    sym: Symbol3nj,
-    mark: SmallSpinMarking,
-    caustic_eps: float = DEFAULT_CAUSTIC_EPS,
-    small_ratio: float = DEFAULT_SMALL_RATIO,
-):
+def validate_hypotheses(sym: Symbol3nj, mark: SmallSpinMarking):
     """Check the applicability conditions for the mixed-spin asymptotics.
 
     Returns a list of :class:`Violation`; empty means ok.  Error-grade
@@ -273,11 +253,10 @@ def validate_hypotheses(
     separation.
     """
     nsym, small_l = normalize_marking(sym, mark)
-    return _violations(nsym, small_l, _chain_tets(nsym, small_l), caustic_eps, small_ratio)
+    return _violations(nsym, small_l, _chain_tets(nsym, small_l))
 
 
-def _violations(nsym: Symbol3nj, small_l, tets: dict, caustic_eps: float,
-                small_ratio: float) -> list:
+def _violations(nsym: Symbol3nj, small_l, tets: dict) -> list:
     n = nsym.n
     out = []
     for m in sorted(small_l):
@@ -300,7 +279,7 @@ def _violations(nsym: Symbol3nj, small_l, tets: dict, caustic_eps: float,
     med = sorted(undeclared)[len(undeclared) // 2] if undeclared else 0.0
     if med > 0:
         for v in declared:
-            if v / med > small_ratio:
+            if v / med > DEFAULT_SMALL_RATIO:
                 out.append(
                     Violation(
                         "scale_ratio",
@@ -329,7 +308,7 @@ def _violations(nsym: Symbol3nj, small_l, tets: dict, caustic_eps: float,
                 )
             )
             continue
-        status = tet.status(caustic_eps)
+        status = tet.status()
         if status == "forbidden":
             out.append(
                 Violation(
@@ -387,11 +366,11 @@ class _Chain(NamedTuple):
     thetas: dict          # p -> its internal dihedral at the k1 edge
 
 
-def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, caustic_eps: float,
-                diag: AsymDiagnostics, small_ratio: float | None = None):
+def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
+                check_hypotheses: bool = False):
     """The set-up shared by the chain asymptotics.
 
-    Normalizes the marking and, when ``small_ratio`` is given, checks the
+    Normalizes the marking and, with ``check_hypotheses``, checks the
     hypotheses: HypothesisViolation on a hard violation, warnings into
     ``diag``.  Returns None, flagging ``invalid_symbol``, when a projection
     offset is out of range and the symbol vanishes.  Otherwise returns a
@@ -400,8 +379,8 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, caustic_eps: float,
     """
     nsym, small_l = normalize_marking(sym, mark)
     tets = _chain_tets(nsym, small_l)
-    if small_ratio is not None:
-        violations = _violations(nsym, small_l, tets, caustic_eps, small_ratio)
+    if check_hypotheses:
+        violations = _violations(nsym, small_l, tets)
         hard = [v for v in violations if v.severity == "error" and v.code != "caustic"]
         if hard:
             raise HypothesisViolation("marking violates applicability conditions", hard)
@@ -424,10 +403,9 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, caustic_eps: float,
     volumes, actions, thetas = {}, {}, {}
     for p, tet in tets.items():
         tet, volumes[p], actions[p] = _oscillatory_tet(
-            _chain_tet_spins(nsym, p), f"tetrahedron p={p}", f"tet_{p}",
-            caustic_eps, diag, tet,
+            _chain_tet_spins(nsym, p), f"tetrahedron p={p}", f"tet_{p}", diag, tet,
         )
-        thetas[p] = dihedral_internal(tet, "c", caustic_eps)
+        thetas[p] = dihedral_internal(tet, "c")
     return _Chain(nsym, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
 
 
@@ -465,12 +443,7 @@ def _small_l_factor(chain: _Chain, diag: AsymDiagnostics) -> float:
     return factor
 
 
-def asym_3nj(
-    sym: Symbol3nj,
-    mark: SmallSpinMarking,
-    caustic_eps: float = DEFAULT_CAUSTIC_EPS,
-    small_ratio: float = DEFAULT_SMALL_RATIO,
-):
+def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
     """General mixed-spin asymptotics of a first-kind 3nj symbol.
 
     One oscillatory tetrahedron per all-large decomposition 6j, one
@@ -479,7 +452,7 @@ def asym_3nj(
     residual phase.
     """
     diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag, small_ratio)
+    chain = _chain_prep(sym, mark, diag, check_hypotheses=True)
     if chain is None:
         return 0.0, diag
     nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
@@ -568,14 +541,13 @@ def _require_pattern(sym: Symbol3nj, mark: SmallSpinMarking, expected_l):
         raise ValueError(f"marking must declare small l indices {set(expected_l)}")
 
 
-def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking,
-                        caustic_eps: float = DEFAULT_CAUSTIC_EPS):
+def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with j1, l2, l3, l4 small: all decomposition 6js carry one small
     spin, no oscillation survives, and every relevant triangle degenerates
     to (j2, k2, k1)."""
     _require_pattern(sym, mark, {2, 3, 4})
     diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    chain = _chain_prep(sym, mark, diag)
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
@@ -589,14 +561,13 @@ def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking,
     return value, diag
 
 
-def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking,
-                         caustic_eps: float = DEFAULT_CAUSTIC_EPS):
+def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with j1, l2, l3 small: one oscillatory tetrahedron (p = 4); the
     secondary tetrahedron glues its faces at k1 with the external dihedral
     as the new internal angle."""
     _require_pattern(sym, mark, {2, 3})
     diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    chain = _chain_prep(sym, mark, diag)
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
@@ -632,15 +603,14 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking,
     return value, diag
 
 
-def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking,
-                       caustic_eps: float = DEFAULT_CAUSTIC_EPS):
+def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with j1, l2 small: two oscillatory tetrahedra (p = 3, 4), two
     distinct sign configurations.  Assumes the combined gluing angles stay
     in [0, pi] (near-regular tetrahedra); raises CaseAngleOutOfRange
     otherwise, in which case the general driver applies."""
     _require_pattern(sym, mark, {2})
     diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    chain = _chain_prep(sym, mark, diag)
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
@@ -698,14 +668,13 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking,
     return value, diag
 
 
-def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking,
-                       caustic_eps: float = DEFAULT_CAUSTIC_EPS):
+def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with only j1 small: three oscillatory tetrahedra (p = 2, 3, 4)
     and four distinct sign configurations, with gluing angles combined
     from the three internal dihedrals at k1 (near-regular regime)."""
     _require_pattern(sym, mark, set())
     diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag)
+    chain = _chain_prep(sym, mark, diag)
     if chain is None:
         return 0.0, diag
     mu, nu = chain.mu, chain.nu

@@ -2,7 +2,9 @@
 
 All spins are given as twice-integers (spin 1/2 -> 1, spin 30 -> 60), so
 half-integer inputs never need fraction parsing.  Exit codes: 0 ok,
-2 invalid input, 3 strict-mode geometric rejection, 4 verification failure.
+2 invalid input, 3 geometric rejection (a tetrahedron that is not
+classically allowed; with --strict-allowed also a near-caustic or invalid
+symbol), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except NotClassicallyAllowed as exc:
         print(f"not classically allowed: {exc}", file=sys.stderr)
-        if getattr(args, "strict_allowed", False):
-            return EXIT_NOT_ALLOWED
-        print("nan")
-        return EXIT_OK
+        return EXIT_NOT_ALLOWED
     except (ValueError, WignerAsymError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -82,9 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--small-l", default="",
                         help="comma-separated small l indices (3nj), e.g. 2,3")
     p_asym.add_argument("--n", type=int, default=None, help="chain length for 3nj")
-    p_asym.add_argument("--edmonds-lengths", choices=("half", "sqrt"), default="half")
-    p_asym.add_argument("--caustic-eps", type=float, default=1e-6)
-    p_asym.add_argument("--strict-allowed", action="store_true")
+    p_asym.add_argument("--strict-allowed", action="store_true",
+                        help="also exit 3 on a near-caustic tetrahedron or an invalid symbol")
     p_asym.add_argument("--diagnostics", action="store_true")
     p_asym.set_defaults(handler=cmd_asym)
 
@@ -123,7 +121,7 @@ def cmd_asym(args) -> int:
         spins = [a, b, c, b + m, a + n, f]
     sym = build_symbol(kind, spins, args.n or len(spins) // 3)
     marking = _parse_marking(args, formula) if kind in CHAIN_KINDS else None
-    value, diag = call(sym, marking, args.caustic_eps, args.edmonds_lengths)
+    value, diag = call(sym, marking)
     return _print_asym(args, value, diag)
 
 

@@ -17,7 +17,8 @@ class DegenerateVertex(WignerAsymError):
 
 
 class NotClassicallyAllowed(WignerAsymError):
-    """Cayley-Menger determinant is negative beyond tolerance.
+    """The Cayley-Menger determinant is negative (or zero where a volume
+    must be positive): no Euclidean tetrahedron has these edges.
 
     Carries the determinant value in ``determinant``.
     """

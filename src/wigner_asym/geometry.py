@@ -24,7 +24,8 @@ from .halfint import HalfInt
 EDGE_NAMES = ("a", "b", "c", "d", "e", "f")
 FACES = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
 
-#: Caustic guard: "classically allowed" needs CM > eps * (mean edge)^6.
+#: Caustic guard: an allowed tetrahedron with CM <= eps * (mean edge)^6
+#: is flagged near-caustic.
 DEFAULT_CAUSTIC_EPS = 1e-6
 
 #: Largest edge length a Tetrahedron accepts: up to it, the Cayley-Menger
@@ -105,22 +106,19 @@ class Tetrahedron:
             object.__setattr__(self, "_cm", cm)
         return cm
 
-    def caustic_tolerance(self, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
-        """eps * (mean edge)^6; ValueError unless eps is finite and >= 0 (a NaN
-        guard calls every tetrahedron allowed, an infinite one near-caustic)."""
-        if not 0.0 <= eps < math.inf:
-            raise ValueError(f"caustic eps must be a finite number >= 0, got {eps!r}")
+    def caustic_tolerance(self) -> float:
+        """DEFAULT_CAUSTIC_EPS * (mean edge)^6."""
         mean = sum(self.lengths) / 6.0
-        return eps * mean ** 6
+        return DEFAULT_CAUSTIC_EPS * mean ** 6
 
-    def status(self, eps: float = DEFAULT_CAUSTIC_EPS) -> str:
-        """'allowed' | 'near_caustic' | 'forbidden' by the sign of the
-        Cayley-Menger determinant against the scale-covariant guard."""
+    def status(self) -> str:
+        """'forbidden' when the Cayley-Menger determinant is negative (no
+        Euclidean tetrahedron has these edges), 'near_caustic' when it is
+        at most the caustic guard (flat ones included), else 'allowed'."""
         cm = self.cayley_menger()
-        tol = self.caustic_tolerance(eps)
-        if cm < -tol:
+        if cm < 0.0:
             return "forbidden"
-        if cm <= tol:
+        if cm <= self.caustic_tolerance():
             return "near_caustic"
         return "allowed"
 
@@ -147,25 +145,24 @@ def cayley_menger_determinant(lengths: Sequence[float]) -> float:
     return 2 * v / den ** 6
 
 
-def _allowed_determinant(t: Tetrahedron, eps: float, context: str) -> float:
+def _allowed_determinant(t: Tetrahedron, context: str) -> float:
     """The Cayley-Menger determinant of ``t``; NotClassicallyAllowed when
-    its status is forbidden."""
-    if t.status(eps) == "forbidden":
-        cm = t.cayley_menger()
+    it is negative."""
+    cm = t.cayley_menger()
+    if cm < 0.0:
         raise NotClassicallyAllowed(f"{context}: Cayley-Menger determinant {cm:.6g} < 0", cm)
-    return t.cayley_menger()
+    return cm
 
 
-def volume(t: Tetrahedron, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
-    """Euclidean volume; 0 on the caustic; NotClassicallyAllowed beyond it."""
-    cm = _allowed_determinant(t, eps, "not classically allowed")
-    return math.sqrt(max(cm, 0.0) / 288.0)
+def volume(t: Tetrahedron) -> float:
+    """Euclidean volume; 0 when flat; NotClassicallyAllowed when forbidden."""
+    return math.sqrt(_allowed_determinant(t, "not classically allowed") / 288.0)
 
 
-def dihedral_internal(t: Tetrahedron, edge: str, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
+def dihedral_internal(t: Tetrahedron, edge: str) -> float:
     """Internal dihedral angle at an edge, from the face angles at a shared
     node (spherical law of cosines)."""
-    _allowed_determinant(t, eps, "dihedral angles undefined")
+    _allowed_determinant(t, "dihedral angles undefined")
     return _dihedral(t, edge)
 
 
@@ -182,11 +179,11 @@ def _dihedral(t: Tetrahedron, edge: str) -> float:
     return _clamped_acos(cos_theta, DegenerateVertex, f"dihedral at edge {edge}")
 
 
-def dihedral_external(t: Tetrahedron, edge: str, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
-    return math.pi - dihedral_internal(t, edge, eps)
+def dihedral_external(t: Tetrahedron, edge: str) -> float:
+    return math.pi - dihedral_internal(t, edge)
 
 
-def regge_action(t: Tetrahedron, spins: Sequence, eps: float = DEFAULT_CAUSTIC_EPS) -> float:
+def regge_action(t: Tetrahedron, spins: Sequence) -> float:
     """sum_e (j_e + 1/2) * external dihedral, over the six edges."""
     spins = [HalfInt(j) for j in spins]
     if len(spins) != 6:
@@ -194,7 +191,7 @@ def regge_action(t: Tetrahedron, spins: Sequence, eps: float = DEFAULT_CAUSTIC_E
     for j, l in zip(spins, t.lengths):
         if abs(edge_length_from_spin(j) - l) > 1e-9:
             raise ValueError("tetrahedron was not built from these spins (l != j + 1/2)")
-    _allowed_determinant(t, eps, "Regge action undefined")
+    _allowed_determinant(t, "Regge action undefined")
     return sum(
         (float(j) + 0.5) * (math.pi - _dihedral(t, name))
         for j, name in zip(spins, EDGE_NAMES)

@@ -72,9 +72,6 @@ class HalfInt:
     def __sub__(self, other):
         return HalfInt.from_twice(self.twice - _twice_of(other))
 
-    def __rsub__(self, other):
-        return HalfInt.from_twice(_twice_of(other) - self.twice)
-
     def __neg__(self):
         return HalfInt.from_twice(-self.twice)
 
@@ -98,12 +95,6 @@ class HalfInt:
 
     def __lt__(self, other):
         return self.twice < _twice_of(other)
-
-    def __le__(self, other):
-        return self.twice <= _twice_of(other)
-
-    def __gt__(self, other):
-        return self.twice > _twice_of(other)
 
     def __ge__(self, other):
         return self.twice >= _twice_of(other)

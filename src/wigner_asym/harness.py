@@ -35,7 +35,7 @@ from .asymptotics import (
 )
 from .errors import ConfigError, WignerAsymError
 from .exact import PIVOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
-from .geometry import DEFAULT_CAUSTIC_EPS, FACES, Tetrahedron
+from .geometry import FACES, Tetrahedron
 from .halfint import HalfInt, triad_allowed
 
 SLOT_NAMES = {
@@ -84,24 +84,25 @@ def exact_value(kind: str, sym, pivot: str = "j24"):
     return wigner3nj(sym), []   # 15j: a 3nj chain with n = 5
 
 
-def _edmonds(sym, lengths: str) -> float:
+def _edmonds(sym) -> float:
     a, b, c, d, e, f = sym   # {a b c; b+m a+n f}
-    return edmonds_6j(a, b, c, d - b, e - a, f, lengths)
+    return edmonds_6j(a, b, c, d - b, e - a, f)
 
 
 #: The asymptotic formulas by name: the symbol kind each applies to and
-#: its call (sym, marking, caustic_eps, edmonds_lengths) -> (value,
-#: diagnostics); ``edmonds`` has no diagnostics (None).
+#: its call (sym, marking) -> (value, diagnostics); ``edmonds`` has no
+#: diagnostics (None).
 ASYM_FORMULAS = {
-    "pr6j": ("6j", lambda sym, mark, eps, lengths: pr_6j(sym, eps)),
-    "edmonds": ("6j", lambda sym, mark, eps, lengths: (_edmonds(sym, lengths), None)),
-    "asym9j": ("9j", lambda sym, mark, eps, lengths: asym_9j_one_small(sym, eps)),
-    "asym3nj": ("3nj", lambda sym, mark, eps, lengths: asym_3nj(sym, mark, eps)),
-    **{
-        name: ("15j", lambda sym, mark, eps, lengths, func=func: func(sym, mark, eps))
-        for name, (func, _) in CLOSED_15J_FORMS.items()
-    },
+    "pr6j": ("6j", lambda sym, mark: pr_6j(sym)),
+    "edmonds": ("6j", lambda sym, mark: (_edmonds(sym), None)),
+    "asym9j": ("9j", lambda sym, mark: asym_9j_one_small(sym)),
+    "asym3nj": ("3nj", asym_3nj),
+    **{name: ("15j", func) for name, (func, _) in CLOSED_15J_FORMS.items()},
 }
+
+#: The top-level keys of a sweep config document.
+CONFIG_KEYS = ("kind", "n", "spins_twice", "sweep", "formulas", "marking", "pivot",
+               "trim_fraction", "out")
 
 
 def default_marking(formula: str, small_jk=("j", 1)) -> SmallSpinMarking:
@@ -123,9 +124,7 @@ class SweepConfig:
     n: int = 5                     # for 3nj
     pivot: str = "j24"
     marking: SmallSpinMarking | None = None
-    caustic_eps: float = DEFAULT_CAUSTIC_EPS
     trim_fraction: float = 0.1
-    edmonds_lengths: str = "half"
     out: str | None = None
     # slot -> twice offset from the swept value; empty means {sweep_slot: 0}
     offsets: dict = field(default_factory=dict)
@@ -138,7 +137,7 @@ class SweepConfig:
             raise ConfigError({"<document>": f"invalid JSON: {exc}"}) from exc
         if not isinstance(doc, dict):
             raise ConfigError({"<document>": "must be a JSON object"})
-        problems = {}
+        problems = {key: "unknown key" for key in doc if key not in CONFIG_KEYS}
         kind = doc.get("kind")
         if kind not in ("6j", "9j", *CHAIN_KINDS):
             problems["kind"] = f"expected 6j|9j|15j|3nj, got {kind!r}"
@@ -211,18 +210,12 @@ class SweepConfig:
         pivot = doc.get("pivot", "j24")
         if pivot not in PIVOTS + ("j34",):
             problems["pivot"] = f"expected one of {', '.join(PIVOTS + ('j34',))}, got {pivot!r}"
-        numbers = {}
-        for key, default, upper in (("caustic_eps", DEFAULT_CAUSTIC_EPS, math.inf),
-                                    ("trim_fraction", 0.1, 0.5)):
-            try:
-                numbers[key] = float(doc.get(key, default))
-            except (TypeError, ValueError):
-                numbers[key] = math.nan
-            if not 0.0 <= numbers[key] <= upper or numbers[key] == math.inf:
-                problems[key] = f"must be a finite number in [0, {upper}]"
-        lengths = doc.get("edmonds_lengths", "half")
-        if lengths not in ("half", "sqrt"):
-            problems["edmonds_lengths"] = f"expected half|sqrt, got {lengths!r}"
+        try:
+            trim = float(doc.get("trim_fraction", 0.1))
+        except (TypeError, ValueError):
+            trim = math.nan
+        if not 0.0 <= trim <= 0.5:
+            problems["trim_fraction"] = "must be a number in [0, 0.5]"
         out = doc.get("out")
         if out is not None and not isinstance(out, str):
             problems["out"] = "must be a file path"
@@ -242,9 +235,7 @@ class SweepConfig:
             n=n,
             pivot=pivot,
             marking=marking,
-            caustic_eps=numbers["caustic_eps"],
-            trim_fraction=numbers["trim_fraction"],
-            edmonds_lengths=lengths,
+            trim_fraction=trim,
             out=out,
         )
 
@@ -319,8 +310,7 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
     notes, diag = [], None
     if asym_formula is not None:
         try:
-            value, diag = ASYM_FORMULAS[asym_formula][1](sym, marking, cfg.caustic_eps,
-                                                         cfg.edmonds_lengths)
+            value, diag = ASYM_FORMULAS[asym_formula][1](sym, marking)
             row.asym = _fmt(value)
         except WignerAsymError as exc:
             notes.append(f"asym: {exc}")
@@ -364,7 +354,7 @@ def _geometry_columns(cfg, sym, asym_formula, marking, diag):
             if any(tet is None for tet in tets):
                 return (), "forbidden"
         for tet in tets:
-            flag = max(flag, tet.status(cfg.caustic_eps), key=_FLAG_RANK.index)
+            flag = max(flag, tet.status(), key=_FLAG_RANK.index)
             vols.append(math.sqrt(max(tet.cayley_menger(), 0.0) / 288.0))
     except WignerAsymError:
         return tuple(vols), "forbidden"

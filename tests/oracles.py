@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from wigner_asym.asymptotics import (
-    DEFAULT_SMALL_RATIO,
     QUARTER_PI,
     AsymDiagnostics,
     SmallSpinMarking,
@@ -31,7 +30,6 @@ from wigner_asym.exact import Symbol3nj
 from wigner_asym.geometry import (
     _SINE_TOL,
     ACOS_CLAMP_TOL,
-    DEFAULT_CAUSTIC_EPS,
     EDGE_NAMES,
     Tetrahedron,
     dihedral_external,
@@ -198,18 +196,13 @@ def schlafli_residual(t: Tetrahedron, h_rel: float = 1e-5) -> float:
     return worst
 
 
-def asym_3nj_xi_sum(
-    sym: Symbol3nj,
-    mark: SmallSpinMarking,
-    caustic_eps: float = DEFAULT_CAUSTIC_EPS,
-    small_ratio: float = DEFAULT_SMALL_RATIO,
-) -> float:
+def asym_3nj_xi_sum(sym: Symbol3nj, mark: SmallSpinMarking) -> float:
     """The 3nj asymptotics of ``asym_3nj`` before the sign-configuration
     resummation: a direct sum over the residual intermediate-spin offset.
     Agrees with ``asym_3nj`` to machine precision; kept as an independent
     route through the angle bookkeeping."""
     diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, caustic_eps, diag, small_ratio)
+    chain = _chain_prep(sym, mark, diag, check_hypotheses=True)
     if chain is None:
         return 0.0
     nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu

@@ -103,6 +103,7 @@ def test_config_validation_errors():
         ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
         ({**FIG_A_CONFIG, "caustic_eps": math.inf}, "caustic_eps"),
         ({**FIG_A_CONFIG, "trim_fraction": 0.9}, "trim_fraction"),
+        ({**FIG_A_CONFIG, "trim_fracton": 0.2}, "trim_fracton"),
         ({**FIG_A_CONFIG, "out": 5}, "out"),
         ({**FIG_A_CONFIG, "formulas": 5}, "formulas"),
         ({**chain, "n": "4"}, "n"),
@@ -191,7 +192,7 @@ def test_flags_match_cayley_menger_sign():
                                     ("j1", "j2", "j12", "s", "j4", "j34", "j13", "j24", "j5")))
         try:
             tet = Tetrahedron.from_spins((sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24))
-            assert row.flag == tet.status(cfg.caustic_eps)
+            assert row.flag == tet.status()
         except Exception:
             assert row.flag == "forbidden"
 
@@ -313,14 +314,15 @@ def test_cli_exact_huge_spins_exit_2():
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
 def test_cli_asym_rejects_bad_caustic_eps(capsys, eps):
-    # {4 4 6; 4 4 6} is forbidden; a NaN guard would call it allowed and an
-    # infinite one near-caustic, both report it as flat, and
-    # --strict-allowed would never fire
-    for strict in ([], ["--strict-allowed"]):
-        assert cli.main(["asym", "pr6j", "8", "8", "12", "8", "8", "12",
-                         "--caustic-eps", eps, *strict]) == 2
+    # the caustic guard and the Edmonds edge lengths are fixed: the sign of
+    # the Cayley-Menger determinant decides "forbidden", so neither option
+    # exists, and argparse rejects both as unrecognized
+    for option in (["--caustic-eps", eps], ["--edmonds-lengths", "sqrt"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["asym", "pr6j", "8", "8", "12", "8", "8", "12", *option])
+        assert err.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])
@@ -364,6 +366,24 @@ def test_cli_strict_allowed_exit_3():
     proc = run_cli("asym", "pr6j", "16", "16", "24", "16", "16", "24",
                    "--strict-allowed")
     assert proc.returncode == 3
+
+
+def test_cli_not_allowed_exits_3_without_strict(capsys):
+    # {8 8 12; 8 8 12} is forbidden: no value, not even NaN, and exit 3
+    assert cli.main(["asym", "pr6j", "16", "16", "24", "16", "16", "24"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("not classically allowed:")
+
+
+def test_cli_strict_allowed_governs_near_caustic(capsys):
+    # a needle {1/2 1 3/2; 197/2 99 199/2}: allowed, inside the caustic guard
+    spins = ["1", "2", "3", "197", "198", "199"]
+    assert cli.main(["asym", "pr6j", *spins]) == 0
+    value = float(capsys.readouterr().out)
+    assert math.isfinite(value)
+    assert cli.main(["asym", "pr6j", *spins, "--strict-allowed"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and float(captured.err) == value
 
 
 def test_cli_sweep_and_verify(tmp_path):
