@@ -91,7 +91,7 @@ def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics,
     if tet.status() == "near_caustic":
         diag.flags.append(f"near_caustic:{key}")
     vol = volume(tet)
-    action = regge_action(tet, spins)
+    action = regge_action(tet)
     diag.volumes[key] = vol
     diag.regge_actions[key] = action
     return tet, vol, action
@@ -472,7 +472,7 @@ def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
 
     config_sum = 0.0
     for sigma in product((1, -1), repeat=len(p_set)):
-        cfg = omega_classify(n, m_count, theta_list, sigma, j1)
+        cfg = omega_classify(n, m_count, theta_list, sigma)
         theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, cfg.theta_k1, phin)
         f_val = f_phase(cfg, mu, nu, theta_l1, theta_ln, j1)
         argument = (

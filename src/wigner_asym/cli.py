@@ -62,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="exact symbol values")
     p_exact.add_argument("symbol", choices=("6j", "9j", "15j", "3nj"))
     p_exact.add_argument("spins", nargs="+", type=int, help="twice-integer spins")
-    p_exact.add_argument("--pivot", choices=PIVOTS + ("j34",), default="j24")
+    p_exact.add_argument("--pivot", choices=PIVOTS + ("j34",), default="j24",
+                         help="9j decomposition that --diagnostics prints; the value "
+                              "is the same for every pivot")
     p_exact.add_argument("--precision", type=int, default=50,
                          help="significant digits printed, correctly rounded "
                               "(output formatting only)")

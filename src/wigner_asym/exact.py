@@ -92,7 +92,7 @@ def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
     sign = 1 if total > 0 else -1
     if ((t1 - t2 - u3) // 2) % 2:
         sign = -sign
-    return SqrtRational.from_canonical(sign, abs(total) * rat, rad)
+    return SqrtRational(sign, abs(total) * rat, rad)
 
 
 def _threej_series(a, b, c, d, e):
@@ -203,7 +203,7 @@ def _chain_sum(sixjs, weight):
     lo = max((abs(p - q) for p, q in pairs), default=0)
     hi = min((p + q for p, q in pairs), default=0)
 
-    pre = SqrtRational.from_canonical(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
+    pre = SqrtRational(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
         [t for tri in fixed for t in _delta_terms(*tri)]))
     terms = []
     for tx in range(lo, hi + 1, 2):

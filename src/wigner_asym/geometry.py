@@ -183,19 +183,10 @@ def dihedral_external(t: Tetrahedron, edge: str) -> float:
     return math.pi - dihedral_internal(t, edge)
 
 
-def regge_action(t: Tetrahedron, spins: Sequence) -> float:
-    """sum_e (j_e + 1/2) * external dihedral, over the six edges."""
-    spins = [HalfInt(j) for j in spins]
-    if len(spins) != 6:
-        raise ValueError("need six spins")
-    for j, l in zip(spins, t.lengths):
-        if abs(edge_length_from_spin(j) - l) > 1e-9:
-            raise ValueError("tetrahedron was not built from these spins (l != j + 1/2)")
+def regge_action(t: Tetrahedron) -> float:
+    """sum_e l_e * external dihedral, over the six edges (l = j + 1/2)."""
     _allowed_determinant(t, "Regge action undefined")
-    return sum(
-        (float(j) + 0.5) * (math.pi - _dihedral(t, name))
-        for j, name in zip(spins, EDGE_NAMES)
-    )
+    return sum(l * (math.pi - _dihedral(t, name)) for l, name in zip(t.lengths, EDGE_NAMES))
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +248,6 @@ class SignConfig:
     omega: float           # normalized to [-2pi, 2pi)
     case_id: str           # "I".."IV"
     theta_k1: float        # gluing dihedral for this configuration, in [0, pi]
-    extra_phase: int       # +1, or (-1)^(2 j1) on the wrapped branches
     boundary: bool         # omega within tolerance of a case boundary
 
 
@@ -265,15 +255,14 @@ _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 
-def omega_classify(n: int, m_small: int, theta_k1_list: Sequence[float], sigma: Sequence[int], j1) -> SignConfig:
+def omega_classify(n: int, m_small: int, theta_k1_list: Sequence[float], sigma: Sequence[int]) -> SignConfig:
     """Classify omega = (n+M) pi - sum_p sigma_p Theta_p (mod 4 pi).
 
     ``theta_k1_list`` holds the external dihedrals at the shared edge of the
     oscillatory tetrahedra.  The returned gluing angle theta_k1 always lies
     in [0, pi]; the wrapped branches (II and IV) carry the extra phase
-    (-1)^(2 j1), which the phase function also absorbs as +2 pi j1.
+    (-1)^(2 j1), which :func:`f_phase` adds as +2 pi j1.
     """
-    j1 = HalfInt(j1)
     sigma = tuple(int(s) for s in sigma)
     if len(sigma) != len(theta_k1_list):
         raise ValueError("sigma and dihedral list lengths differ")
@@ -281,20 +270,19 @@ def omega_classify(n: int, m_small: int, theta_k1_list: Sequence[float], sigma: 
         raise ValueError("sigma entries must be +-1")
     raw = (n + m_small) * math.pi - sum(s * th for s, th in zip(sigma, theta_k1_list))
     omega = raw - _FOUR_PI * math.floor((raw + _TWO_PI) / _FOUR_PI)
-    wrap_phase = -1 if j1.twice % 2 else 1
     if 0.0 <= omega < math.pi:
-        case_id, theta, extra = "I", math.pi - omega, 1
+        case_id, theta = "I", math.pi - omega
     elif -_TWO_PI <= omega < -math.pi:
-        case_id, theta, extra = "II", -math.pi - omega, wrap_phase
+        case_id, theta = "II", -math.pi - omega
     elif -math.pi <= omega < 0.0:
-        case_id, theta, extra = "III", math.pi + omega, 1
+        case_id, theta = "III", math.pi + omega
     else:
-        case_id, theta, extra = "IV", omega - math.pi, wrap_phase
+        case_id, theta = "IV", omega - math.pi
     theta = min(math.pi, max(0.0, theta))
     boundary = min(
         abs(omega - b) for b in (-_TWO_PI, -math.pi, 0.0, math.pi, _TWO_PI)
     ) < 1e-12
-    return SignConfig(sigma, omega, case_id, theta, extra, boundary)
+    return SignConfig(sigma, omega, case_id, theta, boundary)
 
 
 def f_phase(cfg: SignConfig, mu, nu, theta_l1: float, theta_ln: float, j1) -> float:

@@ -34,13 +34,13 @@ from .asymptotics import (
     pr_6j,
 )
 from .errors import ConfigError, WignerAsymError
-from .exact import PIVOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
+from .exact import _GRID_SLOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
 from .geometry import FACES, Tetrahedron
 from .halfint import HalfInt, triad_allowed
 
 SLOT_NAMES = {
     "6j": ("a", "b", "c", "d", "e", "f"),
-    "9j": ("j1", "j2", "j12", "s", "j4", "j34", "j13", "j24", "j5"),
+    "9j": _GRID_SLOTS,
 }
 
 CHAIN_KINDS = ("15j", "3nj")
@@ -101,7 +101,7 @@ ASYM_FORMULAS = {
 }
 
 #: The top-level keys of a sweep config document.
-CONFIG_KEYS = ("kind", "n", "spins_twice", "sweep", "formulas", "marking", "pivot",
+CONFIG_KEYS = ("kind", "n", "spins_twice", "sweep", "formulas", "marking",
                "trim_fraction", "out")
 
 
@@ -122,7 +122,6 @@ class SweepConfig:
     step_twice: int = 2
     formulas: tuple = ("exact",)
     n: int = 5                     # for 3nj
-    pivot: str = "j24"
     marking: SmallSpinMarking | None = None
     trim_fraction: float = 0.1
     out: str | None = None
@@ -207,9 +206,6 @@ class SweepConfig:
                 problems["marking"] = "3nj asymptotics need a small-spin marking"
             elif isinstance(n, int) and marking.small_jk[1] > n:
                 problems["marking"] = f"small_jk index {marking.small_jk[1]} exceeds n = {n}"
-        pivot = doc.get("pivot", "j24")
-        if pivot not in PIVOTS + ("j34",):
-            problems["pivot"] = f"expected one of {', '.join(PIVOTS + ('j34',))}, got {pivot!r}"
         try:
             trim = float(doc.get("trim_fraction", 0.1))
         except (TypeError, ValueError):
@@ -233,7 +229,6 @@ class SweepConfig:
             step_twice=step,
             formulas=tuple(formulas),
             n=n,
-            pivot=pivot,
             marking=marking,
             trim_fraction=trim,
             out=out,
@@ -317,7 +312,7 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
     row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking, diag)
     if "exact" in cfg.formulas:
         try:
-            row.exact = exact_value(cfg.kind, sym, cfg.pivot)[0].to_decimal(17, strip_zeros=False)
+            row.exact = exact_value(cfg.kind, sym)[0].to_decimal(17, strip_zeros=False)
         except WignerAsymError as exc:
             notes.insert(0, f"exact: {exc}")
     row.note = "; ".join(notes)

@@ -5,14 +5,16 @@ The pentagon (Biedenharn-Elliott) identity and the 6j orthogonality
 relation are classical consistency conditions tying many 6j values
 together; they validate the exact engine without reference to any
 external table.  Each is a pair of exact sides, compared with no
-tolerance.
+tolerance.  The samplers here draw the random instances ``verify
+identities`` checks: pentagon and orthogonality spins, and a valid 9j
+grid for the pivot-invariance check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import X, Symbol3nj, Symbol9j, _chain_sum, wigner6j
+from .exact import X, Symbol9j, _chain_sum, wigner6j
 from .halfint import HalfInt, halfint_sum, triad_allowed
 from .sqrtrat import SqrtRational
 
@@ -130,42 +132,5 @@ def random_valid_9j(rng, tmax: int = 24) -> Symbol9j:
         if ti is None:
             continue
         sym = Symbol9j.from_twice(ta, tb, tc, td, te, tf, tg, th_, ti)
-        if sym.is_valid():
-            return sym
-
-
-def random_valid_chain(rng, n: int, tmax: int = 20) -> Symbol3nj:
-    """A valid first-kind 3nj symbol built triad by triad."""
-    h = HalfInt.from_twice
-    while True:
-        tj = [rng.randrange(0, tmax + 1)]
-        tl = []
-        ok = True
-        for _ in range(n - 1):
-            tli = rng.randrange(0, tmax + 1)
-            tnext = _sample_coupled(rng, _window(h(tj[-1]), h(tli)), (0, 2 * tmax))
-            if tnext is None:
-                ok = False
-                break
-            tl.append(tli)
-            tj.append(tnext)
-        if not ok:
-            continue
-        # close the j-chain into k1 via l_n, then build the k-chain back
-        tln = rng.randrange(0, tmax + 1)
-        tk1 = _sample_coupled(rng, _window(h(tj[-1]), h(tln)), (0, 2 * tmax))
-        if tk1 is None:
-            continue
-        tl.append(tln)
-        tk = [tk1]
-        for i in range(n - 1):
-            tki = _sample_coupled(rng, _window(h(tk[-1]), h(tl[i])), (0, 2 * tmax))
-            if tki is None:
-                ok = False
-                break
-            tk.append(tki)
-        if not ok:
-            continue
-        sym = Symbol3nj(tuple(map(h, tj)), tuple(map(h, tk)), tuple(map(h, tl)))
         if sym.is_valid():
             return sym

@@ -1,8 +1,8 @@
 """Exact values of the form sign * r * sqrt(q).
 
 Closed form for 3j and 6j symbols: a signed rational times the square root
-of a squarefree positive integer.  Canonicalization pulls every square
-factor of the radicand into the rational part, so equality is structural.
+of a squarefree positive integer.  The constructor takes the parts in that
+canonical form and does not factor the radicand, so equality is structural.
 
 This module also owns how an exact value becomes a float or decimal text.
 Both come from one integer core, floor(|v| * base**k) = isqrt of the scaled
@@ -14,28 +14,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .primefac import DEFAULT_LEDGER
-
 
 class SqrtRational:
     """sign * rat * sqrt(rad) with rat a positive Fraction, rad a squarefree int."""
 
     __slots__ = ("sign", "rat", "rad")
 
-    def __init__(self, sign: int, rat, rad):
-        rat, rad = Fraction(rat), Fraction(rad)
+    def __init__(self, sign: int, rat, rad: int):
+        """``rad`` must already be squarefree (the symbol engines build it
+        from prime exponent vectors); a negative ``rat`` flips the sign, and
+        a zero part makes the whole value the canonical zero."""
         if rad < 0:
             raise ValueError("radicand must be non-negative")
         if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if sign and rat and rad:
-            rat_extra, rad = _canonical_radicand(rad)
-            rat *= rat_extra
-        self._set(sign, rat, rad)
-
-    def _set(self, sign: int, rat: Fraction, rad: int) -> None:
-        """Store the parts, making rat positive (sign absorbs it) or the
-        whole value the canonical zero."""
         if not (sign and rat and rad):
             sign, rat, rad = 0, Fraction(0), 1
         elif rat < 0:
@@ -47,18 +39,11 @@ class SqrtRational:
     @classmethod
     def of(cls, value) -> "SqrtRational":
         """Exact rational value, radicand 1."""
-        return cls.from_canonical(1, Fraction(value), 1)
+        return cls(1, Fraction(value), 1)
 
     @classmethod
     def zero(cls) -> "SqrtRational":
-        return cls.from_canonical(0, Fraction(0), 1)
-
-    @classmethod
-    def from_canonical(cls, sign: int, rat: Fraction, squarefree_rad: int) -> "SqrtRational":
-        """Fast path for radicands already known to be squarefree."""
-        obj = cls.__new__(cls)
-        obj._set(sign, rat, squarefree_rad)
-        return obj
+        return cls(0, Fraction(0), 1)
 
     # -- queries ---------------------------------------------------------
 
@@ -120,7 +105,7 @@ class SqrtRational:
     # -- algebra ---------------------------------------------------------
 
     def __neg__(self):
-        return SqrtRational.from_canonical(-self.sign, self.rat, self.rad)
+        return SqrtRational(-self.sign, self.rat, self.rad)
 
     def __mul__(self, other):
         if isinstance(other, SqrtRational):
@@ -129,7 +114,7 @@ class SqrtRational:
             r1, r2 = self.rad, other.rad
             g = math.gcd(r1, r2)
             # squarefree * squarefree: the shared part squares out exactly
-            return SqrtRational.from_canonical(
+            return SqrtRational(
                 self.sign * other.sign,
                 self.rat * other.rat * g,
                 (r1 // g) * (r2 // g),
@@ -139,7 +124,7 @@ class SqrtRational:
             if q == 0 or self.sign == 0:
                 return SqrtRational.zero()
             s = self.sign if q > 0 else -self.sign
-            return SqrtRational.from_canonical(s, self.rat * abs(q), self.rad)
+            return SqrtRational(s, self.rat * abs(q), self.rad)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -168,40 +153,3 @@ class SqrtRational:
             return f"{s}sqrt({self.rad})"
         return f"{s}{self.rat}*sqrt({self.rad})"
 
-
-_CANONICALIZE_LIMIT = 10**12
-
-
-def _canonical_radicand(rad: Fraction):
-    """(rational factor, squarefree int) with sqrt(rad) = factor*sqrt(int).
-
-    Clears the denominator (sqrt(a/b) = sqrt(a*b)/b), then strips square
-    factors by trial division.  Intended for modest radicands; the symbol
-    engines build radicands directly from prime exponent vectors instead.
-    """
-    n = rad.numerator * rad.denominator
-    factor = Fraction(1, rad.denominator)
-    if n == 0:
-        return Fraction(0), 0
-    if n > _CANONICALIZE_LIMIT:
-        raise ValueError(
-            "radicand too large for trial-division canonicalization; "
-            "use from_canonical with a known-squarefree radicand"
-        )
-    root = math.isqrt(n)
-    if root * root == n:
-        return factor * root, 1
-    square, free = 1, 1
-    for p in DEFAULT_LEDGER.primes_upto(math.isqrt(n) + 1):
-        if p * p > n:
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            square *= p ** (e // 2)
-            if e % 2:
-                free *= p
-    free *= n   # leftover n is prime or 1
-    return factor * square, free

@@ -47,7 +47,7 @@ def _d_coefficients(ts: int, tmu: int, tnu: int):
         ]
         rat, rad = DEFAULT_LEDGER.sqrt_factorial_quotient(quotient)
         sign = -1 if (mu_minus_nu + k) % 2 else 1
-        coeff = float(SqrtRational.from_canonical(sign, rat, rad))
+        coeff = float(SqrtRational(sign, rat, rad))
         cos_pow = ts - mu_minus_nu - 2 * k
         sin_pow = mu_minus_nu + 2 * k
         out.append((cos_pow, sin_pow, coeff))

@@ -1,6 +1,7 @@
 """Test-only oracles: numpy SU(2) algebra, vertex embeddings, the Schlafli
 residual, the small-d reflection, the xi-sum form of the 3nj asymptotics,
-the Horner-rule 3j and 6j series and n! from the factorial ledger.
+the Horner-rule 3j and 6j series, n! from the factorial ledger and a
+random valid 3nj chain.
 
 They check the package from outside it (Euler angles of the glued
 triangles, dihedrals and volumes from coordinates, the resummed chain
@@ -36,6 +37,7 @@ from wigner_asym.geometry import (
     triangle_angle,
 )
 from wigner_asym.halfint import HalfInt
+from wigner_asym.identities import _sample_coupled, _window
 from wigner_asym.primefac import FactorialLedger as _Ledger
 from wigner_asym.wigner_d import _check_projections, small_d
 
@@ -260,6 +262,47 @@ def racah_series_horner(ta, tb, tc, td, te, tf):
         step = (z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) * den
         num, den = step - (z + 2) * (p1 - z) * (p2 - z) * (p3 - z) * num, step
     return head, -num if zmin % 2 else num, den
+
+
+# ----------------------------------------------------------------------
+# Random symbols
+# ----------------------------------------------------------------------
+
+def random_valid_chain(rng, n: int, tmax: int = 20) -> Symbol3nj:
+    """A valid first-kind 3nj symbol built triad by triad."""
+    h = HalfInt.from_twice
+    while True:
+        tj = [rng.randrange(0, tmax + 1)]
+        tl = []
+        ok = True
+        for _ in range(n - 1):
+            tli = rng.randrange(0, tmax + 1)
+            tnext = _sample_coupled(rng, _window(h(tj[-1]), h(tli)), (0, 2 * tmax))
+            if tnext is None:
+                ok = False
+                break
+            tl.append(tli)
+            tj.append(tnext)
+        if not ok:
+            continue
+        # close the j-chain into k1 via l_n, then build the k-chain back
+        tln = rng.randrange(0, tmax + 1)
+        tk1 = _sample_coupled(rng, _window(h(tj[-1]), h(tln)), (0, 2 * tmax))
+        if tk1 is None:
+            continue
+        tl.append(tln)
+        tk = [tk1]
+        for i in range(n - 1):
+            tki = _sample_coupled(rng, _window(h(tk[-1]), h(tl[i])), (0, 2 * tmax))
+            if tki is None:
+                ok = False
+                break
+            tk.append(tki)
+        if not ok:
+            continue
+        sym = Symbol3nj(tuple(map(h, tj)), tuple(map(h, tk)), tuple(map(h, tl)))
+        if sym.is_valid():
+            return sym
 
 
 class FactorialLedger(_Ledger):

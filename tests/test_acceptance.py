@@ -49,12 +49,17 @@ from wigner_asym.identities import (
     pentagon_mismatches,
     random_orthogonality_instance,
     random_valid_9j,
-    random_valid_chain,
 )
 from wigner_asym.harness import edge_error_slopes, fig4_suite
 
 from conftest import random_realizable_tet, sample_chain_15j, to_mpf
-from oracles import embed_vertices, schlafli_residual, su2_euler_product, su2_extract_euler
+from oracles import (
+    embed_vertices,
+    random_valid_chain,
+    schlafli_residual,
+    su2_euler_product,
+    su2_extract_euler,
+)
 
 H = HalfInt.from_twice
 

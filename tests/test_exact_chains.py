@@ -30,10 +30,10 @@ from wigner_asym.identities import (
     pentagon_mismatches,
     random_orthogonality_instance,
     random_valid_9j,
-    random_valid_chain,
 )
 
 from conftest import to_mpf
+from oracles import random_valid_chain
 
 H = HalfInt.from_twice
 
@@ -118,7 +118,7 @@ def _oracle_sum(terms) -> SqrtRational:
     nonzero = [t for t in terms if not t.is_zero]
     assert len({t.rad for t in nonzero}) <= 1, nonzero
     total = sum((t.sign * t.rat for t in nonzero), Fraction(0))
-    return SqrtRational.from_canonical(1, total, nonzero[0].rad) if total else SqrtRational.zero()
+    return SqrtRational(1, total, nonzero[0].rad) if total else SqrtRational.zero()
 
 
 def _oracle_9j_terms(sym, pivot):

@@ -166,7 +166,7 @@ def test_embedding_oracle_volume_and_dihedrals(np_rng):
 
 def test_regge_action_frozen_and_scaling():
     tet = Tetrahedron.from_spins([1] * 6)
-    action = regge_action(tet, [1] * 6)
+    action = regge_action(tet)
     assert abs(action - 9 * (math.pi - math.acos(1 / 3))) < 1e-12
     # dilation: angles are scale-invariant, lengths scale linearly
     spins = [10, 11, 12, 10, 11, 12]
@@ -178,8 +178,6 @@ def test_regge_action_frozen_and_scaling():
     # identical shapes would need l -> 3l; with l = j + 1/2 the offsets
     # differ, so allow the o(1) geometric drift
     assert np.allclose(angles1, angles2, atol=0.02)
-    with pytest.raises(ValueError):
-        regge_action(t1, [2] * 6)
 
 
 def test_schlafli_residual(np_rng):
@@ -287,42 +285,44 @@ def test_build_sigma_tet_flat_and_vector_oracle(np_rng):
 
 
 def test_omega_classification_cases():
-    cfg = omega_classify(1, 0, [math.pi / 2], [1], "1/2")
+    cfg = omega_classify(1, 0, [math.pi / 2], [1])
     assert cfg.case_id == "I" and abs(cfg.theta_k1 - math.pi / 2) < 1e-12
-    assert cfg.extra_phase == 1
-    cfg = omega_classify(3, 0, [math.pi / 2], [1], 1)   # omega = -3pi/2
+    cfg = omega_classify(3, 0, [math.pi / 2], [1])   # omega = -3pi/2
     assert cfg.case_id == "II" and abs(cfg.theta_k1 - math.pi / 2) < 1e-12
-    assert cfg.extra_phase == 1   # integer j1
-    cfg = omega_classify(3, 0, [math.pi / 2], [1], HalfInt("1/2"))
-    assert cfg.case_id == "II" and cfg.extra_phase == -1
-    cfg = omega_classify(1, 0, [3 * math.pi / 2], [1], 1)   # omega = -pi/2
+    cfg = omega_classify(1, 0, [3 * math.pi / 2], [1])   # omega = -pi/2
     assert cfg.case_id == "III" and abs(cfg.theta_k1 - math.pi / 2) < 1e-12
-    cfg = omega_classify(0, 0, [-math.pi / 2], [1], 1)      # omega = +pi/2 + 0
+    cfg = omega_classify(0, 0, [-math.pi / 2], [1])      # omega = +pi/2 + 0
     assert cfg.case_id == "I"
     with pytest.raises(ValueError):
-        omega_classify(1, 0, [0.5, 0.5], [1], 1)
+        omega_classify(1, 0, [0.5, 0.5], [1])
     with pytest.raises(ValueError):
-        omega_classify(1, 0, [0.5], [2], 1)
+        omega_classify(1, 0, [0.5], [2])
 
 
 def test_omega_theta_always_in_range():
     for k in range(-1600, 1600):
-        cfg = omega_classify(0, 0, [k * 0.003926], [1], "1/2")
+        cfg = omega_classify(0, 0, [k * 0.003926], [1])
         assert 0.0 <= cfg.theta_k1 <= math.pi
         assert -2 * math.pi <= cfg.omega < 2 * math.pi
 
 
 def test_f_phase_table():
     j1 = HalfInt(1)
-    cfg_i = SignConfig((1,), math.pi / 2, "I", math.pi / 2, 1, False)
+    cfg_i = SignConfig((1,), math.pi / 2, "I", math.pi / 2, False)
     assert f_phase(cfg_i, 0, 0, 1.0, 2.0, j1) == 0.0
-    cfg_ii = SignConfig((1,), -3 * math.pi / 2, "II", math.pi / 2, 1, False)
+    cfg_ii = SignConfig((1,), -3 * math.pi / 2, "II", math.pi / 2, False)
     got = f_phase(cfg_ii, 1, 0, math.pi / 3, 0.9, j1)
     assert abs(got - (-math.pi / 3 + 2 * math.pi)) < 1e-12
-    cfg_iii = SignConfig((1,), -math.pi / 2, "III", math.pi / 2, 1, False)
+    cfg_iii = SignConfig((1,), -math.pi / 2, "III", math.pi / 2, False)
     assert abs(f_phase(cfg_iii, 1, 1, 0.3, 0.4, j1) - 0.7) < 1e-12
-    cfg_iv = SignConfig((1,), 3 * math.pi / 2, "IV", math.pi / 2, 1, False)
+    cfg_iv = SignConfig((1,), 3 * math.pi / 2, "IV", math.pi / 2, False)
     assert abs(f_phase(cfg_iv, 1, 1, 0.3, 0.4, j1) - (0.7 + 2 * math.pi)) < 1e-12
+    # half-integer j1: the wrapped branches carry (-1)^(2 j1) = -1, i.e. +pi
+    half = HalfInt("1/2")
+    got = f_phase(cfg_ii, "1/2", 0, math.pi / 3, 0.9, half)
+    assert abs(got - (-math.pi / 6 + math.pi)) < 1e-12
+    got = f_phase(cfg_iv, "1/2", "1/2", 0.3, 0.4, half)
+    assert abs(got - (0.35 + math.pi)) < 1e-12
 
 
 def test_edge_length_convention():
