@@ -66,24 +66,22 @@ class Violation:
     message: str
 
 
-def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics,
-                     tet: Tetrahedron | None = None):
+def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics):
     """Tetrahedron, volume and Regge action of an all-large 6j factor.
 
-    ``tet`` is the tetrahedron of ``spins`` if already built.  A Cayley-Menger
-    determinant <= 0 (forbidden or flat) raises NotClassicallyAllowed, and
-    so do edge lengths that do not close, as deep classically-forbidden.
-    Within the caustic guard the factor is flagged ``near_caustic:<key>``;
-    its volume and action are recorded under ``key``.
+    A Cayley-Menger determinant <= 0 (forbidden or flat) raises
+    NotClassicallyAllowed, and so do edge lengths that do not close, as
+    deep classically-forbidden.  Within the caustic guard the factor is
+    flagged ``near_caustic:<key>``; its volume and action are recorded
+    under ``key``.
     """
-    if tet is None:
-        try:
-            tet = Tetrahedron.from_spins(spins)
-        except DegenerateTriangle as exc:
-            raise NotClassicallyAllowed(
-                f"{label}: edge lengths do not close into a tetrahedron ({exc})",
-                float("-inf"),
-            ) from exc
+    try:
+        tet = Tetrahedron.from_spins(spins)
+    except DegenerateTriangle as exc:
+        raise NotClassicallyAllowed(
+            f"{label}: edge lengths do not close into a tetrahedron ({exc})",
+            float("-inf"),
+        ) from exc
     cm = tet.cayley_menger()
     if cm <= 0.0:
         raise NotClassicallyAllowed(
@@ -131,6 +129,11 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
 # 9j with one small spin
 # ----------------------------------------------------------------------
 
+#: The 9j slots whose spins are the edges of the reference tetrahedron of
+#: :func:`asym_9j_one_small`, the 6j {j1 j2 j12; j34 j5 j24}.
+NINEJ_REFERENCE_SLOTS = ("j1", "j2", "j12", "j34", "j5", "j24")
+
+
 def asym_9j_one_small(sym: Symbol9j):
     """Asymptotics of a 9j symbol with a single small spin in the s slot.
 
@@ -142,23 +145,14 @@ def asym_9j_one_small(sym: Symbol9j):
     diag = AsymDiagnostics()
     mu = sym.j13 - sym.j1
     nu = sym.j34 - sym.j4
-    if not sym.is_valid():
+    if not (sym.is_valid() and _projection_ok(mu, sym.s) and _projection_ok(nu, sym.s)):
         diag.flags.append("invalid_symbol")
         return 0.0, diag
-    if abs(mu.twice) > sym.s.twice or abs(nu.twice) > sym.s.twice:
-        diag.flags.append("invalid_symbol")
-        return 0.0, diag
-
     large = [float(getattr(sym, name)) for name in
              ("j1", "j2", "j12", "j4", "j34", "j13", "j24", "j5")]
-    med = sorted(large)[len(large) // 2]
-    if med > 0 and float(sym.s) / med > DEFAULT_SMALL_RATIO:
-        diag.warnings.append(
-            f"declared small spin s={sym.s} is {float(sym.s) / med:.2f} of the "
-            f"median large spin; asymptotics may be poor"
-        )
+    diag.warnings.extend(v.message for v in _scale_violations([float(sym.s)], large))
 
-    tet1_spins = (sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24)
+    tet1_spins = [getattr(sym, name) for name in NINEJ_REFERENCE_SLOTS]
     tet1, vol1, action = _oscillatory_tet(tet1_spins, "reference tetrahedron", "tet1", diag)
     theta24_ext = dihedral_external(tet1, "f")
 
@@ -244,19 +238,21 @@ def normalize_marking(sym: Symbol3nj, mark: SmallSpinMarking):
 
 
 def validate_hypotheses(sym: Symbol3nj, mark: SmallSpinMarking):
-    """Check the applicability conditions for the mixed-spin asymptotics.
+    """Check the marking against the applicability conditions of the
+    mixed-spin asymptotics.
 
-    Returns a list of :class:`Violation`; empty means ok.  Error-grade
-    entries: a small l adjacent to the small j/k spin (two small spins in
-    one decomposition 6j), or an oscillatory tetrahedron beyond the
-    caustic.  Warning-grade: near-caustic tetrahedra and doubtful scale
-    separation.
+    Returns a list of :class:`Violation`; empty means ok.  Error-grade: a
+    small l adjacent to the small j/k spin (two small spins in one
+    decomposition 6j) or outside 1..n.  Warning-grade: doubtful scale
+    separation.  The oscillatory tetrahedra are not checked here: the
+    formulas raise NotClassicallyAllowed on a forbidden one and flag a
+    near-caustic one ``near_caustic:tet_<p>``, and
+    :func:`oscillatory_tetrahedra` lists them.
     """
-    nsym, small_l = normalize_marking(sym, mark)
-    return _violations(nsym, small_l, _chain_tets(nsym, small_l))
+    return _violations(*normalize_marking(sym, mark))
 
 
-def _violations(nsym: Symbol3nj, small_l, tets: dict) -> list:
+def _violations(nsym: Symbol3nj, small_l) -> list:
     n = nsym.n
     out = []
     for m in sorted(small_l):
@@ -276,50 +272,27 @@ def _violations(nsym: Symbol3nj, small_l, tets: dict) -> list:
         + [float(x) for x in nsym.k]
         + [float(nsym.l[i]) for i in range(n) if (i + 1) not in small_l]
     )
+    return out + _scale_violations(declared, undeclared)
+
+
+def _scale_violations(declared: list, undeclared: list) -> list:
+    """Warnings when a declared small spin exceeds DEFAULT_SMALL_RATIO of
+    the median undeclared spin, or an undeclared spin is under half the
+    largest declared one."""
     med = sorted(undeclared)[len(undeclared) // 2] if undeclared else 0.0
-    if med > 0:
-        for v in declared:
-            if v / med > DEFAULT_SMALL_RATIO:
-                out.append(
-                    Violation(
-                        "scale_ratio",
-                        "warning",
-                        f"declared small spin {v} is {v / med:.2f} of the median "
-                        f"large spin {med}",
-                    )
-                )
-        for v in undeclared:
-            if v < 0.5 * max(declared + [0.5]):
-                out.append(
-                    Violation(
-                        "undeclared_small",
-                        "warning",
-                        f"undeclared spin {v} is comparable to the declared small spins",
-                    )
-                )
-    for p, tet in tets.items():
-        if tet is None:
-            out.append(
-                Violation(
-                    "caustic",
-                    "error",
-                    f"tetrahedron p={p} has no Euclidean realization "
-                    f"(a face violates the triangle inequality)",
-                )
-            )
-            continue
-        status = tet.status()
-        if status == "forbidden":
-            out.append(
-                Violation(
-                    "caustic",
-                    "error",
-                    f"tetrahedron p={p} is not classically allowed "
-                    f"(CM determinant {tet.cayley_menger():.6g})",
-                )
-            )
-        elif status == "near_caustic":
-            out.append(Violation("caustic", "warning", f"tetrahedron p={p} is near the caustic"))
+    if med <= 0:
+        return []
+    out = [
+        Violation("scale_ratio", "warning",
+                  f"declared small spin {v} is {v / med:.2f} of the median "
+                  f"large spin {med}")
+        for v in declared if v / med > DEFAULT_SMALL_RATIO
+    ]
+    out += [
+        Violation("undeclared_small", "warning",
+                  f"undeclared spin {v} is comparable to the declared small spins")
+        for v in undeclared if v < 0.5 * max(declared + [0.5])
+    ]
     return out
 
 
@@ -332,19 +305,17 @@ def oscillatory_tetrahedra(sym: Symbol3nj, mark: SmallSpinMarking) -> dict:
     its edge lengths do not close into one.
     """
     nsym, small_l = normalize_marking(sym, mark)
-    return _chain_tets(nsym, small_l)
-
-
-def _chain_tets(nsym: Symbol3nj, small_l) -> dict:
     out = {}
-    for p in range(2, nsym.n):
-        if p in small_l:
-            continue
+    for p in _oscillatory_indices(nsym.n, small_l):
         try:
             out[p] = Tetrahedron.from_spins(_chain_tet_spins(nsym, p))
         except DegenerateTriangle:
             out[p] = None
     return out
+
+
+def _oscillatory_indices(n: int, small_l) -> list:
+    return [p for p in range(2, n) if p not in small_l]
 
 
 def _chain_tet_spins(nsym: Symbol3nj, p: int):
@@ -370,18 +341,17 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
                 check_hypotheses: bool = False):
     """The set-up shared by the chain asymptotics.
 
-    Normalizes the marking and, with ``check_hypotheses``, checks the
-    hypotheses: HypothesisViolation on a hard violation, warnings into
-    ``diag``.  Returns None, flagging ``invalid_symbol``, when a projection
-    offset is out of range and the symbol vanishes.  Otherwise returns a
-    :class:`_Chain`; every oscillatory tetrahedron is checked and recorded
-    as in :func:`_oscillatory_tet`.
+    Normalizes the marking and, with ``check_hypotheses``, checks it as
+    :func:`validate_hypotheses` does: HypothesisViolation on an error,
+    warnings into ``diag``.  Returns None, flagging ``invalid_symbol``, when
+    a projection offset is out of range and the symbol vanishes.  Otherwise
+    returns a :class:`_Chain`; every oscillatory tetrahedron is built,
+    checked and recorded by :func:`_oscillatory_tet`.
     """
     nsym, small_l = normalize_marking(sym, mark)
-    tets = _chain_tets(nsym, small_l)
     if check_hypotheses:
-        violations = _violations(nsym, small_l, tets)
-        hard = [v for v in violations if v.severity == "error" and v.code != "caustic"]
+        violations = _violations(nsym, small_l)
+        hard = [v for v in violations if v.severity == "error"]
         if hard:
             raise HypothesisViolation("marking violates applicability conditions", hard)
         diag.warnings.extend(v.message for v in violations if v.severity == "warning")
@@ -401,9 +371,9 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
             return None
 
     volumes, actions, thetas = {}, {}, {}
-    for p, tet in tets.items():
+    for p in _oscillatory_indices(nsym.n, small_l):
         tet, volumes[p], actions[p] = _oscillatory_tet(
-            _chain_tet_spins(nsym, p), f"tetrahedron p={p}", f"tet_{p}", diag, tet,
+            _chain_tet_spins(nsym, p), f"tetrahedron p={p}", f"tet_{p}", diag,
         )
         thetas[p] = dihedral_internal(tet, "c")
     return _Chain(nsym, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
@@ -532,22 +502,28 @@ def _int_phase(e: HalfInt, context: str) -> int:
 # 15j special cases (closed forms; only the set-up is shared with asym_3nj)
 # ----------------------------------------------------------------------
 
-def _require_pattern(sym: Symbol3nj, mark: SmallSpinMarking, expected_l):
+def _closed_15j_prep(name: str, sym: Symbol3nj, mark: SmallSpinMarking):
+    """The prologue of the closed 15j form ``name``: ValueError unless the
+    symbol has n = 5 and ``mark`` is the marking the form is written for
+    (see :data:`CLOSED_15J_FORMS`); then fresh diagnostics and
+    :func:`_chain_prep`.  Returns (chain or None, diag)."""
     if sym.n != 5:
         raise ValueError("15j wrappers need n = 5")
-    if mark.small_jk != ("j", 1):
-        raise ValueError("15j wrappers expect the small spin at j1 (normalize first)")
-    if mark.small_l != frozenset(expected_l):
-        raise ValueError(f"marking must declare small l indices {set(expected_l)}")
+    expected = CLOSED_15J_FORMS[name][1]
+    if mark != expected:
+        raise ValueError(
+            f"{name} expects the small spin at j1 and small l indices "
+            f"{sorted(expected.small_l)} (normalize first)"
+        )
+    diag = AsymDiagnostics()
+    return _chain_prep(sym, mark, diag), diag
 
 
 def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with j1, l2, l3, l4 small: all decomposition 6js carry one small
     spin, no oscillation survives, and every relevant triangle degenerates
     to (j2, k2, k1)."""
-    _require_pattern(sym, mark, {2, 3, 4})
-    diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, diag)
+    chain, diag = _closed_15j_prep("15j-4", sym, mark)
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
@@ -565,9 +541,7 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with j1, l2, l3 small: one oscillatory tetrahedron (p = 4); the
     secondary tetrahedron glues its faces at k1 with the external dihedral
     as the new internal angle."""
-    _require_pattern(sym, mark, {2, 3})
-    diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, diag)
+    chain, diag = _closed_15j_prep("15j-3", sym, mark)
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
@@ -608,9 +582,7 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
     distinct sign configurations.  Assumes the combined gluing angles stay
     in [0, pi] (near-regular tetrahedra); raises CaseAngleOutOfRange
     otherwise, in which case the general driver applies."""
-    _require_pattern(sym, mark, {2})
-    diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, diag)
+    chain, diag = _closed_15j_prep("15j-2", sym, mark)
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
@@ -672,9 +644,7 @@ def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking):
     """15j with only j1 small: three oscillatory tetrahedra (p = 2, 3, 4)
     and four distinct sign configurations, with gluing angles combined
     from the three internal dihedrals at k1 (near-regular regime)."""
-    _require_pattern(sym, mark, set())
-    diag = AsymDiagnostics()
-    chain = _chain_prep(sym, mark, diag)
+    chain, diag = _closed_15j_prep("15j-1", sym, mark)
     if chain is None:
         return 0.0, diag
     mu, nu = chain.mu, chain.nu
@@ -738,11 +708,11 @@ def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking):
     return value, diag
 
 
-#: The closed 15j forms by name, each with the small-l set it assumes
+#: The closed 15j forms by name, each with the only marking it accepts
 #: (small spin at j1); the CLI and the sweep harness both read this table.
 CLOSED_15J_FORMS = {
-    "15j-1": (asym_15j_one_small, frozenset()),
-    "15j-2": (asym_15j_two_small, frozenset({2})),
-    "15j-3": (asym_15j_three_small, frozenset({2, 3})),
-    "15j-4": (asym_15j_four_small, frozenset({2, 3, 4})),
+    "15j-1": (asym_15j_one_small, SmallSpinMarking(("j", 1))),
+    "15j-2": (asym_15j_two_small, SmallSpinMarking(("j", 1), {2})),
+    "15j-3": (asym_15j_three_small, SmallSpinMarking(("j", 1), {2, 3})),
+    "15j-4": (asym_15j_four_small, SmallSpinMarking(("j", 1), {2, 3, 4})),
 }

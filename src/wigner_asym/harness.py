@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .asymptotics import (
     CLOSED_15J_FORMS,
+    NINEJ_REFERENCE_SLOTS,
     SmallSpinMarking,
     asym_3nj,
     asym_9j_one_small,
@@ -109,7 +110,8 @@ def default_marking(formula: str, small_jk=("j", 1)) -> SmallSpinMarking:
     """The marking a chain formula runs with when no small-l set is given:
     the small j/k spin at ``small_jk`` and the small-l set a closed 15j
     form is written for (none for ``asym3nj``)."""
-    return SmallSpinMarking(small_jk, CLOSED_15J_FORMS.get(formula, (None, frozenset()))[1])
+    form = CLOSED_15J_FORMS.get(formula)
+    return SmallSpinMarking(small_jk, form[1].small_l if form else frozenset())
 
 
 @dataclass
@@ -194,17 +196,17 @@ class SweepConfig:
                 )
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 problems["marking"] = f"invalid marking: {exc}"
-        if kind in CHAIN_KINDS and asym and "marking" not in problems:
-            if asym[0] in CLOSED_15J_FORMS:
-                expected = default_marking(asym[0])
+        if kind in CHAIN_KINDS and "marking" not in problems:
+            if asym and asym[0] in CLOSED_15J_FORMS:
+                expected = CLOSED_15J_FORMS[asym[0]][1]
                 if marking not in (None, expected):
                     problems["marking"] = (
                         f"{asym[0]} assumes small_jk ['j', 1] and small_l "
                         f"{sorted(expected.small_l)}; omit the marking or match it"
                     )
-            elif marking is None:
+            elif asym and marking is None:
                 problems["marking"] = "3nj asymptotics need a small-spin marking"
-            elif isinstance(n, int) and marking.small_jk[1] > n:
+            elif marking is not None and isinstance(n, int) and marking.small_jk[1] > n:
                 problems["marking"] = f"small_jk index {marking.small_jk[1]} exceeds n = {n}"
         try:
             trim = float(doc.get("trim_fraction", 0.1))
@@ -341,7 +343,7 @@ def _geometry_columns(cfg, sym, asym_formula, marking, diag):
                 return (), "allowed"
             tets = [Tetrahedron.from_spins(sym)]
         elif cfg.kind == "9j":
-            tets = [Tetrahedron.from_spins((sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24))]
+            tets = [Tetrahedron.from_spins([getattr(sym, s) for s in NINEJ_REFERENCE_SLOTS])]
         else:
             if marking is None:
                 return (), "allowed"

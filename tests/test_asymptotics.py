@@ -21,6 +21,7 @@ from wigner_asym.asymptotics import (
     asym_15j_three_small,
     asym_15j_two_small,
     edmonds_6j,
+    oscillatory_tetrahedra,
     pr_6j,
     validate_hypotheses,
 )
@@ -300,17 +301,24 @@ def test_out_of_range_small_l_rejected_under_every_marking():
                 asym_3nj(sym, mark)
 
 
-def test_hypothesis_validation_flags_caustic_tet():
-    # an oscillatory tetrahedron with two long opposite edges: valid spin
-    # triads, no Euclidean realization
+def test_forbidden_tet_reported_by_formula_not_by_validation():
+    # two oscillatory tetrahedra with two long opposite edges: valid spin
+    # triads, negative Cayley-Menger determinants
     j = (H(2), H(16), H(16), H(16), H(16))
     k = (H(24), H(16), H(16), H(16), H(16))
     l = (H(16), H(24), H(8), H(24), H(16))
     sym = Symbol3nj(j, k, l)
-    if not sym.is_valid():
-        pytest.skip("sample symbol invalid")
-    violations = validate_hypotheses(sym, SmallSpinMarking(("j", 1)))
-    assert any(v.code == "caustic" for v in violations)
+    assert sym.is_valid()
+    mark = SmallSpinMarking(("j", 1))
+    tets = oscillatory_tetrahedra(sym, mark)
+    assert {p for p, tet in tets.items() if tet.status() == "forbidden"} == {2, 4}
+    with pytest.raises(NotClassicallyAllowed):
+        asym_3nj(sym, mark)
+    # validate_hypotheses checks the marking only
+    assert not any(v.code == "caustic" for v in validate_hypotheses(sym, mark))
+    # a bad marking is reported before any tetrahedron is built
+    with pytest.raises(HypothesisViolation):
+        asym_3nj(sym, SmallSpinMarking(("j", 1), frozenset({1})))
 
 
 def test_determinant_evaluated_once_per_tetrahedron(monkeypatch, rng):

@@ -6,9 +6,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,14 +19,19 @@ import pytest
 
 import wigner_asym
 from wigner_asym import cli
+from wigner_asym.asymptotics import CLOSED_15J_FORMS
 from wigner_asym.errors import ConfigError
 from wigner_asym.harness import (
+    ASYM_FORMULAS,
     SweepConfig,
+    default_marking,
     reference_sweep_configs,
     run_sweep,
     slot_names,
     write_outputs,
 )
+
+from conftest import sample_chain_15j
 
 FIG_A_CONFIG = {
     "kind": "9j",
@@ -98,6 +105,7 @@ def test_config_validation_errors():
         ({**fifteen, "marking": {"small_jk": ["j"]}}, "marking"),
         ({**fifteen, "kind": "3nj", "formulas": ["asym3nj"],
           "marking": {"small_jk": ["j", 6]}}, "marking"),
+        ({**chain, "marking": {"small_jk": ["j", 6]}}, "marking"),
         ({**FIG_A_CONFIG, "pivot": "zz"}, "pivot"),
         ({**FIG_A_CONFIG, "edmonds_lengths": "cube"}, "edmonds_lengths"),
         ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
@@ -116,6 +124,29 @@ def test_config_validation_errors():
         assert key in err.value.problems, (key, err.value.problems)
     with pytest.raises(ConfigError):
         SweepConfig.from_json("[]")
+
+
+def test_formula_registry_is_consistent(capsys):
+    for name, (form, marking) in CLOSED_15J_FORMS.items():
+        # a closed-form sweep needs no marking ...
+        doc = {"kind": "15j", "spins_twice": {s: 60 for s in slot_names("15j")[:-1]},
+               "sweep": {"slot": "l5", "start_twice": 60, "stop_twice": 60},
+               "formulas": ["exact", name]}
+        assert SweepConfig.from_json(json.dumps(doc)).marking is None
+        # ... and runs with the default one
+        assert default_marking(name) == marking
+        sym = sample_chain_15j(random.Random(name), nsmall_l=len(marking.small_l))
+        value, _ = form(sym, default_marking(name))
+        assert math.isfinite(value)
+    # a closed form is written for the small spin at j1 only
+    spins = [4, 68, 66, 60, 64, 66, 66, 68, 62, 66, 68, 2, 60, 62, 70]
+    assert cli.main(["asym", "15j-2", "--small-jk", "k:2", *map(str, spins)]) == 2
+    assert "expects the small spin at j1" in capsys.readouterr().err
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    formula = next(a for a in sub.choices["asym"]._actions if a.dest == "formula")
+    for choice in formula.choices:
+        assert cli._FORMULA_ALIASES.get(choice, choice) in ASYM_FORMULAS, choice
 
 
 def test_sweep_rows_and_csv_schema(tmp_path):
