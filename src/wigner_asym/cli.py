@@ -78,10 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("pr6j", "edmonds", *_FORMULA_ALIASES, *CLOSED_15J_FORMS),
     )
     p_asym.add_argument("spins", nargs="+", type=int, help="twice-integer spins")
-    p_asym.add_argument("--small-jk", default="j:1",
-                        help="row:index of the small j/k spin (3nj), e.g. j:1")
-    p_asym.add_argument("--small-l", default="",
-                        help="comma-separated small l indices (3nj), e.g. 2,3")
+    p_asym.add_argument("--small-jk", default=None,
+                        help="row:index of the small j/k spin (15j/3nj only; default j:1)")
+    p_asym.add_argument("--small-l", default=None,
+                        help="comma-separated small l indices (15j/3nj only), e.g. 2,3")
     p_asym.add_argument("--n", type=int, default=None, help="chain length for 3nj")
     p_asym.add_argument("--strict-allowed", action="store_true",
                         help="also exit 3 on a near-caustic tetrahedron or an invalid symbol")
@@ -122,13 +122,19 @@ def cmd_asym(args) -> int:
         a, b, c, m, n, f = spins   # m, n: projections of f -> {a b c; b+m a+n f}
         spins = [a, b, c, b + m, a + n, f]
     sym = build_symbol(kind, spins, args.n or len(spins) // 3)
-    marking = _parse_marking(args, formula) if kind in CHAIN_KINDS else None
+    if kind in CHAIN_KINDS:
+        marking = _parse_marking(args, formula)
+    elif args.small_jk is not None or args.small_l is not None:
+        raise ValueError(
+            f"--small-jk and --small-l mark a 15j or 3nj chain; {args.formula} reads no marking")
+    else:
+        marking = None
     value, diag = call(sym, marking)
     return _print_asym(args, value, diag)
 
 
 def _parse_marking(args, formula: str) -> SmallSpinMarking:
-    row, _, idx = args.small_jk.partition(":")
+    row, _, idx = (args.small_jk or "j:1").partition(":")
     small_jk = (row, int(idx or 1))
     if not args.small_l:
         return default_marking(formula, small_jk)

@@ -13,7 +13,8 @@ class DegenerateTriangle(WignerAsymError):
 
 
 class DegenerateVertex(WignerAsymError):
-    """A face-angle sine underflows, so a dihedral angle is undefined."""
+    """A dihedral angle is undefined: a face at its edge has zero area, or
+    an angle of the glued-triangle vertex figure has a vanishing sine."""
 
 
 class NotClassicallyAllowed(WignerAsymError):

@@ -32,6 +32,11 @@ DEFAULT_CAUSTIC_EPS = 1e-6
 #: determinant (|288 V^2| <= 24 l^6) and the caustic guard are finite floats.
 MAX_EDGE = (sys.float_info.max / 24.0) ** (1.0 / 6.0)
 
+#: Smallest edge length a Tetrahedron accepts: from it up, each length is
+#: p / q with q <= 2^152, so a nonzero determinant (at least 2 / q^6) and
+#: the terms of the dihedral angles stay normal floats.
+MIN_EDGE = 2.0 ** -100
+
 #: Tolerance for arccos arguments that may stick out of [-1, 1] by rounding.
 ACOS_CLAMP_TOL = 1e-9
 
@@ -58,16 +63,16 @@ def triangle_angle(la: float, lb: float, lc: float) -> float:
     return _clamped_acos(cos_phi, DegenerateTriangle, f"triangle ({la}, {lb}, {lc})")
 
 
-# For each edge: its two companions (x, y) at a shared node, and the third
-# edges completing the faces (e,x), (e,y) and (x,y).
-_DIHEDRAL_TABLE = {
-    "a": ("b", "c", "f", "e", "d"),
-    "b": ("a", "c", "f", "d", "e"),
-    "c": ("a", "b", "e", "d", "f"),
-    "d": ("b", "f", "c", "e", "a"),
-    "e": ("d", "c", "f", "a", "b"),
-    "f": ("d", "b", "e", "a", "c"),
-}
+# For each edge XY, by index into (a, b, c, d, e, f): the opposite edge ZW
+# and the edges XZ, XW, YZ, YW to the other two vertices.
+_EDGE_FRAMES = (
+    (3, 2, 4, 1, 5),   # a = PQ: RS; PR, PS, QR, QS
+    (4, 0, 5, 2, 3),   # b = QR: PS; QP, QS, RP, RS
+    (5, 0, 4, 1, 3),   # c = PR: QS; PQ, PS, RQ, RS
+    (0, 2, 1, 4, 5),   # d = RS: PQ; RP, RQ, SP, SQ
+    (1, 0, 2, 5, 3),   # e = PS: QR; PQ, PR, SQ, SR
+    (2, 0, 1, 4, 3),   # f = QS: PR; QP, QR, SP, SR
+)
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,8 @@ class Tetrahedron:
         if len(self.lengths) != 6:
             raise ValueError("a tetrahedron has six edges")
         lengths = tuple(float(x) for x in self.lengths)
-        if not all(0.0 < x <= MAX_EDGE for x in lengths):
-            raise ValueError(f"edge lengths must be positive and at most {MAX_EDGE:.3g}")
+        if not all(MIN_EDGE <= x <= MAX_EDGE for x in lengths):
+            raise ValueError(f"edge lengths must be in [{MIN_EDGE:.3g}, {MAX_EDGE:.3g}]")
         object.__setattr__(self, "lengths", lengths)
         for face in FACES:
             x, y, z = (lengths[i] for i in face)
@@ -94,9 +99,6 @@ class Tetrahedron:
     def from_spins(cls, spins: Sequence) -> "Tetrahedron":
         return cls(tuple(edge_length_from_spin(j) for j in spins))
 
-    def length(self, edge: str) -> float:
-        return self.lengths[EDGE_NAMES.index(edge)]
-
     def cayley_menger(self) -> float:
         """The Cayley-Menger determinant (= 288 V^2), evaluated on the first
         call and cached: the edge lengths never change."""
@@ -105,6 +107,16 @@ class Tetrahedron:
             cm = cayley_menger_determinant(self.lengths)
             object.__setattr__(self, "_cm", cm)
         return cm
+
+    def _dihedrals(self) -> tuple:
+        """The six internal dihedral angles by :func:`_dihedral_table`,
+        evaluated on the first call and cached like the determinant.  The
+        callers first check that the determinant is not negative."""
+        thetas = self.__dict__.get("_thetas")
+        if thetas is None:
+            thetas = _dihedral_table(self.lengths, self.cayley_menger())
+            object.__setattr__(self, "_thetas", thetas)
+        return thetas
 
     def caustic_tolerance(self) -> float:
         """DEFAULT_CAUSTIC_EPS * (mean edge)^6."""
@@ -123,19 +135,25 @@ class Tetrahedron:
         return "allowed"
 
 
+def _integer_squares(lengths: Sequence[float]):
+    """(den, squares): each float length is p / q exactly, so with den the
+    largest q the squared lengths are squares / den^2 in integers."""
+    ratios = [float(x).as_integer_ratio() for x in lengths]
+    den = max(q for _, q in ratios)
+    return den, [(p * (den // q)) ** 2 for p, q in ratios]
+
+
 def cayley_menger_determinant(lengths: Sequence[float]) -> float:
     """288 V^2 of the edge lengths (a, b, c, d, e, f), correctly rounded.
 
     Expands the 5x5 Cayley-Menger determinant in the squared lengths
     A = a^2, ...: 288 V^2 = 2 [sum over the opposite pairs (A, D), (B, E),
     (C, F) of p q (other four - p - q) - sum over the faces of the product
-    of their three squares].  Each float length is p / 2^k exactly, so the
-    polynomial is evaluated in integers over the largest denominator and
-    rounded once: a flat tetrahedron gives exactly 0.
+    of their three squares].  The polynomial is evaluated in the integer
+    squares of :func:`_integer_squares` and rounded once: a flat
+    tetrahedron gives exactly 0.
     """
-    ratios = [float(x).as_integer_ratio() for x in lengths]
-    den = max(q for _, q in ratios)
-    A, B, C, D, E, F = ((p * (den // q)) ** 2 for p, q in ratios)
+    den, (A, B, C, D, E, F) = _integer_squares(lengths)
     v = (
         A * D * (B + C + E + F - A - D)
         + B * E * (A + C + D + F - B - E)
@@ -143,6 +161,38 @@ def cayley_menger_determinant(lengths: Sequence[float]) -> float:
         - A * B * C - A * E * F - D * B * F - D * E * C
     )
     return 2 * v / den ** 6
+
+
+def _dihedral_table(lengths: Sequence[float], cm: float) -> tuple:
+    """Internal dihedral angles at (a, ..., f) of a tetrahedron with
+    Cayley-Menger determinant ``cm`` >= 0, None at an edge where a face
+    has zero area.
+
+    At an edge of length l = sqrt(L) whose faces have areas S1 and S2,
+    16 S1 S2 sin(theta) = l sqrt(2 cm) and, in the squared lengths of its
+    frame (:data:`_EDGE_FRAMES`),
+    16 S1 S2 cos(theta) = L (XZ + XW + YZ + YW - 2 ZW - L) - (XZ - YZ)(XW - YW).
+    The cosine side and 16 S^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 of each
+    face are exact integers over powers of den, so a zero-area face is
+    found exactly and atan2 needs no clamp near 0 or pi.
+    """
+    den, sq = _integer_squares(lengths)
+    degenerate = set()
+    for i, j, k in FACES:
+        x, y, z = sq[i], sq[j], sq[k]
+        if 2 * (x * y + y * z + z * x) - x * x - y * y - z * z <= 0:
+            degenerate.update((i, j, k))
+    root = math.sqrt(2.0 * cm)
+    den4 = den ** 4
+    thetas = []
+    for edge, (zw, xz, xw, yz, yw) in enumerate(_EDGE_FRAMES):
+        if edge in degenerate:
+            thetas.append(None)
+            continue
+        L, XZ, XW, YZ, YW = sq[edge], sq[xz], sq[xw], sq[yz], sq[yw]
+        cos_side = L * (XZ + XW + YZ + YW - 2 * sq[zw] - L) - (XZ - YZ) * (XW - YW)
+        thetas.append(math.atan2(lengths[edge] * root, cos_side / den4))
+    return tuple(thetas)
 
 
 def _allowed_determinant(t: Tetrahedron, context: str) -> float:
@@ -159,24 +209,22 @@ def volume(t: Tetrahedron) -> float:
     return math.sqrt(_allowed_determinant(t, "not classically allowed") / 288.0)
 
 
+def _checked_dihedral(t: Tetrahedron, index: int) -> float:
+    theta = t._dihedrals()[index]
+    if theta is None:
+        raise DegenerateVertex(f"a face at edge {EDGE_NAMES[index]} has zero area")
+    return theta
+
+
 def dihedral_internal(t: Tetrahedron, edge: str) -> float:
-    """Internal dihedral angle at an edge, from the face angles at a shared
-    node (spherical law of cosines)."""
+    """Internal dihedral angle at an edge, in [0, pi]:
+    atan2(l sqrt(2 CM), N_e) with N_e an exact integer polynomial in the
+    squared lengths (see :func:`_dihedral_table`), read from the table
+    the tetrahedron caches.  0 or pi on a flat tetrahedron;
+    NotClassicallyAllowed when forbidden; DegenerateVertex when a face at
+    the edge has zero area."""
     _allowed_determinant(t, "dihedral angles undefined")
-    return _dihedral(t, edge)
-
-
-def _dihedral(t: Tetrahedron, edge: str) -> float:
-    x, tx, y, ty, txy = _DIHEDRAL_TABLE[edge]
-    le, lx, ly = t.length(edge), t.length(x), t.length(y)
-    phi_ex = triangle_angle(le, lx, t.length(tx))
-    phi_ey = triangle_angle(le, ly, t.length(ty))
-    phi_xy = triangle_angle(lx, ly, t.length(txy))
-    sin_ex, sin_ey = math.sin(phi_ex), math.sin(phi_ey)
-    if sin_ex < _SINE_TOL or sin_ey < _SINE_TOL:
-        raise DegenerateVertex(f"face angle sine underflow at edge {edge}")
-    cos_theta = (math.cos(phi_xy) - math.cos(phi_ex) * math.cos(phi_ey)) / (sin_ex * sin_ey)
-    return _clamped_acos(cos_theta, DegenerateVertex, f"dihedral at edge {edge}")
+    return _checked_dihedral(t, EDGE_NAMES.index(edge))
 
 
 def dihedral_external(t: Tetrahedron, edge: str) -> float:
@@ -186,7 +234,7 @@ def dihedral_external(t: Tetrahedron, edge: str) -> float:
 def regge_action(t: Tetrahedron) -> float:
     """sum_e l_e * external dihedral, over the six edges (l = j + 1/2)."""
     _allowed_determinant(t, "Regge action undefined")
-    return sum(l * (math.pi - _dihedral(t, name)) for l, name in zip(t.lengths, EDGE_NAMES))
+    return sum(l * (math.pi - _checked_dihedral(t, i)) for i, l in enumerate(t.lengths))
 
 
 # ----------------------------------------------------------------------

@@ -187,7 +187,9 @@ class SweepConfig:
         if len(asym) > 1:
             problems["formulas"] = "at most one asymptotic formula per sweep"
         marking = None
-        if "marking" in doc:
+        if "marking" in doc and kind not in CHAIN_KINDS:
+            problems["marking"] = f"a {kind} sweep reads no marking; only 15j and 3nj do"
+        elif "marking" in doc:
             try:
                 m = doc["marking"]
                 marking = SmallSpinMarking(

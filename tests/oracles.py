@@ -1,5 +1,6 @@
 """Test-only oracles: numpy SU(2) algebra, vertex embeddings, the Schlafli
-residual, the small-d reflection, the xi-sum form of the 3nj asymptotics,
+residual, 60-digit dihedral angles and Regge action by the face-angle
+route, the small-d reflection, the xi-sum form of the 3nj asymptotics,
 the Horner-rule 3j and 6j series, n! from the factorial ledger and a
 random valid 3nj chain.
 
@@ -15,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from wigner_asym.asymptotics import (
@@ -196,6 +198,55 @@ def schlafli_residual(t: Tetrahedron, h_rel: float = 1e-5) -> float:
             acc += base[i] * d_theta / (2.0 * h)
         worst = max(worst, abs(acc))
     return worst
+
+
+# For each edge e, (x, tx, y, ty, txy): its companions x and y at a shared
+# node, and the third edges of the faces (e, x), (e, y) and (x, y).
+_FACE_ANGLE_ROUTE = {
+    "a": ("b", "c", "f", "e", "d"),
+    "b": ("a", "c", "f", "d", "e"),
+    "c": ("a", "b", "e", "d", "f"),
+    "d": ("b", "f", "c", "e", "a"),
+    "e": ("d", "c", "f", "a", "b"),
+    "f": ("d", "b", "e", "a", "c"),
+}
+
+
+def dihedral_mp(t: Tetrahedron, edge: str, dps: int = 60):
+    """Internal dihedral at ``edge`` as an mpf at ``dps`` digits, by the
+    face-angle route: the three face angles at a node of the edge by acos,
+    then the spherical law of cosines and a fourth acos.
+
+    As in the package, NotClassicallyAllowed first when the Cayley-Menger
+    determinant is negative, then DegenerateVertex when a face angle at the
+    edge has sine below ``_SINE_TOL``."""
+    if t.cayley_menger() < 0.0:
+        raise NotClassicallyAllowed("dihedral angles undefined", t.cayley_menger())
+    x, tx, y, ty, txy = _FACE_ANGLE_ROUTE[edge]
+    with mpmath.workdps(dps):
+        length = {name: mpmath.mpf(l) for name, l in zip(EDGE_NAMES, t.lengths)}
+
+        def face_angle(p, q, opposite):
+            lp, lq, lo = length[p], length[q], length[opposite]
+            return mpmath.acos((lp * lp + lq * lq - lo * lo) / (2 * lp * lq))
+
+        phi_ex, phi_ey = face_angle(edge, x, tx), face_angle(edge, y, ty)
+        phi_xy = face_angle(x, y, txy)
+        sin_ex, sin_ey = mpmath.sin(phi_ex), mpmath.sin(phi_ey)
+        if sin_ex < _SINE_TOL or sin_ey < _SINE_TOL:
+            raise DegenerateVertex(f"face angle sine underflow at edge {edge}")
+        cos_theta = (mpmath.cos(phi_xy) - mpmath.cos(phi_ex) * mpmath.cos(phi_ey)) / (sin_ex * sin_ey)
+        return mpmath.acos(max(-1, min(1, cos_theta)))
+
+
+def regge_action_mp(t: Tetrahedron, dps: int = 60):
+    """sum_e l_e (pi - theta_e) as an mpf at ``dps`` digits, every angle by
+    :func:`dihedral_mp`."""
+    with mpmath.workdps(dps):
+        return mpmath.fsum(
+            mpmath.mpf(l) * (mpmath.pi - dihedral_mp(t, name, dps))
+            for l, name in zip(t.lengths, EDGE_NAMES)
+        )
 
 
 def asym_3nj_xi_sum(sym: Symbol3nj, mark: SmallSpinMarking) -> float:

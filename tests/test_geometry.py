@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
+from wigner_asym.asymptotics import NINEJ_REFERENCE_SLOTS
 from wigner_asym.errors import (
     DegenerateTriangle,
     DegenerateVertex,
@@ -18,6 +19,7 @@ from wigner_asym.errors import (
 )
 from wigner_asym.geometry import (
     EDGE_NAMES,
+    MIN_EDGE,
     SignConfig,
     Tetrahedron,
     dihedral_external,
@@ -32,9 +34,17 @@ from wigner_asym.geometry import (
     volume,
 )
 from wigner_asym.halfint import HalfInt
+from wigner_asym.harness import build_symbol, reference_sweep_configs, slot_names
 
 from conftest import embedded_tet, random_realizable_tet
-from oracles import embed_vertices, schlafli_residual, su2_euler_product, su2_extract_euler
+from oracles import (
+    dihedral_mp,
+    embed_vertices,
+    regge_action_mp,
+    schlafli_residual,
+    su2_euler_product,
+    su2_extract_euler,
+)
 
 
 def test_triangle_angle_frozen_cases():
@@ -108,7 +118,7 @@ def test_flat_tetrahedron_determinant_is_exactly_zero():
     assert volume(flat) == 0.0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e60])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-40, 1e60])
 def test_tetrahedron_rejects_non_finite_or_non_positive_edges(bad):
     with pytest.raises(ValueError):
         Tetrahedron((bad, 1, 1, 1, 1, 1))
@@ -161,7 +171,117 @@ def test_embedding_oracle_volume_and_dihedrals(np_rng):
         assert np.allclose(got, tet.lengths, atol=1e-9)
         for edge in EDGE_NAMES:
             oracle = _dihedral_from_embedding(own, edge)
-            assert abs(dihedral_internal(tet, edge) - oracle) < 1e-9, edge
+            assert abs(dihedral_internal(tet, edge) - oracle) < 1e-12, edge
+
+
+def test_dihedrals_at_the_limits():
+    """A flat tetrahedron has angles 0 and pi; a zero-area face makes the
+    angles at its three edges, and so the Regge action, undefined; the
+    smallest edges accepted still give the regular angle."""
+    tiny = Tetrahedron((MIN_EDGE,) * 6)
+    assert tiny.status() == "allowed"
+    assert abs(dihedral_internal(tiny, "a") - math.acos(1 / 3)) < 1e-15
+    flat = Tetrahedron((3, 4, 5, 3, 4, 5))
+    pi = math.pi
+    assert [dihedral_internal(flat, e) for e in EDGE_NAMES] == [0.0, 0.0, pi, 0.0, 0.0, pi]
+    # R is the midpoint of PQ: the face (a, b, c) has zero area
+    midpoint = Tetrahedron((6, 3, 3, 4, 5, 5))
+    assert midpoint.cayley_menger() == 0.0
+    for edge in "abc":
+        with pytest.raises(DegenerateVertex):
+            dihedral_internal(midpoint, edge)
+    with pytest.raises(DegenerateVertex):
+        regge_action(midpoint)
+    assert [dihedral_internal(midpoint, e) for e in "def"] == [pi, 0.0, 0.0]
+
+
+def _flat_with_zero_area_face(rng) -> Tetrahedron:
+    """P, Q, R on a line and S at height 12 above the origin, with every
+    distance a whole number (Pythagorean triples of 12), scaled by k/2."""
+    xs = rng.sample((-35, -16, -9, -5, 5, 9, 16, 35), 3)
+    hyp = {5: 13, 9: 15, 16: 20, 35: 37}
+    p, q, r = xs
+    lengths = (abs(p - q), abs(q - r), abs(p - r), hyp[abs(r)], hyp[abs(p)], hyp[abs(q)])
+    k = rng.randint(1, 8000)
+    return Tetrahedron(tuple(k * x / 2 for x in lengths))
+
+
+def test_error_classes_match_face_angle_route():
+    """Edge by edge, the closed form raises what the face-angle route (60
+    digits, face-angle sines below 1e-12 rejected) raises, and otherwise
+    returns its angle, on half-integer edges up to 3e5: random tetrahedra,
+    allowed and forbidden, and flat ones with a zero-area face."""
+    rng = random.Random(1968)
+    tets = [_flat_with_zero_area_face(rng) for _ in range(20)]
+    while len(tets) < 80:
+        scale = 10 ** rng.uniform(0.5, 5.5)
+        try:
+            tets.append(Tetrahedron(tuple(
+                max(0.5, round(2 * scale * rng.uniform(0.3, 1.0)) / 2) for _ in range(6))))
+        except DegenerateTriangle:
+            continue
+    seen = set()
+    for tet in tets:
+        for edge in EDGE_NAMES:
+            try:
+                expected = float(dihedral_mp(tet, edge))
+            except (DegenerateVertex, NotClassicallyAllowed) as exc:
+                with pytest.raises(type(exc)):
+                    dihedral_internal(tet, edge)
+                seen.add(type(exc))
+            else:
+                assert abs(dihedral_internal(tet, edge) - expected) < 1e-12, (tet, edge)
+                seen.add(float)
+    assert seen == {DegenerateVertex, NotClassicallyAllowed, float}
+
+
+def _near_caustic_tetrahedra(rng, count):
+    """Allowed tetrahedra with 0 < CM < 1e-4 (mean edge)^6: four coplanar
+    points at a scale of 4 to 400, their distances rounded to half-integer
+    edges l = j + 1/2, and the edge d moved by up to one unit until the
+    determinant lands in the band."""
+    tets = []
+    while len(tets) < count:
+        scale = 4 * 100 ** rng.random()
+        pts = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale), 0.0) for _ in range(4)]
+        lengths = [max(0.5, round(2 * math.dist(pts[i], pts[j])) / 2)
+                   for i, j in ((0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3))]
+        for step in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            try:
+                tet = Tetrahedron((*lengths[:3], lengths[3] + step, *lengths[4:]))
+            except (DegenerateTriangle, ValueError):
+                continue
+            if 0.0 < tet.cayley_menger() < 1e-4 * (sum(tet.lengths) / 6.0) ** 6:
+                tets.append(tet)
+                break
+    return tets
+
+
+def _fig4_panel_a_tetrahedra():
+    """The allowed reference tetrahedra of the fig4 panel a sweep."""
+    cfg = reference_sweep_configs()["a"]
+    tets = []
+    for t_sweep in range(cfg.start_twice, cfg.stop_twice + 1, cfg.step_twice):
+        spins = {**cfg.spins_twice, cfg.sweep_slot: t_sweep}
+        sym = build_symbol("9j", [spins[s] for s in slot_names("9j")])
+        try:
+            tet = Tetrahedron.from_spins([getattr(sym, s) for s in NINEJ_REFERENCE_SLOTS])
+        except DegenerateTriangle:
+            continue
+        if tet.cayley_menger() > 0.0:
+            tets.append(tet)
+    return tets
+
+
+def test_regge_action_against_60_digit_oracle():
+    """Relative error of the Regge action at most 1e-14 against the
+    face-angle route at 60 digits, near caustics and on fig4 panel a."""
+    near = _near_caustic_tetrahedra(random.Random(2011), 100)
+    fig_a = _fig4_panel_a_tetrahedra()
+    assert len(fig_a) == 60
+    for tet in near + fig_a:
+        reference = float(regge_action_mp(tet))
+        assert abs(regge_action(tet) - reference) <= 1e-14 * reference, tet.lengths
 
 
 def test_regge_action_frozen_and_scaling():

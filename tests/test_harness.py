@@ -106,6 +106,11 @@ def test_config_validation_errors():
         ({**fifteen, "kind": "3nj", "formulas": ["asym3nj"],
           "marking": {"small_jk": ["j", 6]}}, "marking"),
         ({**chain, "marking": {"small_jk": ["j", 6]}}, "marking"),
+        # no 9j or 6j formula reads a marking
+        ({**FIG_A_CONFIG, "marking": {"small_jk": ["k", 40], "small_l": [9]}}, "marking"),
+        ({"kind": "6j", "spins_twice": {"a": 20, "b": 20, "c": 20, "d": 20, "e": 20},
+          "sweep": {"slot": "f", "start_twice": 20, "stop_twice": 20}, "formulas": ["pr6j"],
+          "marking": {"small_jk": ["j", 1]}}, "marking"),
         ({**FIG_A_CONFIG, "pivot": "zz"}, "pivot"),
         ({**FIG_A_CONFIG, "edmonds_lengths": "cube"}, "edmonds_lengths"),
         ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
@@ -393,6 +398,18 @@ def test_cli_exact_readme_outputs(capsys, args):
     assert capsys.readouterr().out == README_EXACT[args]
 
 
+@pytest.mark.parametrize("args", [
+    ["9j", "860", "60", "860", "2", "120", "122", "862", "120", "860",
+     "--small-jk", "k:40", "--small-l", "9"],
+    ["9j", "860", "60", "860", "2", "120", "122", "862", "120", "860", "--small-l", ""],
+    ["pr6j", "60", "60", "60", "60", "60", "60", "--small-jk", "j:1"],
+    ["edmonds", "60", "60", "60", "0", "0", "2", "--small-l", "1"],
+])
+def test_cli_marking_for_a_kind_without_one_exits_2(capsys, args):
+    assert cli.main(["asym", *args]) == 2
+    assert "reads no marking" in capsys.readouterr().err
+
+
 def test_cli_strict_allowed_exit_3():
     proc = run_cli("asym", "pr6j", "16", "16", "24", "16", "16", "24",
                    "--strict-allowed")
@@ -447,13 +464,13 @@ def test_cli_asym_diagnostics_dump():
 #: the Cayley-Menger determinants are exact integer sums rounded once, so
 #: no linear-algebra library enters these bytes)
 FIG4_SHA256 = {
-    "fig_a.csv": "7db8cf1a38ac264ae9dc411832178b0d9d4d779ce77035c9473c61cf12edf46d",
+    "fig_a.csv": "53a210a7307f0c10ba50fdc4e87cb5e5cc24fca7709d858ef15bb84c05d947b9",
     "fig_a.gnuplot": "b499eaa8e2e9447310c5cccdc6ec8be04810831bfc2e28f9c21b54ff83b015b4",
-    "fig_b.csv": "bfedc2f58b1567e6f13443055ca7052e5059979b2b039e39c5d7709e8c918c01",
+    "fig_b.csv": "f7e63df9ab8e51f8597f45776022d9794d5dc21c0a4f9b678dff1344829c0f74",
     "fig_b.gnuplot": "71777fb15f435547d86e9f8f9cb0121aa27394ef5954def98c414f1b42e65687",
-    "fig_c.csv": "f4df9ae289cb1d9f0a0eca8c2c925ecc87ad040dd0d530148ad58d86e46f30f5",
+    "fig_c.csv": "e07979952372325202365566964e146c61a349a9b1b9e2f18019d370bcac0f4e",
     "fig_c.gnuplot": "0fcccad565b212527e4631bef1d6797d2b5c9fbd07bdf0f2f33b2411fbbcced7",
-    "fig_d.csv": "34d295123fc003e3187dd16fe22cffe1038df1e6fa328c8e176338483db25e75",
+    "fig_d.csv": "39dbf97386fd5935505b9a03dc9eeec70e48fba0138ace20f981fb1d263d661a",
     "fig_d.gnuplot": "790c6b3cf34c266cc6657583f62ba2ac448db53d820b3eeb31654f7f992f6230",
 }
 
