@@ -1,27 +1,28 @@
 """Exact Wigner 3j/6j/9j/15j/3nj symbols over big-rational arithmetic.
 
 3j symbols evaluate to closed :class:`SqrtRational` form via the single-sum
-formula: the first term and the square-root prefactor are factorial
-quotients assembled prime-wise by the ledger; the sum itself, like the 6j
-Racah sum, runs on the ratio of consecutive terms in plain ints (Horner's
-rule, or binary splitting for long windows) and makes one Fraction at the
-end.  Every 6j-based value goes through one engine, :func:`_chain_sum`,
-which sums products of 6j over an intermediate spin x: 9j, 15j and
-first-kind 3nj symbols, the pentagon and orthogonality left sides, and the
-standalone 6j as a chain of one symbol with no x (a single term).  A triad
-with x occurs in exactly two 6j of a term, so its triangle coefficient
-enters squared and rational; the triads without x give the value one
-square root, taken once.  A chain takes one factorial quotient from the
-ledger, at its lowest x; each later x steps it by a small integer ratio and
-costs one Fraction.  No symbol value is cached, and no value depends on a
-floating-point working precision.
+formula: the sum, like the 6j Racah sum, runs on the ratio of consecutive
+terms in plain ints (Horner's rule, or binary splitting with gcd-reduced
+products for long windows) and makes one Fraction at the end; its first
+term, a factorial quotient, enters the square-root prefactor squared, so
+the ledger assembles both prime-wise in one call.  Every 6j-based value
+goes through one engine, :func:`_chain_sum`, which sums products of 6j
+over an intermediate spin x: 9j, 15j and first-kind 3nj symbols, the
+pentagon and orthogonality left sides, and the standalone 6j as a chain of
+one symbol with no x (a single term).  A triad with x occurs in exactly two
+6j of a term, so its triangle coefficient enters squared and rational; the
+triads without x give the value one square root, taken once, into which
+the factorial part of the lowest x enters squared: one ledger call per
+chain.  Each later x steps that factorial part by a small integer ratio
+and costs one Fraction.  No symbol value is cached, and no value depends
+on a floating-point working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .errors import InternalConsistencyError
 from .halfint import HalfInt, halfint_sum, triad_allowed
@@ -34,16 +35,22 @@ from .sqrtrat import SqrtRational
 
 #: Most terms a 3j or 6j window sums by Horner's rule, whose cost grows as
 #: the square of the window; binary splitting, in leaves of _LEAF terms,
-#: stays close to linear but costs more per term.  On 6j with equal spins
-#: (CPython 3.11, 2-vCPU VM) it breaks even near 500 terms and takes 0.6 of
-#: Horner's time at 2000.
+#: stays close to linear but costs more per term.  Timed with the Fraction
+#: made from each sum (CPython 3.11, 2-vCPU VM), it breaks even near 350
+#: terms on 6j and 440 on 3j, takes 0.8 of Horner's time at 512 and 0.5 at
+#: 1000.  Only about one 3j and one 6j in 34 of the bench's large-spin
+#: symbols fall between 350 and 512, so a lower switch gains nothing
+#: measurable.
 _HORNER, _LEAF = 512, 32
 
 
 def _split(lo, hi, ratio):
     """Binary splitting of Horner's step v <- M(z) v, M(z) = [[-b, a], [0, a]]
-    with (a, b) = ratio(z): (p, q, r) with M(lo) ... M(hi-1) = [[p, q], [0, r]],
-    so that Horner's (num, den) from v = (1, 1) are exactly (p + q, r)."""
+    with (a, b) = ratio(z): (p, q, r) proportional to M(lo) ... M(hi-1) =
+    [[p, q], [0, r]], so that (p + q) / r equals Horner's num / den from
+    v = (1, 1).  Only that ratio is used, so each merged triple is divided
+    by its gcd: on a 1577-term 6j window, r has 388 bits where Horner's
+    den has 60150."""
     if hi - lo <= _LEAF:
         p, q, r = 1, 0, 1
         for z in range(hi - 1, lo - 1, -1):
@@ -53,7 +60,9 @@ def _split(lo, hi, ratio):
     mid = (lo + hi) // 2
     p1, q1, r1 = _split(lo, mid, ratio)
     p2, q2, r2 = _split(mid, hi, ratio)
-    return p1 * p2, p1 * q2 + q1 * r2, r1 * r2
+    p, q, r = p1 * p2, p1 * q2 + q1 * r2, r1 * r2
+    g = gcd(p, q, r)
+    return p // g, q // g, r // g
 
 
 def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
@@ -77,22 +86,22 @@ def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
     e = (t3 - t1 - u2) // 2
 
     head, num, den = _threej_series(a, b, c, d, e)
-    total = DEFAULT_LEDGER.factorial_quotient(head) * Fraction(num, den)
-    if total == 0:
+    if num == 0:
         return SqrtRational.zero()
 
+    # sqrt(pre) * head = sqrt(pre * head**2), head > 0: one ledger call
     pre = [
         (a, 1), ((t1 - t2 + t3) // 2, 1), ((-t1 + t2 + t3) // 2, 1),
         ((t1 + t2 + t3) // 2 + 1, -1),
         ((t1 + u1) // 2, 1), ((t1 - u1) // 2, 1),
         ((t2 + u2) // 2, 1), ((t2 - u2) // 2, 1),
         ((t3 + u3) // 2, 1), ((t3 - u3) // 2, 1),
-    ]
+    ] + [(n, 2 * c) for n, c in head]
     rat, rad = DEFAULT_LEDGER.sqrt_factorial_quotient(pre)
-    sign = 1 if total > 0 else -1
+    sign = 1 if num > 0 else -1
     if ((t1 - t2 - u3) // 2) % 2:
         sign = -sign
-    return SqrtRational(sign, abs(total) * rat, rad)
+    return SqrtRational(sign, Fraction(abs(num), den) * rat, rad)
 
 
 def _threej_series(a, b, c, d, e):
@@ -180,11 +189,13 @@ def _chain_sum(sixjs, weight):
     ``sixjs`` holds each 6j of the chain as a twice-value 6-tuple with
     :data:`X` in the one slot of x; ``weight(tx)`` is the integer phase
     times 2x+1.  Returns (value, pre, [(tx, q)]): the SqrtRational value,
-    the square root of the triads without x, and one rational q per x in
-    the window (where every triad with x is allowed), the term of x being
-    pre * q.  q holds the Racah heads and the squared coefficients of the
-    triads with x, which must pair up (as a multiset) across the chain.  A
-    chain without x (one standalone 6j) has the single term tx = 0.
+    a SqrtRational pre and one rational q per x in the window (where every
+    triad with x is allowed), the term of x being pre * q.  pre is the
+    square root of the triads without x times the factorial part F(lo) of
+    the lowest x: the Racah heads and the squared coefficients of the
+    triads with x, which must pair up (as a multiset) across the chain.  q
+    holds the Racah sums, the weight and F(x) / F(lo).  A chain without x
+    (one standalone 6j) has the single term tx = 0.
     """
     fixed, xtri = [], []
     for a, b, c, d, e, f in sixjs:
@@ -197,14 +208,12 @@ def _chain_sum(sixjs, weight):
     pairs = xtri[::2]
     if pairs != xtri[1::2]:
         raise InternalConsistencyError(f"chain triads with x do not pair up: {xtri}")
-    if len({(p + q) % 2 for p, q in pairs}) > 1 or not all(
-            (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in fixed):
-        return SqrtRational.zero(), SqrtRational.zero(), []
     lo = max((abs(p - q) for p, q in pairs), default=0)
     hi = min((p + q for p, q in pairs), default=0)
+    if lo > hi or len({(p + q) % 2 for p, q in pairs}) > 1 or not all(
+            (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in fixed):
+        return SqrtRational.zero(), SqrtRational.zero(), []
 
-    pre = SqrtRational(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
-        [t for tri in fixed for t in _delta_terms(*tri)]))
     terms = []
     for tx in range(lo, hi + 1, 2):
         facts = [t for p, q in pairs for t in _delta_terms(p, q, tx)]
@@ -214,8 +223,14 @@ def _chain_sum(sixjs, weight):
             facts += head
             num *= n6
             den *= d6
-        fq = (DEFAULT_LEDGER.factorial_quotient(facts) if tx == lo
-              else fq * _factorial_step(prev, facts))
+        if tx == lo:
+            # sqrt(fixed) * F(lo) = sqrt(fixed * F(lo)**2), F(lo) > 0
+            pre = SqrtRational(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
+                [t for tri in fixed for t in _delta_terms(*tri)]
+                + [(n, 2 * c) for n, c in facts]))
+            fq = 1
+        else:
+            fq *= _factorial_step(prev, facts)
         prev = facts
         terms.append((tx, Fraction(weight(tx) * num, den) * fq))
     return pre * sum(q for _, q in terms), pre, terms

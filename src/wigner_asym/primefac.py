@@ -3,7 +3,11 @@
 Quotients of factorial products are assembled as prime-exponent vectors
 (Legendre's formula) and multiplied out by a balanced product tree, so every
 big integer formed divides the reduced numerator or denominator.  This is
-what keeps exact 6j evaluation viable at spins of several hundred.
+what keeps exact 6j evaluation viable at spins of several hundred.  The
+package asks for one thing, the square root of such a quotient split into
+a rational part and a squarefree radicand (``sqrt_factorial_quotient``):
+each 3j, 6j and 6j chain makes one such call, with its rational factorial
+part folded in squared, and ``wigner_d`` one per term of a small-d sum.
 
 The exponent vector of n! is computed once per n and cached as a list
 aligned with the prime table (entry i is the exponent of the i-th prime).
@@ -123,12 +127,6 @@ class FactorialLedger:
                 acc = list(scaled)
         # Read the table after any growth above, so it covers acc.
         return {p: e for p, e in zip(self._primes, acc) if e}
-
-    def factorial_quotient(self, terms) -> Fraction:
-        """Exact value of prod_i (n_i!)**c_i as a Fraction in lowest terms."""
-        exps = self.combined_exponents(terms).items()
-        return Fraction(_product([p ** e for p, e in exps if e > 0]),
-                        _product([p ** -e for p, e in exps if e < 0]))
 
     def sqrt_factorial_quotient(self, terms):
         """Split sqrt(prod_i (n_i!)**c_i) into (rational, squarefree radicand).

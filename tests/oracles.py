@@ -1,8 +1,8 @@
 """Test-only oracles: numpy SU(2) algebra, vertex embeddings, the Schlafli
 residual, 60-digit dihedral angles and Regge action by the face-angle
 route, the small-d reflection, the xi-sum form of the 3nj asymptotics,
-the Horner-rule 3j and 6j series, n! from the factorial ledger and a
-random valid 3nj chain.
+the Horner-rule 3j and 6j series, n! and factorial quotients from the
+factorial ledger and a random valid 3nj chain.
 
 They check the package from outside it (Euler angles of the glued
 triangles, dihedrals and volumes from coordinates, the resummed chain
@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -40,7 +41,7 @@ from wigner_asym.geometry import (
 )
 from wigner_asym.halfint import HalfInt
 from wigner_asym.identities import _sample_coupled, _window
-from wigner_asym.primefac import FactorialLedger as _Ledger
+from wigner_asym.primefac import FactorialLedger as _Ledger, _product
 from wigner_asym.wigner_d import _check_projections, small_d
 
 
@@ -357,8 +358,14 @@ def random_valid_chain(rng, n: int, tmax: int = 20) -> Symbol3nj:
 
 
 class FactorialLedger(_Ledger):
-    """The package's factorial ledger plus n! and its exponent dict, which
-    only tests read."""
+    """The package's factorial ledger plus n!, its exponent dict and the
+    plain factorial quotient, which only tests read."""
+
+    def factorial_quotient(self, terms) -> Fraction:
+        """Exact value of prod_i (n_i!)**c_i as a Fraction in lowest terms."""
+        exps = self.combined_exponents(terms).items()
+        return Fraction(_product([p ** e for p, e in exps if e > 0]),
+                        _product([p ** -e for p, e in exps if e < 0]))
 
     def factorial_exponents(self, n: int) -> dict:
         """{prime: exponent} for n!."""

@@ -4,7 +4,7 @@ The 3j engine is checked against Clebsch-Gordan coefficients built by
 highest-weight construction, ladder lowering and Gram-Schmidt (no Racah
 sum anywhere); the 6j engine is then checked against the contraction of
 four 3j symbols over all projections.  The binary splitting of long
-windows is checked against Horner's rule integer for integer.
+windows is checked against Horner's rule: the same head and fraction.
 """
 
 from __future__ import annotations
@@ -366,35 +366,61 @@ def sixj_with_window(rng, terms, spread=40):
             return t
 
 
+def split_matches_horner(series, horner, args):
+    """Binary splitting returns Horner's head and Horner's fraction, and
+    every triple it merges is in lowest terms: p, q and r share no factor."""
+    merged = []
+    split = exact._split
+
+    def recording(lo, hi, ratio):
+        out = split(lo, hi, ratio)
+        if hi - lo > exact._LEAF:
+            merged.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_split", recording)
+        head, num, den = series(*args)
+    want_head, want_num, want_den = horner(*args)
+    assert head == want_head, args
+    assert Fraction(num, den) == Fraction(want_num, want_den), args
+    assert all(math.gcd(*t) == 1 for t in merged), args
+    return den, want_den, len(merged)
+
+
 @pytest.mark.parametrize("terms", [31, 32, 33, 64, 65])
 def test_split_matches_horner_at_leaf_edges(monkeypatch, terms):
     """With every window sent to binary splitting, leaves of the split meet
     each window on either side of one and two leaf lengths; the split gives
-    Horner's own head, numerator and denominator, not just an equal
-    fraction."""
+    Horner's own head and the same fraction, not Horner's unreduced
+    integers: every merged triple is divided by its gcd."""
     assert exact._LEAF == 32
     monkeypatch.setattr(exact, "_HORNER", 0)
     rng = random.Random(terms)
     for _ in range(3):
         abcde = threej_with_window(rng, terms)
-        assert exact._threej_series(*abcde) == threej_series_horner(*abcde), abcde
+        split_matches_horner(exact._threej_series, threej_series_horner, abcde)
         t = sixj_with_window(rng, terms)
-        assert exact._racah_series(*t) == racah_series_horner(*t), t
+        split_matches_horner(exact._racah_series, racah_series_horner, t)
 
 
 def test_split_matches_horner_on_long_windows():
     """Unpatched, on both sides of the switch from Horner's rule to binary
-    splitting and on one 6j near spin 2000."""
+    splitting and on one 6j near spin 2000, whose reduced denominator is
+    under a tenth of Horner's in bits."""
     rng = random.Random(2000)
     for terms in (exact._HORNER, exact._HORNER + 1, 900):
         abcde = threej_with_window(rng, terms)
-        assert exact._threej_series(*abcde) == threej_series_horner(*abcde), abcde
+        split_matches_horner(exact._threej_series, threej_series_horner, abcde)
         t = sixj_with_window(rng, terms, spread=400)
-        assert exact._racah_series(*t) == racah_series_horner(*t), t
+        split_matches_horner(exact._racah_series, racah_series_horner, t)
     t = (3818, 3307, 3937, 3542, 3815, 3695)
     _, t_sums, p_sums = sixj_window(t)
     assert min(p_sums) - max(t_sums) + 1 > 1500
-    assert exact._racah_series(*t) == racah_series_horner(*t)
+    den, horner_den, merged = split_matches_horner(
+        exact._racah_series, racah_series_horner, t)
+    assert merged > 0
+    assert 10 * den.bit_length() < horner_den.bit_length()
 
 
 def test_split_6j_matches_sympy():
@@ -408,6 +434,24 @@ def test_split_6j_matches_sympy():
     assert min(p_sums) - max(t_sums) + 1 > exact._HORNER
     ours = wigner6j(*(H(x) for x in t))
     theirs = wigner.wigner_6j(*(sympy.Rational(x, 2) for x in t), prec=None)
+    assert not ours.is_zero
+    assert theirs == (ours.sign * sympy.Rational(ours.rat.numerator, ours.rat.denominator)
+                      * sympy.sqrt(ours.rad))
+
+
+def test_split_3j_matches_sympy():
+    """Exact equality with sympy.physics.wigner on a 3j with half-integer
+    spins whose window is summed by binary splitting."""
+    wigner = pytest.importorskip("sympy.physics.wigner")
+    import sympy
+
+    t1, t2, t3, u1, u2, u3 = t = (1401, 1301, 1200, 3, -41, 38)
+    abcde = ((t1 + t2 - t3) // 2, (t1 - u1) // 2, (t2 + u2) // 2,
+             (t3 - t2 + u1) // 2, (t3 - t1 - u2) // 2)
+    kmin = max(0, -abcde[3], -abcde[4])
+    assert min(abcde[:3]) - kmin + 1 > exact._HORNER
+    ours = wigner3j(*(H(x) for x in t))
+    theirs = wigner.wigner_3j(*(sympy.Rational(x, 2) for x in t))
     assert not ours.is_zero
     assert theirs == (ours.sign * sympy.Rational(ours.rat.numerator, ours.rat.denominator)
                       * sympy.sqrt(ours.rad))

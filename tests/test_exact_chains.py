@@ -17,6 +17,7 @@ from wigner_asym.exact import (
     Symbol3nj,
     Symbol9j,
     _chain_sum,
+    wigner3j,
     wigner6j,
     wigner9j,
     wigner15j,
@@ -228,13 +229,16 @@ def _zmin_triads(six):
 
 
 def test_chain_work_count(monkeypatch):
-    """A chain takes one square root and one factorial quotient, and never
-    calls the standalone 6j: every x after the first steps the factorial
-    part by an integer ratio.  That holds when the lower end of a Racah
-    window moves from a triad without x to one with x, and across an x
-    whose term is exactly 0.  A standalone 6j is a chain of one symbol: one
-    square root and one factorial quotient per call, a repeat or a
-    symmetry image included."""
+    """A chain makes one ledger call, a square root that holds the triads
+    without x and the factorial part of the lowest x, and never calls the
+    standalone 6j: every x after the first steps the factorial part by an
+    integer ratio.  That holds when the lower end of a Racah window moves
+    from a triad without x to one with x, and across an x whose term is
+    exactly 0.  A standalone 6j is a chain of one symbol, and a 3j folds
+    its first term into its square root: one ledger call per symbol, a
+    repeat, a symmetry image or a window summed by binary splitting
+    included.  ``combined_exponents`` is where every ledger call factors,
+    so counting it catches any other route to the ledger."""
     counts = Counter()
 
     def counting(name, fn):
@@ -243,9 +247,14 @@ def test_chain_work_count(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("sqrt_factorial_quotient", "factorial_quotient"):
+    assert not hasattr(DEFAULT_LEDGER, "factorial_quotient")
+    for name in ("sqrt_factorial_quotient", "combined_exponents"):
         monkeypatch.setattr(DEFAULT_LEDGER, name, counting(name, getattr(DEFAULT_LEDGER, name)))
     monkeypatch.setattr(exact, "wigner6j", counting("wigner6j", exact.wigner6j))
+
+    def one_ledger_call(what):
+        assert counts["sqrt_factorial_quotient"] == 1, (what, counts)
+        assert counts["combined_exponents"] == 1, (what, counts)
 
     sym = Symbol9j.from_values(5, 4, 3, 2, 3, 4, 4, 5, 2)
     for p in PIVOTS:
@@ -253,8 +262,7 @@ def test_chain_work_count(monkeypatch):
         res = wigner9j(sym, pivot=p)
         assert not res.value.is_zero
         assert len(res.terms) > 1, p
-        assert counts["sqrt_factorial_quotient"] == 1, (p, counts)
-        assert counts["factorial_quotient"] == 1, (p, counts)
+        one_ledger_call(p)
         assert counts["wigner6j"] == 0, (p, counts)
     rng = random.Random(17)
     chains = [random_valid_chain(rng, n, tmax=16) for n in (3, 5, 6)]
@@ -267,8 +275,7 @@ def test_chain_work_count(monkeypatch):
     for chain in chains + [switch, zero]:
         counts.clear()
         value = wigner3nj(chain)
-        assert counts["sqrt_factorial_quotient"] == 1, (chain, counts)
-        assert counts["factorial_quotient"] == 1, (chain, counts)
+        one_ledger_call(chain)
         assert counts["wigner6j"] == 0, (chain, counts)
         assert value == _oracle_3nj(chain), chain
     sixjs = _chain_sixjs(switch)
@@ -280,11 +287,15 @@ def test_chain_work_count(monkeypatch):
     assert [q == 0 for _, q in terms].index(True) == 6 and terms[-1][1] != 0
     assert not wigner3nj(zero).is_zero
     six = (5, 4, 3, 2, 3, 4)
-    for spins in (six, six, (4, 5, 3, 3, 2, 4), (2, 3, 3, 5, 4, 4)):
+    for spins in (six, six, (4, 5, 3, 3, 2, 4), (2, 3, 3, 5, 4, 4), (700,) * 6):
         counts.clear()
         assert not wigner6j(*spins).is_zero
-        assert counts["sqrt_factorial_quotient"] == 1, (spins, counts)
-        assert counts["factorial_quotient"] == 1, (spins, counts)
+        one_ledger_call(spins)
+    for spins in ((5, 4, 3, 1, -2, 1), (H(7), 4, H(9), H(-3), 2, H(-1)),
+                  (700, 650, 600, 10, -30, 20)):
+        counts.clear()
+        assert not wigner3j(*spins).is_zero
+        one_ledger_call(spins)
 
 
 def test_9j_matches_sympy_oracle():
