@@ -15,7 +15,7 @@ import sys
 
 from .asymptotics import CLOSED_15J_FORMS, SmallSpinMarking
 from .errors import NotClassicallyAllowed, WignerAsymError
-from .exact import PIVOTS, Symbol3nj, wigner15j
+from .exact import PIVOTS, Symbol3nj, wigner9j, wigner15j
 from .halfint import HalfInt
 from .harness import (
     ASYM_FORMULAS,
@@ -106,10 +106,10 @@ def cmd_exact(args) -> int:
     if args.precision < 1:
         raise ValueError(f"--precision must be at least 1, got {args.precision}")
     sym = build_symbol(args.symbol, args.spins, args.n or len(args.spins) // 3)
-    value, terms = exact_value(args.symbol, sym, args.pivot)
+    value = exact_value(args.symbol, sym, args.pivot)
     print(f"{value.to_decimal(args.precision)}    [{value}]")
-    if args.diagnostics:
-        for x, term in terms:
+    if args.diagnostics and args.symbol == "9j":
+        for x, term in wigner9j(sym, pivot=args.pivot).terms:
             print(f"  x={x}: {term.to_decimal(12)}")
     return EXIT_OK
 
@@ -218,13 +218,13 @@ def _verify_identities(args) -> int:
     report("6j orthogonality (exact)", defects == 0)
 
     sym = random_valid_9j(rng, tmax=20)
-    vals = [exact_value("9j", sym, p)[0] for p in PIVOTS]
+    vals = [exact_value("9j", sym, p) for p in PIVOTS]
     report("9j pivot invariance (exact)", all(v == vals[0] for v in vals[1:]))
 
     rows = (tuple(HalfInt(x) for x in (1, 2, 2, 1, 1)),
             tuple(HalfInt(x) for x in (2, 1, 1, 2, 2)),
             tuple(HalfInt(x) for x in (1, 1, 1, 1, 1)))
-    report("3nj(n=5) vs 15j (exact)", exact_value("3nj", Symbol3nj(*rows))[0] == wigner15j(*rows))
+    report("3nj(n=5) vs 15j (exact)", exact_value("3nj", Symbol3nj(*rows)) == wigner15j(*rows))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

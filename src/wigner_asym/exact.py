@@ -1,28 +1,32 @@
 """Exact Wigner 3j/6j/9j/15j/3nj symbols over big-rational arithmetic.
 
-3j symbols evaluate to closed :class:`SqrtRational` form via the single-sum
-formula: the sum, like the 6j Racah sum, runs on the ratio of consecutive
-terms in plain ints (Horner's rule, or binary splitting with gcd-reduced
-products for long windows) and makes one Fraction at the end; its first
-term, a factorial quotient, enters the square-root prefactor squared, so
-the ledger assembles both prime-wise in one call.  Every 6j-based value
-goes through one engine, :func:`_chain_sum`, which sums products of 6j
-over an intermediate spin x: 9j, 15j and first-kind 3nj symbols, the
-pentagon and orthogonality left sides, and the standalone 6j as a chain of
-one symbol with no x (a single term).  A triad with x occurs in exactly two
-6j of a term, so its triangle coefficient enters squared and rational; the
-triads without x give the value one square root, taken once, into which
-the factorial part of the lowest x enters squared: one ledger call per
-chain.  Each later x steps that factorial part by a small integer ratio
-and costs one Fraction.  No symbol value is cached, and no value depends
-on a floating-point working precision.
+3j and 6j symbols evaluate to closed :class:`SqrtRational` form via their
+single-sum formulas: the sum runs on the ratio of consecutive terms in
+plain ints (Horner's rule, or binary splitting with gcd-reduced products
+for long windows) and makes one Fraction at the end; its first term, a
+factorial quotient, enters the square-root prefactor squared, so the
+ledger assembles both prime-wise in one call.  Every sum of products of 6j
+over an intermediate spin x goes through one engine, :func:`_chain_series`:
+9j, 15j and first-kind 3nj symbols, and the pentagon and orthogonality
+left sides.  Each 6j of a chain is brought to the form {a b x; d e f}, the
+product of four triangle coefficients and an integer Racah sum R(x).  A
+triad with x occurs in exactly two 6j of a term, so its triangle
+coefficient enters squared and rational; the triads without x give the
+value one square root, taken once, into which the squared coefficients of
+the lowest x enter squared: one ledger call per chain.  Each R is summed
+directly at the two lowest x only; every later x comes from the
+Schulten-Gordon three-term recurrence in x, over exact ints, whose
+division must leave no remainder.  The terms are summed in plain ints
+with one Fraction at the end.  No symbol value is cached, and no value
+depends on a floating-point working precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from functools import cached_property
+from math import comb, gcd
 
 from .errors import InternalConsistencyError
 from .halfint import HalfInt, halfint_sum, triad_allowed
@@ -129,14 +133,28 @@ def _threej_series(a, b, c, d, e):
 # ----------------------------------------------------------------------
 
 def wigner6j(a, b, c, d, e, f) -> SqrtRational:
-    """Exact 6j symbol {a b c; d e f} via the Racah single sum: a chain of
-    one 6j with no summation spin.
+    """Exact 6j symbol {a b c; d e f} via the Racah single sum, whose first
+    term enters the square root of the four triangle coefficients squared:
+    one ledger call.
 
     Returns exact 0 when any of the four coupled triads
     (a,b,c), (a,e,f), (d,b,f), (d,e,c) fails.
     """
     six = tuple(HalfInt(x).twice for x in (a, b, c, d, e, f))
-    return _chain_sum((six,), lambda tx: 1)[0]
+    ta, tb, tc, td, te, tf = six
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    if not all(_triad_ok(*tri) for tri in triads):
+        return SqrtRational.zero()
+    head, num, den = _racah_series(*six)
+    # sqrt(deltas) * head = sqrt(deltas * head**2), head > 0
+    rat, rad = DEFAULT_LEDGER.sqrt_factorial_quotient(
+        [t for tri in triads for t in _delta_terms(*tri)] + [(n, 2 * c) for n, c in head])
+    return SqrtRational(1, Fraction(num, den) * rat, rad)
+
+
+def _triad_ok(ta, tb, tc):
+    """Clebsch-Gordan condition on twice values."""
+    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
 def _delta_terms(ta, tb, tc):
@@ -175,6 +193,21 @@ def _racah_series(ta, tb, tc, td, te, tf):
     return head, -num if zmin % 2 else num, den
 
 
+def _racah_int(six):
+    """The Racah sum of a 6j (twice values) as an int: its terms are
+    (z+1) times the multinomial z! / prod[(z-T_i)! (P_j-z)!] (the seven
+    arguments add up to z), so the first term is a product of binomials."""
+    ((top, _), *rest), num, den = _racah_series(*six)
+    head, z = top, top - 1
+    for k, _ in rest:
+        head *= comb(z, k)
+        z -= k
+    r, rem = divmod(head * num, den)
+    if rem:
+        raise InternalConsistencyError(f"Racah sum not an integer: {six}")
+    return r
+
+
 # ----------------------------------------------------------------------
 # 6j chains
 # ----------------------------------------------------------------------
@@ -182,76 +215,123 @@ def _racah_series(ta, tb, tc, td, te, tf):
 #: Marks the summation spin x in the twice-value 6-tuples of a chain.
 X = None
 
+#: By slot of x in {a b c; d e f}, the order of the six spins that moves x
+#: to slot c by the symbol's symmetries (column permutations, and exchange
+#: of upper and lower spins in two columns): {a b x; d e f} couples x to
+#: (a, b) and (d, e), and its Racah sum is unchanged.
+_X_TO_C = ((1, 2, 0, 4, 5, 3), (2, 0, 1, 5, 3, 4), (0, 1, 2, 3, 4, 5),
+           (1, 5, 3, 4, 2, 0), (0, 5, 4, 3, 2, 1), (0, 4, 5, 3, 1, 2))
 
-def _chain_sum(sixjs, weight):
-    """Exact sum_x weight(x) prod_i {6j_i}(x) over the summation spin x.
+
+def _chain_series(sixjs, weight):
+    """The terms of sum_x weight(x) prod_i {6j_i}(x) over the summation spin x.
 
     ``sixjs`` holds each 6j of the chain as a twice-value 6-tuple with
-    :data:`X` in the one slot of x; ``weight(tx)`` is the integer phase
-    times 2x+1.  Returns (value, pre, [(tx, q)]): the SqrtRational value,
-    a SqrtRational pre and one rational q per x in the window (where every
-    triad with x is allowed), the term of x being pre * q.  pre is the
-    square root of the triads without x times the factorial part F(lo) of
-    the lowest x: the Racah heads and the squared coefficients of the
-    triads with x, which must pair up (as a multiset) across the chain.  q
-    holds the Racah sums, the weight and F(x) / F(lo).  A chain without x
-    (one standalone 6j) has the single term tx = 0.
+    :data:`X` in exactly one slot; ``weight(tx)`` is the integer phase times
+    2x+1.  Each 6j is {a b x; d e f} = Delta(abx) Delta(dex) Delta(aef)
+    Delta(dbf) R(x), R the integer Racah sum.  The triads with x must pair
+    up (as a multiset) across the chain, so the product of their triangle
+    coefficients is the rational D(x) = prod over pairs Delta^2(p, q, x).
+
+    Returns (pre, terms, steps) with the term of the i-th x in the window
+    (where every triad with x is allowed) equal to
+    pre * t_i * prod_{k < i} n_k / d_k, for terms = [(tx, t_i)] and
+    steps = [(n_k, d_k)]: pre is the square root of the triads without x
+    times D(lo), one ledger call; t_i is the weight times prod R(x), an
+    int; n_k / d_k = D(x_k+1) / D(x_k), a small ratio.  Each R is summed
+    directly at the two lowest x only and stepped by :func:`_racah_run`.
+    An empty window gives (0, [], []).
     """
-    fixed, xtri = [], []
-    for a, b, c, d, e, f in sixjs:
-        for tri in ((a, b, c), (a, e, f), (d, b, f), (d, e, c)):
-            if X in tri:
-                xtri.append(tuple(sorted(v for v in tri if v is not X)))
-            else:
-                fixed.append(tri)
-    xtri.sort()
-    pairs = xtri[::2]
-    if pairs != xtri[1::2]:
-        raise InternalConsistencyError(f"chain triads with x do not pair up: {xtri}")
-    lo = max((abs(p - q) for p, q in pairs), default=0)
-    hi = min((p + q for p, q in pairs), default=0)
+    forms, fixed, xpairs = [], [], []
+    for six in sixjs:
+        if six.count(X) != 1:
+            raise InternalConsistencyError(f"chain 6j without one x: {six}")
+        a, b, _, d, e, f = (six[i] for i in _X_TO_C[six.index(X)])
+        forms.append((a, b, d, e, f))
+        fixed += ((a, e, f), (d, b, f))
+        xpairs += (tuple(sorted((a, b))), tuple(sorted((d, e))))
+    xpairs.sort()
+    pairs = xpairs[::2]
+    if pairs != xpairs[1::2]:
+        raise InternalConsistencyError(f"chain triads with x do not pair up: {xpairs}")
+    lo = max(abs(p - q) for p, q in pairs)
+    hi = min(p + q for p, q in pairs)
     if lo > hi or len({(p + q) % 2 for p, q in pairs}) > 1 or not all(
-            (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in fixed):
-        return SqrtRational.zero(), SqrtRational.zero(), []
+            _triad_ok(*tri) for tri in fixed):
+        return SqrtRational.zero(), [], []
 
-    terms = []
-    for tx in range(lo, hi + 1, 2):
-        facts = [t for p, q in pairs for t in _delta_terms(p, q, tx)]
-        num = den = 1
-        for s in sixjs:
-            head, n6, d6 = _racah_series(*(tx if v is X else v for v in s))
-            facts += head
-            num *= n6
-            den *= d6
-        if tx == lo:
-            # sqrt(fixed) * F(lo) = sqrt(fixed * F(lo)**2), F(lo) > 0
-            pre = SqrtRational(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
-                [t for tri in fixed for t in _delta_terms(*tri)]
-                + [(n, 2 * c) for n, c in facts]))
-            fq = 1
-        else:
-            fq *= _factorial_step(prev, facts)
-        prev = facts
-        terms.append((tx, Fraction(weight(tx) * num, den) * fq))
-    return pre * sum(q for _, q in terms), pre, terms
+    xs = range(lo, hi + 1, 2)
+    terms = [weight(tx) for tx in xs]
+    for form in forms:
+        for i, r in enumerate(_racah_run(*form, lo, hi)):
+            terms[i] *= r
+    steps = []
+    for tx in xs[1:]:
+        n = d = 1
+        for p, q in pairs:
+            # Delta^2(p, q, x) / Delta^2(p, q, x-1), x-1 >= |p-q| and x <= p+q
+            n *= tx * tx - (p - q) ** 2
+            d *= (p + q + 2) ** 2 - tx * tx
+        steps.append((n, d))
+    # sqrt(fixed) * D(lo) = sqrt(fixed * D(lo)**2), D(lo) > 0
+    pre = SqrtRational(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
+        [t for tri in fixed for t in _delta_terms(*tri)]
+        + [(n, 2 * c) for p, q in pairs for n, c in _delta_terms(p, q, lo)]))
+    return pre, list(zip(xs, terms)), steps
 
 
-def _factorial_step(old, new):
-    """prod (m!)^c / prod (n!)^c as a Fraction for factorial-term lists
-    old = [(n, c)] and new = [(m, c)] of consecutive x, which pair up term
-    by term; m!/n! is then the product of the few ints between n and m."""
-    if len(old) != len(new):
-        raise InternalConsistencyError(f"factorial terms do not pair up: {old} -> {new}")
-    num, den = [], []
-    for (n, c), (m, k) in zip(old, new):
-        if c != k:
-            raise InternalConsistencyError(f"factorial terms do not pair up: {old} -> {new}")
-        if m != n:
-            if m < n:
-                n, m, c = m, n, -c
-            f = m if m == n + 1 else prod(range(n + 1, m + 1))
-            (num if c > 0 else den).append(f ** abs(c))
-    return Fraction(prod(num), prod(den))
+def _racah_run(a, b, d, e, f, lo, hi):
+    """[R(x) for x = lo, lo+1, ..., hi] for the Racah sum R of {a b x; d e f}
+    (twice values, every x in the 6j's window).  R(lo) and R(lo+1) are
+    summed directly; every later R comes from the Schulten-Gordon
+    three-term recurrence in x (J. Math. Phys. 16 (1975) 1961), divided
+    by the 6j's triangle coefficients and scaled by 32, so that in twice
+    values (A = 2a, X = 2x, and [A] = A(A+2) = 4a(a+1)) every coefficient
+    is an int:
+
+        X [(X+2)^2 - (A-B)^2] [(X+2)^2 - (D-E)^2] R(x+1)
+        + 2 (X+1) ([X]([A]+[B]-[X]) + [D]([X]+[A]-[B]) + [E]([X]-[A]+[B])
+                   - 2 [X][F]) R(x)
+        + (X+2) [(A+B+2)^2 - X^2] [(D+E+2)^2 - X^2] R(x-1) = 0.
+
+    The first coefficient is positive for x >= lo+1, and the division by
+    it must be exact."""
+    run = [_racah_int((a, b, lo, d, e, f))]
+    if hi > lo:
+        run.append(_racah_int((a, b, lo + 2, d, e, f)))
+    sa, sb, sd, se, sf = (t * (t + 2) for t in (a, b, d, e, f))
+    ab, de = (a - b) ** 2, (d - e) ** 2
+    ab_top, de_top = (a + b + 2) ** 2, (d + e + 2) ** 2
+    for tx in range(lo + 2, hi, 2):
+        sx, up = tx * (tx + 2), (tx + 2) ** 2
+        lead = tx * (up - ab) * (up - de)
+        mid = 2 * (tx + 1) * (sx * (sa + sb - sx) + sd * (sx + sa - sb)
+                              + se * (sx - sa + sb) - 2 * sx * sf)
+        tail = (tx + 2) * (ab_top - tx * tx) * (de_top - tx * tx)
+        r, rem = divmod(-(mid * run[-1] + tail * run[-2]), lead)
+        if rem:
+            raise InternalConsistencyError(
+                f"6j recurrence not exact at twice x = {tx + 2}: {(a, b, d, e, f)}")
+        run.append(r)
+    return run
+
+
+def _chain_value(pre, terms, steps):
+    """The chain sum pre * sum_i t_i prod_{k<i} n_k/d_k of
+    :func:`_chain_series`, by Horner's rule from the highest x down in
+    plain ints, with one Fraction at the end."""
+    if not terms:
+        return SqrtRational.zero()
+    num, den = terms[-1][1], 1
+    for (_, t), (n, d) in zip(reversed(terms[:-1]), reversed(steps)):
+        num, den = t * d * den + n * num, d * den
+    return pre * Fraction(num, den)
+
+
+def _chain_sum(sixjs, weight):
+    """Exact sum_x weight(x) prod_i {6j_i}(x) as a SqrtRational; see
+    :func:`_chain_series`."""
+    return _chain_value(*_chain_series(sixjs, weight))
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +394,23 @@ class Symbol9j:
 
 @dataclass
 class Wigner9jResult:
+    """A 9j value and the pivot of its chain.  ``terms`` lists each signed
+    chain term (phase and 2x+1 included) as [(x: HalfInt, SqrtRational)];
+    it is made from the chain's integer terms when first read, so a caller
+    that reads only ``value`` builds no per-term Fraction."""
+
     value: SqrtRational
-    terms: list          # [(x: HalfInt, contribution: SqrtRational)]
     pivot: str
+    series: tuple = field(default=(None, (), ()), repr=False, compare=False)
+
+    @cached_property
+    def terms(self) -> list:
+        pre, terms, steps = self.series
+        trace, num, den = [], 1, 1
+        for (tx, t), (n, d) in zip(terms, ((1, 1), *steps)):
+            num, den = num * n, den * d
+            trace.append((HalfInt.from_twice(tx), pre * Fraction(t * num, den)))
+        return trace
 
 
 def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
@@ -332,7 +426,7 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
     if canonical not in PIVOTS:
         raise ValueError(f"unknown pivot {pivot!r}; expected one of {PIVOTS} (or 'j34')")
     if not sym.is_valid():
-        return Wigner9jResult(SqrtRational.zero(), [], pivot)
+        return Wigner9jResult(SqrtRational.zero(), pivot)
 
     g = sym.grid
     t_r = sym.r_total()
@@ -357,8 +451,8 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
     sixjs = ((t[0][0], t[0][1], t[0][2], t[1][2], t[2][2], X),
              (t[1][0], t[1][1], t[1][2], t[0][1], X, t[2][1]),
              (t[2][0], t[2][1], t[2][2], X, t[0][0], t[1][0]))
-    value, pre, terms = _chain_sum(sixjs, lambda tx: (-phase if tx % 2 else phase) * (tx + 1))
-    return Wigner9jResult(value, [(HalfInt.from_twice(tx), pre * q) for tx, q in terms], pivot)
+    series = _chain_series(sixjs, lambda tx: (-phase if tx % 2 else phase) * (tx + 1))
+    return Wigner9jResult(_chain_value(*series), pivot, series)
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +520,12 @@ class Symbol3nj:
     def rows_exchanged(self) -> "Symbol3nj":
         return Symbol3nj(self.k, self.j, self.l)
 
+    def reflected(self) -> "Symbol3nj":
+        """The 2n-cycle run backwards from j_1: j' = (j_1, k_n, ..., k_2),
+        k' = (k_1, j_n, ..., j_2), l' = (l_n, ..., l_1); the same triads,
+        so a symmetry of the symbol."""
+        return Symbol3nj(self.j[:1] + self.k[:0:-1], self.k[:1] + self.j[:0:-1], self.l[::-1])
+
 
 def wigner15j(j_row, k_row, l_row) -> SqrtRational:
     """Exact first-kind 15j symbol: :func:`wigner3nj` with n = 5."""
@@ -454,4 +554,4 @@ def wigner3nj(sym: Symbol3nj) -> SqrtRational:
 
     sixjs = [(j[p], k[p], X, k[p + 1], j[p + 1], l[p]) for p in range(n - 1)]
     sixjs.append((j[n - 1], k[n - 1], X, j[0], k[0], l[n - 1]))
-    return _chain_sum(sixjs, weight)[0]
+    return _chain_sum(sixjs, weight)

@@ -75,14 +75,12 @@ def build_symbol(kind: str, twice, n: int = 5):
 
 
 def exact_value(kind: str, sym, pivot: str = "j24"):
-    """(exact value, 9j term trace) of a symbol from :func:`build_symbol`;
-    the trace is empty for the other kinds."""
+    """Exact value of a symbol from :func:`build_symbol`."""
     if kind == "6j":
-        return wigner6j(*sym), []
+        return wigner6j(*sym)
     if kind == "9j":
-        res = wigner9j(sym, pivot=pivot)
-        return res.value, res.terms
-    return wigner3nj(sym), []   # 15j: a 3nj chain with n = 5
+        return wigner9j(sym, pivot=pivot).value
+    return wigner3nj(sym)   # 15j: a 3nj chain with n = 5
 
 
 def _edmonds(sym) -> float:
@@ -316,7 +314,7 @@ def _evaluate_point(cfg, sym, t_sweep, asym_formula, marking):
     row.volumes, row.flag = _geometry_columns(cfg, sym, asym_formula, marking, diag)
     if "exact" in cfg.formulas:
         try:
-            row.exact = exact_value(cfg.kind, sym)[0].to_decimal(17, strip_zeros=False)
+            row.exact = exact_value(cfg.kind, sym).to_decimal(17, strip_zeros=False)
         except WignerAsymError as exc:
             notes.insert(0, f"exact: {exc}")
     row.note = "; ".join(notes)

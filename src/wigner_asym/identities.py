@@ -69,7 +69,7 @@ def pentagon_sides(spins):
 
     ta, tb, tc, td, te, tf, tp, tq, tr = (v.twice for v in spins)
     lhs = _chain_sum(((ta, tb, X, tc, td, tp), (tc, td, X, te, tf, tq),
-                      (te, tf, X, tb, ta, tr)), weight)[0]
+                      (te, tf, X, tb, ta, tr)), weight)
     rhs = wigner6j(p, q, r, e, a, d) * wigner6j(p, q, r, f, b, c)
     return lhs, rhs
 
@@ -94,7 +94,7 @@ def orthogonality_sides(a, b, c, d, p, q):
     The left side goes through the exact chain engine, the right side is
     the closed form, so the identity checks the engine against it."""
     ta, tb, tc, td, tp, tq = (v.twice for v in (a, b, c, d, p, q))
-    lhs = _chain_sum(((ta, tb, X, tc, td, tp), (ta, tb, X, tc, td, tq)), lambda tx: tx + 1)[0]
+    lhs = _chain_sum(((ta, tb, X, tc, td, tp), (ta, tb, X, tc, td, tq)), lambda tx: tx + 1)
     rhs = SqrtRational.of(Fraction(1, p.dim)) if p == q else SqrtRational.zero()
     return lhs, rhs
 

@@ -16,6 +16,7 @@ from wigner_asym.exact import (
     X,
     Symbol3nj,
     Symbol9j,
+    _chain_series,
     _chain_sum,
     wigner3j,
     wigner6j,
@@ -88,16 +89,6 @@ def test_9j_exact_zero_for_every_pivot():
     sym = Symbol9j.from_values(60, 60, 60, 60, 60, 60, 60, 60, 59)
     for p in PIVOTS:
         assert wigner9j(sym, pivot=p).value == SqrtRational.zero(), p
-
-
-def test_factorial_step_rejects_unpaired_terms():
-    # (5!/3!) (5!/4!) (1!/2!)^2 = 20 * 5 / 4
-    assert exact._factorial_step([(3, 1), (5, -1), (2, 2)],
-                                 [(5, 1), (4, -1), (1, 2)]) == 25
-    with pytest.raises(InternalConsistencyError):
-        exact._factorial_step([(3, 1), (2, -1)], [(4, 1)])
-    with pytest.raises(InternalConsistencyError):
-        exact._factorial_step([(3, 1)], [(4, -1)])
 
 
 def test_chain_sum_rejects_unpaired_x_triads():
@@ -212,6 +203,130 @@ def test_3nj_engine_with_equal_columns():
         assert value == _oracle_3nj(sym)
 
 
+def _window(sym):
+    """Twice values of x in wigner3nj's chain window for sym."""
+    lo = max(abs(a.twice - b.twice) for a, b in zip(sym.j, sym.k))
+    hi = min(a.twice + b.twice for a, b in zip(sym.j, sym.k))
+    return range(lo, hi + 1, 2)
+
+
+def _chain_any_parity(rng, n, tmax, ring=False):
+    """A valid first-kind 3nj symbol with spins of either parity in every
+    slot, so x may be half-integer; with ``ring``, k = j and x starts at 0."""
+    h = HalfInt.from_twice
+    while True:
+        tl = [rng.randrange(0, tmax + 1) for _ in range(n)]
+        tj = [rng.randrange(0, tmax + 1)]
+        for i in range(2 * n - 1):
+            a, b = tj[-1], tl[i % n]
+            if i == n - 1 and ring:
+                break
+            tj.append(rng.randrange(abs(a - b), a + b + 1, 2))
+        tj, tk = tj[:n], (tj[:n] if ring else tj[n:])
+        sym = Symbol3nj(tuple(map(h, tj)), tuple(map(h, tk)), tuple(map(h, tl)))
+        if sym.is_valid() and len(_window(sym)):
+            return sym
+
+
+def test_chain_recurrence_edge_cases():
+    """The chain engine, which steps each 6j in x by its three-term
+    recurrence after the two lowest x, against products of standalone 6j:
+    windows of exactly 1, 2 and 3 x, integer and half-integer x, and
+    windows that start at x = 0 (k = j)."""
+    rng = random.Random(211)
+    seen = Counter()
+    while min((seen[key] for key in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1))),
+              default=0) < 2:
+        sym = _chain_any_parity(rng, rng.choice((3, 4, 5)), tmax=12)
+        xs = _window(sym)
+        key = (len(xs), xs[0] % 2)
+        if len(xs) <= 3 and seen[key] < 2:
+            seen[key] += 1
+            assert wigner3nj(sym) == _oracle_3nj(sym), sym
+    nonzero = 0
+    for n in (3, 4, 6):
+        for _ in range(4):
+            sym = _chain_any_parity(rng, n, tmax=10, ring=True)
+            assert sym.j == sym.k and _window(sym)[0] == 0, sym
+            value = wigner3nj(sym)
+            assert value == _oracle_3nj(sym), sym
+            nonzero += not value.is_zero
+    assert nonzero > 6, nonzero
+    # the Racah sum of the second 6j is exactly 0 at the seventh of ten x,
+    # and the recurrence steps across it
+    zero = Symbol3nj((H(10), H(10), H(10)), (H(14), H(12), H(12)), (H(2), H(2), H(8)))
+    a, b, _, d, e, f = _chain_sixjs(zero)[1]
+    xs = _window(zero)
+    run = exact._racah_run(a, b, d, e, f, xs[0], xs[-1])
+    assert len(run) == 10 and run[6] == 0 and run[7] != 0
+    assert wigner3nj(zero) == _oracle_3nj(zero)
+
+
+def test_chain_recurrence_at_every_9j_pivot():
+    """The four 9j pivots put x in slots f, e and d of their 6j (the
+    3nj chain puts it in slot c): term traces equal products of standalone
+    6j at every pivot over windows of at least 5 x."""
+    rng = random.Random(223)
+    done = 0
+    while done < 4:
+        sym = random_valid_9j(rng, tmax=24)
+        results = {p: wigner9j(sym, pivot=p) for p in PIVOTS}
+        if min(len(r.terms) for r in results.values()) < 5:
+            continue
+        for p, res in results.items():
+            assert res.terms == _oracle_9j_terms(sym, p), (sym, p)
+            assert res.value == results["j24"].value, (sym, p)
+        done += 1
+
+
+def test_chain_recurrence_checks_exact_division(monkeypatch):
+    """A wrong Racah sum at the second x breaks the recurrence's exact
+    division, which raises rather than returning a wrong value."""
+    sym = Symbol3nj((H(8), H(6), H(4), H(8)), (H(10), H(10), H(12), H(10)),
+                    (H(8), H(8), H(10), H(6)))
+    second = _window(sym)[1]
+    assert len(_window(sym)) >= 3
+    right = exact._racah_int
+    monkeypatch.setattr(exact, "_racah_int", lambda six: right(six) + (six[2] == second))
+    with pytest.raises(InternalConsistencyError, match="recurrence"):
+        wigner3nj(sym)
+
+
+def test_chain_recurrence_at_exact_large_scale():
+    """Three seeded 15j at the bench's exact-large scale (twice spins
+    108-130, windows of about 100 x) against products of standalone 6j."""
+    rng = random.Random(229)
+    h = HalfInt.from_twice
+    for _ in range(3):
+        parity = rng.randrange(2)
+        tj, tk = ([2 * rng.randint(54, 64) + parity for _ in range(5)] for _ in range(2))
+        tl = [2 * rng.randint(54, 64) for _ in range(5)]
+        sym = Symbol3nj(tuple(map(h, tj)), tuple(map(h, tk)), tuple(map(h, tl)))
+        assert sym.is_valid() and len(_window(sym)) > 80, sym
+        value = wigner3nj(sym)
+        assert not value.is_zero
+        assert value == _oracle_3nj(sym), sym
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_3nj_reflection(n):
+    """Running the 2n-cycle backwards is an exact symmetry; it reorders the
+    chain's 6j and their x-pairs, so the two values come from different
+    chains."""
+    rng = random.Random(300 + n)
+    half = 0
+    for _ in range(8):
+        sym = _chain_any_parity(rng, n, tmax=10)
+        ref = sym.reflected()
+        assert ref.reflected() == sym
+        assert ref != sym
+        assert sorted(sorted(t.twice for t in tri) for tri in ref.triads()) == sorted(
+            sorted(t.twice for t in tri) for tri in sym.triads())
+        half += any(v.twice % 2 for v in sym.j + sym.k + sym.l)
+        assert wigner3nj(ref) == wigner3nj(sym), sym
+    assert half > 0
+
+
 def _chain_sixjs(sym):
     """The twice-value 6j of wigner3nj's chain for sym, X in the x slot."""
     n = sym.n
@@ -230,15 +345,18 @@ def _zmin_triads(six):
 
 def test_chain_work_count(monkeypatch):
     """A chain makes one ledger call, a square root that holds the triads
-    without x and the factorial part of the lowest x, and never calls the
-    standalone 6j: every x after the first steps the factorial part by an
-    integer ratio.  That holds when the lower end of a Racah window moves
-    from a triad without x to one with x, and across an x whose term is
-    exactly 0.  A standalone 6j is a chain of one symbol, and a 3j folds
-    its first term into its square root: one ledger call per symbol, a
-    repeat, a symmetry image or a window summed by binary splitting
-    included.  ``combined_exponents`` is where every ledger call factors,
-    so counting it catches any other route to the ledger."""
+    without x and the squared triangle coefficients of the lowest x, and
+    never calls the standalone 6j.  Each of its n 6j runs its Racah sum at
+    the two lowest x only, so a chain calls ``_racah_series`` n times for
+    a window of one x and 2n times otherwise, whatever the window's
+    length; every later x comes from the three-term recurrence.  That
+    holds when the lower end of a Racah window moves from a triad without
+    x to one with x, and across an x whose term is exactly 0.  A
+    standalone 6j and a 3j fold their first term into their square root:
+    one ledger call per symbol, a repeat, a symmetry image or a window
+    summed by binary splitting included.  ``combined_exponents`` is where
+    every ledger call factors, so counting it catches any other route to
+    the ledger."""
     counts = Counter()
 
     def counting(name, fn):
@@ -251,6 +369,7 @@ def test_chain_work_count(monkeypatch):
     for name in ("sqrt_factorial_quotient", "combined_exponents"):
         monkeypatch.setattr(DEFAULT_LEDGER, name, counting(name, getattr(DEFAULT_LEDGER, name)))
     monkeypatch.setattr(exact, "wigner6j", counting("wigner6j", exact.wigner6j))
+    monkeypatch.setattr(exact, "_racah_series", counting("racah", exact._racah_series))
 
     def one_ledger_call(what):
         assert counts["sqrt_factorial_quotient"] == 1, (what, counts)
@@ -264,6 +383,7 @@ def test_chain_work_count(monkeypatch):
         assert len(res.terms) > 1, p
         one_ledger_call(p)
         assert counts["wigner6j"] == 0, (p, counts)
+        assert counts["racah"] == 3 * min(2, len(res.terms)), (p, counts)
     rng = random.Random(17)
     chains = [random_valid_chain(rng, n, tmax=16) for n in (3, 5, 6)]
     # in its third 6j the lower end of the Racah window moves from the
@@ -272,25 +392,30 @@ def test_chain_work_count(monkeypatch):
                        (H(8), H(8), H(10), H(6)))
     # the term of the seventh x is exactly 0
     zero = Symbol3nj((H(10), H(10), H(10)), (H(14), H(12), H(12)), (H(2), H(2), H(8)))
+    windows = []
     for chain in chains + [switch, zero]:
         counts.clear()
         value = wigner3nj(chain)
         one_ledger_call(chain)
         assert counts["wigner6j"] == 0, (chain, counts)
+        windows.append(len(_window(chain)))
+        assert counts["racah"] == chain.n * min(2, windows[-1]), (chain, counts)
         assert value == _oracle_3nj(chain), chain
+    assert max(windows) >= 10, windows
     sixjs = _chain_sixjs(switch)
     lo = max(abs(a - b) for a, b, *_ in sixjs)
     hi = min(a + b for a, b, *_ in sixjs)
     third = [(lo if v is X else v for v in sixjs[2]), (hi if v is X else v for v in sixjs[2])]
     assert [_zmin_triads(tuple(s)) for s in third] == [{2}, {3}]
-    _, _, terms = _chain_sum(_chain_sixjs(zero), lambda tx: tx + 1)
-    assert [q == 0 for _, q in terms].index(True) == 6 and terms[-1][1] != 0
+    _, terms, _ = _chain_series(_chain_sixjs(zero), lambda tx: tx + 1)
+    assert [t == 0 for _, t in terms].index(True) == 6 and terms[-1][1] != 0
     assert not wigner3nj(zero).is_zero
     six = (5, 4, 3, 2, 3, 4)
     for spins in (six, six, (4, 5, 3, 3, 2, 4), (2, 3, 3, 5, 4, 4), (700,) * 6):
         counts.clear()
         assert not wigner6j(*spins).is_zero
         one_ledger_call(spins)
+        assert counts["racah"] == 1, (spins, counts)
     for spins in ((5, 4, 3, 1, -2, 1), (H(7), 4, H(9), H(-3), 2, H(-1)),
                   (700, 650, 600, 10, -30, 20)):
         counts.clear()
