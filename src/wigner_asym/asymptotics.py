@@ -37,7 +37,7 @@ from .geometry import (
     triangle_angle,
     volume,
 )
-from .halfint import HalfInt, halfint_sum
+from .halfint import HalfInt, halfint_sum, projection_ok
 from .wigner_d import small_d
 
 QUARTER_PI = math.pi / 4.0
@@ -118,7 +118,7 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
     a, b, c, f = HalfInt(a), HalfInt(b), HalfInt(c), HalfInt(f)
     m, n = HalfInt(m), HalfInt(n)
     for proj in (m, n):
-        if not _projection_ok(proj, f):
+        if not projection_ok(proj, f):
             raise ValueError(f"projection {proj} invalid for small spin {f}")
     phi = _spin_angle(a, b, c)
     phase = _int_phase(halfint_sum([a, b, c, f, m]), "edmonds phase a+b+c+f+m")
@@ -145,7 +145,7 @@ def asym_9j_one_small(sym: Symbol9j):
     diag = AsymDiagnostics()
     mu = sym.j13 - sym.j1
     nu = sym.j34 - sym.j4
-    if not (sym.is_valid() and _projection_ok(mu, sym.s) and _projection_ok(nu, sym.s)):
+    if not (sym.is_valid() and projection_ok(mu, sym.s) and projection_ok(nu, sym.s)):
         diag.flags.append("invalid_symbol")
         return 0.0, diag
     large = [float(getattr(sym, name)) for name in
@@ -359,14 +359,14 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
     j, k, l = nsym.j, nsym.k, nsym.l
     mu = j[1] - l[0]
     nu = k[-1] - l[-1]
-    if not _projection_ok(mu, j[0]) or not _projection_ok(nu, j[0]):
+    if not projection_ok(mu, j[0]) or not projection_ok(nu, j[0]):
         diag.flags.append("invalid_symbol")
         return None
     etas, kappas = {}, {}
     for m in sorted(small_l):
         etas[m] = j[m] - j[m - 1]
         kappas[m] = k[m] - k[m - 1]
-        if not _projection_ok(etas[m], l[m - 1]) or not _projection_ok(kappas[m], l[m - 1]):
+        if not projection_ok(etas[m], l[m - 1]) or not projection_ok(kappas[m], l[m - 1]):
             diag.flags.append("invalid_symbol")
             return None
 
@@ -472,10 +472,6 @@ def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
 
     value = _chain_sign(nsym, small_l, mu) * (amplitude * config_sum)
     return value, diag
-
-
-def _projection_ok(m: HalfInt, j: HalfInt) -> bool:
-    return abs(m.twice) <= j.twice and (j.twice - m.twice) % 2 == 0
 
 
 def _chain_sign(nsym: Symbol3nj, small_l, mu: HalfInt) -> int:

@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--precision", type=int, default=50,
                          help="significant digits printed, correctly rounded "
                               "(output formatting only)")
-    p_exact.add_argument("--n", type=int, default=None, help="chain length for 3nj")
     p_exact.add_argument("--diagnostics", action="store_true")
     p_exact.set_defaults(handler=cmd_exact)
 
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="row:index of the small j/k spin (15j/3nj only; default j:1)")
     p_asym.add_argument("--small-l", default=None,
                         help="comma-separated small l indices (15j/3nj only), e.g. 2,3")
-    p_asym.add_argument("--n", type=int, default=None, help="chain length for 3nj")
     p_asym.add_argument("--strict-allowed", action="store_true",
                         help="also exit 3 on a near-caustic tetrahedron or an invalid symbol")
     p_asym.add_argument("--diagnostics", action="store_true")
@@ -105,11 +103,12 @@ def cmd_exact(args) -> int:
     """Print the value at ``--precision`` digits, then its closed form."""
     if args.precision < 1:
         raise ValueError(f"--precision must be at least 1, got {args.precision}")
-    sym = build_symbol(args.symbol, args.spins, args.n or len(args.spins) // 3)
-    value = exact_value(args.symbol, sym, args.pivot)
+    sym = build_symbol(args.symbol, args.spins, len(args.spins) // 3)
+    nine = wigner9j(sym, pivot=args.pivot) if args.symbol == "9j" else None
+    value = exact_value(args.symbol, sym) if nine is None else nine.value
     print(f"{value.to_decimal(args.precision)}    [{value}]")
-    if args.diagnostics and args.symbol == "9j":
-        for x, term in wigner9j(sym, pivot=args.pivot).terms:
+    if args.diagnostics and nine is not None:
+        for x, term in nine.terms:
             print(f"  x={x}: {term.to_decimal(12)}")
     return EXIT_OK
 
@@ -121,7 +120,7 @@ def cmd_asym(args) -> int:
     if formula == "edmonds" and len(spins) == 6:
         a, b, c, m, n, f = spins   # m, n: projections of f -> {a b c; b+m a+n f}
         spins = [a, b, c, b + m, a + n, f]
-    sym = build_symbol(kind, spins, args.n or len(spins) // 3)
+    sym = build_symbol(kind, spins, len(spins) // 3)
     if kind in CHAIN_KINDS:
         marking = _parse_marking(args, formula)
     elif args.small_jk is not None or args.small_l is not None:

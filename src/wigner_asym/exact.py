@@ -29,7 +29,7 @@ from functools import cached_property
 from math import comb, gcd
 
 from .errors import InternalConsistencyError
-from .halfint import HalfInt, halfint_sum, triad_allowed
+from .halfint import HalfInt, halfint_sum, projection_ok, triad_allowed
 from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
@@ -78,7 +78,7 @@ def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
     if not triad_allowed(j1, j2, j3):
         return SqrtRational.zero()
     for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        if abs(m.twice) > j.twice or (j.twice - m.twice) % 2 != 0:
+        if not projection_ok(m, j):
             return SqrtRational.zero()
 
     t1, t2, t3 = j1.twice, j2.twice, j3.twice

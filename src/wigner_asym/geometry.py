@@ -1,5 +1,6 @@
 """Euclidean tetrahedron geometry from edge lengths, in plain floats and,
-for the Cayley-Menger determinant, exact integers.
+for the face areas, the Cayley-Menger determinant and the cosine sides of
+the dihedral angles, exact integers.
 
 The canonical edge labeling follows the 6j layout {a b c; d e f} with faces
 (a,b,c), (a,e,f), (d,b,f), (d,e,c).  Equivalently, for vertices P, Q, R, S:
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -77,9 +78,15 @@ _EDGE_FRAMES = (
 
 @dataclass(frozen=True)
 class Tetrahedron:
-    """Six edge lengths in the canonical layout (a, b, c, d, e, f)."""
+    """Six edge lengths in the canonical layout (a, b, c, d, e, f), built
+    in one exact pass over their integer squares (:func:`_integer_squares`):
+    each face by 16 area^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 (below 0
+    raises DegenerateTriangle, 0 leaves its edges without an angle), the
+    determinant and, when it is not negative, the dihedral angles."""
 
     lengths: tuple
+    _cm: float = field(init=False, repr=False, compare=False)
+    _thetas: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lengths) != 6:
@@ -87,36 +94,30 @@ class Tetrahedron:
         lengths = tuple(float(x) for x in self.lengths)
         if not all(MIN_EDGE <= x <= MAX_EDGE for x in lengths):
             raise ValueError(f"edge lengths must be in [{MIN_EDGE:.3g}, {MAX_EDGE:.3g}]")
-        object.__setattr__(self, "lengths", lengths)
+        den, sq = _integer_squares(lengths)
+        flat = set()
         for face in FACES:
-            x, y, z = (lengths[i] for i in face)
-            if x > y + z or y > x + z or z > x + y:
+            x, y, z = (sq[i] for i in face)
+            area = 2 * (x * y + y * z + z * x) - x * x - y * y - z * z
+            if area < 0:
                 raise DegenerateTriangle(
                     f"face {tuple(EDGE_NAMES[i] for i in face)} violates the triangle inequality"
                 )
+            if area == 0:
+                flat.update(face)
+        cm = cayley_menger_determinant(den, sq)
+        thetas = _dihedral_table(lengths, den, sq, cm, flat) if cm >= 0.0 else None
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_cm", cm)
+        object.__setattr__(self, "_thetas", thetas)
 
     @classmethod
     def from_spins(cls, spins: Sequence) -> "Tetrahedron":
         return cls(tuple(edge_length_from_spin(j) for j in spins))
 
     def cayley_menger(self) -> float:
-        """The Cayley-Menger determinant (= 288 V^2), evaluated on the first
-        call and cached: the edge lengths never change."""
-        cm = self.__dict__.get("_cm")
-        if cm is None:
-            cm = cayley_menger_determinant(self.lengths)
-            object.__setattr__(self, "_cm", cm)
-        return cm
-
-    def _dihedrals(self) -> tuple:
-        """The six internal dihedral angles by :func:`_dihedral_table`,
-        evaluated on the first call and cached like the determinant.  The
-        callers first check that the determinant is not negative."""
-        thetas = self.__dict__.get("_thetas")
-        if thetas is None:
-            thetas = _dihedral_table(self.lengths, self.cayley_menger())
-            object.__setattr__(self, "_thetas", thetas)
-        return thetas
+        """The Cayley-Menger determinant (= 288 V^2)."""
+        return self._cm
 
     def caustic_tolerance(self) -> float:
         """DEFAULT_CAUSTIC_EPS * (mean edge)^6."""
@@ -127,10 +128,9 @@ class Tetrahedron:
         """'forbidden' when the Cayley-Menger determinant is negative (no
         Euclidean tetrahedron has these edges), 'near_caustic' when it is
         at most the caustic guard (flat ones included), else 'allowed'."""
-        cm = self.cayley_menger()
-        if cm < 0.0:
+        if self._cm < 0.0:
             return "forbidden"
-        if cm <= self.caustic_tolerance():
+        if self._cm <= self.caustic_tolerance():
             return "near_caustic"
         return "allowed"
 
@@ -138,22 +138,23 @@ class Tetrahedron:
 def _integer_squares(lengths: Sequence[float]):
     """(den, squares): each float length is p / q exactly, so with den the
     largest q the squared lengths are squares / den^2 in integers."""
-    ratios = [float(x).as_integer_ratio() for x in lengths]
+    ratios = [x.as_integer_ratio() for x in lengths]
     den = max(q for _, q in ratios)
     return den, [(p * (den // q)) ** 2 for p, q in ratios]
 
 
-def cayley_menger_determinant(lengths: Sequence[float]) -> float:
-    """288 V^2 of the edge lengths (a, b, c, d, e, f), correctly rounded.
+def cayley_menger_determinant(den: int, squares: Sequence[int]) -> float:
+    """288 V^2 of the squared edge lengths squares / den^2 in the order
+    (a, b, c, d, e, f), correctly rounded.
 
     Expands the 5x5 Cayley-Menger determinant in the squared lengths
     A = a^2, ...: 288 V^2 = 2 [sum over the opposite pairs (A, D), (B, E),
     (C, F) of p q (other four - p - q) - sum over the faces of the product
-    of their three squares].  The polynomial is evaluated in the integer
-    squares of :func:`_integer_squares` and rounded once: a flat
-    tetrahedron gives exactly 0.
+    of their three squares].  The polynomial is evaluated in the integers
+    of :func:`_integer_squares` and rounded once: a flat tetrahedron gives
+    exactly 0.
     """
-    den, (A, B, C, D, E, F) = _integer_squares(lengths)
+    A, B, C, D, E, F = squares
     v = (
         A * D * (B + C + E + F - A - D)
         + B * E * (A + C + D + F - B - E)
@@ -163,30 +164,25 @@ def cayley_menger_determinant(lengths: Sequence[float]) -> float:
     return 2 * v / den ** 6
 
 
-def _dihedral_table(lengths: Sequence[float], cm: float) -> tuple:
+def _dihedral_table(lengths: Sequence[float], den: int, sq: Sequence[int],
+                    cm: float, flat: set) -> tuple:
     """Internal dihedral angles at (a, ..., f) of a tetrahedron with
-    Cayley-Menger determinant ``cm`` >= 0, None at an edge where a face
-    has zero area.
+    Cayley-Menger determinant ``cm`` >= 0, from the integer squared lengths
+    ``sq`` / den^2 its determinant was computed from; None at the edges in
+    ``flat``, those of a face with zero area.
 
     At an edge of length l = sqrt(L) whose faces have areas S1 and S2,
     16 S1 S2 sin(theta) = l sqrt(2 cm) and, in the squared lengths of its
     frame (:data:`_EDGE_FRAMES`),
     16 S1 S2 cos(theta) = L (XZ + XW + YZ + YW - 2 ZW - L) - (XZ - YZ)(XW - YW).
-    The cosine side and 16 S^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 of each
-    face are exact integers over powers of den, so a zero-area face is
-    found exactly and atan2 needs no clamp near 0 or pi.
+    The cosine side is an exact integer over den^4, so atan2 needs no
+    clamp near 0 or pi.
     """
-    den, sq = _integer_squares(lengths)
-    degenerate = set()
-    for i, j, k in FACES:
-        x, y, z = sq[i], sq[j], sq[k]
-        if 2 * (x * y + y * z + z * x) - x * x - y * y - z * z <= 0:
-            degenerate.update((i, j, k))
     root = math.sqrt(2.0 * cm)
     den4 = den ** 4
     thetas = []
     for edge, (zw, xz, xw, yz, yw) in enumerate(_EDGE_FRAMES):
-        if edge in degenerate:
+        if edge in flat:
             thetas.append(None)
             continue
         L, XZ, XW, YZ, YW = sq[edge], sq[xz], sq[xw], sq[yz], sq[yw]
@@ -198,10 +194,9 @@ def _dihedral_table(lengths: Sequence[float], cm: float) -> tuple:
 def _allowed_determinant(t: Tetrahedron, context: str) -> float:
     """The Cayley-Menger determinant of ``t``; NotClassicallyAllowed when
     it is negative."""
-    cm = t.cayley_menger()
-    if cm < 0.0:
-        raise NotClassicallyAllowed(f"{context}: Cayley-Menger determinant {cm:.6g} < 0", cm)
-    return cm
+    if t._cm < 0.0:
+        raise NotClassicallyAllowed(f"{context}: Cayley-Menger determinant {t._cm:.6g} < 0", t._cm)
+    return t._cm
 
 
 def volume(t: Tetrahedron) -> float:
@@ -209,8 +204,8 @@ def volume(t: Tetrahedron) -> float:
     return math.sqrt(_allowed_determinant(t, "not classically allowed") / 288.0)
 
 
-def _checked_dihedral(t: Tetrahedron, index: int) -> float:
-    theta = t._dihedrals()[index]
+def _checked_dihedral(thetas: tuple, index: int) -> float:
+    theta = thetas[index]
     if theta is None:
         raise DegenerateVertex(f"a face at edge {EDGE_NAMES[index]} has zero area")
     return theta
@@ -219,12 +214,12 @@ def _checked_dihedral(t: Tetrahedron, index: int) -> float:
 def dihedral_internal(t: Tetrahedron, edge: str) -> float:
     """Internal dihedral angle at an edge, in [0, pi]:
     atan2(l sqrt(2 CM), N_e) with N_e an exact integer polynomial in the
-    squared lengths (see :func:`_dihedral_table`), read from the table
-    the tetrahedron caches.  0 or pi on a flat tetrahedron;
+    squared lengths (see :func:`_dihedral_table`), read from the
+    tetrahedron's table.  0 or pi on a flat tetrahedron;
     NotClassicallyAllowed when forbidden; DegenerateVertex when a face at
     the edge has zero area."""
     _allowed_determinant(t, "dihedral angles undefined")
-    return _checked_dihedral(t, EDGE_NAMES.index(edge))
+    return _checked_dihedral(t._thetas, EDGE_NAMES.index(edge))
 
 
 def dihedral_external(t: Tetrahedron, edge: str) -> float:
@@ -234,7 +229,8 @@ def dihedral_external(t: Tetrahedron, edge: str) -> float:
 def regge_action(t: Tetrahedron) -> float:
     """sum_e l_e * external dihedral, over the six edges (l = j + 1/2)."""
     _allowed_determinant(t, "Regge action undefined")
-    return sum(l * (math.pi - _checked_dihedral(t, i)) for i, l in enumerate(t.lengths))
+    thetas = t._thetas
+    return sum(l * (math.pi - _checked_dihedral(thetas, i)) for i, l in enumerate(t.lengths))
 
 
 # ----------------------------------------------------------------------

@@ -145,3 +145,7 @@ def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
         return False
     return abs(ta - tb) <= tc <= ta + tb
 
+
+def projection_ok(m: HalfInt, j: HalfInt) -> bool:
+    """Projection condition: |m| <= j and j - m an integer."""
+    return abs(m.twice) <= j.twice and (j.twice - m.twice) % 2 == 0

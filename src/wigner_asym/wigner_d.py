@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidProjection
-from .halfint import HalfInt
+from .halfint import HalfInt, projection_ok
 from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
 
 def _check_projections(s: HalfInt, mu: HalfInt, nu: HalfInt) -> None:
     for m in (mu, nu):
-        if abs(m.twice) > s.twice or (s.twice - m.twice) % 2 != 0:
+        if not projection_ok(m, s):
             raise InvalidProjection(f"projection {m} invalid for spin {s}")
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -31,7 +32,7 @@ from wigner_asym.errors import (
     NotClassicallyAllowed,
 )
 from wigner_asym.exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j
-from wigner_asym.geometry import Tetrahedron, volume
+from wigner_asym.geometry import Tetrahedron, regge_action, volume
 from wigner_asym.halfint import HalfInt
 
 from conftest import sample_chain_15j, to_mpf
@@ -327,9 +328,9 @@ def test_determinant_evaluated_once_per_tetrahedron(monkeypatch, rng):
     calls = []
     det = geometry.cayley_menger_determinant
 
-    def counting_det(lengths):
+    def counting_det(den, squares):
         calls.append(1)
-        return det(lengths)
+        return det(den, squares)
 
     monkeypatch.setattr(geometry, "cayley_menger_determinant", counting_det)
 
@@ -345,6 +346,40 @@ def test_determinant_evaluated_once_per_tetrahedron(monkeypatch, rng):
     mark = SmallSpinMarking(("j", 1))
     assert count(asym_3nj, sym, mark) == 3
     assert count(asym_15j_one_small, sym, mark) == 3
+
+
+def test_one_exact_pass_per_tetrahedron(monkeypatch, rng):
+    """Each tetrahedron converts its lengths to integer squares once,
+    evaluates its determinant once and builds at most one angle table,
+    none when the determinant is negative, however often it is read."""
+    from wigner_asym import geometry
+
+    names = ("_integer_squares", "cayley_menger_determinant", "_dihedral_table")
+    calls = Counter()
+    for name in names:
+        def counting(*args, _fn=getattr(geometry, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, counting)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return tuple(calls[name] for name in names)
+
+    assert count(pr_6j, [50] * 6) == (1, 1, 1)
+    assert count(asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)) == (1, 1, 1)
+    sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=0)
+    assert count(asym_3nj, sym, SmallSpinMarking(("j", 1))) == (3, 3, 3)
+
+    def forbidden():
+        tet = Tetrahedron((1, 1, 1, 1, 1, 1.95))
+        assert tet.status() == "forbidden"
+        for read in (volume, regge_action):
+            with pytest.raises(NotClassicallyAllowed):
+                read(tet)
+
+    assert count(forbidden) == (1, 1, 0)
 
 
 def test_n3_specialization_exact_against_9j_formula():

@@ -19,6 +19,7 @@ from wigner_asym.errors import (
 )
 from wigner_asym.geometry import (
     EDGE_NAMES,
+    FACES,
     MIN_EDGE,
     SignConfig,
     Tetrahedron,
@@ -233,6 +234,72 @@ def test_error_classes_match_face_angle_route():
                 assert abs(dihedral_internal(tet, edge) - expected) < 1e-12, (tet, edge)
                 seen.add(float)
     assert seen == {DegenerateVertex, NotClassicallyAllowed, float}
+
+
+def _float_face_classes(lengths):
+    """Test-only oracle, the face rules of a tetrahedron that tested its
+    faces in floats: the message of the DegenerateTriangle the first face
+    with x > y + z raises, else the edges of the faces whose exact
+    16 area^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 in the squared lengths
+    is <= 0, which have no dihedral angle."""
+    for face in FACES:
+        x, y, z = (lengths[i] for i in face)
+        if x > y + z or y > x + z or z > x + y:
+            return f"face {tuple(EDGE_NAMES[i] for i in face)} violates the triangle inequality"
+    flat = set()
+    for face in FACES:
+        x, y, z = (Fraction(lengths[i]) ** 2 for i in face)
+        if 2 * (x * y + y * z + z * x) - x * x - y * y - z * z <= 0:
+            flat.update(EDGE_NAMES[i] for i in face)
+    return flat
+
+
+def test_exact_face_classes_match_float_triangle_inequality():
+    """On half-integer edges, the exact face classification at
+    construction raises DegenerateTriangle for the same face as the float
+    triangle inequality, and leaves exactly the edges of zero-area faces
+    without an angle: random edge sets with violated, flat and proper
+    faces, forced violated and flat faces, and flat tetrahedra with a
+    zero-area face."""
+    rng = random.Random(19)
+    edge_sets = [_flat_with_zero_area_face(rng).lengths for _ in range(40)]
+    for _ in range(600):
+        scale = rng.choice((6, 40, 1e5))
+        lengths = [max(1, round(2 * scale * rng.uniform(0.3, 1.0))) / 2 for _ in range(6)]
+        face = rng.choice(FACES)
+        kind = rng.randrange(3)
+        if kind:   # face (x, y, z) with z = x + y (flat) or x + y + 1/2
+            x, y, z = face
+            lengths[z] = lengths[x] + lengths[y] + (kind - 1) / 2
+        edge_sets.append(tuple(lengths))
+    seen = set()
+    for lengths in edge_sets:
+        expected = _float_face_classes(lengths)
+        if isinstance(expected, str):
+            with pytest.raises(DegenerateTriangle) as err:
+                Tetrahedron(lengths)
+            assert str(err.value) == expected
+            seen.add(DegenerateTriangle)
+            continue
+        tet = Tetrahedron(lengths)
+        for edge in EDGE_NAMES:
+            if tet.cayley_menger() < 0.0:
+                with pytest.raises(NotClassicallyAllowed):
+                    dihedral_internal(tet, edge)
+                seen.add(NotClassicallyAllowed)
+            elif edge in expected:
+                with pytest.raises(DegenerateVertex):
+                    dihedral_internal(tet, edge)
+                seen.add(DegenerateVertex)
+            else:
+                assert 0.0 <= dihedral_internal(tet, edge) <= math.pi
+                seen.add(float)
+        if expected and tet.cayley_menger() >= 0.0:
+            with pytest.raises(DegenerateVertex) as err:
+                regge_action(tet)
+            first = next(e for e in EDGE_NAMES if e in expected)
+            assert str(err.value) == f"a face at edge {first} has zero area"
+    assert seen == {DegenerateTriangle, NotClassicallyAllowed, DegenerateVertex, float}
 
 
 def _near_caustic_tetrahedra(rng, count):

@@ -242,7 +242,7 @@ def test_sweep_row_reuses_formula_tetrahedron(monkeypatch):
     calls = []
     det = geometry.cayley_menger_determinant
     monkeypatch.setattr(geometry, "cayley_menger_determinant",
-                        lambda lengths: calls.append(1) or det(lengths))
+                        lambda den, squares: calls.append(1) or det(den, squares))
     six = SweepConfig.from_json(json.dumps({
         "kind": "6j",
         "spins_twice": {"a": 60, "b": 60, "c": 60, "d": 60, "e": 60},
@@ -332,6 +332,9 @@ def test_cli_triad_violation_is_value_zero_not_error():
 def test_cli_malformed_spin_count_exits_2():
     proc = run_cli("exact", "6j", "2", "2", "2", "2", "2")
     assert proc.returncode == 2
+    # a 3nj reads n from its spin count, which must be a multiple of 3
+    for command in ("exact", "asym"):
+        assert cli.main([command, "3nj", *["6"] * 13]) == 2
 
 
 def test_cli_asym_huge_edges_exit_2():
@@ -387,7 +390,7 @@ README_EXACT = {
     "15j 2 80 80 80 80  90 84 84 84 84  80 2 4 2 84":
         "-0.00000000034144831297142229799924289719755888203430952154974    "
         "[-5917082614/1436666065042831851375*sqrt(6873)]\n",
-    "3nj --n 4  6 6 6 6  8 10 10 8  2 4 6 2":
+    "3nj 6 6 6 6  8 10 10 8  2 4 6 2":
         "0.00031336213060803097591788858056223419160308848692265    [1/10584*sqrt(11)]\n",
 }
 
@@ -396,6 +399,33 @@ README_EXACT = {
 def test_cli_exact_readme_outputs(capsys, args):
     assert cli.main(["exact", *args.split()]) == 0
     assert capsys.readouterr().out == README_EXACT[args]
+
+
+def test_cli_exact_9j_diagnostics_evaluates_once(monkeypatch, capsys):
+    """The value and the term trace come from one 9j evaluation; the
+    output is pinned by its sha256."""
+    from wigner_asym import harness
+
+    calls = []
+    nine = cli.wigner9j
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "wigner9j", lambda *a, **k: calls.append(1) or nine(*a, **k))
+    args = "9j 860 60 860 2 120 122 862 120 860 --pivot j2"
+    assert cli.main(["exact", *args.split(), "--diagnostics"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert out.startswith(README_EXACT[args]) and "  x=" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a9eb384bc0d4d5ccaae1f587cd1ab016fa21592e3528b0938b1a35e41d7609b3")
+
+
+@pytest.mark.parametrize("command", ["exact", "asym"])
+def test_cli_has_no_chain_length_option(command):
+    """A 3nj takes n from its 3n spins, so there is no --n option."""
+    spins = "6 6 6 6 8 10 10 8 2 4 6 2".split()
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "3nj", *spins, "--n", "4"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("args", [
