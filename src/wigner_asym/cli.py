@@ -150,15 +150,7 @@ def _print_asym(args, value: float, diag) -> int:
         return EXIT_NOT_ALLOWED
     print(f"{value:.17g}")
     if diag is not None and args.diagnostics:
-        dump = {
-            "volumes": diag.volumes,
-            "regge_actions": diag.regge_actions,
-            "angles": diag.angles,
-            "flags": diag.flags,
-            "warnings": diag.warnings,
-            "sign_configs": diag.sign_configs,
-        }
-        print(json.dumps(dump, indent=2, default=str))
+        print(json.dumps(vars(diag), indent=2, default=str))
     return EXIT_OK
 
 

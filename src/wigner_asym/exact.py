@@ -1,24 +1,28 @@
 """Exact Wigner 3j/6j/9j/15j/3nj symbols over big-rational arithmetic.
 
+Every exact sum goes through one kernel, :func:`_nest`, which evaluates a
+nested sum t_0 + n_0/d_0 (t_1 + n_1/d_1 (... + n_{k-1}/d_{k-1} t_k)) in
+plain ints: by Horner's rule for short sums and by binary splitting with
+gcd-reduced products for long ones.  Each result makes one Fraction.
+
 3j and 6j symbols evaluate to closed :class:`SqrtRational` form via their
-single-sum formulas: the sum runs on the ratio of consecutive terms in
-plain ints (Horner's rule, or binary splitting with gcd-reduced products
-for long windows) and makes one Fraction at the end; its first term, a
-factorial quotient, enters the square-root prefactor squared, so the
-ledger assembles both prime-wise in one call.  Every sum of products of 6j
-over an intermediate spin x goes through one engine, :func:`_chain_series`:
-9j, 15j and first-kind 3nj symbols, and the pentagon and orthogonality
-left sides.  Each 6j of a chain is brought to the form {a b x; d e f}, the
-product of four triangle coefficients and an integer Racah sum R(x).  A
-triad with x occurs in exactly two 6j of a term, so its triangle
-coefficient enters squared and rational; the triads without x give the
-value one square root, taken once, into which the squared coefficients of
-the lowest x enter squared: one ledger call per chain.  Each R is summed
-directly at the two lowest x only; every later x comes from the
-Schulten-Gordon three-term recurrence in x, over exact ints, whose
-division must leave no remainder.  The terms are summed in plain ints
-with one Fraction at the end.  No symbol value is cached, and no value
-depends on a floating-point working precision.
+single-sum formulas: every t_i is 1 and n_i / d_i is the ratio of
+consecutive terms; the first term, a factorial quotient, enters the
+square-root prefactor squared, so the ledger assembles both prime-wise in
+one call.  Every sum of products of 6j over an intermediate spin x goes
+through :func:`_chain_series`: 9j, 15j and first-kind 3nj symbols, and the
+pentagon and orthogonality left sides.  Each caller writes every 6j of its
+chain as {a b x; d e f}, x in slot c: the product of four triangle
+coefficients and an integer Racah sum R(x).  A triad with x occurs in
+exactly two 6j of a term, so its triangle coefficient enters squared and
+rational; the triads without x give the value one square root, taken
+once, into which the squared coefficients of the lowest x enter squared:
+one ledger call per chain.  Each R is summed directly at the two lowest x
+only; every later x comes from the Schulten-Gordon three-term recurrence
+in x, over exact ints, whose division must leave no remainder.  The chain
+terms t_i and the ratios n_i / d_i of the squared coefficients at
+consecutive x go to the same kernel.  No symbol value is cached, and no
+value depends on a floating-point working precision.
 """
 
 from __future__ import annotations
@@ -26,48 +30,70 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .errors import InternalConsistencyError
-from .halfint import HalfInt, halfint_sum, projection_ok, triad_allowed
+from .halfint import HalfInt, halfint_sum, projection_ok, triad_allowed, triad_ok
 from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
 # ----------------------------------------------------------------------
-# 3j
+# Nested sums
 # ----------------------------------------------------------------------
 
-#: Most terms a 3j or 6j window sums by Horner's rule, whose cost grows as
-#: the square of the window; binary splitting, in leaves of _LEAF terms,
-#: stays close to linear but costs more per term.  Timed with the Fraction
-#: made from each sum (CPython 3.11, 2-vCPU VM), it breaks even near 350
-#: terms on 6j and 440 on 3j, takes 0.8 of Horner's time at 512 and 0.5 at
-#: 1000.  Only about one 3j and one 6j in 34 of the bench's large-spin
-#: symbols fall between 350 and 512, so a lower switch gains nothing
-#: measurable.
+#: Most steps :func:`_nest` takes by Horner's rule, whose cost grows as the
+#: square of the sum's length; binary splitting, in leaves of _LEAF steps,
+#: stays close to linear but costs more per step.  Timed on 3j and 6j sums
+#: with the Fraction made from each (CPython 3.11, 2-vCPU VM), it breaks
+#: even near 350 terms on 6j and 440 on 3j, takes 0.8 of Horner's time at
+#: 512 and 0.5 at 1000.  Only about one 3j and one 6j in 34 of the bench's
+#: large-spin symbols fall between 350 and 512, so a lower switch gains
+#: nothing measurable.
 _HORNER, _LEAF = 512, 32
 
 
-def _split(lo, hi, ratio):
-    """Binary splitting of Horner's step v <- M(z) v, M(z) = [[-b, a], [0, a]]
-    with (a, b) = ratio(z): (p, q, r) proportional to M(lo) ... M(hi-1) =
-    [[p, q], [0, r]], so that (p + q) / r equals Horner's num / den from
-    v = (1, 1).  Only that ratio is used, so each merged triple is divided
-    by its gcd: on a 1577-term 6j window, r has 388 bits where Horner's
-    den has 60150."""
+def _nest(ts, ns, ds):
+    """t_0 + n_0/d_0 (t_1 + n_1/d_1 (... + n_{k-1}/d_{k-1} t_k)), k = len(ns),
+    as plain ints (num, den): the sum of the terms t_i prod_{j<i} n_j/d_j.
+    Below _HORNER steps it runs Horner's rule from t_k outwards, whose
+    integers grow by one factor per step; above, :func:`_split` gives the
+    same fraction in smaller integers."""
+    if len(ns) < _HORNER:
+        num, den = ts[-1], 1
+        for t, n, d in zip(reversed(ts[:-1]), reversed(ns), reversed(ds)):
+            den *= d
+            # every t is 1 in a 3j or 6j sum: skip that product of long ints
+            num = n * num + (den if t == 1 else t * den)
+        return num, den
+    p, q, r = _split(0, len(ns), ts, ns, ds)
+    return p * ts[-1] + q, r
+
+
+def _split(lo, hi, ts, ns, ds):
+    """Binary splitting (Haible and Papanikolaou, 1998) of the Horner steps
+    lo..hi-1 of :func:`_nest`.  Step i is v <- M_i v on v = (num, den), with
+    M_i = [[n_i, t_i d_i], [0, d_i]]; (p, q, r) is proportional to
+    M_lo ... M_{hi-1} = [[p, q], [0, r]], so that over all k steps the
+    nested sum is (p t_k + q) / r.  Only that ratio is used, so each merged
+    triple is divided by its gcd: on a 1577-term 6j window, r has 388 bits
+    where Horner's den has 60150."""
     if hi - lo <= _LEAF:
         p, q, r = 1, 0, 1
-        for z in range(hi - 1, lo - 1, -1):
-            a, b = ratio(z)
-            p, q, r = -b * p, a * r - b * q, a * r
+        for i in range(hi - 1, lo - 1, -1):
+            t, n, d = ts[i], ns[i], ds[i]
+            p, q, r = n * p, t * d * r + n * q, d * r
         return p, q, r
     mid = (lo + hi) // 2
-    p1, q1, r1 = _split(lo, mid, ratio)
-    p2, q2, r2 = _split(mid, hi, ratio)
+    p1, q1, r1 = _split(lo, mid, ts, ns, ds)
+    p2, q2, r2 = _split(mid, hi, ts, ns, ds)
     p, q, r = p1 * p2, p1 * q2 + q1 * r2, r1 * r2
     g = gcd(p, q, r)
     return p // g, q // g, r // g
 
+
+# ----------------------------------------------------------------------
+# 3j
+# ----------------------------------------------------------------------
 
 def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
     """Exact Wigner 3j symbol.  Invalid quantum numbers give exact 0."""
@@ -116,15 +142,10 @@ def _threej_series(a, b, c, d, e):
     kmax = min(a, b, c)
     head = [(kmin, -1), (a - kmin, -1), (b - kmin, -1),
             (c - kmin, -1), (d + kmin, -1), (e + kmin, -1)]
-    if kmax - kmin < _HORNER:
-        num = den = 1
-        for k in range(kmax - 1, kmin - 1, -1):
-            step = (k + 1) * (d + k + 1) * (e + k + 1) * den
-            num, den = step - (a - k) * (b - k) * (c - k) * num, step
-    else:
-        p, q, den = _split(kmin, kmax, lambda k: (
-            (k + 1) * (d + k + 1) * (e + k + 1), (a - k) * (b - k) * (c - k)))
-        num = p + q
+    ks = range(kmin, kmax)
+    num, den = _nest([1] * (kmax - kmin + 1),
+                     [-(a - k) * (b - k) * (c - k) for k in ks],
+                     [(k + 1) * (d + k + 1) * (e + k + 1) for k in ks])
     return head, -num if kmin % 2 else num, den
 
 
@@ -143,18 +164,13 @@ def wigner6j(a, b, c, d, e, f) -> SqrtRational:
     six = tuple(HalfInt(x).twice for x in (a, b, c, d, e, f))
     ta, tb, tc, td, te, tf = six
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    if not all(_triad_ok(*tri) for tri in triads):
+    if not all(triad_ok(*tri) for tri in triads):
         return SqrtRational.zero()
     head, num, den = _racah_series(*six)
     # sqrt(deltas) * head = sqrt(deltas * head**2), head > 0
     rat, rad = DEFAULT_LEDGER.sqrt_factorial_quotient(
         [t for tri in triads for t in _delta_terms(*tri)] + [(n, 2 * c) for n, c in head])
     return SqrtRational(1, Fraction(num, den) * rat, rad)
-
-
-def _triad_ok(ta, tb, tc):
-    """Clebsch-Gordan condition on twice values."""
-    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
 def _delta_terms(ta, tb, tc):
@@ -168,8 +184,8 @@ def _racah_series(ta, tb, tc, td, te, tf):
     """The Racah sum of {a b c; d e f} (twice values),
     sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!], as (head, num, den): the
     factorial terms of the first term and the ints with
-    num/den = (-1)^zmin (1 + r_zmin (1 + r_zmin+1 (1 + ...))), r_z the term
-    ratio, summed from the top of the window down.  The window
+    num/den = (-1)^zmin (1 + r_zmin (1 + r_zmin+1 (1 + ...))), r_z the ratio
+    of the terms at z+1 and z, by :func:`_nest`.  The window
     max T_i <= z <= min P_j is never empty: each P_j - T_i is the excess
     a+b-c of one of the four triads, which must be allowed."""
     t1, t2, t3, t4 = tsum = ((ta + tb + tc) // 2, (ta + te + tf) // 2,
@@ -180,16 +196,10 @@ def _racah_series(ta, tb, tc, td, te, tf):
     zmax = min(psum)
     head = ([(zmin + 1, 1)] + [(zmin - t, -1) for t in tsum]
             + [(p - zmin, -1) for p in psum])
-    if zmax - zmin < _HORNER:
-        num = den = 1
-        for z in range(zmax - 1, zmin - 1, -1):
-            step = (z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) * den
-            num, den = step - (z + 2) * (p1 - z) * (p2 - z) * (p3 - z) * num, step
-    else:
-        p, q, den = _split(zmin, zmax, lambda z: (
-            (z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4),
-            (z + 2) * (p1 - z) * (p2 - z) * (p3 - z)))
-        num = p + q
+    zs = range(zmin, zmax)
+    num, den = _nest([1] * (zmax - zmin + 1),
+                     [-(z + 2) * (p1 - z) * (p2 - z) * (p3 - z) for z in zs],
+                     [(z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) for z in zs])
     return head, -num if zmin % 2 else num, den
 
 
@@ -215,38 +225,32 @@ def _racah_int(six):
 #: Marks the summation spin x in the twice-value 6-tuples of a chain.
 X = None
 
-#: By slot of x in {a b c; d e f}, the order of the six spins that moves x
-#: to slot c by the symbol's symmetries (column permutations, and exchange
-#: of upper and lower spins in two columns): {a b x; d e f} couples x to
-#: (a, b) and (d, e), and its Racah sum is unchanged.
-_X_TO_C = ((1, 2, 0, 4, 5, 3), (2, 0, 1, 5, 3, 4), (0, 1, 2, 3, 4, 5),
-           (1, 5, 3, 4, 2, 0), (0, 5, 4, 3, 2, 1), (0, 4, 5, 3, 1, 2))
-
-
 def _chain_series(sixjs, weight):
-    """The terms of sum_x weight(x) prod_i {6j_i}(x) over the summation spin x.
+    """The terms of sum_x weight(x) prod_i {6j_i}(x) over the summation spin
+    x, in the columns :func:`_nest` reads.
 
-    ``sixjs`` holds each 6j of the chain as a twice-value 6-tuple with
-    :data:`X` in exactly one slot; ``weight(tx)`` is the integer phase times
-    2x+1.  Each 6j is {a b x; d e f} = Delta(abx) Delta(dex) Delta(aef)
+    ``sixjs`` holds each 6j of the chain as a twice-value 6-tuple
+    {a b x; d e f}: :data:`X` in slot c and in no other slot, which every
+    caller reaches by the 6j symmetries.  ``weight(tx)`` is the integer
+    phase times 2x+1.  Each 6j is Delta(abx) Delta(dex) Delta(aef)
     Delta(dbf) R(x), R the integer Racah sum.  The triads with x must pair
     up (as a multiset) across the chain, so the product of their triangle
     coefficients is the rational D(x) = prod over pairs Delta^2(p, q, x).
 
-    Returns (pre, terms, steps) with the term of the i-th x in the window
-    (where every triad with x is allowed) equal to
-    pre * t_i * prod_{k < i} n_k / d_k, for terms = [(tx, t_i)] and
-    steps = [(n_k, d_k)]: pre is the square root of the triads without x
-    times D(lo), one ledger call; t_i is the weight times prod R(x), an
-    int; n_k / d_k = D(x_k+1) / D(x_k), a small ratio.  Each R is summed
-    directly at the two lowest x only and stepped by :func:`_racah_run`.
-    An empty window gives (0, [], []).
+    Returns (pre, xs, ts, ns, ds): xs are the twice values of x in the
+    window, where every triad with x is allowed, and the chain sum is pre
+    times the nested sum of ts, ns and ds, so the term of xs[i] is
+    pre * ts[i] * prod_{k < i} ns[k] / ds[k].  pre is the square root of the
+    triads without x times D(lo), one ledger call; ts[i] is the weight
+    times prod R(x), an int; ns[k] / ds[k] = D(x_k+1) / D(x_k), a small
+    ratio.  Each R is summed directly at the two lowest x only and stepped
+    by :func:`_racah_run`.  An empty window gives (0, [], [], [], []).
     """
     forms, fixed, xpairs = [], [], []
     for six in sixjs:
-        if six.count(X) != 1:
-            raise InternalConsistencyError(f"chain 6j without one x: {six}")
-        a, b, _, d, e, f = (six[i] for i in _X_TO_C[six.index(X)])
+        if six[2] is not X or six.count(X) != 1:
+            raise InternalConsistencyError(f"chain 6j without x in slot c alone: {six}")
+        a, b, _, d, e, f = six
         forms.append((a, b, d, e, f))
         fixed += ((a, e, f), (d, b, f))
         xpairs += (tuple(sorted((a, b))), tuple(sorted((d, e))))
@@ -257,27 +261,22 @@ def _chain_series(sixjs, weight):
     lo = max(abs(p - q) for p, q in pairs)
     hi = min(p + q for p, q in pairs)
     if lo > hi or len({(p + q) % 2 for p, q in pairs}) > 1 or not all(
-            _triad_ok(*tri) for tri in fixed):
-        return SqrtRational.zero(), [], []
+            triad_ok(*tri) for tri in fixed):
+        return SqrtRational.zero(), [], [], [], []
 
     xs = range(lo, hi + 1, 2)
-    terms = [weight(tx) for tx in xs]
+    ts = [weight(tx) for tx in xs]
     for form in forms:
         for i, r in enumerate(_racah_run(*form, lo, hi)):
-            terms[i] *= r
-    steps = []
-    for tx in xs[1:]:
-        n = d = 1
-        for p, q in pairs:
-            # Delta^2(p, q, x) / Delta^2(p, q, x-1), x-1 >= |p-q| and x <= p+q
-            n *= tx * tx - (p - q) ** 2
-            d *= (p + q + 2) ** 2 - tx * tx
-        steps.append((n, d))
+            ts[i] *= r
+    # Delta^2(p, q, x) / Delta^2(p, q, x-1), x-1 >= |p-q| and x <= p+q
+    ns = [prod(tx * tx - (p - q) ** 2 for p, q in pairs) for tx in xs[1:]]
+    ds = [prod((p + q + 2) ** 2 - tx * tx for p, q in pairs) for tx in xs[1:]]
     # sqrt(fixed) * D(lo) = sqrt(fixed * D(lo)**2), D(lo) > 0
     pre = SqrtRational(1, *DEFAULT_LEDGER.sqrt_factorial_quotient(
         [t for tri in fixed for t in _delta_terms(*tri)]
         + [(n, 2 * c) for p, q in pairs for n, c in _delta_terms(p, q, lo)]))
-    return pre, list(zip(xs, terms)), steps
+    return pre, xs, ts, ns, ds
 
 
 def _racah_run(a, b, d, e, f, lo, hi):
@@ -316,16 +315,12 @@ def _racah_run(a, b, d, e, f, lo, hi):
     return run
 
 
-def _chain_value(pre, terms, steps):
-    """The chain sum pre * sum_i t_i prod_{k<i} n_k/d_k of
-    :func:`_chain_series`, by Horner's rule from the highest x down in
-    plain ints, with one Fraction at the end."""
-    if not terms:
+def _chain_value(pre, xs, ts, ns, ds):
+    """The chain sum of :func:`_chain_series`, by :func:`_nest`, with one
+    Fraction at the end."""
+    if not ts:
         return SqrtRational.zero()
-    num, den = terms[-1][1], 1
-    for (_, t), (n, d) in zip(reversed(terms[:-1]), reversed(steps)):
-        num, den = t * d * den + n * num, d * den
-    return pre * Fraction(num, den)
+    return pre * Fraction(*_nest(ts, ns, ds))
 
 
 def _chain_sum(sixjs, weight):
@@ -401,15 +396,15 @@ class Wigner9jResult:
 
     value: SqrtRational
     pivot: str
-    series: tuple = field(default=(None, (), ()), repr=False, compare=False)
+    series: tuple = field(default=(None, (), (), (), ()), repr=False, compare=False)
 
     @cached_property
     def terms(self) -> list:
-        pre, terms, steps = self.series
-        trace, num, den = [], 1, 1
-        for (tx, t), (n, d) in zip(terms, ((1, 1), *steps)):
-            num, den = num * n, den * d
-            trace.append((HalfInt.from_twice(tx), pre * Fraction(t * num, den)))
+        pre, xs, ts, ns, ds = self.series
+        trace, q = [], Fraction(1)
+        for tx, t, n, d in zip(xs, ts, (1, *ns), (1, *ds)):
+            q *= Fraction(n, d)
+            trace.append((HalfInt.from_twice(tx), pre * (t * q)))
         return trace
 
 
@@ -447,10 +442,12 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
 
     t = [[v.twice for v in row] for row in g]
     # sum_x (-1)^(2x) d_x {g11 g12 g13; g23 g33 x}{g21 g22 g23; g12 x g32}
-    # {g31 g32 g33; x g11 g21}, times the pivot's phase
-    sixjs = ((t[0][0], t[0][1], t[0][2], t[1][2], t[2][2], X),
-             (t[1][0], t[1][1], t[1][2], t[0][1], X, t[2][1]),
-             (t[2][0], t[2][1], t[2][2], X, t[0][0], t[1][0]))
+    # {g31 g32 g33; x g11 g21}, times the pivot's phase; each 6j is written
+    # with x in slot c by the 6j symmetries (permuting columns, and
+    # exchanging upper and lower spins in two columns)
+    sixjs = ((t[0][0], t[2][2], X, t[1][2], t[0][1], t[0][2]),
+             (t[1][0], t[2][1], X, t[0][1], t[1][2], t[1][1]),
+             (t[2][1], t[1][0], X, t[0][0], t[2][2], t[2][0]))
     series = _chain_series(sixjs, lambda tx: (-phase if tx % 2 else phase) * (tx + 1))
     return Wigner9jResult(_chain_value(*series), pivot, series)
 

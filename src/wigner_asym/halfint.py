@@ -136,14 +136,15 @@ def halfint_sum(values) -> HalfInt:
     return HalfInt.from_twice(t)
 
 
+def triad_ok(ta: int, tb: int, tc: int) -> bool:
+    """Clebsch-Gordan condition on twice values: integer sum and
+    |a-b| <= c <= a+b, which also rules out negative spins."""
+    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
+
+
 def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
     """Clebsch-Gordan condition: triangle inequality plus integer sum."""
-    ta, tb, tc = a.twice, b.twice, c.twice
-    if min(ta, tb, tc) < 0:
-        return False
-    if (ta + tb + tc) % 2 != 0:
-        return False
-    return abs(ta - tb) <= tc <= ta + tb
+    return triad_ok(a.twice, b.twice, c.twice)
 
 
 def projection_ok(m: HalfInt, j: HalfInt) -> bool:

@@ -157,16 +157,17 @@ class SweepConfig:
         slot = sweep.get("slot")
         if slots and slot not in slots:
             problems["sweep.slot"] = f"{slot!r} is not a slot of a {kind} symbol"
+        # a JSON true or false loads as a bool, which isinstance(v, int) takes
         for key in ("start_twice", "stop_twice"):
-            if not isinstance(sweep.get(key), int):
+            if type(sweep.get(key)) is not int:
                 problems[f"sweep.{key}"] = "must be a twice-integer"
         step = sweep.get("step_twice", 2)
-        if not isinstance(step, int) or step <= 0:
+        if type(step) is not int or step <= 0:
             problems["sweep.step_twice"] = "must be a positive integer (twice-units)"
         for name, value in spins.items():
             if slots and name not in slots:
                 problems[f"spins_twice.{name}"] = f"not a slot of a {kind} symbol"
-            elif not isinstance(value, int):
+            elif type(value) is not int:
                 problems[f"spins_twice.{name}"] = "must be a twice-integer"
         if slots:
             missing = [s for s in slots if s != slot and s not in spins]

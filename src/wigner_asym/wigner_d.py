@@ -10,6 +10,7 @@ trigonometric powers, which stays well-conditioned up to s ~ 50.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .errors import InvalidProjection
 from .halfint import HalfInt, projection_ok
@@ -23,15 +24,9 @@ def _check_projections(s: HalfInt, mu: HalfInt, nu: HalfInt) -> None:
             raise InvalidProjection(f"projection {m} invalid for spin {s}")
 
 
-_COEFF_CACHE: dict = {}
-
-
+@cache
 def _d_coefficients(ts: int, tmu: int, tnu: int):
     """[(cos_power, sin_power, coefficient)] for the small-d sum formula."""
-    key = (ts, tmu, tnu)
-    cached = _COEFF_CACHE.get(key)
-    if cached is not None:
-        return cached
     s_plus_nu = (ts + tnu) // 2
     s_minus_mu = (ts - tmu) // 2
     mu_minus_nu = (tmu - tnu) // 2
@@ -51,7 +46,6 @@ def _d_coefficients(ts: int, tmu: int, tnu: int):
         cos_pow = ts - mu_minus_nu - 2 * k
         sin_pow = mu_minus_nu + 2 * k
         out.append((cos_pow, sin_pow, coeff))
-    _COEFF_CACHE[key] = out
     return out
 
 

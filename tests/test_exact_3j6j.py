@@ -372,8 +372,8 @@ def split_matches_horner(series, horner, args):
     merged = []
     split = exact._split
 
-    def recording(lo, hi, ratio):
-        out = split(lo, hi, ratio)
+    def recording(lo, hi, *lists):
+        out = split(lo, hi, *lists)
         if hi - lo > exact._LEAF:
             merged.append(out)
         return out

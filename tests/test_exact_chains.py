@@ -101,6 +101,43 @@ def test_chain_sum_rejects_unpaired_x_triads():
         _chain_sum([(2, 2, X, 2, 2, 2), (2, 2, X, 4, 2, 2)], lambda tx: tx + 1)
 
 
+def test_chain_series_rejects_x_outside_slot_c():
+    # the orthogonality pair {1 1 x; 1 1 1}{1 1 x; 1 1 1} with x moved to
+    # another slot, or written in slot c and in one more
+    for slot in (0, 1, 3, 4, 5):
+        for six in ((2,) * slot + (X,) + (2,) * (5 - slot),
+                    (2, 2, X, 2, 2, 2)[:slot] + (X,) + (2, 2, X, 2, 2, 2)[slot + 1:]):
+            with pytest.raises(InternalConsistencyError, match="slot c"):
+                _chain_series([six, six], lambda tx: tx + 1)
+
+
+def test_long_chain_by_binary_splitting():
+    """An orthogonality pair with all four spins 300 sums 601 x, more than
+    ``_HORNER`` steps, so its chain goes through ``_split``: it equals the
+    same chain by Horner's rule and the closed form delta_pq / (2p+1)."""
+    split, steps = exact._split, []
+
+    def recording(lo, hi, *lists):
+        steps.append(hi - lo)
+        return split(lo, hi, *lists)
+
+    s = H(600)
+    for q in (s, H(598)):
+        steps.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_split", recording)
+            lhs, rhs = orthogonality_sides(s, s, s, s, s, q)
+        assert max(steps) == 600 > exact._HORNER
+        assert lhs == rhs
+        assert (lhs == SqrtRational.of(Fraction(1, 601))) == (q == s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_HORNER", 601)
+            mp.setattr(exact, "_split", recording)
+            steps.clear()
+            assert orthogonality_sides(s, s, s, s, s, q)[0] == lhs
+        assert steps == []
+
+
 # ----------------------------------------------------------------------
 # Oracle: the chain sum as a product of standalone exact 6j per term
 # ----------------------------------------------------------------------
@@ -263,9 +300,10 @@ def test_chain_recurrence_edge_cases():
 
 
 def test_chain_recurrence_at_every_9j_pivot():
-    """The four 9j pivots put x in slots f, e and d of their 6j (the
-    3nj chain puts it in slot c): term traces equal products of standalone
-    6j at every pivot over windows of at least 5 x."""
+    """The 9j chain writes its three 6j with x in slot c by the 6j
+    symmetries: term traces equal products of standalone 6j, written as
+    the 9j decomposition has them, at every pivot over windows of at
+    least 5 x."""
     rng = random.Random(223)
     done = 0
     while done < 4:
@@ -407,8 +445,8 @@ def test_chain_work_count(monkeypatch):
     hi = min(a + b for a, b, *_ in sixjs)
     third = [(lo if v is X else v for v in sixjs[2]), (hi if v is X else v for v in sixjs[2])]
     assert [_zmin_triads(tuple(s)) for s in third] == [{2}, {3}]
-    _, terms, _ = _chain_series(_chain_sixjs(zero), lambda tx: tx + 1)
-    assert [t == 0 for _, t in terms].index(True) == 6 and terms[-1][1] != 0
+    _, _, ts, _, _ = _chain_series(_chain_sixjs(zero), lambda tx: tx + 1)
+    assert [t == 0 for t in ts].index(True) == 6 and ts[-1] != 0
     assert not wigner3nj(zero).is_zero
     six = (5, 4, 3, 2, 3, 4)
     for spins in (six, six, (4, 5, 3, 3, 2, 4), (2, 3, 3, 5, 4, 4), (700,) * 6):

@@ -8,7 +8,11 @@ from wigner_asym.halfint import (
     HalfInt,
     halfint_sum,
     triad_allowed,
+    triad_ok,
 )
+
+
+H = HalfInt.from_twice
 
 
 def test_construction_forms():
@@ -64,6 +68,30 @@ def test_triad_examples():
     # parity condition: spin sum must be an integer
     assert triad_allowed(HalfInt("1/2"), HalfInt(1), HalfInt("1/2"))
     assert not triad_allowed(HalfInt("1/2"), HalfInt(1), HalfInt(1))
+
+
+def _triad_allowed_with_sign_test(a, b, c):
+    """Oracle: the Clebsch-Gordan rule with an explicit test for negative
+    twice values."""
+    ta, tb, tc = a.twice, b.twice, c.twice
+    if min(ta, tb, tc) < 0:
+        return False
+    if (ta + tb + tc) % 2 != 0:
+        return False
+    return abs(ta - tb) <= tc <= ta + tb
+
+
+def test_triad_rule_needs_no_sign_test():
+    """|a-b| <= c <= a+b already rules out negative spins: the one rule on
+    twice values agrees with the rule that tests signs on every triple of
+    twice values in -3..8."""
+    span = range(-3, 9)
+    for ta in span:
+        for tb in span:
+            for tc in span:
+                want = _triad_allowed_with_sign_test(H(ta), H(tb), H(tc))
+                assert triad_ok(ta, tb, tc) == want, (ta, tb, tc)
+                assert triad_allowed(H(ta), H(tb), H(tc)) == want, (ta, tb, tc)
 
 
 def test_halfint_sum():

@@ -112,6 +112,15 @@ def test_config_validation_errors():
           "sweep": {"slot": "f", "start_twice": 20, "stop_twice": 20}, "formulas": ["pr6j"],
           "marking": {"small_jk": ["j", 1]}}, "marking"),
         ({**FIG_A_CONFIG, "pivot": "zz"}, "pivot"),
+        # a JSON boolean is not a twice-integer
+        ({**FIG_A_CONFIG, "sweep": {**FIG_A_CONFIG["sweep"], "start_twice": True}},
+         "sweep.start_twice"),
+        ({**FIG_A_CONFIG, "sweep": {**FIG_A_CONFIG["sweep"], "stop_twice": False}},
+         "sweep.stop_twice"),
+        ({**FIG_A_CONFIG, "sweep": {**FIG_A_CONFIG["sweep"], "step_twice": True}},
+         "sweep.step_twice"),
+        ({**FIG_A_CONFIG, "spins_twice": {**FIG_A_CONFIG["spins_twice"], "s": True}},
+         "spins_twice.s"),
         ({**FIG_A_CONFIG, "edmonds_lengths": "cube"}, "edmonds_lengths"),
         ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
         ({**FIG_A_CONFIG, "caustic_eps": math.inf}, "caustic_eps"),
@@ -487,7 +496,9 @@ def test_cli_asym_diagnostics_dump():
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     payload = json.loads("\n".join(lines[1:]))
-    assert "volumes" in payload and payload["volumes"]["tet1"] > 0
+    assert list(payload) == ["volumes", "regge_actions", "angles", "flags",
+                             "warnings", "sign_configs"]
+    assert payload["volumes"]["tet1"] > 0
 
 
 #: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, x86-64;
