@@ -5,8 +5,22 @@ cos(S_R + pi/4)/sqrt(12 pi V); 6j factors with one small spin reduce to a
 small-d matrix element at a triangle angle.  Chaining these through the 6j
 decomposition of a 3nj symbol and resumming the intermediate-spin sum as an
 SU(2) rotation yields one secondary (glued-triangle) tetrahedron per sign
-configuration of the oscillatory factors; the general driver and the
-closed 9j/15j forms below all follow that construction.
+configuration of the oscillatory factors.
+
+One core, :func:`_chain_value`, holds that sign-configuration sum.  A
+configuration and its global flip contribute equally, so it sums the half
+with sigma_1 = +1, twice over.  Three public formulas are its cases, and
+differ only in the end spins of the two triangles glued along k1 (and of
+the amplitude 1/sqrt(d_end1 d_endn)):
+
+- ``asym_3nj``: any first-kind chain and marking, ends (l1, l_n);
+- ``asym_9j_one_small``: the 9j as its n = 3 chain times (-1)^R, ends
+  (j2, k3);
+- ``asym_15j_one_small``: the 15j with only j1 small, ends (j2, k5), in the
+  near-regular regime.
+
+The 15j forms with two to four small spins are closed forms that share
+only the set-up, :func:`_chain_prep`.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from .errors import (
 from .exact import Symbol3nj, Symbol9j
 from .geometry import (
     Tetrahedron,
-    dihedral_external,
     dihedral_internal,
     edge_length_from_spin,
     euler_from_glued_triangles,
@@ -126,72 +139,6 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
 
 
 # ----------------------------------------------------------------------
-# 9j with one small spin
-# ----------------------------------------------------------------------
-
-#: The 9j slots whose spins are the edges of the reference tetrahedron of
-#: :func:`asym_9j_one_small`, the 6j {j1 j2 j12; j34 j5 j24}.
-NINEJ_REFERENCE_SLOTS = ("j1", "j2", "j12", "j34", "j5", "j24")
-
-
-def asym_9j_one_small(sym: Symbol9j):
-    """Asymptotics of a 9j symbol with a single small spin in the s slot.
-
-    The eight large spins define a reference tetrahedron (the 6j
-    {j1 j2 j12; j34 j5 j24}); a companion tetrahedron is glued from its
-    faces (1,5,24) and (2,34,24) with the external dihedral at 24 as the
-    new internal gluing angle, and supplies the residual rotation angles.
-    """
-    diag = AsymDiagnostics()
-    mu = sym.j13 - sym.j1
-    nu = sym.j34 - sym.j4
-    if not (sym.is_valid() and projection_ok(mu, sym.s) and projection_ok(nu, sym.s)):
-        diag.flags.append("invalid_symbol")
-        return 0.0, diag
-    large = [float(getattr(sym, name)) for name in
-             ("j1", "j2", "j12", "j4", "j34", "j13", "j24", "j5")]
-    diag.warnings.extend(v.message for v in _scale_violations([float(sym.s)], large))
-
-    tet1_spins = [getattr(sym, name) for name in NINEJ_REFERENCE_SLOTS]
-    tet1, vol1, action = _oscillatory_tet(tet1_spins, "reference tetrahedron", "tet1", diag)
-    theta24_ext = dihedral_external(tet1, "f")
-
-    l1 = edge_length_from_spin(sym.j1)
-    l2 = edge_length_from_spin(sym.j2)
-    l34 = edge_length_from_spin(sym.j34)
-    l5 = edge_length_from_spin(sym.j5)
-    l24 = edge_length_from_spin(sym.j24)
-    phi_1_24 = triangle_angle(l1, l24, l5)
-    phi_34_24 = triangle_angle(l34, l24, l2)
-    theta_1, phi_1_34, theta_34 = euler_from_glued_triangles(phi_1_24, theta24_ext, phi_34_24)
-
-    phase = _int_phase(
-        halfint_sum([sym.j13, sym.j2, sym.j34, sym.j5, sym.s]),
-        "9j phase j13+j2+j34+j5+s",
-    )
-    argument = action + QUARTER_PI - float(mu) * (math.pi - theta_1) - float(nu) * theta_34
-    value = (
-        phase
-        * math.cos(argument)
-        * small_d(sym.s, mu, nu, math.pi - phi_1_34)
-        / math.sqrt(sym.j1.dim * sym.j34.dim * 12.0 * math.pi * vol1)
-    )
-
-    diag.angles.update(
-        {
-            "phi_1_24": phi_1_24,
-            "phi_34_24": phi_34_24,
-            "Theta24_ext": theta24_ext,
-            "theta_1": theta_1,
-            "phi_1_34": phi_1_34,
-            "theta_34": theta_34,
-            "companion_sixth_edge": law_of_cosines(l1, l34, phi_1_34),
-        }
-    )
-    return value, diag
-
-
-# ----------------------------------------------------------------------
 # General 3nj with marked small spins
 # ----------------------------------------------------------------------
 
@@ -217,6 +164,10 @@ class SmallSpinMarking:
         if idx > n:
             raise ValueError(f"index {idx} out of range for n={n}")
         return (idx - 1) + (n if row == "k" else 0)
+
+
+#: The marking with the small spin at j1 and no small l.
+_J1_SMALL = SmallSpinMarking(("j", 1))
 
 
 def normalize_marking(sym: Symbol3nj, mark: SmallSpinMarking):
@@ -379,14 +330,13 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
     return _Chain(nsym, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
 
 
-def _end_triangles(nsym: Symbol3nj):
-    """Edge lengths of the triangles (k1, l1, k2) and (k1, l_n, j_n) that
-    the sign-configuration sum glues along k1."""
-    j, k, l = nsym.j, nsym.k, nsym.l
-    lk1 = edge_length_from_spin(k[0])
+def _end_triangles(nsym: Symbol3nj, end1: HalfInt, endn: HalfInt):
+    """Edge lengths of the triangles (k1, end1, k2) and (k1, endn, j_n)
+    that the sign-configuration sum glues along k1."""
+    lk1 = edge_length_from_spin(nsym.k[0])
     return (
-        (lk1, edge_length_from_spin(l[0]), edge_length_from_spin(k[1])),
-        (lk1, edge_length_from_spin(l[-1]), edge_length_from_spin(j[-1])),
+        (lk1, edge_length_from_spin(end1), edge_length_from_spin(nsym.k[1])),
+        (lk1, edge_length_from_spin(endn), edge_length_from_spin(nsym.j[-1])),
     )
 
 
@@ -417,22 +367,33 @@ def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
     """General mixed-spin asymptotics of a first-kind 3nj symbol.
 
     One oscillatory tetrahedron per all-large decomposition 6j, one
-    small-d factor per marked small l, and a sum over the 2^P sign
+    small-d factor per marked small l, and a sum over the sign
     configurations, each with its own glued secondary tetrahedron and
-    residual phase.
+    residual phase; the end spins are (l1, l_n).
     """
     diag = AsymDiagnostics()
     chain = _chain_prep(sym, mark, diag, check_hypotheses=True)
     if chain is None:
         return 0.0, diag
+    return _chain_value(chain, diag, chain.sym.l[0], chain.sym.l[-1]), diag
+
+
+def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: HalfInt, endn: HalfInt) -> float:
+    """The sign-configuration sum of a prepared chain, with end triangles
+    (k1, end1, k2) and (k1, endn, j_n) and amplitude 1/sqrt(d_end1 d_endn).
+
+    A configuration sigma and its flip -sigma contribute equally, so only
+    those with sigma_1 = +1 are summed and each counts twice; with no
+    oscillatory tetrahedron the one empty configuration is summed once.
+    Either way the amplitude's 1/2^P becomes 1/(number summed).
+    """
     nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
     n = nsym.n
     j1 = nsym.j[0]
-    l = nsym.l
     m_count = len(small_l)
     p_set = list(chain.volumes)
 
-    tri1, trin = _end_triangles(nsym)
+    tri1, trin = _end_triangles(nsym, end1, endn)
     phi1, phin = triangle_angle(*tri1), triangle_angle(*trin)
     diag.angles["phi1"] = phi1
     diag.angles["phin"] = phin
@@ -440,8 +401,9 @@ def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
     diag.angles.update({f"Theta_k1_{p}": th for p, th in zip(p_set, theta_list)})
     small_factor = _small_l_factor(chain, diag)
 
+    sigmas = [sigma for sigma in product((1, -1), repeat=len(p_set)) if sigma[:1] != (-1,)]
     config_sum = 0.0
-    for sigma in product((1, -1), repeat=len(p_set)):
+    for sigma in sigmas:
         cfg = omega_classify(n, m_count, theta_list, sigma)
         theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, cfg.theta_k1, phin)
         f_val = f_phase(cfg, mu, nu, theta_l1, theta_ln, j1)
@@ -466,12 +428,27 @@ def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
             }
         )
 
-    amplitude = small_factor / (2.0 ** len(p_set) * math.sqrt(l[0].dim * l[n - 1].dim))
+    amplitude = small_factor / (len(sigmas) * math.sqrt(end1.dim * endn.dim))
     for p in p_set:
         amplitude /= math.sqrt(12.0 * math.pi * chain.volumes[p])
+    return _chain_sign(nsym, small_l, mu) * (amplitude * config_sum)
 
-    value = _chain_sign(nsym, small_l, mu) * (amplitude * config_sum)
-    return value, diag
+
+def asym_9j_one_small(sym: Symbol9j):
+    """Asymptotics of a 9j symbol with a single small spin in the s slot.
+
+    (-1)^R times the chain driver on :meth:`Symbol9j.as_chain`, whose one
+    oscillatory tetrahedron is the 6j {j1 j5 j24; j34 j2 j12}, with the end
+    spins (j2, k3) of the chain, the 9j's j1 and j34.  An invalid symbol
+    is 0, flagged ``invalid_symbol``.
+    """
+    diag = AsymDiagnostics()
+    if not sym.is_valid():
+        diag.flags.append("invalid_symbol")
+        return 0.0, diag
+    chain = _chain_prep(sym.as_chain(), _J1_SMALL, diag, check_hypotheses=True)
+    value = _chain_value(chain, diag, chain.sym.j[1], chain.sym.k[-1])
+    return _int_phase(sym.r_total(), "9j phase R") * value, diag
 
 
 def _chain_sign(nsym: Symbol3nj, small_l, mu: HalfInt) -> int:
@@ -479,13 +456,11 @@ def _chain_sign(nsym: Symbol3nj, small_l, mu: HalfInt) -> int:
     symbols) = R_n + (n+M-1)(k1+j1) + (mu-j1) + (k1+k2+l1) + (k1+jn+ln)
     + sum_m (j_m + l_m + k_{m+1})."""
     n = nsym.n
-    j, k, l = nsym.j, nsym.k, nsym.l
-    j1 = j[0]
-    terms = [nsym.r_total(), (k[0] + j1) * (n + len(small_l) - 1), mu - j1,
-             k[0] + k[1] + l[0], k[0] + j[n - 1] + l[n - 1]]
-    for m in sorted(small_l):
-        terms.append(j[m - 1] + l[m - 1] + k[m])
-    return _int_phase(halfint_sum(terms), "chain sign exponent")
+    j, k, l = ([x.twice for x in row] for row in (nsym.j, nsym.k, nsym.l))
+    twice = (sum(j) + sum(k) + sum(l) + (k[0] + j[0]) * (n + len(small_l) - 1)
+             + mu.twice - j[0] + k[0] + k[1] + l[0] + k[0] + j[n - 1] + l[n - 1]
+             + sum(j[m - 1] + l[m - 1] + k[m] for m in small_l))
+    return _int_phase(HalfInt.from_twice(twice), "chain sign exponent")
 
 
 def _int_phase(e: HalfInt, context: str) -> int:
@@ -495,11 +470,12 @@ def _int_phase(e: HalfInt, context: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# 15j special cases (closed forms; only the set-up is shared with asym_3nj)
+# 15j special cases (15j-1 is a driver case; 15j-2..4 are closed forms that
+# share only the set-up with asym_3nj)
 # ----------------------------------------------------------------------
 
 def _closed_15j_prep(name: str, sym: Symbol3nj, mark: SmallSpinMarking):
-    """The prologue of the closed 15j form ``name``: ValueError unless the
+    """The prologue of the 15j form ``name``: ValueError unless the
     symbol has n = 5 and ``mark`` is the marking the form is written for
     (see :data:`CLOSED_15J_FORMS`); then fresh diagnostics and
     :func:`_chain_prep`.  Returns (chain or None, diag)."""
@@ -637,77 +613,30 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
 
 
 def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking):
-    """15j with only j1 small: three oscillatory tetrahedra (p = 2, 3, 4)
-    and four distinct sign configurations, with gluing angles combined
-    from the three internal dihedrals at k1 (near-regular regime)."""
+    """15j with only j1 small: the chain driver with end spins (j2, k5),
+    three oscillatory tetrahedra (p = 2, 3, 4) and four distinct sign
+    configurations.  Assumes the gluing angles combined from the three
+    internal dihedrals at k1 stay in [0, pi] (near-regular tetrahedra);
+    raises CaseAngleOutOfRange otherwise, in which case ``asym_3nj``
+    applies."""
     chain, diag = _closed_15j_prep("15j-1", sym, mark)
     if chain is None:
         return 0.0, diag
-    mu, nu = chain.mu, chain.nu
-    j, k, l = sym.j, sym.k, sym.l
-    vols, actions = chain.volumes, chain.actions
     t2, t3, t4 = chain.thetas[2], chain.thetas[3], chain.thetas[4]
-    combos = {
-        "ppp": t2 + t3 + t4 - math.pi,
-        "ppm": math.pi - t2 - t3 + t4,
-        "pmp": math.pi - t2 + t3 - t4,
-        "mpp": math.pi + t2 - t3 - t4,
-    }
-    for name, theta in combos.items():
+    for name, theta in (("ppp", t2 + t3 + t4 - math.pi), ("ppm", math.pi - t2 - t3 + t4),
+                        ("pmp", math.pi - t2 + t3 - t4), ("mpp", math.pi + t2 - t3 - t4)):
         if theta < -1e-12 or theta > math.pi + 1e-12:
             raise CaseAngleOutOfRange(
                 f"combined angle {name} = {theta:.4f} outside [0, pi]: outside "
                 f"the near-regular regime; use the general mixed-spin driver"
             )
-        combos[name] = min(math.pi, max(0.0, theta))
-
-    phi_a = _spin_angle(k[0], j[1], k[1])
-    phi_b = _spin_angle(k[0], k[4], j[4])
-    euler = {name: euler_from_glued_triangles(phi_a, theta, phi_b)
-             for name, theta in combos.items()}
-    diag.angles.update({"phi_a": phi_a, "phi_b": phi_b})
-    diag.angles.update({f"theta_{name}": th for name, th in combos.items()})
-
-    s2, s3, s4 = actions[2], actions[3], actions[4]
-    pj1 = math.pi * float(j[0])
-    terms = []
-    for name, signs, extra in (
-        ("ppm", (1, 1, -1), QUARTER_PI),
-        ("pmp", (1, -1, 1), QUARTER_PI),
-        ("mpp", (-1, 1, 1), QUARTER_PI),
-    ):
-        theta_j2, mid, theta_k5 = euler[name]
-        arg = (
-            signs[0] * s2 + signs[1] * s3 + signs[2] * s4 + extra
-            - float(mu) * theta_j2 - float(nu) * theta_k5 + pj1
-        )
-        terms.append(small_d(j[0], mu, nu, mid) * math.cos(arg))
-    theta_j2, mid, theta_k5 = euler["ppp"]
-    arg = (
-        s2 + s3 + s4 + 3.0 * QUARTER_PI
-        + float(mu) * theta_j2 + float(nu) * theta_k5 + pj1
-    )
-    terms.append(small_d(j[0], mu, nu, mid) * math.cos(arg))
-
-    phase = _int_phase(
-        halfint_sum([j[1], l[1], j[2], k[2], l[2], k[3], j[3], l[3], k[4], -k[0], mu]),
-        "one-small phase",
-    )
-    # The amplitude follows the general driver: 1/(2^2 (12 pi)^(3/2))
-    # with the dimension factors of l1 ~ j2 and l5 ~ k5.
-    value = (
-        phase
-        / (48.0 * math.pi * math.sqrt(12.0 * math.pi * j[1].dim * k[4].dim
-                                      * vols[2] * vols[3] * vols[4]))
-        * sum(terms)
-    )
-    return value, diag
+    return _chain_value(chain, diag, chain.sym.j[1], chain.sym.k[-1]), diag
 
 
 #: The closed 15j forms by name, each with the only marking it accepts
 #: (small spin at j1); the CLI and the sweep harness both read this table.
 CLOSED_15J_FORMS = {
-    "15j-1": (asym_15j_one_small, SmallSpinMarking(("j", 1))),
+    "15j-1": (asym_15j_one_small, _J1_SMALL),
     "15j-2": (asym_15j_two_small, SmallSpinMarking(("j", 1), {2})),
     "15j-3": (asym_15j_three_small, SmallSpinMarking(("j", 1), {2, 3})),
     "15j-4": (asym_15j_four_small, SmallSpinMarking(("j", 1), {2, 3, 4})),

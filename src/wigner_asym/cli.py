@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .asymptotics import CLOSED_15J_FORMS, SmallSpinMarking
+from .asymptotics import SmallSpinMarking
 from .errors import NotClassicallyAllowed, WignerAsymError
 from .exact import PIVOTS, Symbol3nj, wigner9j, wigner15j
 from .halfint import HalfInt
@@ -36,6 +36,10 @@ EXIT_VERIFY_FAILED = 4
 
 #: CLI spellings of the harness formula names.
 _FORMULA_ALIASES = {"9j": "asym9j", "3nj": "asym3nj"}
+
+#: The ``asym`` choices: every harness formula, in its order, by its CLI name.
+_ASYM_CHOICES = tuple({v: k for k, v in _FORMULA_ALIASES.items()}.get(name, name)
+                      for name in ASYM_FORMULAS)
 
 
 def main(argv=None) -> int:
@@ -72,10 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.set_defaults(handler=cmd_exact)
 
     p_asym = sub.add_parser("asym", help="asymptotic formulas")
-    p_asym.add_argument(
-        "formula",
-        choices=("pr6j", "edmonds", *_FORMULA_ALIASES, *CLOSED_15J_FORMS),
-    )
+    p_asym.add_argument("formula", choices=_ASYM_CHOICES)
     p_asym.add_argument("spins", nargs="+", type=int, help="twice-integer spins")
     p_asym.add_argument("--small-jk", default=None,
                         help="row:index of the small j/k spin (15j/3nj only; default j:1)")

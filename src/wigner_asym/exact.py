@@ -386,6 +386,13 @@ class Symbol9j:
     def r_total(self) -> HalfInt:
         return halfint_sum([getattr(self, s) for s in _GRID_SLOTS])
 
+    def as_chain(self) -> "Symbol3nj":
+        """The n = 3 first-kind 3nj symbol with the same six triads, whose
+        value times (-1)^R is this 9j: rows j = (s, j1, j2),
+        k = (j24, j5, j34), l = (j13, j12, j4)."""
+        return Symbol3nj((self.s, self.j1, self.j2), (self.j24, self.j5, self.j34),
+                         (self.j13, self.j12, self.j4))
+
 
 @dataclass
 class Wigner9jResult:
@@ -470,9 +477,9 @@ class Symbol3nj:
     l: tuple
 
     def __post_init__(self):
-        j = tuple(HalfInt(x) for x in self.j)
-        k = tuple(HalfInt(x) for x in self.k)
-        l = tuple(HalfInt(x) for x in self.l)
+        j = tuple(map(HalfInt, self.j))
+        k = tuple(map(HalfInt, self.k))
+        l = tuple(map(HalfInt, self.l))
         if not (len(j) == len(k) == len(l)):
             raise ValueError("rows must have equal length")
         if len(j) < 3:

@@ -46,7 +46,7 @@ _SINE_TOL = 1e-12
 
 def edge_length_from_spin(j) -> float:
     """l = j + 1/2, the length convention the oscillatory asymptotics need."""
-    return float(HalfInt(j)) + 0.5
+    return HalfInt(j).twice / 2.0 + 0.5
 
 
 def _clamped_acos(x: float, exc_type=DegenerateTriangle, context: str = "angle") -> float:

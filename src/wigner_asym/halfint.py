@@ -15,15 +15,16 @@ class HalfInt:
 
     Construct from a value (``HalfInt(2)``, ``HalfInt(1.5)``,
     ``HalfInt("3/2")``, ``HalfInt(Fraction(1, 2))``) or from a twice-value
-    integer via :meth:`from_twice`.
+    integer via :meth:`from_twice`.  A value that already is a HalfInt is
+    returned as it is: instances are immutable.
     """
 
     __slots__ = ("twice",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, HalfInt):
-            t = value.twice
-        elif isinstance(value, int):
+            return value
+        if isinstance(value, int):
             t = 2 * value
         elif isinstance(value, Fraction):
             t = _twice_from_fraction(value)
@@ -35,15 +36,18 @@ class HalfInt:
             t = _twice_from_fraction(Fraction(value))
         else:
             raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
-        object.__setattr__(self, "twice", t)
+        return cls.from_twice(t)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
         if not isinstance(twice, int):
             raise TypeError("twice-value must be an int")
-        obj = cls.__new__(cls)
+        obj = object.__new__(cls)
         object.__setattr__(obj, "twice", twice)
         return obj
+
+    def __reduce__(self):
+        return HalfInt.from_twice, (self.twice,)
 
     # -- basic queries -------------------------------------------------
 

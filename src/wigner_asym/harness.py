@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from .asymptotics import (
     CLOSED_15J_FORMS,
-    NINEJ_REFERENCE_SLOTS,
     SmallSpinMarking,
     asym_3nj,
     asym_9j_one_small,
@@ -343,10 +342,10 @@ def _geometry_columns(cfg, sym, asym_formula, marking, diag):
             if asym_formula == "edmonds":
                 return (), "allowed"
             tets = [Tetrahedron.from_spins(sym)]
-        elif cfg.kind == "9j":
-            tets = [Tetrahedron.from_spins([getattr(sym, s) for s in NINEJ_REFERENCE_SLOTS])]
         else:
-            if marking is None:
+            if cfg.kind == "9j":
+                sym, marking = sym.as_chain(), SmallSpinMarking(("j", 1))
+            elif marking is None:
                 return (), "allowed"
             tets = list(oscillatory_tetrahedra(sym, marking).values())
             if any(tet is None for tet in tets):

@@ -140,6 +140,9 @@ class SqrtRational:
     def __setattr__(self, name, value):
         raise AttributeError("SqrtRational is immutable")
 
+    def __reduce__(self):
+        return SqrtRational, (self.sign, self.rat, self.rad)
+
     def __repr__(self):
         return f"SqrtRational({self})"
 

@@ -1,7 +1,7 @@
 """Test-only oracles: numpy SU(2) algebra, vertex embeddings, the Schlafli
 residual, 60-digit dihedral angles and Regge action by the face-angle
 route, the small-d reflection, the xi-sum form of the 3nj asymptotics,
-the Horner-rule 3j and 6j series, n! and factorial quotients from the
+the closed 9j and 15j-1 forms, the Horner-rule 3j and 6j series, n! and factorial quotients from the
 factorial ledger and a random valid 3nj chain.
 
 They check the package from outside it (Euler angles of the glued
@@ -27,19 +27,29 @@ from wigner_asym.asymptotics import (
     _chain_prep,
     _chain_sign,
     _end_triangles,
+    _int_phase,
+    _oscillatory_tet,
     _small_l_factor,
+    _spin_angle,
 )
-from wigner_asym.errors import DegenerateTriangle, DegenerateVertex, NotClassicallyAllowed
-from wigner_asym.exact import Symbol3nj
+from wigner_asym.errors import (
+    CaseAngleOutOfRange,
+    DegenerateTriangle,
+    DegenerateVertex,
+    NotClassicallyAllowed,
+)
+from wigner_asym.exact import Symbol3nj, Symbol9j
 from wigner_asym.geometry import (
     _SINE_TOL,
     ACOS_CLAMP_TOL,
     EDGE_NAMES,
     Tetrahedron,
     dihedral_external,
+    edge_length_from_spin,
+    euler_from_glued_triangles,
     triangle_angle,
 )
-from wigner_asym.halfint import HalfInt
+from wigner_asym.halfint import HalfInt, halfint_sum
 from wigner_asym.identities import _sample_coupled, _window
 from wigner_asym.primefac import FactorialLedger as _Ledger, _product
 from wigner_asym.wigner_d import _check_projections, small_d
@@ -264,7 +274,7 @@ def asym_3nj_xi_sum(sym: Symbol3nj, mark: SmallSpinMarking) -> float:
     j1 = nsym.j[0]
     l = nsym.l
     m_count = len(small_l)
-    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(nsym))
+    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(nsym, l[0], l[-1]))
     small_factor = _small_l_factor(chain, diag)
 
     total = 0.0
@@ -280,6 +290,90 @@ def asym_3nj_xi_sum(sym: Symbol3nj, mark: SmallSpinMarking) -> float:
 
     amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
     return _chain_sign(nsym, small_l, mu) * (amplitude * total)
+
+
+def asym_9j_closed(sym: Symbol9j) -> float:
+    """The 9j one-small asymptotics in closed form, for a valid symbol.
+
+    The reference tetrahedron is the 6j {j1 j2 j12; j34 j5 j24}; its faces
+    (1, 5, 24) and (2, 34, 24), glued along 24 with the external dihedral
+    there as the internal angle, give the residual rotation angles.  The
+    end triangles and the amplitude use j1 and j34, ``asym_9j_one_small``'s
+    end spins."""
+    mu = sym.j13 - sym.j1
+    nu = sym.j34 - sym.j4
+    tet, vol, action = _oscillatory_tet(
+        [sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24], "reference tetrahedron", "tet1",
+        AsymDiagnostics(),
+    )
+    l1, l2, l34, l5, l24 = (edge_length_from_spin(x)
+                            for x in (sym.j1, sym.j2, sym.j34, sym.j5, sym.j24))
+    theta_1, phi_1_34, theta_34 = euler_from_glued_triangles(
+        triangle_angle(l1, l24, l5), dihedral_external(tet, "f"), triangle_angle(l34, l24, l2))
+    phase = _int_phase(halfint_sum([sym.j13, sym.j2, sym.j34, sym.j5, sym.s]), "9j phase")
+    argument = action + QUARTER_PI - float(mu) * (math.pi - theta_1) - float(nu) * theta_34
+    return (
+        phase
+        * math.cos(argument)
+        * small_d(sym.s, mu, nu, math.pi - phi_1_34)
+        / math.sqrt(sym.j1.dim * sym.j34.dim * 12.0 * math.pi * vol)
+    )
+
+
+def asym_15j_one_small_closed(sym: Symbol3nj) -> float:
+    """The 15j with only j1 small in closed form: three oscillatory
+    tetrahedra (p = 2, 3, 4) and four distinct sign configurations, with
+    gluing angles combined from the three internal dihedrals at k1;
+    CaseAngleOutOfRange when one leaves [0, pi]."""
+    chain = _chain_prep(sym, SmallSpinMarking(("j", 1)), AsymDiagnostics())
+    if chain is None:
+        return 0.0
+    mu, nu = chain.mu, chain.nu
+    j, k, l = sym.j, sym.k, sym.l
+    vols, actions = chain.volumes, chain.actions
+    t2, t3, t4 = chain.thetas[2], chain.thetas[3], chain.thetas[4]
+    combos = {
+        "ppp": t2 + t3 + t4 - math.pi,
+        "ppm": math.pi - t2 - t3 + t4,
+        "pmp": math.pi - t2 + t3 - t4,
+        "mpp": math.pi + t2 - t3 - t4,
+    }
+    for name, theta in combos.items():
+        if theta < -1e-12 or theta > math.pi + 1e-12:
+            raise CaseAngleOutOfRange(f"combined angle {name} = {theta:.4f} outside [0, pi]")
+        combos[name] = min(math.pi, max(0.0, theta))
+
+    phi_a = _spin_angle(k[0], j[1], k[1])
+    phi_b = _spin_angle(k[0], k[4], j[4])
+    euler = {name: euler_from_glued_triangles(phi_a, theta, phi_b)
+             for name, theta in combos.items()}
+    s2, s3, s4 = actions[2], actions[3], actions[4]
+    pj1 = math.pi * float(j[0])
+    terms = []
+    for name, signs in (("ppm", (1, 1, -1)), ("pmp", (1, -1, 1)), ("mpp", (-1, 1, 1))):
+        theta_j2, mid, theta_k5 = euler[name]
+        arg = (
+            signs[0] * s2 + signs[1] * s3 + signs[2] * s4 + QUARTER_PI
+            - float(mu) * theta_j2 - float(nu) * theta_k5 + pj1
+        )
+        terms.append(small_d(j[0], mu, nu, mid) * math.cos(arg))
+    theta_j2, mid, theta_k5 = euler["ppp"]
+    arg = (
+        s2 + s3 + s4 + 3.0 * QUARTER_PI
+        + float(mu) * theta_j2 + float(nu) * theta_k5 + pj1
+    )
+    terms.append(small_d(j[0], mu, nu, mid) * math.cos(arg))
+
+    phase = _int_phase(
+        halfint_sum([j[1], l[1], j[2], k[2], l[2], k[3], j[3], l[3], k[4], -k[0], mu]),
+        "one-small phase",
+    )
+    return (
+        phase
+        / (48.0 * math.pi * math.sqrt(12.0 * math.pi * j[1].dim * k[4].dim
+                                      * vols[2] * vols[3] * vols[4]))
+        * sum(terms)
+    )
 
 
 # ----------------------------------------------------------------------

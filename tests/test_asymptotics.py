@@ -1,12 +1,14 @@
 """Asymptotic formulas: oscillatory and one-small-spin 6j forms, the 9j
 one-small formula, the general mixed-spin driver (two independent internal
-routes), hypothesis validation, and the 15j special cases."""
+routes), hypothesis validation, and the 15j special cases; the 9j and 15j-1
+wrappers of the driver against their closed forms."""
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -32,22 +34,21 @@ from wigner_asym.errors import (
     NotClassicallyAllowed,
 )
 from wigner_asym.exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j
-from wigner_asym.geometry import Tetrahedron, regge_action, volume
+from wigner_asym.geometry import (
+    Tetrahedron,
+    euler_from_glued_triangles,
+    f_phase,
+    omega_classify,
+    regge_action,
+    volume,
+)
 from wigner_asym.halfint import HalfInt
+from wigner_asym.wigner_d import small_d
 
 from conftest import sample_chain_15j, to_mpf
-from oracles import asym_3nj_xi_sum
+from oracles import asym_3nj_xi_sum, asym_9j_closed, asym_15j_one_small_closed
 
 H = HalfInt.from_twice
-
-
-def to_chain(sym: Symbol9j) -> Symbol3nj:
-    """The 9j as a three-column chain symbol (value picks up (-1)^R)."""
-    return Symbol3nj(
-        (sym.s, sym.j1, sym.j2),
-        (sym.j24, sym.j5, sym.j34),
-        (sym.j13, sym.j12, sym.j4),
-    )
 
 
 def chain_sign(sym: Symbol9j) -> int:
@@ -172,7 +173,7 @@ def test_asym_9j_matches_exact_interior():
             exact = float(wigner9j(sym).value)
             value, diag = asym_9j_one_small(sym)
             assert abs(value - exact) < 0.05 * max(abs(exact), 1e-9)
-            assert diag.volumes["tet1"] > 0
+            assert diag.volumes["tet_2"] > 0
 
 
 def test_asym_9j_invalid_and_forbidden():
@@ -222,28 +223,33 @@ def test_sigma_sum_equals_xi_sum_all_cases(rng):
 
 def test_sigma_flip_pairs_contribute_equally(rng):
     """Globally flipping a sign configuration leaves its contribution to
-    the configuration sum unchanged, so only half the configurations are
-    distinct."""
+    the configuration sum unchanged, so the driver sums only sigma_1 = +1.
+    Each -sigma partner is built here from the driver's angles."""
     sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=0)
     mark = SmallSpinMarking(("j", 1))
     value, diag = asym_3nj(sym, mark)
-    by_sigma = {tuple(sc["sigma"]): sc for sc in diag.sign_configs}
-    assert len(by_sigma) == 8
+    sigmas = [tuple(sc["sigma"]) for sc in diag.sign_configs]
+    assert sigmas == [s for s in product((1, -1), repeat=3) if s[0] == 1]
     actions = [diag.regge_actions[f"tet_{p}"] for p in (2, 3, 4)]
-    j1 = float(sym.j[0])
+    thetas = [diag.angles[f"Theta_k1_{p}"] for p in (2, 3, 4)]
+    phi1, phin = diag.angles["phi1"], diag.angles["phin"]
+    j1 = sym.j[0]
     mu = sym.j[1] - sym.l[0]
     nu = sym.k[4] - sym.l[4]
-    from wigner_asym.wigner_d import small_d
 
-    def contribution(sc):
-        arg = sum(s * (a + math.pi / 4) for s, a in zip(sc["sigma"], actions))
-        arg += math.pi * 5 * j1 + sc["f"]
-        return math.cos(arg) * small_d(sym.j[0], mu, nu, sc["phi_l1_ln"])
+    def contribution(sigma):
+        cfg = omega_classify(5, 0, thetas, sigma)
+        theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, cfg.theta_k1, phin)
+        arg = sum(s * (a + math.pi / 4) for s, a in zip(sigma, actions))
+        arg += math.pi * 5 * float(j1) + f_phase(cfg, mu, nu, theta_l1, theta_ln, j1)
+        return phi_mid, math.cos(arg) * small_d(j1, mu, nu, phi_mid)
 
-    for sigma, sc in by_sigma.items():
-        other = by_sigma[tuple(-s for s in sigma)]
-        assert abs(sc["phi_l1_ln"] - other["phi_l1_ln"]) < 1e-12
-        assert abs(contribution(sc) - contribution(other)) < 1e-12
+    for sc, sigma in zip(diag.sign_configs, sigmas):
+        phi_mid, here = contribution(sigma)
+        assert phi_mid == sc["phi_l1_ln"]
+        flip_mid, flipped = contribution(tuple(-s for s in sigma))
+        assert abs(phi_mid - flip_mid) < 1e-12
+        assert abs(here - flipped) < 1e-12
 
 
 def test_marking_normalization_and_rotation_invariance(rng):
@@ -391,7 +397,7 @@ def test_n3_specialization_exact_against_9j_formula():
                                       tj1, tj24, tj5)
             assert sym.is_valid()
             v9, _ = asym_9j_one_small(sym)
-            v3, diag = asym_3nj(to_chain(sym), SmallSpinMarking(("j", 1)))
+            v3, diag = asym_3nj(sym.as_chain(), SmallSpinMarking(("j", 1)))
             assert diag.sign_configs[0]["case"] == "II"
             rel = abs(v3 - chain_sign(sym) * v9) / max(abs(v9), 1e-300)
             assert rel < 1e-12
@@ -447,6 +453,66 @@ def test_15j_wrappers_match_general_driver(rng):
         12.0 * math.pi * sym.j[1].dim * sym.k[4].dim
         * np.prod(list(dw.volumes.values()))))
     assert abs(w - g) < 1e-12 * max(abs(g), envelope)
+
+
+def _sample_9j_one_small(rng, base: int) -> Symbol9j:
+    """A valid 9j with a small s (1/2 to 2), the other spins within 3 of
+    ``base`` and any parity, mu = j13 - j1 and nu = j34 - j4 drawn over
+    their whole range."""
+    while True:
+        ts = rng.choice([1, 2, 3, 4])
+        t1, t2, t12, t4, t24, t5 = (2 * base + rng.randint(-6, 6) for _ in range(6))
+        sym = Symbol9j.from_twice(t1, t2, t12, ts, t4, t4 + rng.randrange(-ts, ts + 1, 2),
+                                  t1 + rng.randrange(-ts, ts + 1, 2), t24, t5)
+        if sym.is_valid():
+            return sym
+
+
+def _agree_within_rms(pairs_by_base, rel):
+    """Each (wrapper, closed form) pair agrees within ``rel`` times the RMS
+    of the closed-form values at its base."""
+    for base, pairs in pairs_by_base.items():
+        rms = math.sqrt(np.mean([want ** 2 for _, want in pairs]))
+        worst = max(abs(got - want) for got, want in pairs)
+        assert worst <= rel * rms, (base, worst, rms)
+
+
+def test_9j_wrapper_matches_closed_form():
+    """asym_9j_one_small runs the chain driver on the 9j's n = 3 chain; the
+    closed 9j form agrees on 40 seeded 9j, mu and nu mostly nonzero and
+    half-integer spins included."""
+    rng = random.Random(2211)
+    pairs, offsets, half = defaultdict(list), 0, 0
+    for _ in range(40):
+        base = rng.choice((30, 60, 120))
+        sym = _sample_9j_one_small(rng, base)
+        want = asym_9j_closed(sym)
+        got, diag = asym_9j_one_small(sym)
+        assert len(diag.sign_configs) == 1
+        pairs[base].append((got, want))
+        offsets += sym.j13 != sym.j1 and sym.j34 != sym.j4
+        half += sym.j1.twice % 2
+    assert len(pairs) == 3 and offsets >= 20 and half >= 5, (offsets, half)
+    _agree_within_rms(pairs, 1e-11)
+
+
+def test_15j_one_small_wrapper_matches_closed_form():
+    """asym_15j_one_small runs the chain driver with ends (j2, k5) behind
+    its near-regular guard; the closed 15j-1 form agrees at bases 30, 60
+    and 120, mu and nu mostly nonzero."""
+    rng = random.Random(2212)
+    mark = SmallSpinMarking(("j", 1))
+    pairs, offsets = defaultdict(list), 0
+    for base in (30, 60, 120):
+        for _ in range(12):
+            sym = sample_chain_15j(rng, base=base, t_small=rng.choice([1, 2, 3, 4]))
+            want = asym_15j_one_small_closed(sym)
+            got, diag = asym_15j_one_small(sym, mark)
+            assert len(diag.sign_configs) == 4
+            pairs[base].append((got, want))
+            offsets += sym.j[1] != sym.l[0] and sym.k[4] != sym.l[4]
+    assert offsets >= 18, offsets
+    _agree_within_rms(pairs, 1e-11)
 
 
 def test_15j_four_small_zero_smalls_collapse():

@@ -3,9 +3,11 @@ and by name.  This test runs the worker's ``prepare`` and the call it builds
 on every item of the ``asym-mixed`` pool (1600 calls, about 0.3 s) and on
 the first item of every ``exact-large`` stratum, whose exact sums take
 longer, and checks each value against the pool's reference and tolerance,
-or each error against its class.  So a cut signature, a renamed public
-function or a drift in the asymptotic values fails here and not only in a
-benchmark run.  ``bench/`` is imported as it is and nothing is written there.
+or each error against its class.  It also runs the ``fig4-cold`` unit, the
+reference study, and checks it with the benchmark's own ``fig4_problems``.
+So a cut signature, a renamed public function or a drift in the asymptotic
+values or the fig4 panels fails here and not only in a benchmark run.
+``bench/`` is imported as it is and nothing is written there.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def worker(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCH))
     yield importlib.import_module("worker")
-    for name in ("worker", "spans", "workloads"):
+    for name in ("worker", "spans", "workloads", "run"):
         sys.modules.pop(name, None)
 
 
@@ -48,3 +50,15 @@ def test_worker_calls_match_package_signatures(worker, workload):
             assert abs(value - item["ref"]) <= item["tol"], name
         else:
             assert value == item["ref"], name
+
+
+def test_fig4_unit_matches_bench_reference(worker, tmp_path):
+    """``verify fig4`` through the worker's call: every check line, and
+    every panel cell against ``data/fig4-cold.json`` within the benchmark's
+    bounds (exact 1e-12, asymptotic 1e-9 of the panel's largest value)."""
+    run = importlib.import_module("run")
+    [item] = run.unit_items("fig4-cold", 1, 0)
+    fn, reduce = worker.prepare(item, str(tmp_path))
+    assert reduce is None
+    problems = run.fig4_problems({"value": fn()}, tmp_path, run.load_pool("fig4-cold"))
+    assert problems == []

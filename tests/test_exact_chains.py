@@ -219,6 +219,23 @@ def test_9j_engine_matches_6j_product_oracle():
     assert zeros > 0 and half > 0, (zeros, half)
 
 
+def test_9j_equals_signed_3nj_of_its_chain():
+    """wigner9j(sym) == (-1)^R wigner3nj(sym.as_chain()) exactly, on 40
+    seeded 9j with half-integer spins and exact zeros among them (one drawn,
+    plus the {60 ... 59} zero)."""
+    rng = random.Random(73)
+    zeros = half = 0
+    syms = [random_valid_9j(rng, tmax=13) for _ in range(40)]
+    syms.append(Symbol9j.from_values(60, 60, 60, 60, 60, 60, 60, 60, 59))
+    for sym in syms:
+        value = wigner9j(sym).value
+        chain = wigner3nj(sym.as_chain())
+        assert value == (-chain if sym.r_total().twice // 2 % 2 else chain), sym
+        zeros += value.is_zero
+        half += any(v.twice % 2 for v in sym.grid[0] + sym.grid[1] + sym.grid[2])
+    assert zeros > 1 and half > 0, (zeros, half)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_3nj_engine_matches_6j_product_oracle(n):
     rng = random.Random(100 + n)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import sympy
 
-from wigner_asym.asymptotics import NINEJ_REFERENCE_SLOTS
 from wigner_asym.errors import (
     DegenerateTriangle,
     DegenerateVertex,
@@ -332,7 +331,7 @@ def _fig4_panel_a_tetrahedra():
         spins = {**cfg.spins_twice, cfg.sweep_slot: t_sweep}
         sym = build_symbol("9j", [spins[s] for s in slot_names("9j")])
         try:
-            tet = Tetrahedron.from_spins([getattr(sym, s) for s in NINEJ_REFERENCE_SLOTS])
+            tet = Tetrahedron.from_spins([sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24])
         except DegenerateTriangle:
             continue
         if tet.cayley_menger() > 0.0:

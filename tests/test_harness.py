@@ -498,20 +498,20 @@ def test_cli_asym_diagnostics_dump():
     payload = json.loads("\n".join(lines[1:]))
     assert list(payload) == ["volumes", "regge_actions", "angles", "flags",
                              "warnings", "sign_configs"]
-    assert payload["volumes"]["tet1"] > 0
+    assert payload["volumes"]["tet_2"] > 0
 
 
 #: sha256 of every file ``verify fig4 --out`` writes (Python 3.11, x86-64;
 #: the Cayley-Menger determinants are exact integer sums rounded once, so
 #: no linear-algebra library enters these bytes)
 FIG4_SHA256 = {
-    "fig_a.csv": "53a210a7307f0c10ba50fdc4e87cb5e5cc24fca7709d858ef15bb84c05d947b9",
+    "fig_a.csv": "2e5ab2b565c5c8e1685787fe0f0d00c39b1d92b89f3f886a93e1656cf1ed3105",
     "fig_a.gnuplot": "b499eaa8e2e9447310c5cccdc6ec8be04810831bfc2e28f9c21b54ff83b015b4",
-    "fig_b.csv": "f7e63df9ab8e51f8597f45776022d9794d5dc21c0a4f9b678dff1344829c0f74",
+    "fig_b.csv": "52b4c658580679e4b859a874f04a9f0b3ff75edb3876a2ac5329879a2a7cbd97",
     "fig_b.gnuplot": "71777fb15f435547d86e9f8f9cb0121aa27394ef5954def98c414f1b42e65687",
-    "fig_c.csv": "e07979952372325202365566964e146c61a349a9b1b9e2f18019d370bcac0f4e",
+    "fig_c.csv": "3dee5feff1c2f248d9bffe8e09480bbfa5027b16282aa399d555fe09e64fa3ee",
     "fig_c.gnuplot": "0fcccad565b212527e4631bef1d6797d2b5c9fbd07bdf0f2f33b2411fbbcced7",
-    "fig_d.csv": "39dbf97386fd5935505b9a03dc9eeec70e48fba0138ace20f981fb1d263d661a",
+    "fig_d.csv": "2298109d1739d0421c42eff38408668fe886892703a8144e693e8d44d52dc6ba",
     "fig_d.gnuplot": "790c6b3cf34c266cc6657583f62ba2ac448db53d820b3eeb31654f7f992f6230",
 }
 

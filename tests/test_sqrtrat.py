@@ -1,11 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from wigner_asym.exact import wigner6j, wigner9j
+from wigner_asym.exact import Symbol9j, wigner6j, wigner9j
 from wigner_asym.halfint import HalfInt
 from wigner_asym.identities import random_valid_9j
 from wigner_asym.sqrtrat import SqrtRational
@@ -148,3 +151,18 @@ def test_float_is_correctly_rounded():
     ]
     for v in values:
         assert _is_correctly_rounded(v, float(v)), v
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    """The immutable value types copy and pickle to equal values, and so do
+    the dataclasses that hold them; HalfInt(h) is h itself."""
+    sym = Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)
+    values = [HalfInt(3), HalfInt("-5/2"), SqrtRational(1, Fraction(1, 3), 2),
+              SqrtRational.zero(), wigner9j(sym).value, sym]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+    h = HalfInt("3/2")
+    assert HalfInt(h) is h
+    assert dataclasses.asdict(sym)["j24"] == HalfInt(60)
