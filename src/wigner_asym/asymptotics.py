@@ -40,12 +40,12 @@ from .errors import (
 from .exact import Symbol3nj, Symbol9j
 from .geometry import (
     Tetrahedron,
+    _classify_omega,
+    _residual_phase,
     dihedral_internal,
     edge_length_from_spin,
     euler_from_glued_triangles,
-    f_phase,
     law_of_cosines,
-    omega_classify,
     regge_action,
     triangle_angle,
     volume,
@@ -217,11 +217,11 @@ def _violations(nsym: Symbol3nj, small_l) -> list:
                     f"in 2..n-1",
                 )
             )
-    declared = [float(nsym.j[0])] + [float(nsym.l[m - 1]) for m in small_l if 1 <= m <= n]
+    # x.twice / 2 is float(x), without the method call
+    declared = [nsym.j[0].twice / 2] + [nsym.l[m - 1].twice / 2 for m in small_l if 1 <= m <= n]
     undeclared = (
-        [float(x) for x in nsym.j[1:]]
-        + [float(x) for x in nsym.k]
-        + [float(nsym.l[i]) for i in range(n) if (i + 1) not in small_l]
+        [x.twice / 2 for x in nsym.j[1:] + nsym.k]
+        + [nsym.l[i].twice / 2 for i in range(n) if (i + 1) not in small_l]
     )
     return out + _scale_violations(declared, undeclared)
 
@@ -401,29 +401,34 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: HalfInt, endn: Half
     diag.angles.update({f"Theta_k1_{p}": th for p, th in zip(p_set, theta_list)})
     small_factor = _small_l_factor(chain, diag)
 
+    # each sigma is a valid configuration of p_set, so it is classified
+    # as omega_classify does, without its checks or a SignConfig
     sigmas = [sigma for sigma in product((1, -1), repeat=len(p_set)) if sigma[:1] != (-1,)]
+    n_pi, j1_pi = (n + m_count) * math.pi, math.pi * (n + m_count) * float(j1)
+    mu_f, nu_f, j1_f = float(mu), float(nu), float(j1)
     config_sum = 0.0
     for sigma in sigmas:
-        cfg = omega_classify(n, m_count, theta_list, sigma)
-        theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, cfg.theta_k1, phin)
-        f_val = f_phase(cfg, mu, nu, theta_l1, theta_ln, j1)
+        omega, case_id, theta_k1, boundary = _classify_omega(
+            n_pi - sum(s * th for s, th in zip(sigma, theta_list)))
+        theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, theta_k1, phin)
+        f_val = _residual_phase(case_id, mu_f * theta_l1 + nu_f * theta_ln, j1_f)
         argument = (
             sum(s * (chain.actions[p] + QUARTER_PI) for s, p in zip(sigma, p_set))
-            + math.pi * (n + m_count) * float(j1)
+            + j1_pi
             + f_val
         )
         config_sum += math.cos(argument) * small_d(j1, mu, nu, phi_mid)
         diag.sign_configs.append(
             {
-                "sigma": cfg.sigma,
-                "omega": cfg.omega,
-                "case": cfg.case_id,
-                "theta_k1": cfg.theta_k1,
+                "sigma": sigma,
+                "omega": omega,
+                "case": case_id,
+                "theta_k1": theta_k1,
                 "theta_l1": theta_l1,
                 "phi_l1_ln": phi_mid,
                 "theta_ln": theta_ln,
                 "f": f_val,
-                "boundary": cfg.boundary,
+                "boundary": boundary,
                 "glued_sixth_edge": law_of_cosines(tri1[1], trin[1], phi_mid),
             }
         )

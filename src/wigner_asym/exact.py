@@ -180,22 +180,30 @@ def _delta_terms(ta, tb, tc):
             ((-ta + tb + tc) // 2, 1), ((ta + tb + tc) // 2 + 1, -1)]
 
 
-def _racah_series(ta, tb, tc, td, te, tf):
-    """The Racah sum of {a b c; d e f} (twice values),
-    sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!], as (head, num, den): the
-    factorial terms of the first term and the ints with
-    num/den = (-1)^zmin (1 + r_zmin (1 + r_zmin+1 (1 + ...))), r_z the ratio
-    of the terms at z+1 and z, by :func:`_nest`.  The window
-    max T_i <= z <= min P_j is never empty: each P_j - T_i is the excess
-    a+b-c of one of the four triads, which must be allowed."""
-    t1, t2, t3, t4 = tsum = ((ta + tb + tc) // 2, (ta + te + tf) // 2,
-                             (td + tb + tf) // 2, (td + te + tc) // 2)
-    p1, p2, p3 = psum = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
-                         (ta + tc + td + tf) // 2)
+def _racah_first(ta, tb, tc, td, te, tf):
+    """(tsum, psum, zmin, head) of the Racah sum of {a b c; d e f} (twice
+    values), sum_z (-1)^z (z+1)! / prod[(z-T_i)! (P_j-z)!]: its four T_i
+    and three P_j, its lowest z = max T_i and the factorial terms of the
+    term there."""
+    tsum = ((ta + tb + tc) // 2, (ta + te + tf) // 2,
+            (td + tb + tf) // 2, (td + te + tc) // 2)
+    psum = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
+            (ta + tc + td + tf) // 2)
     zmin = max(tsum)
-    zmax = min(psum)
     head = ([(zmin + 1, 1)] + [(zmin - t, -1) for t in tsum]
             + [(p - zmin, -1) for p in psum])
+    return tsum, psum, zmin, head
+
+
+def _racah_series(ta, tb, tc, td, te, tf):
+    """The Racah sum of {a b c; d e f} (twice values) as (head, num, den):
+    the factorial terms of the first term (:func:`_racah_first`) and the
+    ints with num/den = (-1)^zmin (1 + r_zmin (1 + r_zmin+1 (1 + ...))),
+    r_z the ratio of the terms at z+1 and z, by :func:`_nest`.  The window
+    max T_i <= z <= min P_j is never empty: each P_j - T_i is the excess
+    a+b-c of one of the four triads, which must be allowed."""
+    (t1, t2, t3, t4), (p1, p2, p3), zmin, head = _racah_first(ta, tb, tc, td, te, tf)
+    zmax = min(p1, p2, p3)
     zs = range(zmin, zmax)
     num, den = _nest([1] * (zmax - zmin + 1),
                      [-(z + 2) * (p1 - z) * (p2 - z) * (p3 - z) for z in zs],
@@ -203,16 +211,22 @@ def _racah_series(ta, tb, tc, td, te, tf):
     return head, -num if zmin % 2 else num, den
 
 
-def _racah_int(six):
-    """The Racah sum of a 6j (twice values) as an int: its terms are
-    (z+1) times the multinomial z! / prod[(z-T_i)! (P_j-z)!] (the seven
-    arguments add up to z), so the first term is a product of binomials."""
-    ((top, _), *rest), num, den = _racah_series(*six)
-    head, z = top, top - 1
+def _multinomial(head) -> int:
+    """The first Racah term without its sign, (z+1) z! / prod k_i!, from
+    its factorial terms [(z+1, 1), (k_1, -1), ..., (k_7, -1)]: the seven
+    k_i add up to z, so it is (z+1) times a product of binomials."""
+    ((top, _), *rest) = head
+    value, z = top, top - 1
     for k, _ in rest:
-        head *= comb(z, k)
+        value *= comb(z, k)
         z -= k
-    r, rem = divmod(head * num, den)
+    return value
+
+
+def _racah_int(six):
+    """The Racah sum of a 6j (twice values) as an int."""
+    head, num, den = _racah_series(*six)
+    r, rem = divmod(_multinomial(head) * num, den)
     if rem:
         raise InternalConsistencyError(f"Racah sum not an integer: {six}")
     return r
@@ -281,27 +295,37 @@ def _chain_series(sixjs, weight):
 
 def _racah_run(a, b, d, e, f, lo, hi):
     """[R(x) for x = lo, lo+1, ..., hi] for the Racah sum R of {a b x; d e f}
-    (twice values, every x in the 6j's window).  R(lo) and R(lo+1) are
-    summed directly; every later R comes from the Schulten-Gordon
-    three-term recurrence in x (J. Math. Phys. 16 (1975) 1961), divided
-    by the 6j's triangle coefficients and scaled by 32, so that in twice
-    values (A = 2a, X = 2x, and [A] = A(A+2) = 4a(a+1)) every coefficient
-    is an int:
+    (twice values, every x in the 6j's window).  Every R past the first
+    two comes from the Schulten-Gordon three-term recurrence in x
+    (J. Math. Phys. 16 (1975) 1961), divided by the 6j's triangle
+    coefficients and scaled by 32, so that in twice values (A = 2a,
+    X = 2x, and [A] = A(A+2) = 4a(a+1)) every coefficient is an int:
 
         X [(X+2)^2 - (A-B)^2] [(X+2)^2 - (D-E)^2] R(x+1)
         + 2 (X+1) ([X]([A]+[B]-[X]) + [D]([X]+[A]-[B]) + [E]([X]-[A]+[B])
                    - 2 [X][F]) R(x)
         + (X+2) [(A+B+2)^2 - X^2] [(D+E+2)^2 - X^2] R(x-1) = 0.
 
-    The first coefficient is positive for x >= lo+1, and the division by
-    it must be exact."""
-    run = [_racah_int((a, b, lo, d, e, f))]
-    if hi > lo:
-        run.append(_racah_int((a, b, lo + 2, d, e, f)))
+    The first coefficient is positive for x >= lo > 0, and the division by
+    it must be exact.  When lo is the 6j's own bound max(|a-b|, |d-e|) > 0,
+    the triad (a, b, x) or (d, e, x) has excess 0 at x = lo, so R(lo) is
+    one term, (-1)^z (z+1) times a multinomial, and R(lo-1) = 0 (a term
+    there would need a negative factorial): the run starts from that one
+    term and steps to R(lo+1) like any other x.  Otherwise R(lo) and
+    R(lo+1) are summed directly."""
+    if lo and lo == max(abs(a - b), abs(d - e)):
+        *_, z, head = _racah_first(a, b, lo, d, e, f)
+        first = _multinomial(head)
+        run, start = [0, -first if z % 2 else first], lo
+    else:
+        run = [_racah_int((a, b, lo, d, e, f))]
+        if hi > lo:
+            run.append(_racah_int((a, b, lo + 2, d, e, f)))
+        start = lo + 2
     sa, sb, sd, se, sf = (t * (t + 2) for t in (a, b, d, e, f))
     ab, de = (a - b) ** 2, (d - e) ** 2
     ab_top, de_top = (a + b + 2) ** 2, (d + e + 2) ** 2
-    for tx in range(lo + 2, hi, 2):
+    for tx in range(start, hi, 2):
         sx, up = tx * (tx + 2), (tx + 2) ** 2
         lead = tx * (up - ab) * (up - de)
         mid = 2 * (tx + 1) * (sx * (sa + sb - sx) + sd * (sx + sa - sb)
@@ -312,7 +336,7 @@ def _racah_run(a, b, d, e, f, lo, hi):
             raise InternalConsistencyError(
                 f"6j recurrence not exact at twice x = {tx + 2}: {(a, b, d, e, f)}")
         run.append(r)
-    return run
+    return run[1:] if start == lo else run
 
 
 def _chain_value(pre, xs, ts, ns, ds):
@@ -381,7 +405,11 @@ class Symbol9j:
         return rows + cols
 
     def is_valid(self) -> bool:
-        return all(triad_allowed(*t) for t in self.triads())
+        """Every row and column triad holds (:meth:`triads`, read in twice
+        values straight from the grid)."""
+        t = [getattr(self, slot).twice for slot in _GRID_SLOTS]
+        return (all(triad_ok(*t[i:i + 3]) for i in (0, 3, 6))
+                and all(triad_ok(*t[i::3]) for i in (0, 1, 2)))
 
     def r_total(self) -> HalfInt:
         return halfint_sum([getattr(self, s) for s in _GRID_SLOTS])
@@ -389,9 +417,9 @@ class Symbol9j:
     def as_chain(self) -> "Symbol3nj":
         """The n = 3 first-kind 3nj symbol with the same six triads, whose
         value times (-1)^R is this 9j: rows j = (s, j1, j2),
-        k = (j24, j5, j34), l = (j13, j12, j4)."""
-        return Symbol3nj((self.s, self.j1, self.j2), (self.j24, self.j5, self.j34),
-                         (self.j13, self.j12, self.j4))
+        k = (j24, j5, j34), l = (j13, j12, j4), this symbol's HalfInts."""
+        return Symbol3nj._of_rows((self.s, self.j1, self.j2), (self.j24, self.j5, self.j34),
+                                  (self.j13, self.j12, self.j4))
 
 
 @dataclass
@@ -488,6 +516,17 @@ class Symbol3nj:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
 
+    @classmethod
+    def _of_rows(cls, j: tuple, k: tuple, l: tuple) -> "Symbol3nj":
+        """A symbol from rows that already are equal tuples of HalfInt of
+        length n >= 3, such as a symmetry image's, without
+        :meth:`__post_init__`'s conversion and checks."""
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "j", j)
+        object.__setattr__(sym, "k", k)
+        object.__setattr__(sym, "l", l)
+        return sym
+
     @property
     def n(self) -> int:
         return len(self.j)
@@ -519,16 +558,17 @@ class Symbol3nj:
         ring = ring[shift:] + ring[:shift]
         ls = shift % n
         l = self.l[ls:] + self.l[:ls]
-        return Symbol3nj(tuple(ring[:n]), tuple(ring[n:]), l)
+        return Symbol3nj._of_rows(tuple(ring[:n]), tuple(ring[n:]), l)
 
     def rows_exchanged(self) -> "Symbol3nj":
-        return Symbol3nj(self.k, self.j, self.l)
+        return Symbol3nj._of_rows(self.k, self.j, self.l)
 
     def reflected(self) -> "Symbol3nj":
         """The 2n-cycle run backwards from j_1: j' = (j_1, k_n, ..., k_2),
         k' = (k_1, j_n, ..., j_2), l' = (l_n, ..., l_1); the same triads,
         so a symmetry of the symbol."""
-        return Symbol3nj(self.j[:1] + self.k[:0:-1], self.k[:1] + self.j[:0:-1], self.l[::-1])
+        return Symbol3nj._of_rows(self.j[:1] + self.k[:0:-1], self.k[:1] + self.j[:0:-1],
+                                  self.l[::-1])
 
 
 def wigner15j(j_row, k_row, l_row) -> SqrtRational:

@@ -313,6 +313,12 @@ def omega_classify(n: int, m_small: int, theta_k1_list: Sequence[float], sigma: 
     if any(s not in (-1, 1) for s in sigma):
         raise ValueError("sigma entries must be +-1")
     raw = (n + m_small) * math.pi - sum(s * th for s, th in zip(sigma, theta_k1_list))
+    return SignConfig(sigma, *_classify_omega(raw))
+
+
+def _classify_omega(raw: float) -> tuple:
+    """(omega, case_id, theta_k1, boundary) of :class:`SignConfig` for the
+    unreduced omega ``raw``, without checking the sign configuration."""
     omega = raw - _FOUR_PI * math.floor((raw + _TWO_PI) / _FOUR_PI)
     if 0.0 <= omega < math.pi:
         case_id, theta = "I", math.pi - omega
@@ -326,7 +332,7 @@ def omega_classify(n: int, m_small: int, theta_k1_list: Sequence[float], sigma: 
     boundary = min(
         abs(omega - b) for b in (-_TWO_PI, -math.pi, 0.0, math.pi, _TWO_PI)
     ) < 1e-12
-    return SignConfig(sigma, omega, case_id, theta, boundary)
+    return omega, case_id, theta, boundary
 
 
 def f_phase(cfg: SignConfig, mu, nu, theta_l1: float, theta_ln: float, j1) -> float:
@@ -336,11 +342,16 @@ def f_phase(cfg: SignConfig, mu, nu, theta_l1: float, theta_ln: float, j1) -> fl
     branches (omega in [-2pi, -pi) and [pi, 2pi)).
     """
     mu, nu, j1 = HalfInt(mu), HalfInt(nu), HalfInt(j1)
-    base = float(mu) * theta_l1 + float(nu) * theta_ln
-    if cfg.case_id == "I":
+    return _residual_phase(cfg.case_id, float(mu) * theta_l1 + float(nu) * theta_ln, float(j1))
+
+
+def _residual_phase(case_id: str, base: float, j1: float) -> float:
+    """:func:`f_phase` from the case, base = mu theta_l1 + nu theta_ln and
+    j1, all plain values."""
+    if case_id == "I":
         return -base
-    if cfg.case_id == "II":
-        return -base + _TWO_PI * float(j1)
-    if cfg.case_id == "III":
+    if case_id == "II":
+        return -base + _TWO_PI * j1
+    if case_id == "III":
         return base
-    return base + _TWO_PI * float(j1)
+    return base + _TWO_PI * j1

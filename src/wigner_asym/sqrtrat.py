@@ -55,15 +55,25 @@ class SqrtRational:
         """Exact square (always rational)."""
         return self.rat * self.rat * self.rad
 
+    def _square(self):
+        """(num, den), plain ints with num / den = value**2; the ratio is
+        exact but need not be in lowest terms."""
+        return self.rat.numerator ** 2 * self.rad, self.rat.denominator ** 2
+
     def _scaled_floor(self, base: int, k: int) -> int:
         """floor(|self| * base**k), exactly, for any integer k."""
-        sq = self.value_squared() * Fraction(base) ** (2 * k)
-        return math.isqrt(sq.numerator // sq.denominator)
+        num, den = self._square()
+        if k >= 0:
+            num *= base ** (2 * k)
+        else:
+            den *= base ** (-2 * k)
+        return math.isqrt(num // den)
 
     def _log2_square(self) -> int:
-        """log2(value**2), to within 1."""
-        sq = self.value_squared()
-        return sq.numerator.bit_length() - sq.denominator.bit_length()
+        """log2(value**2), to within 1: bit_length(x) - 1 <= log2(x) <
+        bit_length(x) for num and den alike, in lowest terms or not."""
+        num, den = self._square()
+        return num.bit_length() - den.bit_length()
 
     def __float__(self) -> float:
         """The correctly rounded float."""

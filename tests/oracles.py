@@ -51,7 +51,7 @@ from wigner_asym.geometry import (
 )
 from wigner_asym.halfint import HalfInt, halfint_sum
 from wigner_asym.identities import _sample_coupled, _window
-from wigner_asym.primefac import FactorialLedger as _Ledger, _product
+from wigner_asym.primefac import FactorialLedger as _Ledger, _product, _unpack
 from wigner_asym.wigner_d import _check_projections, small_d
 
 
@@ -462,11 +462,12 @@ class FactorialLedger(_Ledger):
                         _product([p ** -e for p, e in exps if e < 0]))
 
     def factorial_exponents(self, n: int) -> dict:
-        """{prime: exponent} for n!."""
+        """{prime: exponent} for n!, decoded from its packed vector."""
         if n < 0:
             raise ValueError("factorial of a negative number")
-        vec = self._exponent_vector(n)
-        return dict(zip(self._primes, vec))
+        vec = self._vector(n)
+        primes = self.primes_upto(n)
+        return dict(zip(primes, _unpack(vec, len(primes))))
 
     def factorial(self, n: int) -> int:
         """n! reconstructed from its exponent vector."""

@@ -1,9 +1,9 @@
 """The benchmark calls the package through ``bench/worker.py``, positionally
 and by name.  This test runs the worker's ``prepare`` and the call it builds
-on every item of the ``asym-mixed`` pool (1600 calls, about 0.3 s) and on
-the first item of every ``exact-large`` stratum, whose exact sums take
-longer, and checks each value against the pool's reference and tolerance,
-or each error against its class.  It also runs the ``fig4-cold`` unit, the
+on every item of the ``asym-mixed`` pool (1600 calls, about 0.3 s) and of
+the ``exact-large`` pool (700 exact 3j, 6j and 15j, about 1 s; every one
+passes through the factorial ledger), and checks each value against the
+pool's reference and tolerance, or each error against its class.  It also runs the ``fig4-cold`` unit, the
 reference study, and checks it with the benchmark's own ``fig4_problems``.
 So a cut signature, a renamed public function or a drift in the asymptotic
 values or the fig4 panels fails here and not only in a benchmark run.
@@ -37,7 +37,8 @@ def worker(monkeypatch):
 def test_worker_calls_match_package_signatures(worker, workload):
     pool = json.loads((BENCH / "data" / f"{workload}.json").read_text(encoding="utf-8"))
     items = [(name, item) for name, stratum in sorted(pool["strata"].items())
-             for item in (stratum["items"] if workload == "asym-mixed" else stratum["items"][:1])]
+             for item in stratum["items"]]
+    assert len(items) == {"exact-large": 700, "asym-mixed": 1600}[workload]
     for name, item in items:
         fn, reduce = worker.prepare(item, "")
         try:

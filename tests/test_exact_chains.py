@@ -24,7 +24,7 @@ from wigner_asym.exact import (
     wigner15j,
     wigner3nj,
 )
-from wigner_asym.halfint import HalfInt
+from wigner_asym.halfint import HalfInt, triad_ok
 from wigner_asym.primefac import DEFAULT_LEDGER
 from wigner_asym.sqrtrat import SqrtRational
 from wigner_asym.identities import (
@@ -316,6 +316,43 @@ def test_chain_recurrence_edge_cases():
     assert wigner3nj(zero) == _oracle_3nj(zero)
 
 
+def _racah_form(rng, tmax, ring=False):
+    """Twice values (a, b, d, e, f) of a 6j {a b x; d e f} whose triads
+    without x hold and whose x window is not empty, with that window's
+    ends; with ``ring``, a = b and d = e, so the window starts at x = 0."""
+    while True:
+        a, d, f = (rng.randrange(0, tmax + 1) for _ in range(3))
+        b, e = (a, d) if ring else (rng.randrange(0, tmax + 1) for _ in range(2))
+        lo, hi = max(abs(a - b), abs(d - e)), min(a + b, d + e)
+        if ((a + b - d - e) % 2 == 0 and lo <= hi
+                and triad_ok(a, e, f) and triad_ok(d, b, f)):
+            return (a, b, d, e, f), lo, hi
+
+
+def test_racah_run_matches_direct_sums_at_every_x():
+    """``_racah_run`` against a direct Racah sum at every x of its run, on
+    seeded forms: runs from the form's own bound max(|a-b|, |d-e|), which
+    start from one term, runs from above it and runs from x = 0, which sum
+    their first two x directly, with integer and half-integer x and twice
+    spins up to 2000 (runs of at most 25 x)."""
+    rng = random.Random(20251)
+    seen = Counter()
+    for case in range(120):
+        tmax = 2000 if case % 4 == 0 else 40
+        form, lo, hi = _racah_form(rng, tmax, ring=case % 6 == 5)
+        start = lo if case % 3 else min(hi, lo + 2 * rng.randint(1, 10))
+        stop = min(hi, start + 2 * rng.randint(0, 24))
+        run = exact._racah_run(*form, start, stop)
+        a, b, d, e, f = form
+        assert run == [exact._racah_int((a, b, tx, d, e, f))
+                       for tx in range(start, stop + 1, 2)], (form, start, stop)
+        seen["own bound" if start == lo > 0 else "x = 0" if start == 0
+             else "above own bound"] += 1
+        seen["half-integer x"] += start % 2
+        seen["spins above 500"] += max(form) > 1000
+    assert min(seen.values()) >= 8 and len(seen) == 5, seen
+
+
 def test_chain_recurrence_at_every_9j_pivot():
     """The 9j chain writes its three 6j with x in slot c by the 6j
     symmetries: term traces equal products of standalone 6j, written as
@@ -401,18 +438,20 @@ def _zmin_triads(six):
 def test_chain_work_count(monkeypatch):
     """A chain makes one ledger call, a square root that holds the triads
     without x and the squared triangle coefficients of the lowest x, and
-    never calls the standalone 6j.  Each of its n 6j runs its Racah sum at
-    the two lowest x only, so a chain calls ``_racah_series`` n times for
-    a window of one x and 2n times otherwise, whatever the window's
-    length; every later x comes from the three-term recurrence.  That
-    holds when the lower end of a Racah window moves from a triad without
-    x to one with x, and across an x whose term is exactly 0.  A
-    standalone 6j and a 3j fold their first term into their square root:
-    one ledger call per symbol, a repeat, a symmetry image or a window
-    summed by binary splitting included.  ``combined_exponents`` is where
-    every ledger call factors, so counting it catches any other route to
-    the ledger."""
+    never calls the standalone 6j.  Each of its n 6j runs its Racah sum
+    once (``_racah_run``).  A run that starts at its 6j's own bound
+    max(|a-b|, |d-e|) > 0 takes one multinomial head there and no sum;
+    every other run sums its two lowest x directly (one for a window of
+    one x), whatever the window's length; every later x comes from the
+    three-term recurrence.  That holds when the lower end of a Racah
+    window moves from a triad without x to one with x, and across an x
+    whose term is exactly 0.  A standalone 6j and a 3j fold their first
+    term into their square root: one ledger call per symbol, a repeat, a
+    symmetry image or a window summed by binary splitting included.
+    ``_combine`` is where every ledger call factors, so counting it
+    catches any other route to the ledger."""
     counts = Counter()
+    runs = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -420,16 +459,35 @@ def test_chain_work_count(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    def recording(*args):
+        runs.append(args)
+        return racah_run(*args)
+
     assert not hasattr(DEFAULT_LEDGER, "factorial_quotient")
-    for name in ("sqrt_factorial_quotient", "combined_exponents"):
+    for name in ("sqrt_factorial_quotient", "_combine"):
         monkeypatch.setattr(DEFAULT_LEDGER, name, counting(name, getattr(DEFAULT_LEDGER, name)))
     monkeypatch.setattr(exact, "wigner6j", counting("wigner6j", exact.wigner6j))
     monkeypatch.setattr(exact, "_racah_series", counting("racah", exact._racah_series))
+    monkeypatch.setattr(exact, "_multinomial", counting("head", exact._multinomial))
+    racah_run = exact._racah_run
+    monkeypatch.setattr(exact, "_racah_run", recording)
 
     def one_ledger_call(what):
         assert counts["sqrt_factorial_quotient"] == 1, (what, counts)
-        assert counts["combined_exponents"] == 1, (what, counts)
+        assert counts["_combine"] == 1, (what, counts)
 
+    def racah_work(what, n):
+        """The sums and heads of the last chain's n runs, by the rule."""
+        assert len(runs) == n, (what, runs)
+        own = [lo and lo == max(abs(a - b), abs(d - e)) for a, b, d, e, f, lo, hi in runs]
+        direct = sum(min(2, (hi - lo) // 2 + 1)
+                     for (*_, lo, hi), one in zip(runs, own) if not one)
+        assert counts["racah"] == direct, (what, runs, counts)
+        assert counts["head"] == direct + sum(own), (what, runs, counts)
+        runs.clear()
+        return sum(own)
+
+    own_starts = 0
     sym = Symbol9j.from_values(5, 4, 3, 2, 3, 4, 4, 5, 2)
     for p in PIVOTS:
         counts.clear()
@@ -438,7 +496,7 @@ def test_chain_work_count(monkeypatch):
         assert len(res.terms) > 1, p
         one_ledger_call(p)
         assert counts["wigner6j"] == 0, (p, counts)
-        assert counts["racah"] == 3 * min(2, len(res.terms)), (p, counts)
+        own_starts += racah_work(p, 3)
     rng = random.Random(17)
     chains = [random_valid_chain(rng, n, tmax=16) for n in (3, 5, 6)]
     # in its third 6j the lower end of the Racah window moves from the
@@ -454,9 +512,11 @@ def test_chain_work_count(monkeypatch):
         one_ledger_call(chain)
         assert counts["wigner6j"] == 0, (chain, counts)
         windows.append(len(_window(chain)))
-        assert counts["racah"] == chain.n * min(2, windows[-1]), (chain, counts)
+        own_starts += racah_work(chain, chain.n)
         assert value == _oracle_3nj(chain), chain
     assert max(windows) >= 10, windows
+    # both kinds of run occur: 19 of the 33 runs start from one term
+    assert own_starts == 19, own_starts
     sixjs = _chain_sixjs(switch)
     lo = max(abs(a - b) for a, b, *_ in sixjs)
     hi = min(a + b for a, b, *_ in sixjs)
@@ -470,7 +530,7 @@ def test_chain_work_count(monkeypatch):
         counts.clear()
         assert not wigner6j(*spins).is_zero
         one_ledger_call(spins)
-        assert counts["racah"] == 1, (spins, counts)
+        assert counts["racah"] == 1 and counts["head"] == 0, (spins, counts)
     for spins in ((5, 4, 3, 1, -2, 1), (H(7), 4, H(9), H(-3), 2, H(-1)),
                   (700, 650, 600, 10, -30, 20)):
         counts.clear()

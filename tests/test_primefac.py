@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import sys
@@ -104,10 +105,70 @@ def test_combined_exponents_match_naive_legendre():
         ledger.factorial_exponents(-1)
 
 
+def _primes_upto(n: int) -> list:
+    """Primes <= n: the numbers no smaller number >= 2 divides, marked off
+    multiple by multiple."""
+    composite = set()
+    for m in range(2, math.isqrt(n) + 1):
+        composite.update(range(m * m, n + 1, m))
+    return [m for m in range(2, n + 1) if m not in composite]
+
+
+def test_packed_ledger_matches_legendre_at_large_n():
+    """Random factorial quotients with weights +-1..+-4 and n up to 10**5,
+    small n and repeated n included, against Legendre's formula prime by
+    prime: the combined exponents, and where the quotient stays below
+    10**4! the (rational, radicand) split too."""
+    rng = random.Random(90210)
+    primes = _primes_upto(10**5)
+    ledger = primefac.FactorialLedger(initial_limit=16)
+    for case in range(16):
+        top = 10**5 if case % 2 else 10**4
+        terms = [(rng.choice((rng.randrange(0, 100), rng.randrange(100, top + 1))),
+                  rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
+                 for _ in range(rng.randrange(1, 9))]
+        terms.append(rng.choice(terms))
+        expect = {}
+        for p in primes[:bisect.bisect_right(primes, max(n for n, _ in terms))]:
+            e = sum(c * prime_exponent_in_factorial(n, p) for n, c in terms)
+            if e:
+                expect[p] = e
+        assert ledger.combined_exponents(terms) == expect, terms
+        if top > 10**4:
+            continue
+        rat, rad = ledger.sqrt_factorial_quotient(terms)
+        assert rad == math.prod(p for p, e in expect.items() if e % 2), terms
+        assert rat == Fraction(math.prod(p ** (e // 2) for p, e in expect.items() if e > 0),
+                               math.prod(p ** ((1 - e) // 2) for p, e in expect.items() if e < 0))
+
+
+def test_over_range_combination_raises_before_any_vector():
+    """Every exponent is bounded by S = sum |c| (n - popcount(n)) over the
+    merged weights; S >= 2**63 raises ValueError before a vector is built,
+    and S just below decodes exactly, extreme fields included."""
+    ledger = primefac.FactorialLedger()
+    # 4!/3! = (2!)**2, so these weights cancel exactly, with S = 6 c
+    c = (2**63 - 1) // 6
+    assert ledger.combined_exponents([(4, c), (3, -c), (2, -2 * c), (1, 2 * c)]) == {}
+    assert ledger.sqrt_factorial_quotient([(4, c), (3, -c), (2, -2 * c), (1, 2 * c)]) == (1, 1)
+    assert ledger.combined_exponents([(2, 2**63 - 1)]) == {2: 2**63 - 1}
+    assert ledger.combined_exponents([(3, -(2**62)), (2, -(2**62) + 1)]) == {
+        2: -(2**63) + 1, 3: -(2**62)}
+    # weights of 0! and 1! add nothing to S
+    assert ledger.combined_exponents([(1, 2**80), (0, -(2**90)), (5, 1)]) == {2: 3, 3: 1, 5: 1}
+    ledger = primefac.FactorialLedger()
+    for terms in ([(4, c + 1), (3, -c - 1), (2, -2 * c - 2), (1, 2 * c + 2)],
+                  [(2, 2**63)], [(1000, 2**54)], [(10, 1), (10**6, -(2**44))]):
+        for call in (ledger.combined_exponents, ledger.sqrt_factorial_quotient):
+            with pytest.raises(ValueError, match="field range"):
+                call(terms)
+    assert ledger._vectors == {} and ledger._limit == 256
+
+
 def test_vector_cache_stays_bounded_under_threads(monkeypatch):
-    # a 200-exponent budget forces the cache to empty itself again and
-    # again while eight threads read and fill it
-    monkeypatch.setattr(primefac, "_VECTOR_CACHE_ENTRIES", 200)
+    # a 1600-byte budget (200 fields of 8 bytes) forces the cache to empty
+    # itself again and again while eight threads read and fill it
+    monkeypatch.setattr(primefac, "_VECTOR_CACHE_BYTES", 1600)
     ledger = FactorialLedger(initial_limit=8)
     jobs = [[(n, 1), (n - 1, -1), (n // 2, 2), (n // 2, -2)] for n in range(100, 900, 7)]
     failures = []
@@ -130,7 +191,7 @@ def test_vector_cache_stays_bounded_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert sum(len(v) for v in ledger._vectors.values()) <= 200
+    assert sum((v.bit_length() + 7) // 8 for v in ledger._vectors.values()) <= 1600
 
 
 def test_factorial_above_bound_rejected_before_sieving(monkeypatch):
