@@ -2,8 +2,9 @@
 
 Every exact sum goes through one kernel, :func:`_nest`, which evaluates a
 nested sum t_0 + n_0/d_0 (t_1 + n_1/d_1 (... + n_{k-1}/d_{k-1} t_k)) in
-plain ints: by Horner's rule for short sums and by binary splitting with
-gcd-reduced products for long ones.  Each result makes one Fraction.
+plain ints: by Horner's rule for short sums and by binary splitting for
+long ones, each merge cancelling one common factor.  The result need not
+be in lowest terms: a caller makes one Fraction of it or divides it out.
 
 3j and 6j symbols evaluate to closed :class:`SqrtRational` form via their
 single-sum formulas: every t_i is 1 and n_i / d_i is the ratio of
@@ -17,11 +18,12 @@ coefficients and an integer Racah sum R(x).  A triad with x occurs in
 exactly two 6j of a term, so its triangle coefficient enters squared and
 rational; the triads without x give the value one square root, taken
 once, into which the squared coefficients of the lowest x enter squared:
-one ledger call per chain.  Each R is summed directly at the two lowest x
-only; every later x comes from the Schulten-Gordon three-term recurrence
-in x, over exact ints, whose division must leave no remainder.  The chain
-terms t_i and the ratios n_i / d_i of the squared coefficients at
-consecutive x go to the same kernel.  No symbol value is cached, and no
+one ledger call per chain.  Each R starts from one Racah term when x
+starts at the 6j's own bound and from direct sums at the two lowest x
+otherwise; every later x comes from the Schulten-Gordon three-term
+recurrence in x, over exact ints, whose division must leave no
+remainder.  The chain terms t_i and the ratios n_i / d_i of the squared
+coefficients at consecutive x go to the same kernel.  No symbol value is cached, and no
 value depends on a floating-point working precision.
 """
 
@@ -44,29 +46,37 @@ from .sqrtrat import SqrtRational
 #: Most steps :func:`_nest` takes by Horner's rule, whose cost grows as the
 #: square of the sum's length; binary splitting, in leaves of _LEAF steps,
 #: stays close to linear but costs more per step.  Timed on 3j and 6j sums
-#: with the Fraction made from each (CPython 3.11, 2-vCPU VM), it breaks
-#: even near 350 terms on 6j and 440 on 3j, takes 0.8 of Horner's time at
-#: 512 and 0.5 at 1000.  Only about one 3j and one 6j in 34 of the bench's
-#: large-spin symbols fall between 350 and 512, so a lower switch gains
-#: nothing measurable.
-_HORNER, _LEAF = 512, 32
+#: with the Fraction made from each (CPython 3.11, 2-vCPU VM, interleaved
+#: runs), it breaks even near 180 steps on 3j and 150 on 6j, and takes 0.9
+#: (3j) and 0.8 (6j) of Horner's time at 192 steps, about 0.4 at 512 and
+#: under 0.2 at 1600.  In the bench's large-spin pool, 149 of 480 3j and 162 of 200 6j
+#: have windows of 192 steps or more; the fig4 study has none over 30.
+_HORNER, _LEAF = 192, 32
 
 
 def _nest(ts, ns, ds):
     """t_0 + n_0/d_0 (t_1 + n_1/d_1 (... + n_{k-1}/d_{k-1} t_k)), k = len(ns),
-    as plain ints (num, den): the sum of the terms t_i prod_{j<i} n_j/d_j.
-    Below _HORNER steps it runs Horner's rule from t_k outwards, whose
-    integers grow by one factor per step; above, :func:`_split` gives the
-    same fraction in smaller integers."""
+    as plain ints (num, den), not always in lowest terms: the sum of the
+    terms t_i prod_{j<i} n_j/d_j.  Below _HORNER steps it runs
+    :func:`_horner` on all k steps, whose integers grow by one factor per
+    step; above, :func:`_split` gives the same fraction in smaller
+    integers."""
     if len(ns) < _HORNER:
-        num, den = ts[-1], 1
-        for t, n, d in zip(reversed(ts[:-1]), reversed(ns), reversed(ds)):
-            den *= d
-            # every t is 1 in a 3j or 6j sum: skip that product of long ints
-            num = n * num + (den if t == 1 else t * den)
-        return num, den
+        return _horner(ts[:-1], ns, ds, ts[-1])
     p, q, r = _split(0, len(ns), ts, ns, ds)
     return p * ts[-1] + q, r
+
+
+def _horner(ts, ns, ds, num=0):
+    """Horner's rule over steps of :func:`_nest` given as equal-length
+    columns, last step first, from (num, 1): a step is
+    (num, den) <- (n num + t d den, d den)."""
+    den = 1
+    for t, n, d in zip(reversed(ts), reversed(ns), reversed(ds)):
+        den *= d
+        # every t is 1 in a 3j or 6j sum: skip that product of long ints
+        num = n * num + (den if t == 1 else t * den)
+    return num, den
 
 
 def _split(lo, hi, ts, ns, ds):
@@ -74,21 +84,22 @@ def _split(lo, hi, ts, ns, ds):
     lo..hi-1 of :func:`_nest`.  Step i is v <- M_i v on v = (num, den), with
     M_i = [[n_i, t_i d_i], [0, d_i]]; (p, q, r) is proportional to
     M_lo ... M_{hi-1} = [[p, q], [0, r]], so that over all k steps the
-    nested sum is (p t_k + q) / r.  Only that ratio is used, so each merged
-    triple is divided by its gcd: on a 1577-term 6j window, r has 388 bits
+    nested sum is (p t_k + q) / r.  A leaf is :func:`_horner` from 0, with
+    p the product of its n_i.  Only the ratio is used, so a merge of
+    (p1, q1, r1) and (p2, q2, r2) into (p1 p2, p1 q2 + q1 r2, r1 r2) first
+    divides p1 and r2 by g = gcd(p1, r2), which divides all three: a gcd
+    of two factors, not of the three full-size products, and the triple is
+    not reduced further.  On a 6j window of 1577 steps r has 1270 bits
     where Horner's den has 60150."""
     if hi - lo <= _LEAF:
-        p, q, r = 1, 0, 1
-        for i in range(hi - 1, lo - 1, -1):
-            t, n, d = ts[i], ns[i], ds[i]
-            p, q, r = n * p, t * d * r + n * q, d * r
-        return p, q, r
+        leaf = ns[lo:hi]
+        return (prod(leaf), *_horner(ts[lo:hi], leaf, ds[lo:hi]))
     mid = (lo + hi) // 2
     p1, q1, r1 = _split(lo, mid, ts, ns, ds)
     p2, q2, r2 = _split(mid, hi, ts, ns, ds)
-    p, q, r = p1 * p2, p1 * q2 + q1 * r2, r1 * r2
-    g = gcd(p, q, r)
-    return p // g, q // g, r // g
+    g = gcd(p1, r2)
+    p1, r2 = p1 // g, r2 // g
+    return p1 * p2, p1 * q2 + q1 * r2, r1 * r2
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +268,9 @@ def _chain_series(sixjs, weight):
     pre * ts[i] * prod_{k < i} ns[k] / ds[k].  pre is the square root of the
     triads without x times D(lo), one ledger call; ts[i] is the weight
     times prod R(x), an int; ns[k] / ds[k] = D(x_k+1) / D(x_k), a small
-    ratio.  Each R is summed directly at the two lowest x only and stepped
-    by :func:`_racah_run`.  An empty window gives (0, [], [], [], []).
+    ratio.  Each R is stepped in x by :func:`_racah_run`, from one Racah
+    term or from direct sums at the two lowest x.  An empty window gives
+    (0, [], [], [], []).
     """
     forms, fixed, xpairs = [], [], []
     for six in sixjs:
@@ -406,7 +418,11 @@ class Symbol9j:
 
     def is_valid(self) -> bool:
         """Every row and column triad holds (:meth:`triads`, read in twice
-        values straight from the grid)."""
+        values straight from the grid); checked once per symbol."""
+        return self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
         t = [getattr(self, slot).twice for slot in _GRID_SLOTS]
         return (all(triad_ok(*t[i:i + 3]) for i in (0, 3, 6))
                 and all(triad_ok(*t[i::3]) for i in (0, 1, 2)))

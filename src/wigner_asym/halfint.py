@@ -100,6 +100,12 @@ class HalfInt:
     def __lt__(self, other):
         return self.twice < _twice_of(other)
 
+    def __le__(self, other):
+        return self.twice <= _twice_of(other)
+
+    def __gt__(self, other):
+        return self.twice > _twice_of(other)
+
     def __ge__(self, other):
         return self.twice >= _twice_of(other)
 

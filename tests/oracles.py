@@ -393,6 +393,16 @@ def threej_series_horner(a, b, c, d, e):
     return head, -num if kmin % 2 else num, den
 
 
+def nest_direct(ts, ns, ds):
+    """``exact._nest`` term by term, as a Fraction: the sum of the terms
+    t_i prod_{j<i} n_j / d_j."""
+    total, ratio = Fraction(ts[0]), Fraction(1)
+    for t, n, d in zip(ts[1:], ns, ds):
+        ratio *= Fraction(n, d)
+        total += t * ratio
+    return total
+
+
 def racah_series_horner(ta, tb, tc, td, te, tf):
     """``exact._racah_series`` by Horner's rule on the whole window."""
     t1, t2, t3, t4 = tsum = ((ta + tb + tc) // 2, (ta + te + tf) // 2,

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from wigner_asym import exact
-from wigner_asym.exact import wigner3j, wigner6j
+from wigner_asym.exact import X, wigner3j, wigner6j
 from wigner_asym.halfint import HalfInt
 from wigner_asym.sqrtrat import SqrtRational
 
-from oracles import racah_series_horner, threej_series_horner
+from oracles import nest_direct, racah_series_horner, threej_series_horner
 
 H = HalfInt.from_twice
 
@@ -366,34 +366,53 @@ def sixj_with_window(rng, terms, spread=40):
             return t
 
 
-def split_matches_horner(series, horner, args):
-    """Binary splitting returns Horner's head and Horner's fraction, and
-    every triple it merges is in lowest terms: p, q and r share no factor."""
-    merged = []
-    split = exact._split
+def split_merges(run):
+    """run() with every ``exact._split`` call recorded: run's result and
+    each merge of the one split tree as (left, right, merged) triples."""
+    calls, split = {}, exact._split
 
     def recording(lo, hi, *lists):
-        out = split(lo, hi, *lists)
-        if hi - lo > exact._LEAF:
-            merged.append(out)
+        calls[lo, hi] = out = split(lo, hi, *lists)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_split", recording)
-        head, num, den = series(*args)
+        result = run()
+    merges = [(calls[lo, mid], calls[mid, hi], out) for (lo, hi), out in calls.items()
+              for mid in range(lo + 1, hi) if (lo, mid) in calls and (mid, hi) in calls]
+    return result, merges
+
+
+def assert_cross_cancelled(merges):
+    """Each merge of (p1, q1, r1) and (p2, q2, r2) is the product triple
+    (p1 p2, p1 q2 + q1 r2, r1 r2) divided by g = gcd(p1, r2), no more and
+    no less: p1 / g and r2 / g are coprime, the triple as a whole need not
+    be.  Some merge has g > 1, so the cancellation is seen to happen."""
+    cancelled = False
+    for (p1, q1, r1), (p2, q2, r2), merged in merges:
+        g = math.gcd(p1, r2)
+        assert merged == (p1 * p2 // g, (p1 * q2 + q1 * r2) // g, r1 * r2 // g)
+        cancelled |= g > 1
+    assert cancelled or not merges
+
+
+def split_matches_horner(series, horner, args):
+    """Binary splitting returns Horner's head and Horner's fraction, and
+    merges by cross-cancellation (:func:`assert_cross_cancelled`)."""
+    (head, num, den), merges = split_merges(lambda: series(*args))
     want_head, want_num, want_den = horner(*args)
     assert head == want_head, args
     assert Fraction(num, den) == Fraction(want_num, want_den), args
-    assert all(math.gcd(*t) == 1 for t in merged), args
-    return den, want_den, len(merged)
+    assert_cross_cancelled(merges)
+    return den, want_den, len(merges)
 
 
 @pytest.mark.parametrize("terms", [31, 32, 33, 64, 65])
 def test_split_matches_horner_at_leaf_edges(monkeypatch, terms):
     """With every window sent to binary splitting, leaves of the split meet
     each window on either side of one and two leaf lengths; the split gives
-    Horner's own head and the same fraction, not Horner's unreduced
-    integers: every merged triple is divided by its gcd."""
+    Horner's own head and the same fraction, not Horner's integers: each
+    merge cancels gcd(p1, r2)."""
     assert exact._LEAF == 32
     monkeypatch.setattr(exact, "_HORNER", 0)
     rng = random.Random(terms)
@@ -405,18 +424,28 @@ def test_split_matches_horner_at_leaf_edges(monkeypatch, terms):
 
 
 def test_split_matches_horner_on_long_windows():
-    """Unpatched, on both sides of the switch from Horner's rule to binary
-    splitting and on one 6j near spin 2000, whose reduced denominator is
-    under a tenth of Horner's in bits."""
+    """Unpatched, on windows of _HORNER - 1, _HORNER and _HORNER + 1 steps,
+    either side of the switch from Horner's rule to binary splitting, for a
+    3j, a 6j and a chain column whose t are not 1, and on one 6j near spin
+    2000 with a window of 1577 steps, whose denominator is under a tenth of
+    Horner's in bits."""
     rng = random.Random(2000)
-    for terms in (exact._HORNER, exact._HORNER + 1, 900):
-        abcde = threej_with_window(rng, terms)
+    for steps in (exact._HORNER - 1, exact._HORNER, exact._HORNER + 1, 899):
+        abcde = threej_with_window(rng, steps + 1)
         split_matches_horner(exact._threej_series, threej_series_horner, abcde)
-        t = sixj_with_window(rng, terms, spread=400)
+        t = sixj_with_window(rng, steps + 1, spread=400)
         split_matches_horner(exact._racah_series, racah_series_horner, t)
+        # the orthogonality chain {s s x; s s 1}^2, twice s = steps, sums x = 0..s
+        _, _, ts, ns, ds = exact._chain_series(((steps, steps, X, steps, steps, 2),) * 2,
+                                               lambda tx: tx + 1)
+        assert len(ns) == steps and set(ts) != {1}
+        (num, den), merges = split_merges(lambda: exact._nest(ts, ns, ds))
+        assert Fraction(num, den) == nest_direct(ts, ns, ds)
+        assert_cross_cancelled(merges)
+        assert (steps < exact._HORNER) == (not merges)
     t = (3818, 3307, 3937, 3542, 3815, 3695)
     _, t_sums, p_sums = sixj_window(t)
-    assert min(p_sums) - max(t_sums) + 1 > 1500
+    assert min(p_sums) - max(t_sums) == 1577  # steps
     den, horner_den, merged = split_matches_horner(
         exact._racah_series, racah_series_horner, t)
     assert merged > 0

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,19 @@ def test_arithmetic_and_ordering():
     assert abs(HalfInt.from_twice(-5)) == HalfInt("5/2")
     assert float(a) == 0.5
     assert a.as_fraction() == Fraction(1, 2)
+
+
+def test_ordering_agrees_with_fraction():
+    """All six comparisons, HalfInt against HalfInt and against int, in both
+    operand orders, give what they give on the same values as Fractions."""
+    ops = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+    values = [H(t) for t in range(-5, 6)]
+    for x in values:
+        for y in values + list(range(-3, 4)):
+            fx, fy = x.as_fraction(), y.as_fraction() if isinstance(y, HalfInt) else y
+            for op in ops:
+                assert op(x, y) == op(fx, fy), (op, x, y)
+                assert op(y, x) == op(fy, fx), (op, y, x)
 
 
 def test_dim_and_strings():

@@ -242,6 +242,23 @@ def test_flags_match_cayley_menger_sign():
             assert row.flag == "forbidden"
 
 
+def test_sweep_checks_each_9j_once(monkeypatch):
+    """A 9j sweep with exact and asymptotic values checks the triads of
+    each symbol it builds once, though the harness, ``asym_9j_one_small``
+    and ``wigner9j`` all ask."""
+    from wigner_asym.exact import Symbol9j
+
+    built, checked = [], []
+    init, valid = Symbol9j.__init__, Symbol9j.__dict__["_valid"]
+    check = valid.func
+    monkeypatch.setattr(Symbol9j, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    monkeypatch.setattr(valid, "func", lambda self: checked.append(self) or check(self))
+    result = run_sweep(small_sweep_config())
+    assert all(row.exact and row.asym for row in result.rows)
+    assert len(result.rows) == len(built) == len(checked) == len({id(s) for s in checked})
+
+
 def test_sweep_row_reuses_formula_tetrahedron(monkeypatch):
     """A row whose formula built its tetrahedra evaluates each Cayley-Menger
     determinant once: the volume column reuses them.  One tetrahedron per
