@@ -21,6 +21,10 @@ the amplitude 1/sqrt(d_end1 d_endn)):
 
 The 15j forms with two to four small spins are closed forms that share
 only the set-up, :func:`_chain_prep`.
+
+Spins are converted and checked once, at each public entry.  Below it the
+formulas read twice spins t (plain ints) and the edge lengths t/2 + 1/2,
+with no HalfInt and no second projection check.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .errors import (
     DegenerateTriangle,
     HypothesisViolation,
     InternalConsistencyError,
+    InvalidProjection,
     NotClassicallyAllowed,
 )
 from .exact import Symbol3nj, Symbol9j
@@ -43,15 +48,14 @@ from .geometry import (
     _classify_omega,
     _residual_phase,
     dihedral_internal,
-    edge_length_from_spin,
     euler_from_glued_triangles,
     law_of_cosines,
     regge_action,
     triangle_angle,
     volume,
 )
-from .halfint import HalfInt, halfint_sum, projection_ok
-from .wigner_d import small_d
+from .halfint import HalfInt, projection_ok, projection_twice_ok
+from .wigner_d import _small_d
 
 QUARTER_PI = math.pi / 4.0
 
@@ -79,8 +83,9 @@ class Violation:
     message: str
 
 
-def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics):
-    """Tetrahedron, volume and Regge action of an all-large 6j factor.
+def _oscillatory_tet(twice, label: str, key: str, diag: AsymDiagnostics):
+    """Tetrahedron, volume and Regge action of an all-large 6j factor,
+    from its six twice spins.
 
     A Cayley-Menger determinant <= 0 (forbidden or flat) raises
     NotClassicallyAllowed, and so do edge lengths that do not close, as
@@ -89,7 +94,7 @@ def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics):
     under ``key``.
     """
     try:
-        tet = Tetrahedron.from_spins(spins)
+        tet = Tetrahedron._from_twice(twice)
     except DegenerateTriangle as exc:
         raise NotClassicallyAllowed(
             f"{label}: edge lengths do not close into a tetrahedron ({exc})",
@@ -115,9 +120,8 @@ def _oscillatory_tet(spins, label: str, key: str, diag: AsymDiagnostics):
 def pr_6j(spins):
     """Oscillatory 6j asymptotics cos(S_R + pi/4)/sqrt(12 pi V) for six
     large spins in the standard layout {a b c; d e f}."""
-    spins = [HalfInt(j) for j in spins]
     diag = AsymDiagnostics()
-    _, vol, action = _oscillatory_tet(spins, "tetrahedron", "tet", diag)
+    _, vol, action = _oscillatory_tet([HalfInt(j).twice for j in spins], "tetrahedron", "tet", diag)
     value = math.cos(action + QUARTER_PI) / math.sqrt(12.0 * math.pi * vol)
     return value, diag
 
@@ -132,10 +136,12 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
     m, n = HalfInt(m), HalfInt(n)
     for proj in (m, n):
         if not projection_ok(proj, f):
-            raise ValueError(f"projection {proj} invalid for small spin {f}")
-    phi = _spin_angle(a, b, c)
-    phase = _int_phase(halfint_sum([a, b, c, f, m]), "edmonds phase a+b+c+f+m")
-    return phase * small_d(f, m, n, phi) / math.sqrt(a.dim * b.dim)
+            raise InvalidProjection(f"projection {proj} invalid for small spin {f}")
+    ta, tb, tc = a.twice, b.twice, c.twice
+    phi = _spin_angle(ta, tb, tc)
+    phase = _int_phase(HalfInt.from_twice(ta + tb + tc + f.twice + m.twice),
+                       "edmonds phase a+b+c+f+m")
+    return phase * _small_d(f.twice, m.twice, n.twice, phi) / math.sqrt((ta + 1) * (tb + 1))
 
 
 # ----------------------------------------------------------------------
@@ -200,11 +206,19 @@ def validate_hypotheses(sym: Symbol3nj, mark: SmallSpinMarking):
     near-caustic one ``near_caustic:tet_<p>``, and
     :func:`oscillatory_tetrahedra` lists them.
     """
-    return _violations(*normalize_marking(sym, mark))
+    nsym, small_l = normalize_marking(sym, mark)
+    return _violations(*_twice_rows(nsym), small_l)
 
 
-def _violations(nsym: Symbol3nj, small_l) -> list:
-    n = nsym.n
+def _twice_rows(sym: Symbol3nj) -> tuple:
+    """The rows j, k, l of ``sym`` as lists of twice spins."""
+    return tuple([x.twice for x in row] for row in (sym.j, sym.k, sym.l))
+
+
+def _violations(j: list, k: list, l: list, small_l) -> list:
+    """:func:`validate_hypotheses` on the twice rows of a normalized
+    symbol."""
+    n = len(j)
     out = []
     for m in sorted(small_l):
         if m < 2 or m > n - 1:
@@ -217,12 +231,8 @@ def _violations(nsym: Symbol3nj, small_l) -> list:
                     f"in 2..n-1",
                 )
             )
-    # x.twice / 2 is float(x), without the method call
-    declared = [nsym.j[0].twice / 2] + [nsym.l[m - 1].twice / 2 for m in small_l if 1 <= m <= n]
-    undeclared = (
-        [x.twice / 2 for x in nsym.j[1:] + nsym.k]
-        + [nsym.l[i].twice / 2 for i in range(n) if (i + 1) not in small_l]
-    )
+    declared = [j[0] / 2] + [l[m - 1] / 2 for m in small_l if 1 <= m <= n]
+    undeclared = [t / 2 for t in j[1:] + k] + [l[i] / 2 for i in range(n) if (i + 1) not in small_l]
     return out + _scale_violations(declared, undeclared)
 
 
@@ -256,10 +266,11 @@ def oscillatory_tetrahedra(sym: Symbol3nj, mark: SmallSpinMarking) -> dict:
     its edge lengths do not close into one.
     """
     nsym, small_l = normalize_marking(sym, mark)
+    j, k, l = _twice_rows(nsym)
     out = {}
-    for p in _oscillatory_indices(nsym.n, small_l):
+    for p in _oscillatory_indices(len(j), small_l):
         try:
-            out[p] = Tetrahedron.from_spins(_chain_tet_spins(nsym, p))
+            out[p] = Tetrahedron._from_twice(_chain_tet(j, k, l, p))
         except DegenerateTriangle:
             out[p] = None
     return out
@@ -269,18 +280,21 @@ def _oscillatory_indices(n: int, small_l) -> list:
     return [p for p in range(2, n) if p not in small_l]
 
 
-def _chain_tet_spins(nsym: Symbol3nj, p: int):
-    j, k, l = nsym.j, nsym.k, nsym.l
+def _chain_tet(j: list, k: list, l: list, p: int) -> tuple:
+    """Twice spins of the decomposition 6j {j_p k_p k1; k_{p+1} j_{p+1} l_p}."""
     return (j[p - 1], k[p - 1], k[0], k[p], j[p], l[p - 1])
 
 
 class _Chain(NamedTuple):
-    """A chain symbol prepared for its mixed-spin asymptotics."""
+    """A chain symbol prepared for its mixed-spin asymptotics, in twice
+    spins."""
 
-    sym: Symbol3nj        # normalized: the small j/k spin sits at j1
+    j: list               # rows of the normalized symbol, whose small j/k
+    k: list               # spin is j[0]
+    l: list
     small_l: frozenset
-    mu: HalfInt           # j2 - l1
-    nu: HalfInt           # k_n - l_n
+    mu: int               # j2 - l1
+    nu: int               # k_n - l_n
     etas: dict            # m -> j_{m+1} - j_m, per small l_m
     kappas: dict          # m -> k_{m+1} - k_m, per small l_m
     volumes: dict         # p -> volume of the oscillatory tetrahedron
@@ -300,65 +314,64 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
     checked and recorded by :func:`_oscillatory_tet`.
     """
     nsym, small_l = normalize_marking(sym, mark)
+    j, k, l = _twice_rows(nsym)
     if check_hypotheses:
-        violations = _violations(nsym, small_l)
+        violations = _violations(j, k, l, small_l)
         hard = [v for v in violations if v.severity == "error"]
         if hard:
             raise HypothesisViolation("marking violates applicability conditions", hard)
         diag.warnings.extend(v.message for v in violations if v.severity == "warning")
 
-    j, k, l = nsym.j, nsym.k, nsym.l
     mu = j[1] - l[0]
     nu = k[-1] - l[-1]
-    if not projection_ok(mu, j[0]) or not projection_ok(nu, j[0]):
+    if not projection_twice_ok(mu, j[0]) or not projection_twice_ok(nu, j[0]):
         diag.flags.append("invalid_symbol")
         return None
     etas, kappas = {}, {}
     for m in sorted(small_l):
         etas[m] = j[m] - j[m - 1]
         kappas[m] = k[m] - k[m - 1]
-        if not projection_ok(etas[m], l[m - 1]) or not projection_ok(kappas[m], l[m - 1]):
+        if (not projection_twice_ok(etas[m], l[m - 1])
+                or not projection_twice_ok(kappas[m], l[m - 1])):
             diag.flags.append("invalid_symbol")
             return None
 
     volumes, actions, thetas = {}, {}, {}
-    for p in _oscillatory_indices(nsym.n, small_l):
+    for p in _oscillatory_indices(len(j), small_l):
         tet, volumes[p], actions[p] = _oscillatory_tet(
-            _chain_tet_spins(nsym, p), f"tetrahedron p={p}", f"tet_{p}", diag,
+            _chain_tet(j, k, l, p), f"tetrahedron p={p}", f"tet_{p}", diag,
         )
         thetas[p] = dihedral_internal(tet, "c")
-    return _Chain(nsym, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
+    return _Chain(j, k, l, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
 
 
-def _end_triangles(nsym: Symbol3nj, end1: HalfInt, endn: HalfInt):
+def _end_triangles(chain: _Chain, end1: int, endn: int):
     """Edge lengths of the triangles (k1, end1, k2) and (k1, endn, j_n)
-    that the sign-configuration sum glues along k1."""
-    lk1 = edge_length_from_spin(nsym.k[0])
+    that the sign-configuration sum glues along k1, from twice spins."""
+    lk1 = chain.k[0] / 2.0 + 0.5
     return (
-        (lk1, edge_length_from_spin(end1), edge_length_from_spin(nsym.k[1])),
-        (lk1, edge_length_from_spin(endn), edge_length_from_spin(nsym.j[-1])),
+        (lk1, end1 / 2.0 + 0.5, chain.k[1] / 2.0 + 0.5),
+        (lk1, endn / 2.0 + 0.5, chain.j[-1] / 2.0 + 0.5),
     )
 
 
-def _spin_angle(a, b, c) -> float:
-    """Angle between the edges of spins a and b in the triangle (a, b, c),
-    with edge lengths j + 1/2."""
-    return triangle_angle(
-        edge_length_from_spin(a), edge_length_from_spin(b), edge_length_from_spin(c)
-    )
+def _spin_angle(ta: int, tb: int, tc: int) -> float:
+    """Angle between the edges of twice spins ta and tb in the triangle
+    (ta, tb, tc), with edge lengths t/2 + 1/2."""
+    return triangle_angle(ta / 2.0 + 0.5, tb / 2.0 + 0.5, tc / 2.0 + 0.5)
 
 
 def _small_l_factor(chain: _Chain, diag: AsymDiagnostics) -> float:
     """Product over the small l_m of d^(l_m)_{kappa_m eta_m}(phi_m) /
     sqrt(d_{j_m} d_{k_m}), phi_m the angle between the j_m and k_m edges of
     the triangle (j_m, k_m, k1)."""
-    j, k, l = chain.sym.j, chain.sym.k, chain.sym.l
+    j, k, l = chain.j, chain.k, chain.l
     factor = 1.0
     for m in sorted(chain.small_l):
         phi_m = _spin_angle(j[m - 1], k[m - 1], k[0])
         diag.angles[f"phi_{m}"] = phi_m
-        factor *= small_d(l[m - 1], chain.kappas[m], chain.etas[m], phi_m) / math.sqrt(
-            j[m - 1].dim * k[m - 1].dim
+        factor *= _small_d(l[m - 1], chain.kappas[m], chain.etas[m], phi_m) / math.sqrt(
+            (j[m - 1] + 1) * (k[m - 1] + 1)
         )
     return factor
 
@@ -375,25 +388,24 @@ def asym_3nj(sym: Symbol3nj, mark: SmallSpinMarking):
     chain = _chain_prep(sym, mark, diag, check_hypotheses=True)
     if chain is None:
         return 0.0, diag
-    return _chain_value(chain, diag, chain.sym.l[0], chain.sym.l[-1]), diag
+    return _chain_value(chain, diag, chain.l[0], chain.l[-1]), diag
 
 
-def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: HalfInt, endn: HalfInt) -> float:
+def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: int, endn: int) -> float:
     """The sign-configuration sum of a prepared chain, with end triangles
-    (k1, end1, k2) and (k1, endn, j_n) and amplitude 1/sqrt(d_end1 d_endn).
+    (k1, end1, k2) and (k1, endn, j_n) and amplitude 1/sqrt(d_end1 d_endn),
+    the ends as twice spins.
 
     A configuration sigma and its flip -sigma contribute equally, so only
     those with sigma_1 = +1 are summed and each counts twice; with no
     oscillatory tetrahedron the one empty configuration is summed once.
     Either way the amplitude's 1/2^P becomes 1/(number summed).
     """
-    nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
-    n = nsym.n
-    j1 = nsym.j[0]
-    m_count = len(small_l)
+    mu, nu, j1 = chain.mu, chain.nu, chain.j[0]
+    m_count = len(chain.small_l)
     p_set = list(chain.volumes)
 
-    tri1, trin = _end_triangles(nsym, end1, endn)
+    tri1, trin = _end_triangles(chain, end1, endn)
     phi1, phin = triangle_angle(*tri1), triangle_angle(*trin)
     diag.angles["phi1"] = phi1
     diag.angles["phin"] = phin
@@ -404,8 +416,9 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: HalfInt, endn: Half
     # each sigma is a valid configuration of p_set, so it is classified
     # as omega_classify does, without its checks or a SignConfig
     sigmas = [sigma for sigma in product((1, -1), repeat=len(p_set)) if sigma[:1] != (-1,)]
-    n_pi, j1_pi = (n + m_count) * math.pi, math.pi * (n + m_count) * float(j1)
-    mu_f, nu_f, j1_f = float(mu), float(nu), float(j1)
+    n = len(chain.j)
+    mu_f, nu_f, j1_f = mu / 2.0, nu / 2.0, j1 / 2.0
+    n_pi, j1_pi = (n + m_count) * math.pi, math.pi * (n + m_count) * j1_f
     config_sum = 0.0
     for sigma in sigmas:
         omega, case_id, theta_k1, boundary = _classify_omega(
@@ -417,7 +430,7 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: HalfInt, endn: Half
             + j1_pi
             + f_val
         )
-        config_sum += math.cos(argument) * small_d(j1, mu, nu, phi_mid)
+        config_sum += math.cos(argument) * _small_d(j1, mu, nu, phi_mid)
         diag.sign_configs.append(
             {
                 "sigma": sigma,
@@ -433,10 +446,10 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: HalfInt, endn: Half
             }
         )
 
-    amplitude = small_factor / (len(sigmas) * math.sqrt(end1.dim * endn.dim))
+    amplitude = small_factor / (len(sigmas) * math.sqrt((end1 + 1) * (endn + 1)))
     for p in p_set:
         amplitude /= math.sqrt(12.0 * math.pi * chain.volumes[p])
-    return _chain_sign(nsym, small_l, mu) * (amplitude * config_sum)
+    return _chain_sign(chain) * (amplitude * config_sum)
 
 
 def asym_9j_one_small(sym: Symbol9j):
@@ -452,18 +465,20 @@ def asym_9j_one_small(sym: Symbol9j):
         diag.flags.append("invalid_symbol")
         return 0.0, diag
     chain = _chain_prep(sym.as_chain(), _J1_SMALL, diag, check_hypotheses=True)
-    value = _chain_value(chain, diag, chain.sym.j[1], chain.sym.k[-1])
-    return _int_phase(sym.r_total(), "9j phase R") * value, diag
+    value = _chain_value(chain, diag, chain.j[1], chain.k[-1])
+    # the chain's three rows hold the nine spins of the 9j
+    r_total = HalfInt.from_twice(sum(chain.j) + sum(chain.k) + sum(chain.l))
+    return _int_phase(r_total, "9j phase R") * value, diag
 
 
-def _chain_sign(nsym: Symbol3nj, small_l, mu: HalfInt) -> int:
+def _chain_sign(chain: _Chain) -> int:
     """Global sign (-1)**e of the mixed-spin formula, e (an integer on valid
     symbols) = R_n + (n+M-1)(k1+j1) + (mu-j1) + (k1+k2+l1) + (k1+jn+ln)
     + sum_m (j_m + l_m + k_{m+1})."""
-    n = nsym.n
-    j, k, l = ([x.twice for x in row] for row in (nsym.j, nsym.k, nsym.l))
+    j, k, l, small_l = chain.j, chain.k, chain.l, chain.small_l
+    n = len(j)
     twice = (sum(j) + sum(k) + sum(l) + (k[0] + j[0]) * (n + len(small_l) - 1)
-             + mu.twice - j[0] + k[0] + k[1] + l[0] + k[0] + j[n - 1] + l[n - 1]
+             + chain.mu - j[0] + k[0] + k[1] + l[0] + k[0] + j[n - 1] + l[n - 1]
              + sum(j[m - 1] + l[m - 1] + k[m] for m in small_l))
     return _int_phase(HalfInt.from_twice(twice), "chain sign exponent")
 
@@ -504,13 +519,13 @@ def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking):
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
-    j, k, l = sym.j, sym.k, sym.l
+    j, k, l = chain.j, chain.k, chain.l
     phi2 = _spin_angle(j[1], k[1], k[0])
     diag.angles["phi2"] = phi2
-    value = 1.0 / (j[1].dim ** 2 * k[1].dim ** 2)
+    value = 1.0 / ((j[1] + 1) ** 2 * (k[1] + 1) ** 2)
     for m in (2, 3, 4):
-        value *= small_d(l[m - 1], kappas[m], etas[m], phi2)
-    value *= small_d(j[0], mu, -nu, phi2)
+        value *= _small_d(l[m - 1], kappas[m], etas[m], phi2)
+    value *= _small_d(j[0], mu, -nu, phi2)
     return value, diag
 
 
@@ -522,7 +537,7 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
-    j, k, l = sym.j, sym.k, sym.l
+    j, k, l = chain.j, chain.k, chain.l
 
     vol4, action4 = chain.volumes[4], chain.actions[4]
     theta_ext = math.pi - chain.thetas[4]
@@ -536,19 +551,18 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
 
     phi2 = _spin_angle(j[1], k[1], k[0])
     diag.angles["phi2"] = phi2
-    phase = _int_phase(
-        halfint_sum([sym.k[0], sym.j[3], sym.l[3], sym.k[4], 2 * sym.j[0], mu]),
-        "three-small phase",
-    )
+    phase = _int_phase(HalfInt.from_twice(k[0] + j[3] + l[3] + k[4] + 2 * j[0] + mu),
+                       "three-small phase")
+    dj2, dk2, dk5 = j[1] + 1, k[1] + 1, k[4] + 1
     value = (
         phase
-        / (j[1].dim * k[1].dim * math.sqrt(12.0 * math.pi * vol4 * j[1].dim * k[4].dim))
-        * small_d(l[1], kappas[2], etas[2], phi2)
-        * small_d(l[2], kappas[3], etas[3], phi2)
-        * small_d(j[0], mu, nu, phi_mid)
+        / (dj2 * dk2 * math.sqrt(12.0 * math.pi * vol4 * dj2 * dk5))
+        * _small_d(l[1], kappas[2], etas[2], phi2)
+        * _small_d(l[2], kappas[3], etas[3], phi2)
+        * _small_d(j[0], mu, nu, phi_mid)
         * math.cos(
-            action4 + QUARTER_PI - float(mu) * theta_j4 - float(nu) * theta_k5
-            + math.pi * float(j[0])
+            action4 + QUARTER_PI - (mu / 2.0) * theta_j4 - (nu / 2.0) * theta_k5
+            + math.pi * (j[0] / 2.0)
         )
     )
     return value, diag
@@ -563,7 +577,7 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
     if chain is None:
         return 0.0, diag
     mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
-    j, k, l = sym.j, sym.k, sym.l
+    j, k, l = chain.j, chain.k, chain.l
 
     vol3, vol4 = chain.volumes[3], chain.volumes[4]
     action3, action4 = chain.actions[3], chain.actions[4]
@@ -597,21 +611,22 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
 
     phi2 = _spin_angle(j[1], k[1], k[0])
     phase = _int_phase(
-        halfint_sum([j[2], l[2], j[3], k[3], l[3], k[4], j[0], mu, 2 * k[0]]),
+        HalfInt.from_twice(j[2] + l[2] + j[3] + k[3] + l[3] + k[4] + j[0] + mu + 2 * k[0]),
         "two-small phase",
     )
-    wrap = -1.0 if j[0].twice % 2 else 1.0
+    wrap = -1.0 if j[0] % 2 else 1.0
+    mu_f, nu_f = mu / 2.0, nu / 2.0
     bracket = (
-        -small_d(j[0], mu, nu, mid_pp)
-        * math.sin(action3 + action4 - float(mu) * theta_j3_pp - float(nu) * theta_k5_pp)
+        -_small_d(j[0], mu, nu, mid_pp)
+        * math.sin(action3 + action4 - mu_f * theta_j3_pp - nu_f * theta_k5_pp)
         + wrap
-        * small_d(j[0], mu, nu, mid_pm)
-        * math.cos(action_diff - float(mu) * theta_j3_pm - float(nu) * theta_k5_pm)
+        * _small_d(j[0], mu, nu, mid_pm)
+        * math.cos(action_diff - mu_f * theta_j3_pm - nu_f * theta_k5_pm)
     )
     value = (
         phase
-        / (24.0 * math.pi * j[2].dim * math.sqrt(k[2].dim * k[4].dim * vol3 * vol4))
-        * small_d(l[1], kappas[2], etas[2], phi2)
+        / (24.0 * math.pi * (j[2] + 1) * math.sqrt((k[2] + 1) * (k[4] + 1) * vol3 * vol4))
+        * _small_d(l[1], kappas[2], etas[2], phi2)
         * bracket
     )
     return value, diag
@@ -635,7 +650,7 @@ def asym_15j_one_small(sym: Symbol3nj, mark: SmallSpinMarking):
                 f"combined angle {name} = {theta:.4f} outside [0, pi]: outside "
                 f"the near-regular regime; use the general mixed-spin driver"
             )
-    return _chain_value(chain, diag, chain.sym.j[1], chain.sym.k[-1]), diag
+    return _chain_value(chain, diag, chain.j[1], chain.k[-1]), diag
 
 
 #: The closed 15j forms by name, each with the only marking it accepts

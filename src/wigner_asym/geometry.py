@@ -43,6 +43,9 @@ ACOS_CLAMP_TOL = 1e-9
 
 _SINE_TOL = 1e-12
 
+#: Twice spins below this have exact float lengths t / 2 + 1/2.
+_EXACT_TWICE = 2 ** 52
+
 
 def edge_length_from_spin(j) -> float:
     """l = j + 1/2, the length convention the oscillatory asymptotics need."""
@@ -79,9 +82,11 @@ _EDGE_FRAMES = (
 @dataclass(frozen=True)
 class Tetrahedron:
     """Six edge lengths in the canonical layout (a, b, c, d, e, f), built
-    in one exact pass over their integer squares (:func:`_integer_squares`):
-    each face by 16 area^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 (below 0
-    raises DegenerateTriangle, 0 leaves its edges without an angle), the
+    in one exact pass over their integer squares (from the float lengths
+    by :func:`_integer_squares`, or from twice spins by
+    :meth:`_from_twice`): each face by
+    16 area^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 (below 0 raises
+    DegenerateTriangle, 0 leaves its edges without an angle), the
     determinant and, when it is not negative, the dihedral angles."""
 
     lengths: tuple
@@ -94,10 +99,42 @@ class Tetrahedron:
         lengths = tuple(float(x) for x in self.lengths)
         if not all(MIN_EDGE <= x <= MAX_EDGE for x in lengths):
             raise ValueError(f"edge lengths must be in [{MIN_EDGE:.3g}, {MAX_EDGE:.3g}]")
-        den, sq = _integer_squares(lengths)
+        self._build(lengths, *_integer_squares(lengths))
+
+    @classmethod
+    def from_spins(cls, spins: Sequence) -> "Tetrahedron":
+        """The tetrahedron with edge lengths j + 1/2."""
+        return cls._from_twice([HalfInt(j).twice for j in spins])
+
+    @classmethod
+    def _from_twice(cls, twice: Sequence[int]) -> "Tetrahedron":
+        """:meth:`from_spins` on twice spins t, lengths (t + 1) / 2.
+
+        The integer squares are (t + 1)^2 over den = 2, with no
+        ``as_integer_ratio``.  The result is bit-identical to the float
+        constructor's.  Where that finds den = 1 (every t odd), these squares
+        are 4 times its own: numerator and denominator of the determinant's
+        2 v / den^6 both scale by 2^6, those of each cos_side / den^4 by 2^4
+        and each face's 16 area^2 by 2^4, so every rational is the same and
+        so is its correctly rounded float.  Twice spins that are negative,
+        not six, or so large that t / 2 + 1/2 rounds (t >= 2^52) take the
+        float constructor, which raises or rounds as it does for those
+        lengths.
+        """
+        lengths = tuple(t / 2.0 + 0.5 for t in twice)
+        if len(twice) != 6 or not 0 <= min(twice) <= max(twice) < _EXACT_TWICE:
+            return cls(lengths)
+        tet = object.__new__(cls)
+        tet._build(lengths, 2, [(t + 1) ** 2 for t in twice])
+        return tet
+
+    def _build(self, lengths: tuple, den: int, sq: list) -> None:
+        """Faces, determinant and angle table from the squared lengths
+        sq / den^2, shared by both constructors."""
         flat = set()
         for face in FACES:
-            x, y, z = (sq[i] for i in face)
+            i, j, k = face
+            x, y, z = sq[i], sq[j], sq[k]
             area = 2 * (x * y + y * z + z * x) - x * x - y * y - z * z
             if area < 0:
                 raise DegenerateTriangle(
@@ -110,10 +147,6 @@ class Tetrahedron:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "_cm", cm)
         object.__setattr__(self, "_thetas", thetas)
-
-    @classmethod
-    def from_spins(cls, spins: Sequence) -> "Tetrahedron":
-        return cls(tuple(edge_length_from_spin(j) for j in spins))
 
     def cayley_menger(self) -> float:
         """The Cayley-Menger determinant (= 288 V^2)."""
@@ -252,18 +285,19 @@ def euler_from_glued_triangles(phi1: float, theta: float, phin: float):
     s1, sn = math.sin(phi1), math.sin(phin)
     if s1 < _SINE_TOL or sn < _SINE_TOL:
         raise DegenerateVertex("apex angle sine underflow (input 0 or pi)")
-    cos_mid = math.cos(phi1) * math.cos(phin) + s1 * sn * math.cos(theta)
+    c1, cn = math.cos(phi1), math.cos(phin)
+    cos_mid = c1 * cn + s1 * sn * math.cos(theta)
     phi_mid = _clamped_acos(cos_mid, DegenerateVertex, "glued mid-angle")
     s_mid = math.sin(phi_mid)
     if s_mid < _SINE_TOL:
         raise DegenerateVertex("mid-angle sine underflow, dihedrals undefined")
     theta_a = _clamped_acos(
-        (math.cos(phin) - math.cos(phi1) * cos_mid) / (s1 * s_mid),
+        (cn - c1 * cos_mid) / (s1 * s_mid),
         DegenerateVertex,
         "glued dihedral A",
     )
     theta_b = _clamped_acos(
-        (math.cos(phi1) - math.cos(phin) * cos_mid) / (sn * s_mid),
+        (c1 - cn * cos_mid) / (sn * s_mid),
         DegenerateVertex,
         "glued dihedral B",
     )
@@ -329,9 +363,8 @@ def _classify_omega(raw: float) -> tuple:
     else:
         case_id, theta = "IV", omega - math.pi
     theta = min(math.pi, max(0.0, theta))
-    boundary = min(
-        abs(omega - b) for b in (-_TWO_PI, -math.pi, 0.0, math.pi, _TWO_PI)
-    ) < 1e-12
+    boundary = min(abs(omega + _TWO_PI), abs(omega + math.pi), abs(omega),
+                   abs(omega - math.pi), abs(omega - _TWO_PI)) < 1e-12
     return omega, case_id, theta, boundary
 
 

@@ -157,6 +157,12 @@ def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
     return triad_ok(a.twice, b.twice, c.twice)
 
 
+def projection_twice_ok(tm: int, tj: int) -> bool:
+    """Projection condition on twice values: |m| <= j and j - m an
+    integer."""
+    return abs(tm) <= tj and (tj - tm) % 2 == 0
+
+
 def projection_ok(m: HalfInt, j: HalfInt) -> bool:
     """Projection condition: |m| <= j and j - m an integer."""
-    return abs(m.twice) <= j.twice and (j.twice - m.twice) % 2 == 0
+    return projection_twice_ok(m.twice, j.twice)

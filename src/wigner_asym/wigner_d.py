@@ -53,10 +53,16 @@ def small_d(s, mu, nu, beta: float) -> float:
     """d^(s)_{mu nu}(beta), real, for any real angle beta."""
     s, mu, nu = HalfInt(s), HalfInt(mu), HalfInt(nu)
     _check_projections(s, mu, nu)
+    return _small_d(s.twice, mu.twice, nu.twice, beta)
+
+
+def _small_d(ts: int, tmu: int, tnu: int, beta: float) -> float:
+    """:func:`small_d` on twice values whose projections the caller has
+    already checked."""
     c = math.cos(beta / 2.0)
     z = math.sin(beta / 2.0)
     total = 0.0
-    for cos_pow, sin_pow, coeff in _d_coefficients(s.twice, mu.twice, nu.twice):
+    for cos_pow, sin_pow, coeff in _d_coefficients(ts, tmu, tnu):
         total += coeff * c ** cos_pow * z ** sin_pow
     return total
 

@@ -30,7 +30,6 @@ from wigner_asym.asymptotics import (
     _int_phase,
     _oscillatory_tet,
     _small_l_factor,
-    _spin_angle,
 )
 from wigner_asym.errors import (
     CaseAngleOutOfRange,
@@ -269,12 +268,11 @@ def asym_3nj_xi_sum(sym: Symbol3nj, mark: SmallSpinMarking) -> float:
     chain = _chain_prep(sym, mark, diag, check_hypotheses=True)
     if chain is None:
         return 0.0
-    nsym, small_l, mu, nu = chain.sym, chain.small_l, chain.mu, chain.nu
-    n = nsym.n
-    j1 = nsym.j[0]
-    l = nsym.l
-    m_count = len(small_l)
-    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(nsym, l[0], l[-1]))
+    j1, mu, nu = (HalfInt.from_twice(t) for t in (chain.j[0], chain.mu, chain.nu))
+    l = chain.l
+    n = len(l)
+    m_count = len(chain.small_l)
+    phi1, phin = (triangle_angle(*tri) for tri in _end_triangles(chain, l[0], l[-1]))
     small_factor = _small_l_factor(chain, diag)
 
     total = 0.0
@@ -288,8 +286,8 @@ def asym_3nj_xi_sum(sym: Symbol3nj, mark: SmallSpinMarking) -> float:
             prod /= math.sqrt(12.0 * math.pi * chain.volumes[p])
         total += sign * small_d(j1, mu, xi, phi1) * small_d(j1, xi, nu, phin) * prod
 
-    amplitude = small_factor / math.sqrt(l[0].dim * l[n - 1].dim)
-    return _chain_sign(nsym, small_l, mu) * (amplitude * total)
+    amplitude = small_factor / math.sqrt((l[0] + 1) * (l[n - 1] + 1))
+    return _chain_sign(chain) * (amplitude * total)
 
 
 def asym_9j_closed(sym: Symbol9j) -> float:
@@ -303,8 +301,8 @@ def asym_9j_closed(sym: Symbol9j) -> float:
     mu = sym.j13 - sym.j1
     nu = sym.j34 - sym.j4
     tet, vol, action = _oscillatory_tet(
-        [sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24], "reference tetrahedron", "tet1",
-        AsymDiagnostics(),
+        [x.twice for x in (sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24)],
+        "reference tetrahedron", "tet1", AsymDiagnostics(),
     )
     l1, l2, l34, l5, l24 = (edge_length_from_spin(x)
                             for x in (sym.j1, sym.j2, sym.j34, sym.j5, sym.j24))
@@ -328,7 +326,7 @@ def asym_15j_one_small_closed(sym: Symbol3nj) -> float:
     chain = _chain_prep(sym, SmallSpinMarking(("j", 1)), AsymDiagnostics())
     if chain is None:
         return 0.0
-    mu, nu = chain.mu, chain.nu
+    mu, nu = HalfInt.from_twice(chain.mu), HalfInt.from_twice(chain.nu)
     j, k, l = sym.j, sym.k, sym.l
     vols, actions = chain.volumes, chain.actions
     t2, t3, t4 = chain.thetas[2], chain.thetas[3], chain.thetas[4]
@@ -343,8 +341,8 @@ def asym_15j_one_small_closed(sym: Symbol3nj) -> float:
             raise CaseAngleOutOfRange(f"combined angle {name} = {theta:.4f} outside [0, pi]")
         combos[name] = min(math.pi, max(0.0, theta))
 
-    phi_a = _spin_angle(k[0], j[1], k[1])
-    phi_b = _spin_angle(k[0], k[4], j[4])
+    phi_a = triangle_angle(*map(edge_length_from_spin, (k[0], j[1], k[1])))
+    phi_b = triangle_angle(*map(edge_length_from_spin, (k[0], k[4], j[4])))
     euler = {name: euler_from_glued_triangles(phi_a, theta, phi_b)
              for name, theta in combos.items()}
     s2, s3, s4 = actions[2], actions[3], actions[4]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter, defaultdict
 from itertools import product
 
@@ -31,6 +32,7 @@ from wigner_asym.asymptotics import (
 from wigner_asym.errors import (
     CaseAngleOutOfRange,
     HypothesisViolation,
+    InvalidProjection,
     NotClassicallyAllowed,
 )
 from wigner_asym.exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j
@@ -146,7 +148,7 @@ def test_edmonds_vs_exact_sample():
 
 
 def test_edmonds_length_convention_switch():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProjection, match="invalid for small spin 1/2"):
         edmonds_6j(90, 100, 110, 0, 0, HalfInt("1/2"))   # m = 0 has wrong parity
 
 
@@ -355,9 +357,11 @@ def test_determinant_evaluated_once_per_tetrahedron(monkeypatch, rng):
 
 
 def test_one_exact_pass_per_tetrahedron(monkeypatch, rng):
-    """Each tetrahedron converts its lengths to integer squares once,
-    evaluates its determinant once and builds at most one angle table,
-    none when the determinant is negative, however often it is read."""
+    """Each tetrahedron evaluates its determinant once and builds at most
+    one angle table, none when the determinant is negative, however often
+    it is read.  One built from spins takes its integer squares straight
+    from the twice spins; one built from float lengths converts them
+    once."""
     from wigner_asym import geometry
 
     names = ("_integer_squares", "cayley_menger_determinant", "_dihedral_table")
@@ -373,10 +377,10 @@ def test_one_exact_pass_per_tetrahedron(monkeypatch, rng):
         fn(*args)
         return tuple(calls[name] for name in names)
 
-    assert count(pr_6j, [50] * 6) == (1, 1, 1)
-    assert count(asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)) == (1, 1, 1)
+    assert count(pr_6j, [50] * 6) == (0, 1, 1)
+    assert count(asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)) == (0, 1, 1)
     sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=0)
-    assert count(asym_3nj, sym, SmallSpinMarking(("j", 1))) == (3, 3, 3)
+    assert count(asym_3nj, sym, SmallSpinMarking(("j", 1))) == (0, 3, 3)
 
     def forbidden():
         tet = Tetrahedron((1, 1, 1, 1, 1, 1.95))
@@ -386,6 +390,41 @@ def test_one_exact_pass_per_tetrahedron(monkeypatch, rng):
                 read(tet)
 
     assert count(forbidden) == (1, 1, 0)
+
+
+def test_formulas_convert_spins_only_at_entry(monkeypatch, rng):
+    """Below the public entry the asymptotic formulas read twice spins:
+    no spin goes through ``edge_length_from_spin`` and no projection
+    through the checking ``small_d`` again, chain formulas included."""
+    from wigner_asym import geometry, wigner_d
+
+    calls = Counter()
+    for name, fn in (("edge_length_from_spin", geometry.edge_length_from_spin),
+                     ("small_d", wigner_d.small_d)):
+        def counting(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("wigner_asym") and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counting)
+
+    runs = [
+        (pr_6j, [50] * 6),
+        (edmonds_6j, 90, 100, 110, 1, 0, 1),
+        (asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)),
+        (asym_3nj, sample_chain_15j(rng, base=45, t_small=2, nsmall_l=1),
+         SmallSpinMarking(("j", 1), {2})),
+    ]
+    for fn, small_l in ((asym_15j_one_small, ()), (asym_15j_two_small, (2,)),
+                        (asym_15j_three_small, (2, 3)), (asym_15j_four_small, (2, 3, 4))):
+        sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=len(small_l))
+        runs.append((fn, sym, SmallSpinMarking(("j", 1), frozenset(small_l))))
+    for fn, *args in runs:
+        fn(*args)
+    assert calls == {}
+    geometry.edge_length_from_spin(1)
+    wigner_d.small_d(1, 0, 0, 0.5)
+    assert calls == {"edge_length_from_spin": 1, "small_d": 1}
 
 
 def test_n3_specialization_exact_against_9j_formula():

@@ -118,6 +118,41 @@ def test_flat_tetrahedron_determinant_is_exactly_zero():
     assert volume(flat) == 0.0
 
 
+def test_spin_builder_matches_float_constructor():
+    """``from_spins`` squares the twice spins directly, over den = 2; the
+    float constructor finds den = 1 when every length is an integer.
+    Either way lengths, determinant, angle table and status are bit-equal,
+    and so are the error class and message."""
+    def outcome(build):
+        try:
+            tet = build()
+        except (ValueError, DegenerateTriangle) as exc:
+            return type(exc).__name__, str(exc)
+        return tet.lengths, tet._cm, tet._thetas, tet.status()
+
+    rng = random.Random(25)
+    cases = [
+        (5, 7, 9, 5, 7, 9),             # all odd and flat: CM = 0, integer lengths
+        (2, 4, 7, 4, 12, 9),            # collinear vertices: every face has zero area
+        (5, 8, 14, 16, 7, 9),           # flat, and only face (a, b, c) has zero area
+        (16, 16, 24, 16, 16, 24),       # forbidden
+        (2, 2, 20, 4, 4, 4),            # a face that does not close
+        (8, 8, 8, -2, 8, 8),            # a negative spin
+        (8, 8, 8, -1, 8, 8),            # length 0
+        (8, 8, 8, 8, 8),                # five edges
+    ]
+    cases += [tuple(rng.randrange(1, 400, 2) for _ in range(6)) for _ in range(150)]
+    cases += [tuple(rng.randrange(0, 400) for _ in range(6)) for _ in range(150)]
+    kinds = set()
+    for twice in cases:
+        spins = [HalfInt.from_twice(t) for t in twice]
+        got = outcome(lambda: Tetrahedron.from_spins(spins))
+        want = outcome(lambda: Tetrahedron(tuple(t / 2 + 0.5 for t in twice)))
+        assert repr(got) == repr(want), twice
+        kinds.add(got[0] if isinstance(got[0], str) else got[3])
+    assert kinds == {"allowed", "near_caustic", "forbidden", "ValueError", "DegenerateTriangle"}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-40, 1e60])
 def test_tetrahedron_rejects_non_finite_or_non_positive_edges(bad):
     with pytest.raises(ValueError):
