@@ -13,16 +13,27 @@ a sweep is reproducible bit-for-bit and the CSV is self-contained.
 
 The fig4 reference study is one table of sweeps,
 :func:`reference_sweep_configs` (panels a, c and d; panel b is the error
-view of a), which :func:`fig4_suite` runs once and checks.  Every CSV comes
-with a gnuplot script from one writer.
+view of a), which :func:`fig4_suite` runs in one call and checks.  Every
+CSV comes with a gnuplot script from one writer.
+
+The points of one call (one sweep, or all three fig4 sweeps) are spread
+over W processes, W = min(usable CPUs, points // ``_MIN_SHARE``): point i
+is evaluated by share i mod W, share 0 in the calling process and each
+other share in a child forked once per call.  W is 1, with no fork, off
+Linux, while a second Python thread runs, or below 2 * ``_MIN_SHARE``
+points.  Rows are put back in sweep order, so every row, summary and
+output byte is the same for every W; there is no option to set it.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+import threading
+from dataclasses import astuple, dataclass, field
 
 from .asymptotics import (
     CLOSED_15J_FORMS,
@@ -279,21 +290,139 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     Points whose symbol has a Clebsch-Gordan-forbidden triad are skipped.
     """
-    asym_formula = next((f for f in cfg.formulas if f != "exact"), None)
-    marking = cfg.marking or (default_marking(asym_formula) if asym_formula else None)
-    names = slot_names(cfg.kind, cfg.n)
-    offsets = cfg.offsets or {cfg.sweep_slot: 0}
-    rows = []
-    for t_sweep in range(cfg.start_twice, cfg.stop_twice + 1, cfg.step_twice):
-        spins = {**cfg.spins_twice, **{s: t_sweep + dt for s, dt in offsets.items()}}
-        sym = build_symbol(cfg.kind, [spins[s] for s in names], cfg.n)
-        if _triads_allowed(cfg.kind, sym):
-            rows.append(_evaluate_point(cfg, sym, t_sweep, asym_formula, marking))
+    return _run_sweeps([cfg])[0]
 
-    n_vol = max((len(r.volumes) for r in rows), default=0)
-    result = SweepResult(cfg, rows, n_vol)
-    result.summary = summarize(result)
-    return result
+
+def _run_sweeps(configs) -> list:
+    """Evaluate the sweeps of one call together, one :class:`SweepResult`
+    per config: their allowed points, listed in sweep order, are evaluated
+    by :func:`_evaluate_points`."""
+    points, ends = [], []
+    for cfg in configs:
+        asym_formula = next((f for f in cfg.formulas if f != "exact"), None)
+        marking = cfg.marking or (default_marking(asym_formula) if asym_formula else None)
+        names = slot_names(cfg.kind, cfg.n)
+        offsets = cfg.offsets or {cfg.sweep_slot: 0}
+        for t_sweep in range(cfg.start_twice, cfg.stop_twice + 1, cfg.step_twice):
+            spins = {**cfg.spins_twice, **{s: t_sweep + dt for s, dt in offsets.items()}}
+            sym = build_symbol(cfg.kind, [spins[s] for s in names], cfg.n)
+            if _triads_allowed(cfg.kind, sym):
+                points.append((cfg, sym, t_sweep, asym_formula, marking))
+        ends.append(len(points))
+
+    rows = _evaluate_points(points)
+    results = []
+    for cfg, lo, hi in zip(configs, [0, *ends], ends):
+        n_vol = max((len(r.volumes) for r in rows[lo:hi]), default=0)
+        result = SweepResult(cfg, rows[lo:hi], n_vol)
+        result.summary = summarize(result)
+        results.append(result)
+    return results
+
+
+#: Fewest points a process is given.  On a 2-vCPU x86-64 VM one fork, pipe
+#: and reap round trip took 2.3 ms, and a second process paid for itself
+#: from about 30 points each on a 9j sweep with exact and asym9j values
+#: (0.6 ms a row), but at no size up to 1000 points on a pr6j-only 6j sweep
+#: (25-50 us a row, half of it listing the points).  64 keeps the 155
+#: points of fig4 on two processes.
+_MIN_SHARE = 64
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _share_count(n_points: int) -> int:
+    """W, the number of processes that evaluate ``n_points`` points: one per
+    usable CPU and at most one per ``_MIN_SHARE`` points, on Linux with one
+    Python thread running (a fork copies no other thread); otherwise 1."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return 1
+    return max(1, min(_usable_cpus(), n_points // _MIN_SHARE))
+
+
+def _evaluate_points(points) -> list:
+    """The rows of ``points``, (cfg, sym, t_sweep, asym_formula, marking)
+    tuples, in order.  Point i goes to share i mod W: this process evaluates
+    share 0, and a child forked once per call each other share, which it
+    writes back through a pipe.  On any failure every child is killed and
+    reaped, and an ``Exception`` makes this process evaluate all points, so
+    the rows, or the error, are those of W = 1."""
+    w = _share_count(len(points))
+    children = []                  # (pid, pipe read end) of each unreaped child
+    try:
+        for share in range(1, w):
+            fd_in, fd_out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_in)
+                os.close(fd_out)
+                raise
+            if pid == 0:
+                _run_child(points[share::w], fd_out)
+            os.close(fd_out)
+            children.append((pid, fd_in))
+        shares = [[_evaluate_point(*point) for point in points[::w]]]
+        while children:
+            shares.append(_read_child(children))
+        rows = [None] * len(points)
+        for share, share_rows in enumerate(shares):
+            rows[share::w] = share_rows
+        return rows
+    except Exception:
+        _stop(children)
+    except BaseException:
+        _stop(children)
+        raise
+    return [_evaluate_point(*point) for point in points]
+
+
+def _run_child(points, fd) -> None:
+    """In a forked child: evaluate ``points``, write their rows to ``fd`` and
+    leave through ``os._exit``, with status 0 only if every row was written."""
+    status = 1
+    try:
+        _write_rows(fd, [_evaluate_point(*point) for point in points])
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_rows(fd, rows) -> None:
+    payload = memoryview(marshal.dumps([astuple(row) for row in rows]))
+    while payload:
+        payload = payload[os.write(fd, payload):]
+
+
+def _read_child(children) -> list:
+    """Read the rows of the first child in ``children`` to EOF, reap it and
+    drop it from the list."""
+    pid, fd = children[0]
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    status = os.waitpid(pid, 0)[1]
+    del children[0]
+    os.close(fd)
+    if status:
+        raise ChildProcessError(f"a sweep share exited with wait status {status}")
+    return [SweepRow(*fields) for fields in marshal.loads(b"".join(chunks))]
+
+
+def _stop(children) -> None:
+    """Kill and reap every child in ``children`` and close its pipe."""
+    import signal   # loaded only when a forked share fails
+
+    for pid, fd in children:
+        os.close(fd)
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass       # reaped already
+    children.clear()
 
 
 def _triads_allowed(kind: str, sym) -> bool:
@@ -531,7 +660,8 @@ def fig4_suite(outdir: str | None = None):
     need interior correlation >= 0.95 and the error must trend upward over
     the 5 outermost compared points at each end.
     """
-    results = {panel: run_sweep(cfg) for panel, cfg in reference_sweep_configs().items()}
+    configs = reference_sweep_configs()
+    results = dict(zip(configs, _run_sweeps(list(configs.values()))))
     s = results["a"].summary
     reports = [
         PanelReport("a", s, {

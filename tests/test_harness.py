@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -578,6 +579,18 @@ def test_runs_without_mpmath(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool_or_pickle():
+    """A plain import of the package and its CLI loads no process-pool,
+    subprocess or pickle module: the sweep's fork path needs only ``os``,
+    ``marshal``, ``sys`` and ``threading``, which the interpreter has
+    loaded already, so no import time is added."""
+    proc = run_python("-c", "import sys, wigner_asym, wigner_asym.cli\n"
+                            "print(sorted({'multiprocessing', 'concurrent.futures', "
+                            "'subprocess', 'pickle'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _one_point_config(kind, twice, formula, marking=None):
     slots = slot_names(kind, len(twice) // 3)
     doc = {
@@ -628,3 +641,178 @@ def test_cli_asym_matches_one_point_sweep(capsys, cli_name, cli_args, formula, k
     rows = run_sweep(_one_point_config(kind, twice, formula, marking)).rows
     assert len(rows) == 1 and rows[0].asym
     assert printed == rows[0].asym
+
+
+# ----------------------------------------------------------------------
+# Sweep points spread over W processes
+# ----------------------------------------------------------------------
+
+#: a 15j, as a 3nj chain, swept over l5 with exact and asym3nj values
+SHARE_15J = {
+    "kind": "3nj", "n": 5,
+    "spins_twice": dict(zip(slot_names("3nj", 5),
+                            [79, 81, 79, 82, 72, 76, 78, 76, 1, 77, 80, 2, 75, 76])),
+    "sweep": {"slot": "l5", "start_twice": 56, "stop_twice": 100, "step_twice": 1},
+    "formulas": ["exact", "asym3nj"],
+    "marking": {"small_jk": ["k", 4], "small_l": [2]},
+}
+
+#: a 6j sweep with classically forbidden rows (noted) and, at odd f and
+#: f > 32, Clebsch-Gordan-skipped points: 17 rows, f = 0, 2, ..., 32
+SHARE_6J = {
+    "kind": "6j",
+    "spins_twice": {"a": 16, "b": 16, "c": 24, "d": 16, "e": 16},
+    "sweep": {"slot": "f", "start_twice": 0, "stop_twice": 40, "step_twice": 1},
+    "formulas": ["exact", "pr6j"],
+}
+
+
+def force_shares(monkeypatch, w):
+    """Make the next sweep call spread its points over ``w`` processes."""
+    from wigner_asym import harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: w)
+    monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+
+
+def count_parent_points(monkeypatch) -> list:
+    """Record the sweep values of the points this process evaluates; a
+    forked child's records stay in the child."""
+    from wigner_asym import harness
+
+    seen, evaluate, parent = [], harness._evaluate_point, os.getpid()
+    monkeypatch.setattr(harness, "_evaluate_point", lambda *point: (
+        os.getpid() == parent and seen.append(point[2])) or evaluate(*point))
+    return seen
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sweep_outputs(result):
+    return result.rows, repr(result.summary), result.csv_text()
+
+
+@pytest.mark.parametrize("doc", [SHARE_15J, SHARE_6J], ids=["15j-asym3nj", "6j-exact-pr6j"])
+def test_sweep_outputs_do_not_depend_on_share_count(monkeypatch, doc):
+    """W = 1, 2 and 3 give equal rows, summaries and CSV text, and with
+    W > 1 this process evaluates only its own share."""
+    cfg = SweepConfig.from_json(json.dumps(doc))
+    seen = count_parent_points(monkeypatch)
+    outputs = []
+    for w in (1, 2, 3):
+        force_shares(monkeypatch, w)
+        seen.clear()
+        result = run_sweep(cfg)
+        assert seen == [r.sweep_twice for r in result.rows[::w]], w
+        assert_no_children()
+        outputs.append(sweep_outputs(result))
+    rows = outputs[0][0]
+    if doc is SHARE_6J:
+        assert any(r.flag == "forbidden" and r.note for r in rows)
+        assert [r.sweep_twice for r in rows] == list(range(0, 33, 2))
+    assert len(rows) >= 9 and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_fig4_outputs_do_not_depend_on_share_count(monkeypatch, tmp_path, capsys):
+    """``verify fig4`` prints and writes the pinned bytes, and
+    ``fig4_suite`` returns equal rows and summaries, for W = 1, 2 and 3;
+    one call evaluates its share of all three sweeps in this process."""
+    from wigner_asym.harness import fig4_suite
+
+    seen = count_parent_points(monkeypatch)
+    outputs = []
+    for w in (1, 2, 3):
+        force_shares(monkeypatch, w)
+        seen.clear()
+        out = tmp_path / str(w)
+        assert cli.main(["verify", "fig4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == FIG4_STDOUT
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == FIG4_SHA256
+        _, results = fig4_suite()
+        n_points = sum(len(r.rows) for r in results.values())
+        assert n_points == 155 and len(seen) == 2 * len(range(0, n_points, w))
+        outputs.append([sweep_outputs(r) for r in results.values()])
+        assert_no_children()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_short_sweep_runs_in_process(monkeypatch):
+    """An 11-point sweep forks no child, so tests that count calls through
+    monkeypatched functions see every call; the 155 points of fig4 are
+    spread over at most 2 processes."""
+    from wigner_asym import harness
+
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert len(run_sweep(small_sweep_config()).rows) == 11 and not forks
+    assert harness._share_count(11) == 1
+    if sys.platform == "linux" and threading.active_count() == 1:
+        assert harness._share_count(155) == min(len(os.sched_getaffinity(0)), 2)
+
+
+@pytest.mark.parametrize("failure", ["raise", "truncate", "kill"])
+def test_failed_child_share_gives_the_serial_result(monkeypatch, failure):
+    """A child that raises, writes a payload cut short or is killed is
+    reaped, and the call returns the W = 1 rows, evaluated in this
+    process."""
+    import marshal
+    import signal
+    from dataclasses import astuple
+
+    from wigner_asym import harness
+
+    cfg = SweepConfig.from_json(json.dumps(SHARE_6J))
+    serial = sweep_outputs(run_sweep(cfg))
+    parent, write = os.getpid(), harness._write_rows
+
+    def write_rows(fd, rows):
+        if os.getpid() == parent or rows[0].sweep_twice != 2:   # only share 1 of 3 fails
+            write(fd, rows)
+        elif failure == "raise":
+            raise RuntimeError("injected")
+        elif failure == "truncate":
+            os.write(fd, marshal.dumps([astuple(row) for row in rows])[:100])
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(harness, "_write_rows", write_rows)
+    force_shares(monkeypatch, 3)
+    seen = count_parent_points(monkeypatch)
+    assert sweep_outputs(run_sweep(cfg)) == serial
+    assert len(seen) == len(range(0, 17, 3)) + 17
+    assert_no_children()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
+def test_parent_share_failure_kills_and_reaps_children(monkeypatch, error):
+    """An error in this process's own share kills and reaps children that
+    are still running; the call raises what the W = 1 call raises."""
+    import time
+
+    from wigner_asym import harness
+
+    cfg = SweepConfig.from_json(json.dumps(SHARE_6J))
+    parent, evaluate = os.getpid(), harness._evaluate_point
+
+    def failing(*point):
+        if os.getpid() != parent and point[2] in (2, 4):   # first rows of shares 1, 2
+            time.sleep(20)                   # children that would outlive the call
+        elif os.getpid() == parent and point[2] == 6:      # row 3: share 0 of 3
+            raise error("injected at f = 3")
+        return evaluate(*point)
+
+    monkeypatch.setattr(harness, "_evaluate_point", failing)
+    raised = []
+    for w in (1, 3):
+        force_shares(monkeypatch, w)
+        start = time.monotonic()
+        with pytest.raises(error) as info:
+            run_sweep(cfg)
+        raised.append((type(info.value), info.value.args))
+        assert time.monotonic() - start < 10
+        assert_no_children()
+    assert raised[0] == raised[1] == (error, ("injected at f = 3",))
