@@ -17,12 +17,14 @@ view of a), which :func:`fig4_suite` runs in one call and checks.  Every
 CSV comes with a gnuplot script from one writer.
 
 The points of one call (one sweep, or all three fig4 sweeps) are spread
-over W processes, W = min(usable CPUs, points // ``_MIN_SHARE``): point i
-is evaluated by share i mod W, share 0 in the calling process and each
-other share in a child forked once per call.  W is 1, with no fork, off
-Linux, while a second Python thread runs, or below 2 * ``_MIN_SHARE``
-points.  Rows are put back in sweep order, so every row, summary and
-output byte is the same for every W; there is no option to set it.
+over W processes when enough of them need an exact 9j, 15j or 3nj value:
+W = min(usable CPUs, such points // ``_MIN_SHARE``), and point i is
+evaluated by share i mod W, share 0 in the calling process and each other
+share in a child forked once per call.  W is 1, with no fork, off Linux,
+while a second Python thread runs, or below 2 * ``_MIN_SHARE`` such
+points, so a sweep of 6j values or of asymptotics alone runs in the
+calling process.  Rows are put back in sweep order, so every row, summary
+and output byte is the same for every W; there is no option to set it.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def _run_sweeps(configs) -> list:
     """Evaluate the sweeps of one call together, one :class:`SweepResult`
     per config: their allowed points, listed in sweep order, are evaluated
     by :func:`_evaluate_points`."""
-    points, ends = [], []
+    points, ends, n_costly = [], [], 0
     for cfg in configs:
         asym_formula = next((f for f in cfg.formulas if f != "exact"), None)
         marking = cfg.marking or (default_marking(asym_formula) if asym_formula else None)
@@ -308,9 +310,11 @@ def _run_sweeps(configs) -> list:
             sym = build_symbol(cfg.kind, [spins[s] for s in names], cfg.n)
             if _triads_allowed(cfg.kind, sym):
                 points.append((cfg, sym, t_sweep, asym_formula, marking))
+        if _costly(cfg):
+            n_costly += len(points) - (ends[-1] if ends else 0)
         ends.append(len(points))
 
-    rows = _evaluate_points(points)
+    rows = _evaluate_points(points, _share_count(n_costly))
     results = []
     for cfg, lo, hi in zip(configs, [0, *ends], ends):
         n_vol = max((len(r.volumes) for r in rows[lo:hi]), default=0)
@@ -320,36 +324,63 @@ def _run_sweeps(configs) -> list:
     return results
 
 
-#: Fewest points a process is given.  On a 2-vCPU x86-64 VM one fork, pipe
-#: and reap round trip took 2.3 ms, and a second process paid for itself
-#: from about 30 points each on a 9j sweep with exact and asym9j values
-#: (0.6 ms a row), but at no size up to 1000 points on a pr6j-only 6j sweep
-#: (25-50 us a row, half of it listing the points).  64 keeps the 155
-#: points of fig4 on two processes.
+def _costly(cfg) -> bool:
+    """Whether each point of ``cfg`` needs an exact 9j, 15j or 3nj value:
+    the only rows measured to pay for a forked share."""
+    return cfg.kind != "6j" and "exact" in cfg.formulas
+
+
+#: Fewest costly points (see :func:`_costly`) a process is given.  On a
+#: 2-vCPU x86-64 VM one fork, pipe and reap round trip took 2.3 ms.  The
+#: cheapest costly rows measured, exact 9j values with two zero spins, took
+#: 180 us each, and 128 of them ran 22.9 -> 20.9 ms on two processes; 128
+#: exact 9j rows with spins near 100 ran 118 -> 69 ms, and exact 3nj and
+#: 15j rows cost 2-4 ms each even with zero spins.  A pr6j row took
+#: 25-50 us and paid for a fork at no size up to 1000 rows, and an exact 6j
+#: row with a zero spin costs as little, so 6j rows do not count.  64 keeps
+#: the 155 points of fig4 on two processes.
 _MIN_SHARE = 64
 
 
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on, capped by the whole CPUs of a cgroup
+    CPU quota when one is set (v2 ``cpu.max``, v1 ``cpu.cfs_quota_us``)."""
+    cpus = len(os.sched_getaffinity(0))
+    for files in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            fields = []
+            for name in files:
+                with open("/sys/fs/cgroup/" + name, encoding="ascii") as fh:
+                    fields += fh.read().split()
+        except OSError:
+            continue
+        if fields[0] not in ("max", "-1"):
+            cpus = min(cpus, max(1, int(fields[0]) // int(fields[1])))
+        break
+    return cpus
 
 
-def _share_count(n_points: int) -> int:
-    """W, the number of processes that evaluate ``n_points`` points: one per
-    usable CPU and at most one per ``_MIN_SHARE`` points, on Linux with one
-    Python thread running (a fork copies no other thread); otherwise 1."""
-    if sys.platform != "linux" or threading.active_count() != 1:
+def _share_count(n_costly: int) -> int:
+    """W, the number of processes for a call with ``n_costly`` costly
+    points: one per usable CPU and at most one per ``_MIN_SHARE`` of them,
+    on Linux with one Python thread running (a fork copies no other
+    thread); otherwise 1."""
+    if (sys.platform != "linux" or threading.active_count() != 1
+            or n_costly < 2 * _MIN_SHARE):
         return 1
-    return max(1, min(_usable_cpus(), n_points // _MIN_SHARE))
+    return min(_usable_cpus(), n_costly // _MIN_SHARE)
 
 
-def _evaluate_points(points) -> list:
+def _evaluate_points(points, w: int) -> list:
     """The rows of ``points``, (cfg, sym, t_sweep, asym_formula, marking)
-    tuples, in order.  Point i goes to share i mod W: this process evaluates
-    share 0, and a child forked once per call each other share, which it
-    writes back through a pipe.  On any failure every child is killed and
-    reaped, and an ``Exception`` makes this process evaluate all points, so
-    the rows, or the error, are those of W = 1."""
-    w = _share_count(len(points))
+    tuples, in order.  Point i goes to share i mod ``w``: this process
+    evaluates share 0, and a child forked once per call each other share,
+    which it writes back through a pipe.  On any failure every child is
+    killed and reaped, and an ``Exception`` makes this process evaluate all
+    points, so the rows, or the error, are those of W = 1.  A child never
+    returns or raises from here: it leaves through ``os._exit``, with
+    status 0 only once it has written all its rows."""
+    parent = os.getpid()
     children = []                  # (pid, pipe read end) of each unreaped child
     try:
         for share in range(1, w):
@@ -361,7 +392,8 @@ def _evaluate_points(points) -> list:
                 os.close(fd_out)
                 raise
             if pid == 0:
-                _run_child(points[share::w], fd_out)
+                _write_rows(fd_out, [_evaluate_point(*point) for point in points[share::w]])
+                os._exit(0)
             os.close(fd_out)
             children.append((pid, fd_in))
         shares = [[_evaluate_point(*point) for point in points[::w]]]
@@ -371,23 +403,13 @@ def _evaluate_points(points) -> list:
         for share, share_rows in enumerate(shares):
             rows[share::w] = share_rows
         return rows
-    except Exception:
+    except BaseException as exc:
+        if os.getpid() != parent:  # a child, even one interrupted as it starts
+            os._exit(1)
         _stop(children)
-    except BaseException:
-        _stop(children)
-        raise
+        if not isinstance(exc, Exception):
+            raise
     return [_evaluate_point(*point) for point in points]
-
-
-def _run_child(points, fd) -> None:
-    """In a forked child: evaluate ``points``, write their rows to ``fd`` and
-    leave through ``os._exit``, with status 0 only if every row was written."""
-    status = 1
-    try:
-        _write_rows(fd, [_evaluate_point(*point) for point in points])
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _write_rows(fd, rows) -> None:

@@ -668,11 +668,13 @@ SHARE_6J = {
 
 
 def force_shares(monkeypatch, w):
-    """Make the next sweep call spread its points over ``w`` processes."""
+    """Make the next sweep call spread its points, costly or not, over
+    ``w`` processes."""
     from wigner_asym import harness
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: w)
     monkeypatch.setattr(harness, "_MIN_SHARE", 1)
+    monkeypatch.setattr(harness, "_costly", lambda cfg: True)
 
 
 def count_parent_points(monkeypatch) -> list:
@@ -751,7 +753,82 @@ def test_short_sweep_runs_in_process(monkeypatch):
     assert len(run_sweep(small_sweep_config()).rows) == 11 and not forks
     assert harness._share_count(11) == 1
     if sys.platform == "linux" and threading.active_count() == 1:
-        assert harness._share_count(155) == min(len(os.sched_getaffinity(0)), 2)
+        assert harness._share_count(155) == min(harness._usable_cpus(), 2)
+        assert 1 <= harness._usable_cpus() <= len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("files, cap", [
+    ({"cpu.max": "150000 100000\n"}, 1),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({}, None),
+], ids=["v2-1.5-cpus", "v2-no-quota", "v1-2-cpus", "v1-no-quota", "no-cgroup-files"])
+def test_usable_cpus_are_capped_by_a_cgroup_quota(monkeypatch, files, cap):
+    """A cgroup CPU quota caps the usable CPUs at its whole CPUs, at least
+    one, so a call does not fork for a CPU it cannot run on."""
+    import io
+
+    from wigner_asym import harness
+
+    def fake_open(path, *args, **kwargs):
+        name = path.removeprefix("/sys/fs/cgroup/")
+        if name not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[name])
+
+    monkeypatch.setattr(harness, "open", fake_open, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert harness._usable_cpus() == (8 if cap is None else cap)
+
+
+def test_only_exact_chain_points_count_toward_a_fork(monkeypatch):
+    """W counts only the points that need an exact 9j, 15j or 3nj value,
+    the rows that pay for a fork: 200 pr6j points, 61 asym9j-only points
+    and 61 exact 9j points (322 in all) run in the calling process."""
+    from dataclasses import replace
+
+    from wigner_asym import harness
+
+    counts, share_count = [], harness._share_count
+    monkeypatch.setattr(harness, "_share_count", lambda n: counts.append(n) or share_count(n))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    six = SweepConfig.from_json(json.dumps({
+        "kind": "6j", "spins_twice": {"a": 200, "b": 200, "c": 200, "d": 200, "e": 200},
+        "sweep": {"slot": "f", "start_twice": 2, "stop_twice": 400}, "formulas": ["pr6j"],
+    }))
+    nine = harness.reference_sweep_configs()["a"]
+    results = harness._run_sweeps([six, replace(nine, formulas=("asym9j",)), nine])
+    assert [len(r.rows) for r in results] == [200, 61, 61]
+    assert counts == [61] and not forks
+
+
+def test_interrupted_child_never_leaves_the_call(monkeypatch, tmp_path):
+    """A child interrupted as soon as it is forked (a Ctrl-C sent to the
+    process group) leaves through ``os._exit``: it neither returns nor
+    raises into the caller's code, and the call returns the W = 1 rows."""
+    cfg = SweepConfig.from_json(json.dumps(SHARE_6J))
+    serial = sweep_outputs(run_sweep(cfg))
+    parent, fork = os.getpid(), os.fork
+
+    def interrupted_fork():
+        pid = fork()
+        if pid == 0:
+            raise KeyboardInterrupt
+        return pid
+
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    force_shares(monkeypatch, 3)
+    try:
+        result = run_sweep(cfg)
+    finally:
+        if os.getpid() != parent:              # a child that escaped the call
+            (tmp_path / f"escaped-{os.getpid()}").touch()
+            os._exit(1)
+    assert sweep_outputs(result) == serial
+    assert list(tmp_path.iterdir()) == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("failure", ["raise", "truncate", "kill"])
