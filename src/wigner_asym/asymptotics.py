@@ -47,12 +47,9 @@ from .geometry import (
     Tetrahedron,
     _classify_omega,
     _residual_phase,
-    dihedral_internal,
     euler_from_glued_triangles,
     law_of_cosines,
-    regge_action,
     triangle_angle,
-    volume,
 )
 from .halfint import HalfInt, projection_ok, projection_twice_ok
 from .wigner_d import _small_d
@@ -83,34 +80,45 @@ class Violation:
     message: str
 
 
-def _oscillatory_tet(twice, label: str, key: str, diag: AsymDiagnostics):
-    """Tetrahedron, volume and Regge action of an all-large 6j factor,
-    from its six twice spins.
+def _nonnegative(twice: list) -> list:
+    """``twice``, the twice spins at a formula's entry; ValueError naming
+    the smallest when it is negative."""
+    if min(twice, default=0) < 0:
+        raise ValueError(f"spin {HalfInt.from_twice(min(twice))} is negative")
+    return twice
+
+
+def _oscillatory_tet(twice, p, diag: AsymDiagnostics) -> Tetrahedron:
+    """The tetrahedron of an all-large 6j factor, from its six twice spins:
+    chain tetrahedron ``p``, or the one of :func:`pr_6j` for p = None.
 
     A Cayley-Menger determinant <= 0 (forbidden or flat) raises
     NotClassicallyAllowed, and so do edge lengths that do not close, as
     deep classically-forbidden.  Within the caustic guard the factor is
-    flagged ``near_caustic:<key>``; its volume and action are recorded
-    under ``key``.
+    flagged ``near_caustic:<key>``; its stored volume and action are
+    recorded under ``key``, ``tet_<p>`` or ``tet``.
     """
+    key = "tet" if p is None else f"tet_{p}"
     try:
         tet = Tetrahedron._from_twice(twice)
     except DegenerateTriangle as exc:
         raise NotClassicallyAllowed(
-            f"{label}: edge lengths do not close into a tetrahedron ({exc})",
+            f"{_tet_label(p)}: edge lengths do not close into a tetrahedron ({exc})",
             float("-inf"),
         ) from exc
-    cm = tet.cayley_menger()
+    cm = tet._cm
     if cm <= 0.0:
         raise NotClassicallyAllowed(
-            f"{label} not classically allowed (Cayley-Menger determinant {cm:.6g})", cm)
-    if tet.status() == "near_caustic":
+            f"{_tet_label(p)} not classically allowed (Cayley-Menger determinant {cm:.6g})", cm)
+    if tet._status == "near_caustic":
         diag.flags.append(f"near_caustic:{key}")
-    vol = volume(tet)
-    action = regge_action(tet)
-    diag.volumes[key] = vol
-    diag.regge_actions[key] = action
-    return tet, vol, action
+    diag.volumes[key] = tet._volume
+    diag.regge_actions[key] = tet._action
+    return tet
+
+
+def _tet_label(p) -> str:
+    return "tetrahedron" if p is None else f"tetrahedron p={p}"
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +129,8 @@ def pr_6j(spins):
     """Oscillatory 6j asymptotics cos(S_R + pi/4)/sqrt(12 pi V) for six
     large spins in the standard layout {a b c; d e f}."""
     diag = AsymDiagnostics()
-    _, vol, action = _oscillatory_tet([HalfInt(j).twice for j in spins], "tetrahedron", "tet", diag)
-    value = math.cos(action + QUARTER_PI) / math.sqrt(12.0 * math.pi * vol)
+    tet = _oscillatory_tet(_nonnegative([HalfInt(j).twice for j in spins]), None, diag)
+    value = math.cos(tet._action + QUARTER_PI) / math.sqrt(12.0 * math.pi * tet._volume)
     return value, diag
 
 
@@ -134,6 +142,7 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
     """
     a, b, c, f = HalfInt(a), HalfInt(b), HalfInt(c), HalfInt(f)
     m, n = HalfInt(m), HalfInt(n)
+    _nonnegative([a.twice, b.twice, c.twice, b.twice + m.twice, a.twice + n.twice, f.twice])
     for proj in (m, n):
         if not projection_ok(proj, f):
             raise InvalidProjection(f"projection {proj} invalid for small spin {f}")
@@ -315,6 +324,7 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
     """
     nsym, small_l = normalize_marking(sym, mark)
     j, k, l = _twice_rows(nsym)
+    _nonnegative(j + k + l)
     if check_hypotheses:
         violations = _violations(j, k, l, small_l)
         hard = [v for v in violations if v.severity == "error"]
@@ -338,10 +348,9 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
 
     volumes, actions, thetas = {}, {}, {}
     for p in _oscillatory_indices(len(j), small_l):
-        tet, volumes[p], actions[p] = _oscillatory_tet(
-            _chain_tet(j, k, l, p), f"tetrahedron p={p}", f"tet_{p}", diag,
-        )
-        thetas[p] = dihedral_internal(tet, "c")
+        tet = _oscillatory_tet(_chain_tet(j, k, l, p), p, diag)
+        # allowed, so every angle is defined; the k1 edge is c
+        volumes[p], actions[p], thetas[p] = tet._volume, tet._action, tet._thetas[2]
     return _Chain(j, k, l, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
 
 
@@ -411,6 +420,7 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: int, endn: int) -> 
     diag.angles["phin"] = phin
     theta_list = [math.pi - chain.thetas[p] for p in p_set]
     diag.angles.update({f"Theta_k1_{p}": th for p, th in zip(p_set, theta_list)})
+    phases = [chain.actions[p] + QUARTER_PI for p in p_set]
     small_factor = _small_l_factor(chain, diag)
 
     # each sigma is a valid configuration of p_set, so it is classified
@@ -422,14 +432,10 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: int, endn: int) -> 
     config_sum = 0.0
     for sigma in sigmas:
         omega, case_id, theta_k1, boundary = _classify_omega(
-            n_pi - sum(s * th for s, th in zip(sigma, theta_list)))
+            n_pi - sum([s * th for s, th in zip(sigma, theta_list)]))
         theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, theta_k1, phin)
         f_val = _residual_phase(case_id, mu_f * theta_l1 + nu_f * theta_ln, j1_f)
-        argument = (
-            sum(s * (chain.actions[p] + QUARTER_PI) for s, p in zip(sigma, p_set))
-            + j1_pi
-            + f_val
-        )
+        argument = sum([s * ph for s, ph in zip(sigma, phases)]) + j1_pi + f_val
         config_sum += math.cos(argument) * _small_d(j1, mu, nu, phi_mid)
         diag.sign_configs.append(
             {
@@ -461,6 +467,7 @@ def asym_9j_one_small(sym: Symbol9j):
     is 0, flagged ``invalid_symbol``.
     """
     diag = AsymDiagnostics()
+    _nonnegative([x.twice for row in sym.grid for x in row])
     if not sym.is_valid():
         diag.flags.append("invalid_symbol")
         return 0.0, diag

@@ -10,7 +10,6 @@ symbol), 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .asymptotics import SmallSpinMarking
@@ -151,11 +150,15 @@ def _print_asym(args, value: float, diag) -> int:
         return EXIT_NOT_ALLOWED
     print(f"{value:.17g}")
     if diag is not None and args.diagnostics:
+        import json
+
         print(json.dumps(vars(diag), indent=2, default=str))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    import json
+
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = SweepConfig.from_json(fh.read())
     result = run_sweep(cfg)

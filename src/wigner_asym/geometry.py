@@ -53,6 +53,7 @@ def edge_length_from_spin(j) -> float:
 
 
 def _clamped_acos(x: float, exc_type=DegenerateTriangle, context: str = "angle") -> float:
+    # the callers take acos of a cosine in [-1, 1] themselves
     if abs(x) > 1.0 + ACOS_CLAMP_TOL:
         raise exc_type(f"{context}: cosine {x!r} out of range")
     return math.acos(min(1.0, max(-1.0, x)))
@@ -61,22 +62,12 @@ def _clamped_acos(x: float, exc_type=DegenerateTriangle, context: str = "angle")
 def triangle_angle(la: float, lb: float, lc: float) -> float:
     """Interior angle between the sides of lengths la and lb in the triangle
     (la, lb, lc); lc is the opposite side."""
-    if min(la, lb, lc) <= 0.0:
+    if not (la > 0.0 and lb > 0.0 and lc > 0.0) and min(la, lb, lc) <= 0.0:
         raise DegenerateTriangle(f"non-positive edge in ({la}, {lb}, {lc})")
     cos_phi = (la * la + lb * lb - lc * lc) / (2.0 * la * lb)
+    if -1.0 <= cos_phi <= 1.0:
+        return math.acos(cos_phi)
     return _clamped_acos(cos_phi, DegenerateTriangle, f"triangle ({la}, {lb}, {lc})")
-
-
-# For each edge XY, by index into (a, b, c, d, e, f): the opposite edge ZW
-# and the edges XZ, XW, YZ, YW to the other two vertices.
-_EDGE_FRAMES = (
-    (3, 2, 4, 1, 5),   # a = PQ: RS; PR, PS, QR, QS
-    (4, 0, 5, 2, 3),   # b = QR: PS; QP, QS, RP, RS
-    (5, 0, 4, 1, 3),   # c = PR: QS; PQ, PS, RQ, RS
-    (0, 2, 1, 4, 5),   # d = RS: PQ; RP, RQ, SP, SQ
-    (1, 0, 2, 5, 3),   # e = PS: QR; PQ, PR, SQ, SR
-    (2, 0, 1, 4, 3),   # f = QS: PR; QP, QR, SP, SR
-)
 
 
 @dataclass(frozen=True)
@@ -87,11 +78,15 @@ class Tetrahedron:
     :meth:`_from_twice`): each face by
     16 area^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 (below 0 raises
     DegenerateTriangle, 0 leaves its edges without an angle), the
-    determinant and, when it is not negative, the dihedral angles."""
+    determinant and its status and, when it is not negative, the dihedral
+    angles, the volume and (no angle undefined) the Regge action."""
 
     lengths: tuple
     _cm: float = field(init=False, repr=False, compare=False)
+    _status: str = field(init=False, repr=False, compare=False)
     _thetas: tuple | None = field(init=False, repr=False, compare=False)
+    _volume: float | None = field(init=False, repr=False, compare=False)
+    _action: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lengths) != 6:
@@ -121,21 +116,22 @@ class Tetrahedron:
         float constructor, which raises or rounds as it does for those
         lengths.
         """
-        lengths = tuple(t / 2.0 + 0.5 for t in twice)
+        lengths = tuple([t / 2.0 + 0.5 for t in twice])
         if len(twice) != 6 or not 0 <= min(twice) <= max(twice) < _EXACT_TWICE:
             return cls(lengths)
         tet = object.__new__(cls)
-        tet._build(lengths, 2, [(t + 1) ** 2 for t in twice])
+        tet._build(lengths, 2, [(t + 1) * (t + 1) for t in twice])
         return tet
 
     def _build(self, lengths: tuple, den: int, sq: list) -> None:
-        """Faces, determinant and angle table from the squared lengths
-        sq / den^2, shared by both constructors."""
+        """Faces, determinant, status, angle table, volume and action from
+        the squared lengths sq / den^2, shared by both constructors."""
+        A, B, C, D, E, F = sq
+        # 16 area^2 = 2 (xy + yz + zx) - x^2 - y^2 - z^2 = 4 xy - (x + y - z)^2
+        areas = (4 * A * B - (A + B - C) ** 2, 4 * A * E - (A + E - F) ** 2,
+                 4 * D * B - (D + B - F) ** 2, 4 * D * E - (D + E - C) ** 2)
         flat = set()
-        for face in FACES:
-            i, j, k = face
-            x, y, z = sq[i], sq[j], sq[k]
-            area = 2 * (x * y + y * z + z * x) - x * x - y * y - z * z
+        for face, area in zip(FACES, areas):
             if area < 0:
                 raise DegenerateTriangle(
                     f"face {tuple(EDGE_NAMES[i] for i in face)} violates the triangle inequality"
@@ -143,10 +139,17 @@ class Tetrahedron:
             if area == 0:
                 flat.update(face)
         cm = cayley_menger_determinant(den, sq)
-        thetas = _dihedral_table(lengths, den, sq, cm, flat) if cm >= 0.0 else None
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "_cm", cm)
-        object.__setattr__(self, "_thetas", thetas)
+        thetas = vol = action = None
+        if cm < 0.0:
+            status = "forbidden"
+        else:
+            status = "near_caustic" if cm <= _caustic_tolerance(lengths) else "allowed"
+            thetas = _dihedral_table(lengths, den, sq, cm, flat)
+            vol = math.sqrt(cm / 288.0)
+            if not flat:
+                action = sum([l * (math.pi - theta) for l, theta in zip(lengths, thetas)])
+        self.__dict__.update(lengths=lengths, _cm=cm, _status=status, _thetas=thetas,
+                             _volume=vol, _action=action)
 
     def cayley_menger(self) -> float:
         """The Cayley-Menger determinant (= 288 V^2)."""
@@ -154,18 +157,17 @@ class Tetrahedron:
 
     def caustic_tolerance(self) -> float:
         """DEFAULT_CAUSTIC_EPS * (mean edge)^6."""
-        mean = sum(self.lengths) / 6.0
-        return DEFAULT_CAUSTIC_EPS * mean ** 6
+        return _caustic_tolerance(self.lengths)
 
     def status(self) -> str:
         """'forbidden' when the Cayley-Menger determinant is negative (no
         Euclidean tetrahedron has these edges), 'near_caustic' when it is
         at most the caustic guard (flat ones included), else 'allowed'."""
-        if self._cm < 0.0:
-            return "forbidden"
-        if self._cm <= self.caustic_tolerance():
-            return "near_caustic"
-        return "allowed"
+        return self._status
+
+
+def _caustic_tolerance(lengths: tuple) -> float:
+    return DEFAULT_CAUSTIC_EPS * (sum(lengths) / 6.0) ** 6
 
 
 def _integer_squares(lengths: Sequence[float]):
@@ -204,44 +206,43 @@ def _dihedral_table(lengths: Sequence[float], den: int, sq: Sequence[int],
     ``sq`` / den^2 its determinant was computed from; None at the edges in
     ``flat``, those of a face with zero area.
 
-    At an edge of length l = sqrt(L) whose faces have areas S1 and S2,
-    16 S1 S2 sin(theta) = l sqrt(2 cm) and, in the squared lengths of its
-    frame (:data:`_EDGE_FRAMES`),
-    16 S1 S2 cos(theta) = L (XZ + XW + YZ + YW - 2 ZW - L) - (XZ - YZ)(XW - YW).
+    At an edge XY of length l = sqrt(L), Z and W the other two vertices and
+    S1, S2 the areas of its faces, 16 S1 S2 sin(theta) = l sqrt(2 cm) and
+    16 S1 S2 cos(theta) = L (total - 2 L - 3 ZW) - (XZ - YZ)(XW - YW) in the
+    squared lengths, total = L + ZW + XZ + XW + YZ + YW.
     The cosine side is an exact integer over den^4, so atan2 needs no
     clamp near 0 or pi.
     """
+    A, B, C, D, E, F = sq
+    total = A + B + C + D + E + F
+    la, lb, lc, ld, le, lf = lengths
     root = math.sqrt(2.0 * cm)
     den4 = den ** 4
-    thetas = []
-    for edge, (zw, xz, xw, yz, yw) in enumerate(_EDGE_FRAMES):
-        if edge in flat:
-            thetas.append(None)
-            continue
-        L, XZ, XW, YZ, YW = sq[edge], sq[xz], sq[xw], sq[yz], sq[yw]
-        cos_side = L * (XZ + XW + YZ + YW - 2 * sq[zw] - L) - (XZ - YZ) * (XW - YW)
-        thetas.append(math.atan2(lengths[edge] * root, cos_side / den4))
-    return tuple(thetas)
+    atan2 = math.atan2
+    thetas = (
+        atan2(la * root, (A * (total - 2 * A - 3 * D) - (C - B) * (E - F)) / den4),
+        atan2(lb * root, (B * (total - 2 * B - 3 * E) - (A - C) * (F - D)) / den4),
+        atan2(lc * root, (C * (total - 2 * C - 3 * F) - (A - B) * (E - D)) / den4),
+        atan2(ld * root, (D * (total - 2 * D - 3 * A) - (C - E) * (B - F)) / den4),
+        atan2(le * root, (E * (total - 2 * E - 3 * B) - (A - F) * (C - D)) / den4),
+        atan2(lf * root, (F * (total - 2 * F - 3 * C) - (A - E) * (B - D)) / den4),
+    )
+    if flat:
+        return tuple(None if edge in flat else theta for edge, theta in enumerate(thetas))
+    return thetas
 
 
-def _allowed_determinant(t: Tetrahedron, context: str) -> float:
-    """The Cayley-Menger determinant of ``t``; NotClassicallyAllowed when
-    it is negative."""
+def _allowed_determinant(t: Tetrahedron, context: str) -> None:
+    """NotClassicallyAllowed when the Cayley-Menger determinant of ``t`` is
+    negative."""
     if t._cm < 0.0:
         raise NotClassicallyAllowed(f"{context}: Cayley-Menger determinant {t._cm:.6g} < 0", t._cm)
-    return t._cm
 
 
 def volume(t: Tetrahedron) -> float:
     """Euclidean volume; 0 when flat; NotClassicallyAllowed when forbidden."""
-    return math.sqrt(_allowed_determinant(t, "not classically allowed") / 288.0)
-
-
-def _checked_dihedral(thetas: tuple, index: int) -> float:
-    theta = thetas[index]
-    if theta is None:
-        raise DegenerateVertex(f"a face at edge {EDGE_NAMES[index]} has zero area")
-    return theta
+    _allowed_determinant(t, "not classically allowed")
+    return t._volume
 
 
 def dihedral_internal(t: Tetrahedron, edge: str) -> float:
@@ -252,7 +253,10 @@ def dihedral_internal(t: Tetrahedron, edge: str) -> float:
     NotClassicallyAllowed when forbidden; DegenerateVertex when a face at
     the edge has zero area."""
     _allowed_determinant(t, "dihedral angles undefined")
-    return _checked_dihedral(t._thetas, EDGE_NAMES.index(edge))
+    theta = t._thetas[EDGE_NAMES.index(edge)]
+    if theta is None:
+        raise DegenerateVertex(f"a face at edge {edge} has zero area")
+    return theta
 
 
 def dihedral_external(t: Tetrahedron, edge: str) -> float:
@@ -262,8 +266,9 @@ def dihedral_external(t: Tetrahedron, edge: str) -> float:
 def regge_action(t: Tetrahedron) -> float:
     """sum_e l_e * external dihedral, over the six edges (l = j + 1/2)."""
     _allowed_determinant(t, "Regge action undefined")
-    thetas = t._thetas
-    return sum(l * (math.pi - _checked_dihedral(thetas, i)) for i, l in enumerate(t.lengths))
+    if t._action is None:
+        dihedral_internal(t, EDGE_NAMES[t._thetas.index(None)])
+    return t._action
 
 
 # ----------------------------------------------------------------------
@@ -279,28 +284,28 @@ def euler_from_glued_triangles(phi1: float, theta: float, phin: float):
     apex edges and the angle between them, all in [0, pi] (spherical law
     of cosines and its duals).
     """
-    for name, val in (("phi1", phi1), ("theta", theta), ("phin", phin)):
-        if not -ACOS_CLAMP_TOL <= val <= math.pi + ACOS_CLAMP_TOL:
-            raise ValueError(f"{name} = {val!r} out of [0, pi]")
+    pi = math.pi
+    if not (0.0 <= phi1 <= pi and 0.0 <= theta <= pi and 0.0 <= phin <= pi):
+        for name, val in (("phi1", phi1), ("theta", theta), ("phin", phin)):
+            if not -ACOS_CLAMP_TOL <= val <= pi + ACOS_CLAMP_TOL:
+                raise ValueError(f"{name} = {val!r} out of [0, pi]")
     s1, sn = math.sin(phi1), math.sin(phin)
     if s1 < _SINE_TOL or sn < _SINE_TOL:
         raise DegenerateVertex("apex angle sine underflow (input 0 or pi)")
     c1, cn = math.cos(phi1), math.cos(phin)
+    acos = math.acos
     cos_mid = c1 * cn + s1 * sn * math.cos(theta)
-    phi_mid = _clamped_acos(cos_mid, DegenerateVertex, "glued mid-angle")
+    phi_mid = (acos(cos_mid) if -1.0 <= cos_mid <= 1.0
+               else _clamped_acos(cos_mid, DegenerateVertex, "glued mid-angle"))
     s_mid = math.sin(phi_mid)
     if s_mid < _SINE_TOL:
         raise DegenerateVertex("mid-angle sine underflow, dihedrals undefined")
-    theta_a = _clamped_acos(
-        (cn - c1 * cos_mid) / (s1 * s_mid),
-        DegenerateVertex,
-        "glued dihedral A",
-    )
-    theta_b = _clamped_acos(
-        (c1 - cn * cos_mid) / (sn * s_mid),
-        DegenerateVertex,
-        "glued dihedral B",
-    )
+    cos_a = (cn - c1 * cos_mid) / (s1 * s_mid)
+    cos_b = (c1 - cn * cos_mid) / (sn * s_mid)
+    theta_a = (acos(cos_a) if -1.0 <= cos_a <= 1.0
+               else _clamped_acos(cos_a, DegenerateVertex, "glued dihedral A"))
+    theta_b = (acos(cos_b) if -1.0 <= cos_b <= 1.0
+               else _clamped_acos(cos_b, DegenerateVertex, "glued dihedral B"))
     return theta_a, phi_mid, theta_b
 
 
@@ -362,7 +367,8 @@ def _classify_omega(raw: float) -> tuple:
         case_id, theta = "III", math.pi + omega
     else:
         case_id, theta = "IV", omega - math.pi
-    theta = min(math.pi, max(0.0, theta))
+    if not 0.0 < theta <= math.pi:
+        theta = min(math.pi, max(0.0, theta))
     boundary = min(abs(omega + _TWO_PI), abs(omega + math.pi), abs(omega),
                    abs(omega - math.pi), abs(omega - _TWO_PI)) < 1e-12
     return omega, case_id, theta, boundary

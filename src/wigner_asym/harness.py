@@ -29,7 +29,6 @@ and output byte is the same for every W; there is no option to set it.
 
 from __future__ import annotations
 
-import json
 import marshal
 import math
 import os
@@ -142,6 +141,8 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
+        import json
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

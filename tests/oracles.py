@@ -46,7 +46,9 @@ from wigner_asym.geometry import (
     dihedral_external,
     edge_length_from_spin,
     euler_from_glued_triangles,
+    regge_action,
     triangle_angle,
+    volume,
 )
 from wigner_asym.halfint import HalfInt, halfint_sum
 from wigner_asym.identities import _sample_coupled, _window
@@ -300,10 +302,11 @@ def asym_9j_closed(sym: Symbol9j) -> float:
     end spins."""
     mu = sym.j13 - sym.j1
     nu = sym.j34 - sym.j4
-    tet, vol, action = _oscillatory_tet(
+    tet = _oscillatory_tet(
         [x.twice for x in (sym.j1, sym.j2, sym.j12, sym.j34, sym.j5, sym.j24)],
-        "reference tetrahedron", "tet1", AsymDiagnostics(),
+        None, AsymDiagnostics(),
     )
+    vol, action = volume(tet), regge_action(tet)
     l1, l2, l34, l5, l24 = (edge_length_from_spin(x)
                             for x in (sym.j1, sym.j2, sym.j34, sym.j5, sym.j24))
     theta_1, phi_1_34, theta_34 = euler_from_glued_triangles(

@@ -399,8 +399,38 @@ def test_formulas_convert_spins_only_at_entry(monkeypatch, rng):
     from wigner_asym import geometry, wigner_d
 
     calls = Counter()
-    for name, fn in (("edge_length_from_spin", geometry.edge_length_from_spin),
-                     ("small_d", wigner_d.small_d)):
+    _count_calls(monkeypatch, calls, (geometry.edge_length_from_spin, wigner_d.small_d))
+    for _, fn, *args in _formula_runs(rng):
+        fn(*args)
+    assert calls == {}
+    geometry.edge_length_from_spin(1)
+    wigner_d.small_d(1, 0, 0, 0.5)
+    assert calls == {"edge_length_from_spin": 1, "small_d": 1}
+
+
+def _formula_runs(rng) -> list:
+    """One call (count, formula, *args) of each of the eight asymptotic
+    formulas on a valid symbol, with the number of oscillatory tetrahedra
+    it builds."""
+    runs = [
+        (1, pr_6j, [50] * 6),
+        (0, edmonds_6j, 90, 100, 110, 1, 0, 1),
+        (1, asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)),
+        (2, asym_3nj, sample_chain_15j(rng, base=45, t_small=2, nsmall_l=1),
+         SmallSpinMarking(("j", 1), {2})),
+    ]
+    for fn, small_l in ((asym_15j_one_small, ()), (asym_15j_two_small, (2,)),
+                        (asym_15j_three_small, (2, 3)), (asym_15j_four_small, (2, 3, 4))):
+        sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=len(small_l))
+        runs.append((3 - len(small_l), fn, sym, SmallSpinMarking(("j", 1), frozenset(small_l))))
+    return runs
+
+
+def _count_calls(monkeypatch, calls: Counter, fns) -> None:
+    """Count into ``calls``, by name, each call of the package functions
+    ``fns``, wherever a package module holds them by name."""
+    for fn in fns:
+        name = fn.__name__
         def counting(*args, _fn=fn, _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -408,23 +438,56 @@ def test_formulas_convert_spins_only_at_entry(monkeypatch, rng):
             if mod_name.startswith("wigner_asym") and vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counting)
 
-    runs = [
-        (pr_6j, [50] * 6),
-        (edmonds_6j, 90, 100, 110, 1, 0, 1),
-        (asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, 2, 120, 122, 862, 120, 860)),
-        (asym_3nj, sample_chain_15j(rng, base=45, t_small=2, nsmall_l=1),
-         SmallSpinMarking(("j", 1), {2})),
-    ]
-    for fn, small_l in ((asym_15j_one_small, ()), (asym_15j_two_small, (2,)),
-                        (asym_15j_three_small, (2, 3)), (asym_15j_four_small, (2, 3, 4))):
-        sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=len(small_l))
-        runs.append((fn, sym, SmallSpinMarking(("j", 1), frozenset(small_l))))
-    for fn, *args in runs:
+
+def test_formulas_read_the_stored_tetrahedron(monkeypatch, rng):
+    """Each formula builds each oscillatory tetrahedron in one pass, one
+    determinant and one angle table, and then reads the caustic status,
+    volume, Regge action and k1 dihedral stored on it: no ``status``,
+    ``volume``, ``regge_action`` or ``dihedral_internal`` call."""
+    from wigner_asym import geometry
+
+    calls = Counter()
+    _count_calls(monkeypatch, calls, (geometry.cayley_menger_determinant, geometry._dihedral_table,
+                                      volume, regge_action, geometry.dihedral_internal))
+    status = Tetrahedron.status
+
+    def counting_status(tet):
+        calls["status"] += 1
+        return status(tet)
+
+    monkeypatch.setattr(Tetrahedron, "status", counting_status)
+    for tets, fn, *args in _formula_runs(rng):
+        calls.clear()
         fn(*args)
+        want = {"cayley_menger_determinant": tets, "_dihedral_table": tets} if tets else {}
+        assert calls == want, fn.__name__
+
+
+def test_negative_spin_rejected_at_every_formula_entry(monkeypatch, rng, capsys):
+    """All eight formulas reject a negative spin at their entry with one
+    ValueError that names it, before any geometry, and the CLI exits 2 on
+    it; the exact symbol is 0."""
+    from wigner_asym import geometry
+    from wigner_asym.cli import main
+
+    calls = Counter()
+    _count_calls(monkeypatch, calls, (geometry.cayley_menger_determinant, geometry.triangle_angle))
+    runs = [(pr_6j, [-1, 20, 20, 20, 20, 20]), (edmonds_6j, 10, 10, 10, 0, 0, -1),
+            (asym_9j_one_small, Symbol9j.from_twice(860, 60, 860, -2, 120, 122, 862, 120, 860))]
+    for _, fn, *args in _formula_runs(rng)[3:]:
+        sym, mark = args
+        runs.append((fn, Symbol3nj(sym.j, sym.k, sym.l[:4] + (H(-2),)), mark))
+    for fn, *args in runs:
+        with pytest.raises(ValueError, match=r"^spin -1 is negative$"):
+            fn(*args)
+    with pytest.raises(ValueError, match=r"^spin -5/2 is negative$"):
+        edmonds_6j(H(-5), 10, 10, 0, 0, 1)
     assert calls == {}
-    geometry.edge_length_from_spin(1)
-    wigner_d.small_d(1, 0, 0, 0.5)
-    assert calls == {"edge_length_from_spin": 1, "small_d": 1}
+    assert wigner9j(Symbol9j.from_twice(860, 60, 860, -2, 120, 122, 862, 120, 860)).value.is_zero
+    for argv in (["pr6j", "-2", "40", "40", "40", "40", "40"],
+                 ["edmonds", "20", "20", "20", "0", "0", "-2"]):
+        assert main(["asym", *argv]) == 2
+        assert capsys.readouterr().err == "error: spin -1 is negative\n"
 
 
 def test_n3_specialization_exact_against_9j_formula():

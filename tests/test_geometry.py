@@ -153,6 +153,57 @@ def test_spin_builder_matches_float_constructor():
     assert kinds == {"allowed", "near_caustic", "forbidden", "ValueError", "DegenerateTriangle"}
 
 
+def test_stored_volume_and_action_match_their_reading_expressions():
+    """The volume and Regge action a tetrahedron stores when it is built
+    are bit-equal to sqrt(CM / 288) and to the sum of l (pi - theta) over
+    the edges a..f, read from its angle table, whether built from spins
+    or from float lengths.  A forbidden tetrahedron raises
+    NotClassicallyAllowed from ``volume``, ``regge_action`` and
+    ``dihedral_internal``, each with its own context; a zero-area face
+    raises DegenerateVertex at its first edge."""
+    rng = random.Random(27)
+    spins = [(5, 8, 14, 16, 7, 9), (10, 5, 5, 7, 9, 9), (5, 7, 9, 5, 7, 9),
+             (16, 16, 24, 16, 16, 24), (17, 25, 41, 14, 38, 20)]
+    spins += [tuple(rng.randrange(1, 400, 2) for _ in range(6)) for _ in range(150)]
+    # needles: three spins <= 3/2 and three near 99 sit inside the caustic guard
+    spins += [tuple(rng.randrange(1, 4) for _ in range(3)) + tuple(rng.randrange(196, 201)
+              for _ in range(3)) for _ in range(60)]
+    tets = []
+    for twice in spins:
+        for build in (lambda: Tetrahedron.from_spins([HalfInt.from_twice(t) for t in twice]),
+                      lambda: Tetrahedron(tuple(rng.uniform(0.5, 1.5) * (t / 2 + 0.5)
+                                                for t in twice))):
+            try:
+                tets.append(build())
+            except DegenerateTriangle:
+                pass
+    kinds = set()
+    for tet in tets:
+        cm = tet.cayley_menger()
+        if cm < 0.0:
+            kinds.add("forbidden")
+            for read, context in ((volume, "not classically allowed"),
+                                  (regge_action, "Regge action undefined"),
+                                  (lambda t: dihedral_internal(t, "a"), "dihedral angles undefined")):
+                with pytest.raises(NotClassicallyAllowed) as err:
+                    read(tet)
+                assert str(err.value) == f"{context}: Cayley-Menger determinant {cm:.6g} < 0"
+            continue
+        kinds.add("flat" if cm == 0.0 else tet.status())
+        assert repr(volume(tet)) == repr(math.sqrt(cm / 288.0))
+        thetas = tet._thetas
+        if None in thetas:
+            kinds.add("zero-area face")
+            edge = EDGE_NAMES[thetas.index(None)]
+            for read in (regge_action, lambda t: dihedral_internal(t, edge)):
+                with pytest.raises(DegenerateVertex, match=f"^a face at edge {edge} has zero area$"):
+                    read(tet)
+            continue
+        want = sum(l * (math.pi - dihedral_internal(tet, e)) for l, e in zip(tet.lengths, EDGE_NAMES))
+        assert repr(regge_action(tet)) == repr(want), tet.lengths
+    assert kinds == {"allowed", "near_caustic", "flat", "forbidden", "zero-area face"}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-40, 1e60])
 def test_tetrahedron_rejects_non_finite_or_non_positive_edges(bad):
     with pytest.raises(ValueError):

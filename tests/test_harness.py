@@ -558,7 +558,8 @@ def test_verify_fig4_outputs_are_pinned(tmp_path, capsys):
 def test_runs_without_mpmath(tmp_path):
     """The package, ``exact``, ``verify identities`` and ``verify fig4`` run
     with mpmath and numpy unimportable, and fig4 writes the pinned bytes; a
-    plain import of the package and its CLI loads neither."""
+    plain import of the package and its CLI loads neither, nor ``json``,
+    which only ``asym --diagnostics`` and the sweep config use."""
     script = (
         "import sys\n"
         "sys.modules['mpmath'] = None\n"
@@ -574,7 +575,7 @@ def test_runs_without_mpmath(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == FIG4_SHA256
     proc = run_python("-c", "import sys, wigner_asym, wigner_asym.cli\n"
-                            "print(sorted({'mpmath', 'numpy'} & set(sys.modules)))")
+                            "print(sorted({'mpmath', 'numpy', 'json'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
