@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -46,12 +48,12 @@ from .exact import Symbol3nj, Symbol9j
 from .geometry import (
     Tetrahedron,
     _classify_omega,
+    _glued_vertex,
     _residual_phase,
     euler_from_glued_triangles,
-    law_of_cosines,
     triangle_angle,
 )
-from .halfint import HalfInt, projection_ok, projection_twice_ok
+from .halfint import HalfInt, projection_twice_ok
 from .wigner_d import _small_d
 
 QUARTER_PI = math.pi / 4.0
@@ -98,7 +100,7 @@ def _oscillatory_tet(twice, p, diag: AsymDiagnostics) -> Tetrahedron:
     flagged ``near_caustic:<key>``; its stored volume and action are
     recorded under ``key``, ``tet_<p>`` or ``tet``.
     """
-    key = "tet" if p is None else f"tet_{p}"
+    key = "tet" if p is None else _index_keys(p)[0]
     try:
         tet = Tetrahedron._from_twice(twice)
     except DegenerateTriangle as exc:
@@ -121,6 +123,14 @@ def _tet_label(p) -> str:
     return "tetrahedron" if p is None else f"tetrahedron p={p}"
 
 
+@cache
+def _index_keys(p: int) -> tuple:
+    """The diagnostics keys of chain index p, made once per p: its
+    tetrahedron's ``tet_<p>``, its angle's ``Theta_k1_<p>`` and, for a small
+    l_p, its triangle angle's ``phi_<p>``."""
+    return f"tet_{p}", f"Theta_k1_{p}", f"phi_{p}"
+
+
 # ----------------------------------------------------------------------
 # 6j asymptotics
 # ----------------------------------------------------------------------
@@ -140,17 +150,15 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
     with phi_ab the angle between the a and b edges of the triangle
     (a, b, c), edge lengths l = j + 1/2.
     """
-    a, b, c, f = HalfInt(a), HalfInt(b), HalfInt(c), HalfInt(f)
-    m, n = HalfInt(m), HalfInt(n)
-    _nonnegative([a.twice, b.twice, c.twice, b.twice + m.twice, a.twice + n.twice, f.twice])
-    for proj in (m, n):
-        if not projection_ok(proj, f):
-            raise InvalidProjection(f"projection {proj} invalid for small spin {f}")
-    ta, tb, tc = a.twice, b.twice, c.twice
+    ta, tb, tc, tf, tm, tn = [HalfInt(x).twice for x in (a, b, c, f, m, n)]
+    _nonnegative([ta, tb, tc, tb + tm, ta + tn, tf])
+    for tp in (tm, tn):
+        if not projection_twice_ok(tp, tf):
+            raise InvalidProjection(f"projection {HalfInt.from_twice(tp)} invalid for small "
+                                    f"spin {HalfInt.from_twice(tf)}")
     phi = _spin_angle(ta, tb, tc)
-    phase = _int_phase(HalfInt.from_twice(ta + tb + tc + f.twice + m.twice),
-                       "edmonds phase a+b+c+f+m")
-    return phase * _small_d(f.twice, m.twice, n.twice, phi) / math.sqrt((ta + 1) * (tb + 1))
+    phase = _twice_phase(ta + tb + tc + tf + tm, "edmonds phase a+b+c+f+m")
+    return phase * _small_d(tf, tm, tn, phi) / math.sqrt((ta + 1) * (tb + 1))
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +180,9 @@ class SmallSpinMarking:
         row, idx = self.small_jk
         if row not in ("j", "k") or not isinstance(idx, int) or idx < 1:
             raise ValueError("small_jk must be ('j'|'k', 1-based index)")
+        # a list such as ["j", 1] is stored as its tuple: hashable, and equal
+        # to the marking written with one
+        object.__setattr__(self, "small_jk", (row, idx))
         object.__setattr__(self, "small_l", frozenset(int(i) for i in self.small_l))
 
     def normalized_shift(self, n: int) -> int:
@@ -221,7 +232,7 @@ def validate_hypotheses(sym: Symbol3nj, mark: SmallSpinMarking):
 
 def _twice_rows(sym: Symbol3nj) -> tuple:
     """The rows j, k, l of ``sym`` as lists of twice spins."""
-    return tuple([x.twice for x in row] for row in (sym.j, sym.k, sym.l))
+    return [x.twice for x in sym.j], [x.twice for x in sym.k], [x.twice for x in sym.l]
 
 
 def _violations(j: list, k: list, l: list, small_l) -> list:
@@ -240,28 +251,34 @@ def _violations(j: list, k: list, l: list, small_l) -> list:
                     f"in 2..n-1",
                 )
             )
-    declared = [j[0] / 2] + [l[m - 1] / 2 for m in small_l if 1 <= m <= n]
-    undeclared = [t / 2 for t in j[1:] + k] + [l[i] / 2 for i in range(n) if (i + 1) not in small_l]
+    declared = [j[0]] + [l[m - 1] for m in small_l if 1 <= m <= n]
+    undeclared = j[1:] + k + [t for m, t in enumerate(l, 1) if m not in small_l]
     return out + _scale_violations(declared, undeclared)
 
 
 def _scale_violations(declared: list, undeclared: list) -> list:
     """Warnings when a declared small spin exceeds DEFAULT_SMALL_RATIO of
     the median undeclared spin, or an undeclared spin is under half the
-    largest declared one."""
-    med = sorted(undeclared)[len(undeclared) // 2] if undeclared else 0.0
+    largest declared one (and of 1/2), from twice spins; the spins in
+    the messages are the floats t / 2."""
+    if not undeclared:
+        return []
+    med = sorted(undeclared)[len(undeclared) // 2]
     if med <= 0:
         return []
+    # (t / 2) / (med / 2) and t / med round the same quotient
     out = [
         Violation("scale_ratio", "warning",
-                  f"declared small spin {v} is {v / med:.2f} of the median "
-                  f"large spin {med}")
-        for v in declared if v / med > DEFAULT_SMALL_RATIO
+                  f"declared small spin {t / 2} is {t / med:.2f} of the median "
+                  f"large spin {med / 2}")
+        for t in declared if t / med > DEFAULT_SMALL_RATIO
     ]
+    # t / 2 < 0.5 * max(declared / 2 + [1/2]), in twice spins
+    limit = max(max(declared), 1)
     out += [
         Violation("undeclared_small", "warning",
-                  f"undeclared spin {v} is comparable to the declared small spins")
-        for v in undeclared if v < 0.5 * max(declared + [0.5])
+                  f"undeclared spin {t / 2} is comparable to the declared small spins")
+        for t in undeclared if 2 * t < limit
     ]
     return out
 
@@ -275,23 +292,21 @@ def oscillatory_tetrahedra(sym: Symbol3nj, mark: SmallSpinMarking) -> dict:
     its edge lengths do not close into one.
     """
     nsym, small_l = normalize_marking(sym, mark)
-    j, k, l = _twice_rows(nsym)
     out = {}
-    for p in _oscillatory_indices(len(j), small_l):
+    for p, twice in _chain_tets(*_twice_rows(nsym), small_l):
         try:
-            out[p] = Tetrahedron._from_twice(_chain_tet(j, k, l, p))
+            out[p] = Tetrahedron._from_twice(twice)
         except DegenerateTriangle:
             out[p] = None
     return out
 
 
-def _oscillatory_indices(n: int, small_l) -> list:
-    return [p for p in range(2, n) if p not in small_l]
-
-
-def _chain_tet(j: list, k: list, l: list, p: int) -> tuple:
-    """Twice spins of the decomposition 6j {j_p k_p k1; k_{p+1} j_{p+1} l_p}."""
-    return (j[p - 1], k[p - 1], k[0], k[p], j[p], l[p - 1])
+def _chain_tets(j: list, k: list, l: list, small_l) -> list:
+    """[(p, twice spins of the decomposition 6j {j_p k_p k1; k_{p+1}
+    j_{p+1} l_p})] for the all-large p = 2..n-1, those not in small_l."""
+    k1 = k[0]
+    return [(p, (j[p - 1], k[p - 1], k1, k[p], j[p], l[p - 1]))
+            for p in range(2, len(j)) if p not in small_l]
 
 
 class _Chain(NamedTuple):
@@ -325,30 +340,29 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
     nsym, small_l = normalize_marking(sym, mark)
     j, k, l = _twice_rows(nsym)
     _nonnegative(j + k + l)
-    if check_hypotheses:
-        violations = _violations(j, k, l, small_l)
+    violations = _violations(j, k, l, small_l) if check_hypotheses else None
+    if violations:
         hard = [v for v in violations if v.severity == "error"]
         if hard:
             raise HypothesisViolation("marking violates applicability conditions", hard)
         diag.warnings.extend(v.message for v in violations if v.severity == "warning")
 
-    mu = j[1] - l[0]
-    nu = k[-1] - l[-1]
-    if not projection_twice_ok(mu, j[0]) or not projection_twice_ok(nu, j[0]):
+    # projections m of spin s need |m| <= s and s - m an integer
+    j1, mu, nu = j[0], j[1] - l[0], k[-1] - l[-1]
+    if abs(mu) > j1 or (j1 - mu) % 2 or abs(nu) > j1 or (j1 - nu) % 2:
         diag.flags.append("invalid_symbol")
         return None
     etas, kappas = {}, {}
     for m in sorted(small_l):
-        etas[m] = j[m] - j[m - 1]
-        kappas[m] = k[m] - k[m - 1]
-        if (not projection_twice_ok(etas[m], l[m - 1])
-                or not projection_twice_ok(kappas[m], l[m - 1])):
+        eta, kappa, lm = j[m] - j[m - 1], k[m] - k[m - 1], l[m - 1]
+        if abs(eta) > lm or (lm - eta) % 2 or abs(kappa) > lm or (lm - kappa) % 2:
             diag.flags.append("invalid_symbol")
             return None
+        etas[m], kappas[m] = eta, kappa
 
     volumes, actions, thetas = {}, {}, {}
-    for p in _oscillatory_indices(len(j), small_l):
-        tet = _oscillatory_tet(_chain_tet(j, k, l, p), p, diag)
+    for p, twice in _chain_tets(j, k, l, small_l):
+        tet = _oscillatory_tet(twice, p, diag)
         # allowed, so every angle is defined; the k1 edge is c
         volumes[p], actions[p], thetas[p] = tet._volume, tet._action, tet._thetas[2]
     return _Chain(j, k, l, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
@@ -378,7 +392,7 @@ def _small_l_factor(chain: _Chain, diag: AsymDiagnostics) -> float:
     factor = 1.0
     for m in sorted(chain.small_l):
         phi_m = _spin_angle(j[m - 1], k[m - 1], k[0])
-        diag.angles[f"phi_{m}"] = phi_m
+        diag.angles[_index_keys(m)[2]] = phi_m
         factor *= _small_d(l[m - 1], chain.kappas[m], chain.etas[m], phi_m) / math.sqrt(
             (j[m - 1] + 1) * (k[m - 1] + 1)
         )
@@ -416,28 +430,34 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: int, endn: int) -> 
 
     tri1, trin = _end_triangles(chain, end1, endn)
     phi1, phin = triangle_angle(*tri1), triangle_angle(*trin)
-    diag.angles["phi1"] = phi1
-    diag.angles["phin"] = phin
+    angles = diag.angles
+    angles["phi1"] = phi1
+    angles["phin"] = phin
     theta_list = [math.pi - chain.thetas[p] for p in p_set]
-    diag.angles.update({f"Theta_k1_{p}": th for p, th in zip(p_set, theta_list)})
+    for p, th in zip(p_set, theta_list):
+        angles[_index_keys(p)[1]] = th
     phases = [chain.actions[p] + QUARTER_PI for p in p_set]
     small_factor = _small_l_factor(chain, diag)
 
-    # each sigma is a valid configuration of p_set, so it is classified
-    # as omega_classify does, without its checks or a SignConfig
-    sigmas = [sigma for sigma in product((1, -1), repeat=len(p_set)) if sigma[:1] != (-1,)]
+    sigmas = _half_configs(len(p_set))
     n = len(chain.j)
     mu_f, nu_f, j1_f = mu / 2.0, nu / 2.0, j1 / 2.0
     n_pi, j1_pi = (n + m_count) * math.pi, math.pi * (n + m_count) * j1_f
+    # every configuration glues the same two end triangles: their apex
+    # trigonometry is taken once, and so are the terms of
+    # law_of_cosines(tri1[1], trin[1], phi_mid), the glued sixth edge
+    c1, s1, cn, sn = math.cos(phi1), math.sin(phi1), math.cos(phin), math.sin(phin)
+    la, lb = tri1[1], trin[1]
+    edge_diff2, edge_prod4 = (la - lb) ** 2, 4.0 * la * lb
+    sign_configs = diag.sign_configs
     config_sum = 0.0
     for sigma in sigmas:
-        omega, case_id, theta_k1, boundary = _classify_omega(
-            n_pi - sum([s * th for s, th in zip(sigma, theta_list)]))
-        theta_l1, phi_mid, theta_ln = euler_from_glued_triangles(phi1, theta_k1, phin)
+        omega, case_id, theta_k1, boundary = _classify_omega(n_pi - sum(map(mul, sigma, theta_list)))
+        theta_l1, phi_mid, theta_ln = _glued_vertex(c1, s1, cn, sn, theta_k1)
         f_val = _residual_phase(case_id, mu_f * theta_l1 + nu_f * theta_ln, j1_f)
-        argument = sum([s * ph for s, ph in zip(sigma, phases)]) + j1_pi + f_val
+        argument = sum(map(mul, sigma, phases)) + j1_pi + f_val
         config_sum += math.cos(argument) * _small_d(j1, mu, nu, phi_mid)
-        diag.sign_configs.append(
+        sign_configs.append(
             {
                 "sigma": sigma,
                 "omega": omega,
@@ -448,7 +468,8 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: int, endn: int) -> 
                 "theta_ln": theta_ln,
                 "f": f_val,
                 "boundary": boundary,
-                "glued_sixth_edge": law_of_cosines(tri1[1], trin[1], phi_mid),
+                "glued_sixth_edge": math.sqrt(
+                    edge_diff2 + edge_prod4 * math.sin(phi_mid / 2.0) ** 2),
             }
         )
 
@@ -456,6 +477,15 @@ def _chain_value(chain: _Chain, diag: AsymDiagnostics, end1: int, endn: int) -> 
     for p in p_set:
         amplitude /= math.sqrt(12.0 * math.pi * chain.volumes[p])
     return _chain_sign(chain) * (amplitude * config_sum)
+
+
+@cache
+def _half_configs(count: int) -> tuple:
+    """The sign configurations of ``count`` oscillatory factors with
+    sigma_1 = +1 (the one empty configuration for none), made once per
+    count.  Each is valid, so :func:`_chain_value` classifies it as
+    omega_classify does, without its checks or a SignConfig."""
+    return tuple(sigma for sigma in product((1, -1), repeat=count) if sigma[:1] != (-1,))
 
 
 def asym_9j_one_small(sym: Symbol9j):
@@ -467,15 +497,15 @@ def asym_9j_one_small(sym: Symbol9j):
     is 0, flagged ``invalid_symbol``.
     """
     diag = AsymDiagnostics()
-    _nonnegative([x.twice for row in sym.grid for x in row])
     if not sym.is_valid():
+        # a valid triad has no negative spin, so only here can one be
+        _nonnegative([x.twice for row in sym.grid for x in row])
         diag.flags.append("invalid_symbol")
         return 0.0, diag
     chain = _chain_prep(sym.as_chain(), _J1_SMALL, diag, check_hypotheses=True)
     value = _chain_value(chain, diag, chain.j[1], chain.k[-1])
     # the chain's three rows hold the nine spins of the 9j
-    r_total = HalfInt.from_twice(sum(chain.j) + sum(chain.k) + sum(chain.l))
-    return _int_phase(r_total, "9j phase R") * value, diag
+    return _twice_phase(sum(chain.j) + sum(chain.k) + sum(chain.l), "9j phase R") * value, diag
 
 
 def _chain_sign(chain: _Chain) -> int:
@@ -485,15 +515,19 @@ def _chain_sign(chain: _Chain) -> int:
     j, k, l, small_l = chain.j, chain.k, chain.l, chain.small_l
     n = len(j)
     twice = (sum(j) + sum(k) + sum(l) + (k[0] + j[0]) * (n + len(small_l) - 1)
-             + chain.mu - j[0] + k[0] + k[1] + l[0] + k[0] + j[n - 1] + l[n - 1]
-             + sum(j[m - 1] + l[m - 1] + k[m] for m in small_l))
-    return _int_phase(HalfInt.from_twice(twice), "chain sign exponent")
+             + chain.mu - j[0] + k[0] + k[1] + l[0] + k[0] + j[n - 1] + l[n - 1])
+    for m in small_l:
+        twice += j[m - 1] + l[m - 1] + k[m]
+    return _twice_phase(twice, "chain sign exponent")
 
 
-def _int_phase(e: HalfInt, context: str) -> int:
-    if e.twice % 2 != 0:
-        raise InternalConsistencyError(f"{context}: exponent {e} is not an integer")
-    return -1 if (e.twice // 2) % 2 else 1
+def _twice_phase(twice: int, context: str) -> int:
+    """(-1)**e for the exponent e = twice / 2; InternalConsistencyError
+    when e is not an integer."""
+    if twice % 2:
+        raise InternalConsistencyError(
+            f"{context}: exponent {HalfInt.from_twice(twice)} is not an integer")
+    return -1 if twice % 4 else 1
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +543,8 @@ def _closed_15j_prep(name: str, sym: Symbol3nj, mark: SmallSpinMarking):
     if sym.n != 5:
         raise ValueError("15j wrappers need n = 5")
     expected = CLOSED_15J_FORMS[name][1]
-    if mark != expected:
+    if (mark.__class__ is not SmallSpinMarking or mark.small_jk != expected.small_jk
+            or mark.small_l != expected.small_l):
         raise ValueError(
             f"{name} expects the small spin at j1 and small l indices "
             f"{sorted(expected.small_l)} (normalize first)"
@@ -558,8 +593,7 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
 
     phi2 = _spin_angle(j[1], k[1], k[0])
     diag.angles["phi2"] = phi2
-    phase = _int_phase(HalfInt.from_twice(k[0] + j[3] + l[3] + k[4] + 2 * j[0] + mu),
-                       "three-small phase")
+    phase = _twice_phase(k[0] + j[3] + l[3] + k[4] + 2 * j[0] + mu, "three-small phase")
     dj2, dk2, dk5 = j[1] + 1, k[1] + 1, k[4] + 1
     value = (
         phase
@@ -608,8 +642,10 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
 
     phi_a = _spin_angle(k[0], j[2], k[2])
     phi_b = _spin_angle(k[0], k[4], j[4])
-    theta_j3_pp, mid_pp, theta_k5_pp = euler_from_glued_triangles(phi_a, theta_pp, phi_b)
-    theta_j3_pm, mid_pm, theta_k5_pm = euler_from_glued_triangles(phi_a, theta_pm, phi_b)
+    # both angles are in [0, pi]; the apex trigonometry is taken once
+    trig = math.cos(phi_a), math.sin(phi_a), math.cos(phi_b), math.sin(phi_b)
+    theta_j3_pp, mid_pp, theta_k5_pp = _glued_vertex(*trig, theta_pp)
+    theta_j3_pm, mid_pm, theta_k5_pm = _glued_vertex(*trig, theta_pm)
     diag.angles.update(
         {"phi_a": phi_a, "phi_b": phi_b, "theta3": theta3, "theta4": theta4,
          "theta_pp": theta_pp, "theta_pm": theta_pm,
@@ -617,10 +653,8 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
     )
 
     phi2 = _spin_angle(j[1], k[1], k[0])
-    phase = _int_phase(
-        HalfInt.from_twice(j[2] + l[2] + j[3] + k[3] + l[3] + k[4] + j[0] + mu + 2 * k[0]),
-        "two-small phase",
-    )
+    phase = _twice_phase(j[2] + l[2] + j[3] + k[3] + l[3] + k[4] + j[0] + mu + 2 * k[0],
+                         "two-small phase")
     wrap = -1.0 if j[0] % 2 else 1.0
     mu_f, nu_f = mu / 2.0, nu / 2.0
     bracket = (

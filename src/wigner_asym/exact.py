@@ -53,15 +53,21 @@ from .sqrtrat import SqrtRational
 #: have windows of 192 steps or more; the fig4 study has none over 30.
 _HORNER, _LEAF = 192, 32
 
+#: :data:`_HORNER` for the 9j, 15j and 3nj chain sums, whose terms are
+#: products of 6j Racah sums, up to thousands of bits each, not 1: on the
+#: bench's 15j (about 105 steps) binary splitting from 32 steps took 0.4
+#: of Horner's time per symbol, and 16, 32 and 64 steps timed the same.
+_CHAIN_HORNER = 32
 
-def _nest(ts, ns, ds):
+
+def _nest(ts, ns, ds, horner):
     """t_0 + n_0/d_0 (t_1 + n_1/d_1 (... + n_{k-1}/d_{k-1} t_k)), k = len(ns),
     as plain ints (num, den), not always in lowest terms: the sum of the
-    terms t_i prod_{j<i} n_j/d_j.  Below _HORNER steps it runs
+    terms t_i prod_{j<i} n_j/d_j.  Below ``horner`` steps it runs
     :func:`_horner` on all k steps, whose integers grow by one factor per
     step; above, :func:`_split` gives the same fraction in smaller
-    integers."""
-    if len(ns) < _HORNER:
+    integers.  Callers pass :data:`_HORNER` or :data:`_CHAIN_HORNER`."""
+    if len(ns) < horner:
         return _horner(ts[:-1], ns, ds, ts[-1])
     p, q, r = _split(0, len(ns), ts, ns, ds)
     return p * ts[-1] + q, r
@@ -156,7 +162,7 @@ def _threej_series(a, b, c, d, e):
     ks = range(kmin, kmax)
     num, den = _nest([1] * (kmax - kmin + 1),
                      [-(a - k) * (b - k) * (c - k) for k in ks],
-                     [(k + 1) * (d + k + 1) * (e + k + 1) for k in ks])
+                     [(k + 1) * (d + k + 1) * (e + k + 1) for k in ks], _HORNER)
     return head, -num if kmin % 2 else num, den
 
 
@@ -218,7 +224,8 @@ def _racah_series(ta, tb, tc, td, te, tf):
     zs = range(zmin, zmax)
     num, den = _nest([1] * (zmax - zmin + 1),
                      [-(z + 2) * (p1 - z) * (p2 - z) * (p3 - z) for z in zs],
-                     [(z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) for z in zs])
+                     [(z + 1 - t1) * (z + 1 - t2) * (z + 1 - t3) * (z + 1 - t4) for z in zs],
+                     _HORNER)
     return head, -num if zmin % 2 else num, den
 
 
@@ -356,7 +363,7 @@ def _chain_value(pre, xs, ts, ns, ds):
     Fraction at the end."""
     if not ts:
         return SqrtRational.zero()
-    return pre * Fraction(*_nest(ts, ns, ds))
+    return pre * Fraction(*_nest(ts, ns, ds, _CHAIN_HORNER))
 
 
 def _chain_sum(sixjs, weight):

@@ -282,17 +282,23 @@ def euler_from_glued_triangles(phi1: float, theta: float, phin: float):
     the shared edge, ``theta`` the internal dihedral between their planes.
     Returns (theta_a, phi_mid, theta_b): the dihedral angles at the two
     apex edges and the angle between them, all in [0, pi] (spherical law
-    of cosines and its duals).
+    of cosines and its duals), by :func:`_glued_vertex`.
     """
     pi = math.pi
     if not (0.0 <= phi1 <= pi and 0.0 <= theta <= pi and 0.0 <= phin <= pi):
         for name, val in (("phi1", phi1), ("theta", theta), ("phin", phin)):
             if not -ACOS_CLAMP_TOL <= val <= pi + ACOS_CLAMP_TOL:
                 raise ValueError(f"{name} = {val!r} out of [0, pi]")
-    s1, sn = math.sin(phi1), math.sin(phin)
+    return _glued_vertex(math.cos(phi1), math.sin(phi1), math.cos(phin), math.sin(phin), theta)
+
+
+def _glued_vertex(c1: float, s1: float, cn: float, sn: float, theta: float):
+    """:func:`euler_from_glued_triangles` from the cosines and sines of the
+    apex angles and the dihedral ``theta``, so that a caller gluing the
+    same two triangles at several dihedrals takes their trigonometry once.
+    """
     if s1 < _SINE_TOL or sn < _SINE_TOL:
         raise DegenerateVertex("apex angle sine underflow (input 0 or pi)")
-    c1, cn = math.cos(phi1), math.cos(phin)
     acos = math.acos
     cos_mid = c1 * cn + s1 * sn * math.cos(theta)
     phi_mid = (acos(cos_mid) if -1.0 <= cos_mid <= 1.0

@@ -27,9 +27,9 @@ from wigner_asym.asymptotics import (
     _chain_prep,
     _chain_sign,
     _end_triangles,
-    _int_phase,
     _oscillatory_tet,
     _small_l_factor,
+    _twice_phase,
 )
 from wigner_asym.errors import (
     CaseAngleOutOfRange,
@@ -311,7 +311,8 @@ def asym_9j_closed(sym: Symbol9j) -> float:
                             for x in (sym.j1, sym.j2, sym.j34, sym.j5, sym.j24))
     theta_1, phi_1_34, theta_34 = euler_from_glued_triangles(
         triangle_angle(l1, l24, l5), dihedral_external(tet, "f"), triangle_angle(l34, l24, l2))
-    phase = _int_phase(halfint_sum([sym.j13, sym.j2, sym.j34, sym.j5, sym.s]), "9j phase")
+    phase = _twice_phase(halfint_sum([sym.j13, sym.j2, sym.j34, sym.j5, sym.s]).twice,
+                         "9j phase")
     argument = action + QUARTER_PI - float(mu) * (math.pi - theta_1) - float(nu) * theta_34
     return (
         phase
@@ -365,8 +366,8 @@ def asym_15j_one_small_closed(sym: Symbol3nj) -> float:
     )
     terms.append(small_d(j[0], mu, nu, mid) * math.cos(arg))
 
-    phase = _int_phase(
-        halfint_sum([j[1], l[1], j[2], k[2], l[2], k[3], j[3], l[3], k[4], -k[0], mu]),
+    phase = _twice_phase(
+        halfint_sum([j[1], l[1], j[2], k[2], l[2], k[3], j[3], l[3], k[4], -k[0], mu]).twice,
         "one-small phase",
     )
     return (

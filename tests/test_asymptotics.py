@@ -40,6 +40,7 @@ from wigner_asym.geometry import (
     Tetrahedron,
     euler_from_glued_triangles,
     f_phase,
+    law_of_cosines,
     omega_classify,
     regge_action,
     volume,
@@ -249,6 +250,9 @@ def test_sigma_flip_pairs_contribute_equally(rng):
     for sc, sigma in zip(diag.sign_configs, sigmas):
         phi_mid, here = contribution(sigma)
         assert phi_mid == sc["phi_l1_ln"]
+        # the record's sixth edge is the law of cosines on l1, l5 and the mid-angle
+        assert sc["glued_sixth_edge"] == law_of_cosines(
+            float(sym.l[0]) + 0.5, float(sym.l[4]) + 0.5, phi_mid)
         flip_mid, flipped = contribution(tuple(-s for s in sigma))
         assert abs(phi_mid - flip_mid) < 1e-12
         assert abs(here - flipped) < 1e-12
@@ -461,6 +465,55 @@ def test_formulas_read_the_stored_tetrahedron(monkeypatch, rng):
         fn(*args)
         want = {"cayley_menger_determinant": tets, "_dihedral_table": tets} if tets else {}
         assert calls == want, fn.__name__
+
+
+class _CountingMath:
+    """The ``math`` module, counting each sin and cos call by argument."""
+
+    def __init__(self, calls: Counter):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sin(self, x):
+        self._calls["sin", x] += 1
+        return math.sin(x)
+
+    def cos(self, x):
+        self._calls["cos", x] += 1
+        return math.cos(x)
+
+
+def test_chain_takes_apex_trig_once(monkeypatch, rng):
+    """A 15j-1 call sums four sign configurations, each gluing the same two
+    end triangles, and takes sin and cos of their apex angles phi1 and phin
+    once each, not once per configuration."""
+    from wigner_asym import asymptotics, geometry
+
+    sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=0)
+    calls = Counter()
+    for mod in (asymptotics, geometry):
+        monkeypatch.setattr(mod, "math", _CountingMath(calls))
+    _, diag = asym_15j_one_small(sym, SmallSpinMarking(("j", 1)))
+    phi1, phin = diag.angles["phi1"], diag.angles["phin"]
+    assert len(diag.sign_configs) == 4 and phi1 != phin
+    assert [calls[f, phi] for f in ("sin", "cos") for phi in (phi1, phin)] == [1, 1, 1, 1]
+
+
+def test_marking_from_a_list_is_its_tuple(rng):
+    """``SmallSpinMarking(["j", 1])`` stores the tuple ("j", 1): it hashes,
+    equals the marking written with the tuple, and every closed 15j form
+    accepts it with the same result."""
+    assert SmallSpinMarking(["j", 1]) == SmallSpinMarking(("j", 1))
+    assert hash(SmallSpinMarking(["k", 2], {3})) == hash(SmallSpinMarking(("k", 2), {3}))
+    assert SmallSpinMarking(["j", 1]).small_jk == ("j", 1)
+    for fn, small_l in ((asym_15j_one_small, ()), (asym_15j_two_small, (2,)),
+                        (asym_15j_three_small, (2, 3)), (asym_15j_four_small, (2, 3, 4))):
+        sym = sample_chain_15j(rng, base=45, t_small=2, nsmall_l=len(small_l))
+        got, diag = fn(sym, SmallSpinMarking(["j", 1], small_l))
+        want, want_diag = fn(sym, SmallSpinMarking(("j", 1), small_l))
+        assert got == want and vars(diag) == vars(want_diag), fn.__name__
 
 
 def test_negative_spin_rejected_at_every_formula_entry(monkeypatch, rng, capsys):

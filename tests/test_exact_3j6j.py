@@ -439,7 +439,7 @@ def test_split_matches_horner_on_long_windows():
         _, _, ts, ns, ds = exact._chain_series(((steps, steps, X, steps, steps, 2),) * 2,
                                                lambda tx: tx + 1)
         assert len(ns) == steps and set(ts) != {1}
-        (num, den), merges = split_merges(lambda: exact._nest(ts, ns, ds))
+        (num, den), merges = split_merges(lambda: exact._nest(ts, ns, ds, exact._HORNER))
         assert Fraction(num, den) == nest_direct(ts, ns, ds)
         assert_cross_cancelled(merges)
         assert (steps < exact._HORNER) == (not merges)

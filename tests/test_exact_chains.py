@@ -113,8 +113,8 @@ def test_chain_series_rejects_x_outside_slot_c():
 
 def test_long_chain_by_binary_splitting():
     """An orthogonality pair with all four spins 300 sums 601 x, more than
-    ``_HORNER`` steps, so its chain goes through ``_split``: it equals the
-    same chain by Horner's rule and the closed form delta_pq / (2p+1)."""
+    ``_CHAIN_HORNER`` steps, so its chain goes through ``_split``: it equals
+    the same chain by Horner's rule and the closed form delta_pq / (2p+1)."""
     split, steps = exact._split, []
 
     def recording(lo, hi, *lists):
@@ -131,7 +131,7 @@ def test_long_chain_by_binary_splitting():
         assert lhs == rhs
         assert (lhs == SqrtRational.of(Fraction(1, 601))) == (q == s)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_HORNER", 601)
+            mp.setattr(exact, "_CHAIN_HORNER", 601)
             mp.setattr(exact, "_split", recording)
             steps.clear()
             assert orthogonality_sides(s, s, s, s, s, q)[0] == lhs

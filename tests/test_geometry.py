@@ -17,11 +17,15 @@ from wigner_asym.errors import (
     NotClassicallyAllowed,
 )
 from wigner_asym.geometry import (
+    _SINE_TOL,
+    ACOS_CLAMP_TOL,
     EDGE_NAMES,
     FACES,
     MIN_EDGE,
     SignConfig,
     Tetrahedron,
+    _clamped_acos,
+    _glued_vertex,
     dihedral_external,
     dihedral_internal,
     edge_length_from_spin,
@@ -470,6 +474,57 @@ def test_euler_from_glued_triangles_degenerate_inputs():
         euler_from_glued_triangles(math.pi / 3, math.pi, 2 * math.pi / 3)
     with pytest.raises(ValueError):
         euler_from_glued_triangles(-0.5, 1.0, 0.5)
+
+
+def _glued_by_angles(phi1, theta, phin):
+    """Reference glued-triangle solver on the angles themselves, taking
+    sin and cos of phi1 and phin inside."""
+    pi = math.pi
+    if not (0.0 <= phi1 <= pi and 0.0 <= theta <= pi and 0.0 <= phin <= pi):
+        for name, val in (("phi1", phi1), ("theta", theta), ("phin", phin)):
+            if not -ACOS_CLAMP_TOL <= val <= pi + ACOS_CLAMP_TOL:
+                raise ValueError(f"{name} = {val!r} out of [0, pi]")
+    s1, sn = math.sin(phi1), math.sin(phin)
+    if s1 < _SINE_TOL or sn < _SINE_TOL:
+        raise DegenerateVertex("apex angle sine underflow (input 0 or pi)")
+    c1, cn = math.cos(phi1), math.cos(phin)
+    cos_mid = c1 * cn + s1 * sn * math.cos(theta)
+    phi_mid = _clamped_acos(cos_mid, DegenerateVertex, "glued mid-angle")
+    s_mid = math.sin(phi_mid)
+    if s_mid < _SINE_TOL:
+        raise DegenerateVertex("mid-angle sine underflow, dihedrals undefined")
+    cos_a = (cn - c1 * cos_mid) / (s1 * s_mid)
+    cos_b = (c1 - cn * cos_mid) / (sn * s_mid)
+    return (_clamped_acos(cos_a, DegenerateVertex, "glued dihedral A"), phi_mid,
+            _clamped_acos(cos_b, DegenerateVertex, "glued dihedral B"))
+
+
+def test_glued_vertex_from_apex_trig_is_the_solver():
+    """On seeded angles in [0, pi], apex angles and dihedral 0 and pi
+    included, ``_glued_vertex`` on the apex cosines and sines and
+    ``euler_from_glued_triangles`` on the angles return the floats of the
+    solver that took sin and cos itself, or raise its error class with its
+    message."""
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (DegenerateVertex, ValueError) as exc:
+            return type(exc), exc.args
+
+    rng = random.Random(29)
+    edges = (0.0, 1e-13, 0.5, math.pi / 2, math.pi - 1e-13, math.pi)
+    cases = [(a, t, b) for a in edges for t in edges for b in edges]
+    cases += [tuple(rng.uniform(0.0, math.pi) for _ in range(3)) for _ in range(2000)]
+    cases += [(a, t, math.pi - a) for a in (0.3, 1.1, 2.0) for t in (0.0, math.pi)]
+    raised = 0
+    for phi1, theta, phin in cases:
+        want = outcome(_glued_by_angles, phi1, theta, phin)
+        raised += isinstance(want[0], type)
+        assert outcome(euler_from_glued_triangles, phi1, theta, phin) == want
+        trig = math.cos(phi1), math.sin(phi1), math.cos(phin), math.sin(phin)
+        assert outcome(_glued_vertex, *trig, theta) == want, (phi1, theta, phin)
+    assert 0 < raised < len(cases)
 
 
 def test_euler_glued_matches_su2_oracle():

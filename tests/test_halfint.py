@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wigner_asym.asymptotics import _int_phase
+from wigner_asym.asymptotics import _twice_phase
 from wigner_asym.errors import InternalConsistencyError
 from wigner_asym.halfint import (
     HalfInt,
@@ -69,10 +69,32 @@ def test_dim_and_strings():
 
 
 def test_phases():
-    assert _int_phase(HalfInt(3), "test") == -1
-    assert _int_phase(HalfInt(4), "test") == 1
+    assert _twice_phase(HalfInt(3).twice, "test") == -1
+    assert _twice_phase(HalfInt(4).twice, "test") == 1
     with pytest.raises(InternalConsistencyError):
-        _int_phase(HalfInt("1/2"), "test")
+        _twice_phase(HalfInt("1/2").twice, "test")
+
+
+def test_twice_phase_matches_the_halfint_phase():
+    """``_twice_phase(t, context)`` gives the sign, or raises the error with
+    the message, that the phase of the HalfInt exponent t / 2 gave."""
+
+    def halfint_phase(e: HalfInt, context: str) -> int:
+        if e.twice % 2 != 0:
+            raise InternalConsistencyError(f"{context}: exponent {e} is not an integer")
+        return -1 if (e.twice // 2) % 2 else 1
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InternalConsistencyError as exc:
+            return type(exc), exc.args
+
+    for t in range(-13, 14):
+        want = outcome(halfint_phase, HalfInt.from_twice(t), "chain sign exponent")
+        assert outcome(_twice_phase, t, "chain sign exponent") == want, t
+    with pytest.raises(InternalConsistencyError, match=r"^9j phase R: exponent -3/2 is not an integer$"):
+        _twice_phase(-3, "9j phase R")
 
 
 def test_triad_examples():
