@@ -40,11 +40,10 @@ from .errors import (
     CaseAngleOutOfRange,
     DegenerateTriangle,
     HypothesisViolation,
-    InternalConsistencyError,
     InvalidProjection,
     NotClassicallyAllowed,
 )
-from .exact import Symbol3nj, Symbol9j
+from .exact import Symbol3nj, Symbol9j, _twice_rows
 from .geometry import (
     Tetrahedron,
     _classify_omega,
@@ -53,7 +52,7 @@ from .geometry import (
     euler_from_glued_triangles,
     triangle_angle,
 )
-from .halfint import HalfInt, projection_twice_ok
+from .halfint import HalfInt, _twice_phase, projection_twice_ok
 from .wigner_d import _small_d
 
 QUARTER_PI = math.pi / 4.0
@@ -156,9 +155,16 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
         if not projection_twice_ok(tp, tf):
             raise InvalidProjection(f"projection {HalfInt.from_twice(tp)} invalid for small "
                                     f"spin {HalfInt.from_twice(tf)}")
+    factor = _small_spin_6j(ta, tb, tc, tf, tm, tn)[1]
+    return _twice_phase(ta + tb + tc + tf + tm, "edmonds phase a+b+c+f+m") * factor
+
+
+def _small_spin_6j(ta: int, tb: int, tc: int, tf: int, tm: int, tn: int) -> tuple:
+    """(phi, d^(f)_{mn}(phi) / sqrt(d_a d_b)) for the 6j {a b c; b+m a+n f}
+    with f small, from twice spins: Edmonds' form without its phase, phi
+    the angle between the a and b edges of the triangle (a, b, c)."""
     phi = _spin_angle(ta, tb, tc)
-    phase = _twice_phase(ta + tb + tc + tf + tm, "edmonds phase a+b+c+f+m")
-    return phase * _small_d(tf, tm, tn, phi) / math.sqrt((ta + 1) * (tb + 1))
+    return phi, _small_d(tf, tm, tn, phi) / math.sqrt((ta + 1) * (tb + 1))
 
 
 # ----------------------------------------------------------------------
@@ -177,13 +183,17 @@ class SmallSpinMarking:
     small_l: frozenset = frozenset()
 
     def __post_init__(self):
+        # an index is a plain int: a bool, a float or a str is not cast
         row, idx = self.small_jk
-        if row not in ("j", "k") or not isinstance(idx, int) or idx < 1:
+        if row not in ("j", "k") or type(idx) is not int or idx < 1:
             raise ValueError("small_jk must be ('j'|'k', 1-based index)")
+        small_l = frozenset(self.small_l)
+        if any(type(i) is not int for i in small_l):
+            raise ValueError("small_l must be a set of int indices")
         # a list such as ["j", 1] is stored as its tuple: hashable, and equal
         # to the marking written with one
         object.__setattr__(self, "small_jk", (row, idx))
-        object.__setattr__(self, "small_l", frozenset(int(i) for i in self.small_l))
+        object.__setattr__(self, "small_l", small_l)
 
     def normalized_shift(self, n: int) -> int:
         row, idx = self.small_jk
@@ -228,11 +238,6 @@ def validate_hypotheses(sym: Symbol3nj, mark: SmallSpinMarking):
     """
     nsym, small_l = normalize_marking(sym, mark)
     return _violations(*_twice_rows(nsym), small_l)
-
-
-def _twice_rows(sym: Symbol3nj) -> tuple:
-    """The rows j, k, l of ``sym`` as lists of twice spins."""
-    return [x.twice for x in sym.j], [x.twice for x in sym.k], [x.twice for x in sym.l]
 
 
 def _violations(j: list, k: list, l: list, small_l) -> list:
@@ -386,16 +391,15 @@ def _spin_angle(ta: int, tb: int, tc: int) -> float:
 
 def _small_l_factor(chain: _Chain, diag: AsymDiagnostics) -> float:
     """Product over the small l_m of d^(l_m)_{kappa_m eta_m}(phi_m) /
-    sqrt(d_{j_m} d_{k_m}), phi_m the angle between the j_m and k_m edges of
-    the triangle (j_m, k_m, k1)."""
+    sqrt(d_{j_m} d_{k_m}), the :func:`_small_spin_6j` factor of the 6j
+    {j_m k_m k1; k_{m+1} j_{m+1} l_m}; phi_m is recorded."""
     j, k, l = chain.j, chain.k, chain.l
     factor = 1.0
     for m in sorted(chain.small_l):
-        phi_m = _spin_angle(j[m - 1], k[m - 1], k[0])
+        phi_m, f = _small_spin_6j(j[m - 1], k[m - 1], k[0], l[m - 1],
+                                  chain.kappas[m], chain.etas[m])
         diag.angles[_index_keys(m)[2]] = phi_m
-        factor *= _small_d(l[m - 1], chain.kappas[m], chain.etas[m], phi_m) / math.sqrt(
-            (j[m - 1] + 1) * (k[m - 1] + 1)
-        )
+        factor *= f
     return factor
 
 
@@ -519,15 +523,6 @@ def _chain_sign(chain: _Chain) -> int:
     for m in small_l:
         twice += j[m - 1] + l[m - 1] + k[m]
     return _twice_phase(twice, "chain sign exponent")
-
-
-def _twice_phase(twice: int, context: str) -> int:
-    """(-1)**e for the exponent e = twice / 2; InternalConsistencyError
-    when e is not an integer."""
-    if twice % 2:
-        raise InternalConsistencyError(
-            f"{context}: exponent {HalfInt.from_twice(twice)} is not an integer")
-    return -1 if twice % 4 else 1
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ single-sum formulas: every t_i is 1 and n_i / d_i is the ratio of
 consecutive terms; the first term, a factorial quotient, enters the
 square-root prefactor squared, so the ledger assembles both prime-wise in
 one call.  Every sum of products of 6j over an intermediate spin x goes
-through :func:`_chain_series`: 9j, 15j and first-kind 3nj symbols, and the
-pentagon and orthogonality left sides.  Each caller writes every 6j of its
+through :func:`_chain_series`: 9j, 15j and first-kind 3nj symbols (the 9j
+as its n = 3 chain, all by :func:`_first_kind_series`), and the pentagon
+and orthogonality left sides.  Each caller writes every 6j of its
 chain as {a b x; d e f}, x in slot c: the product of four triangle
 coefficients and an integer Racah sum R(x).  A triad with x occurs in
 exactly two 6j of a term, so its triangle coefficient enters squared and
@@ -33,9 +34,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, prod
+from operator import attrgetter, itemgetter
 
 from .errors import InternalConsistencyError
-from .halfint import HalfInt, halfint_sum, projection_ok, triad_allowed, triad_ok
+from .halfint import HalfInt, _twice_phase, halfint_sum, projection_ok, triad_allowed, triad_ok
 from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
@@ -372,17 +374,49 @@ def _chain_sum(sixjs, weight):
     return _chain_value(*_chain_series(sixjs, weight))
 
 
+def _first_kind_series(j, k, l, twice_e):
+    """:func:`_chain_series` of the first-kind chain
+    sum_x d_x (-1)^(e + (n-1) x) prod_p {j_p k_p x; k_{p+1} j_{p+1} l_p},
+    e = twice_e / 2, from its twice rows j, k, l (lists or tuples of length
+    n), the chain closed by k_{n+1} = j_1 and j_{n+1} = k_1: e = R gives
+    the 3nj symbol."""
+    n = len(j)
+    # the 2n-cycle (j_1..j_n, k_1..k_n): j_p is followed by ring[p + 1] and
+    # k_p by ring[n + p + 1], both read cyclically
+    ring = j + k
+    sixjs = [(ring[p], ring[n + p], X, ring[(n + p + 1) % (2 * n)], ring[p + 1], l[p])
+             for p in range(n)]
+    return _chain_series(
+        sixjs, lambda tx: _twice_phase(twice_e + (n - 1) * tx, "chain sum phase") * (tx + 1))
+
+
 # ----------------------------------------------------------------------
 # 9j
 # ----------------------------------------------------------------------
 
 _GRID_SLOTS = ("j1", "j2", "j12", "s", "j4", "j34", "j13", "j24", "j5")
+_GRID_VALUES = attrgetter(*_GRID_SLOTS)
 
 #: The four 6j decompositions whose summation variable is Clebsch-Gordan
 #: coupled to the (2,1) entry.  Keys name the grid entry the summation
 #: variable pairs with; "j34" is kept as an alias of "j5" for compatibility
 #: with the conventional naming of the fourth choice.
 PIVOTS = ("j24", "j2", "j12", "j5")
+
+#: Per pivot, the grid's (row order, column order) that moves its summation
+#: variable to the place of j24's, and whether the 9j then carries (-1)^R:
+#: exchanging two rows or two columns is a 9j symmetry up to that sign.
+_PIVOT_GRIDS = {
+    "j24": ((0, 1, 2), (0, 1, 2), False),
+    "j2": ((2, 1, 0), (0, 1, 2), True),
+    "j12": ((2, 1, 0), (0, 2, 1), False),
+    "j5": ((0, 1, 2), (0, 2, 1), True),
+}
+
+#: The rows j, k, l of a 9j's n = 3 chain, each read from the grid's nine
+#: entries in row-major order: j = (s, j1, j2), k = (j24, j5, j34),
+#: l = (j13, j12, j4).
+_CHAIN_OF_GRID = (itemgetter(3, 0, 1), itemgetter(7, 8, 5), itemgetter(6, 2, 4))
 
 
 @dataclass(frozen=True)
@@ -430,19 +464,19 @@ class Symbol9j:
 
     @cached_property
     def _valid(self) -> bool:
-        t = [getattr(self, slot).twice for slot in _GRID_SLOTS]
+        t = [x.twice for x in _GRID_VALUES(self)]
         return (all(triad_ok(*t[i:i + 3]) for i in (0, 3, 6))
                 and all(triad_ok(*t[i::3]) for i in (0, 1, 2)))
 
     def r_total(self) -> HalfInt:
-        return halfint_sum([getattr(self, s) for s in _GRID_SLOTS])
+        return halfint_sum(_GRID_VALUES(self))
 
     def as_chain(self) -> "Symbol3nj":
         """The n = 3 first-kind 3nj symbol with the same six triads, whose
         value times (-1)^R is this 9j: rows j = (s, j1, j2),
         k = (j24, j5, j34), l = (j13, j12, j4), this symbol's HalfInts."""
-        return Symbol3nj._of_rows((self.s, self.j1, self.j2), (self.j24, self.j5, self.j34),
-                                  (self.j13, self.j12, self.j4))
+        flat = _GRID_VALUES(self)
+        return Symbol3nj._of_rows(*[row(flat) for row in _CHAIN_OF_GRID])
 
 
 @dataclass
@@ -471,9 +505,11 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
 
     The summation variable of every available decomposition satisfies
     Clebsch-Gordan conditions with the small-slot entry s; ``pivot`` selects
-    which entry it pairs with.  The value is a closed :class:`SqrtRational`
-    and is identical for every pivot; ``terms`` lists each signed chain
-    term (phase and 2x+1 included) by summation spin x.
+    which entry it pairs with.  The pivot permutes the grid, and the sum
+    is (-1)^R, times the pivot's sign, times the n = 3 chain of the
+    permuted grid (:meth:`Symbol9j.as_chain`).  The value is a closed
+    :class:`SqrtRational` and is identical for every pivot; ``terms`` lists
+    each signed chain term (phase and 2x+1 included) by summation spin x.
     """
     canonical = "j5" if pivot == "j34" else pivot
     if canonical not in PIVOTS:
@@ -481,32 +517,12 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
     if not sym.is_valid():
         return Wigner9jResult(SqrtRational.zero(), pivot)
 
+    rows, cols, signed = _PIVOT_GRIDS[canonical]
     g = sym.grid
-    t_r = sym.r_total()
-    if t_r.twice % 2 != 0:
-        raise InternalConsistencyError("9j with valid triads must have integer spin sum")
-    odd_r = (t_r.twice // 2) % 2 == 1
-
-    phase = 1
-    if canonical == "j2":
-        g = (g[2], g[1], g[0])
-        phase = -1 if odd_r else 1
-    elif canonical == "j12":
-        g = tuple((row[0], row[2], row[1]) for row in g)
-        g = (g[2], g[1], g[0])
-    elif canonical == "j5":
-        g = tuple((row[0], row[2], row[1]) for row in g)
-        phase = -1 if odd_r else 1
-
-    t = [[v.twice for v in row] for row in g]
-    # sum_x (-1)^(2x) d_x {g11 g12 g13; g23 g33 x}{g21 g22 g23; g12 x g32}
-    # {g31 g32 g33; x g11 g21}, times the pivot's phase; each 6j is written
-    # with x in slot c by the 6j symmetries (permuting columns, and
-    # exchanging upper and lower spins in two columns)
-    sixjs = ((t[0][0], t[2][2], X, t[1][2], t[0][1], t[0][2]),
-             (t[1][0], t[2][1], X, t[0][1], t[1][2], t[1][1]),
-             (t[2][1], t[1][0], X, t[0][0], t[2][2], t[2][0]))
-    series = _chain_series(sixjs, lambda tx: (-phase if tx % 2 else phase) * (tx + 1))
+    flat = [g[r][c].twice for r in rows for c in cols]
+    j, k, l = [row(flat) for row in _CHAIN_OF_GRID]
+    # (-1)^R times the chain's own (-1)^R leaves the pivot's sign: e = R or 0
+    series = _first_kind_series(j, k, l, sum(j + k + l) if signed else 0)
     return Wigner9jResult(_chain_value(*series), pivot, series)
 
 
@@ -594,6 +610,11 @@ class Symbol3nj:
                                   self.l[::-1])
 
 
+def _twice_rows(sym: Symbol3nj) -> tuple:
+    """The rows j, k, l of ``sym`` as lists of twice spins."""
+    return [x.twice for x in sym.j], [x.twice for x in sym.k], [x.twice for x in sym.l]
+
+
 def wigner15j(j_row, k_row, l_row) -> SqrtRational:
     """Exact first-kind 15j symbol: :func:`wigner3nj` with n = 5."""
     sym = Symbol3nj(tuple(j_row), tuple(k_row), tuple(l_row))
@@ -607,18 +628,5 @@ def wigner3nj(sym: Symbol3nj) -> SqrtRational:
     the cyclic 6j chain
     sum_x d_x (-1)^(R_n + (n-1) x) prod_p {j_p k_p x; k_{p+1} j_{p+1} l_p},
     whose triads without x are the symbol's own: exact 0 unless all hold."""
-    n = sym.n
-    j, k, l = ([v.twice for v in row] for row in (sym.j, sym.k, sym.l))
-    t_r = sym.r_total().twice
-
-    def weight(tx):
-        twice_exp = t_r + (n - 1) * tx
-        if twice_exp % 2 != 0:
-            raise InternalConsistencyError(
-                "phase exponent R_n + (n-1)x must be an integer for valid symbols"
-            )
-        return (-1 if (twice_exp // 2) % 2 else 1) * (tx + 1)
-
-    sixjs = [(j[p], k[p], X, k[p + 1], j[p + 1], l[p]) for p in range(n - 1)]
-    sixjs.append((j[n - 1], k[n - 1], X, j[0], k[0], l[n - 1]))
-    return _chain_sum(sixjs, weight)
+    j, k, l = _twice_rows(sym)
+    return _chain_value(*_first_kind_series(j, k, l, sum(j + k + l)))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InternalConsistencyError
+
 
 class HalfInt:
     """An element of Z/2: a spin magnitude or a projection.
@@ -144,6 +146,15 @@ def halfint_sum(values) -> HalfInt:
     for v in values:
         t += _twice_of(v)
     return HalfInt.from_twice(t)
+
+
+def _twice_phase(twice: int, context: str) -> int:
+    """(-1)**e for the exponent e = twice / 2; InternalConsistencyError
+    when e is not an integer."""
+    if twice % 2:
+        raise InternalConsistencyError(
+            f"{context}: exponent {HalfInt.from_twice(twice)} is not an integer")
+    return -1 if twice % 4 else 1
 
 
 def triad_ok(ta: int, tb: int, tc: int) -> bool:

@@ -204,10 +204,7 @@ class SweepConfig:
         elif "marking" in doc:
             try:
                 m = doc["marking"]
-                marking = SmallSpinMarking(
-                    (m["small_jk"][0], int(m["small_jk"][1])),
-                    frozenset(int(i) for i in m.get("small_l", ())),
-                )
+                marking = SmallSpinMarking(m["small_jk"], m.get("small_l", ()))
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 problems["marking"] = f"invalid marking: {exc}"
         if kind in CHAIN_KINDS and "marking" not in problems:
@@ -222,11 +219,8 @@ class SweepConfig:
                 problems["marking"] = "3nj asymptotics need a small-spin marking"
             elif marking is not None and isinstance(n, int) and marking.small_jk[1] > n:
                 problems["marking"] = f"small_jk index {marking.small_jk[1]} exceeds n = {n}"
-        try:
-            trim = float(doc.get("trim_fraction", 0.1))
-        except (TypeError, ValueError):
-            trim = math.nan
-        if not 0.0 <= trim <= 0.5:
+        trim = doc.get("trim_fraction", 0.1)
+        if type(trim) not in (int, float) or not 0.0 <= trim <= 0.5:
             problems["trim_fraction"] = "must be a number in [0, 0.5]"
         out = doc.get("out")
         if out is not None and not isinstance(out, str):
@@ -246,7 +240,7 @@ class SweepConfig:
             formulas=tuple(formulas),
             n=n,
             marking=marking,
-            trim_fraction=trim,
+            trim_fraction=float(trim),
             out=out,
         )
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import X, Symbol9j, _chain_sum, wigner6j
-from .halfint import HalfInt, halfint_sum, triad_allowed
+from .halfint import HalfInt, _twice_phase, halfint_sum, triad_ok
 from .sqrtrat import SqrtRational
 
 
-def _window(x: HalfInt, y: HalfInt):
-    return abs(x.twice - y.twice), x.twice + y.twice
+def _window(tx: int, ty: int):
+    """The twice values (lo, hi) that couple with twice spins tx and ty."""
+    return abs(tx - ty), tx + ty
 
 
 def _sample_coupled(rng, w1, w2):
@@ -37,19 +38,16 @@ def _sample_coupled(rng, w1, w2):
 def random_pentagon_instance(rng, tmax: int = 20):
     """Spins (a..f, p, q, r) with every triad of the pentagon identity valid."""
     for _ in range(1000):
-        a, b, c, d, e, f = (HalfInt.from_twice(rng.randrange(0, tmax + 1)) for _ in range(6))
+        ta, tb, tc, td, te, tf = (rng.randrange(0, tmax + 1) for _ in range(6))
         # x couples (a,b), (c,d), (e,f): the three windows must share parity
-        if not ((a.twice + b.twice) % 2 == (c.twice + d.twice) % 2 == (e.twice + f.twice) % 2):
+        if not (ta + tb) % 2 == (tc + td) % 2 == (te + tf) % 2:
             continue
-        tp = _sample_coupled(rng, _window(a, d), _window(c, b))
-        tq = _sample_coupled(rng, _window(c, f), _window(e, d))
-        tr = _sample_coupled(rng, _window(e, a), _window(b, f))
-        if tp is None or tq is None or tr is None:
+        tp = _sample_coupled(rng, _window(ta, td), _window(tc, tb))
+        tq = _sample_coupled(rng, _window(tc, tf), _window(te, td))
+        tr = _sample_coupled(rng, _window(te, ta), _window(tb, tf))
+        if tp is None or tq is None or tr is None or not triad_ok(tp, tq, tr):
             continue
-        p, q, r = HalfInt.from_twice(tp), HalfInt.from_twice(tq), HalfInt.from_twice(tr)
-        if not triad_allowed(p, q, r):
-            continue
-        return a, b, c, d, e, f, p, q, r
+        return tuple(map(HalfInt.from_twice, (ta, tb, tc, td, te, tf, tp, tq, tr)))
     return None
 
 
@@ -61,15 +59,10 @@ def pentagon_sides(spins):
     through two standalone 6j, so the identity cross-checks both paths."""
     a, b, c, d, e, f, p, q, r = spins
     t_r = halfint_sum(spins).twice
-
-    def weight(tx):
-        if (t_r + tx) % 2:
-            raise ValueError("pentagon phase exponent R + x must be an integer")
-        return (-1 if ((t_r + tx) // 2) % 2 else 1) * (tx + 1)
-
     ta, tb, tc, td, te, tf, tp, tq, tr = (v.twice for v in spins)
     lhs = _chain_sum(((ta, tb, X, tc, td, tp), (tc, td, X, te, tf, tq),
-                      (te, tf, X, tb, ta, tr)), weight)
+                      (te, tf, X, tb, ta, tr)),
+                     lambda tx: _twice_phase(t_r + tx, "pentagon phase R + x") * (tx + 1))
     rhs = wigner6j(p, q, r, e, a, d) * wigner6j(p, q, r, f, b, c)
     return lhs, rhs
 
@@ -77,14 +70,14 @@ def pentagon_sides(spins):
 def random_orthogonality_instance(rng, tmax: int = 16):
     """(a, b, c, d, p, q) with valid couplings for the 6j orthogonality sum."""
     for _ in range(1000):
-        a, b, c, d = (HalfInt.from_twice(rng.randrange(0, tmax + 1)) for _ in range(4))
-        if (a.twice + b.twice) % 2 != (c.twice + d.twice) % 2:
+        ta, tb, tc, td = (rng.randrange(0, tmax + 1) for _ in range(4))
+        if (ta + tb) % 2 != (tc + td) % 2:
             continue
-        tp = _sample_coupled(rng, _window(a, d), _window(c, b))
-        tq = _sample_coupled(rng, _window(a, d), _window(c, b))
+        tp = _sample_coupled(rng, _window(ta, td), _window(tc, tb))
+        tq = _sample_coupled(rng, _window(ta, td), _window(tc, tb))
         if tp is None or tq is None:
             continue
-        return a, b, c, d, HalfInt.from_twice(tp), HalfInt.from_twice(tq)
+        return tuple(map(HalfInt.from_twice, (ta, tb, tc, td, tp, tq)))
     return None
 
 
@@ -116,19 +109,16 @@ def random_valid_9j(rng, tmax: int = 24) -> Symbol9j:
     """A 9j grid with all six triads valid (rejection sampling)."""
     while True:
         ta, tb = rng.randrange(0, tmax + 1), rng.randrange(0, tmax + 1)
-        tc = _sample_coupled(rng, _window(HalfInt.from_twice(ta), HalfInt.from_twice(tb)),
-                             (0, 2 * tmax))
+        tc = _sample_coupled(rng, _window(ta, tb), (0, 2 * tmax))
         td, te = rng.randrange(0, tmax + 1), rng.randrange(0, tmax + 1)
-        tf = _sample_coupled(rng, _window(HalfInt.from_twice(td), HalfInt.from_twice(te)),
-                             (0, 2 * tmax))
+        tf = _sample_coupled(rng, _window(td, te), (0, 2 * tmax))
         if tc is None or tf is None:
             continue
-        h = HalfInt.from_twice
-        tg = _sample_coupled(rng, _window(h(ta), h(td)), (0, 4 * tmax))
-        th_ = _sample_coupled(rng, _window(h(tb), h(te)), (0, 4 * tmax))
+        tg = _sample_coupled(rng, _window(ta, td), (0, 4 * tmax))
+        th_ = _sample_coupled(rng, _window(tb, te), (0, 4 * tmax))
         if tg is None or th_ is None:
             continue
-        ti = _sample_coupled(rng, _window(h(tc), h(tf)), _window(h(tg), h(th_)))
+        ti = _sample_coupled(rng, _window(tc, tf), _window(tg, th_))
         if ti is None:
             continue
         sym = Symbol9j.from_twice(ta, tb, tc, td, te, tf, tg, th_, ti)

@@ -29,7 +29,6 @@ from wigner_asym.asymptotics import (
     _end_triangles,
     _oscillatory_tet,
     _small_l_factor,
-    _twice_phase,
 )
 from wigner_asym.errors import (
     CaseAngleOutOfRange,
@@ -50,7 +49,7 @@ from wigner_asym.geometry import (
     triangle_angle,
     volume,
 )
-from wigner_asym.halfint import HalfInt, halfint_sum
+from wigner_asym.halfint import HalfInt, _twice_phase, halfint_sum
 from wigner_asym.identities import _sample_coupled, _window
 from wigner_asym.primefac import FactorialLedger as _Ledger, _product, _unpack
 from wigner_asym.wigner_d import _check_projections, small_d
@@ -435,7 +434,7 @@ def random_valid_chain(rng, n: int, tmax: int = 20) -> Symbol3nj:
         ok = True
         for _ in range(n - 1):
             tli = rng.randrange(0, tmax + 1)
-            tnext = _sample_coupled(rng, _window(h(tj[-1]), h(tli)), (0, 2 * tmax))
+            tnext = _sample_coupled(rng, _window(tj[-1], tli), (0, 2 * tmax))
             if tnext is None:
                 ok = False
                 break
@@ -445,13 +444,13 @@ def random_valid_chain(rng, n: int, tmax: int = 20) -> Symbol3nj:
             continue
         # close the j-chain into k1 via l_n, then build the k-chain back
         tln = rng.randrange(0, tmax + 1)
-        tk1 = _sample_coupled(rng, _window(h(tj[-1]), h(tln)), (0, 2 * tmax))
+        tk1 = _sample_coupled(rng, _window(tj[-1], tln), (0, 2 * tmax))
         if tk1 is None:
             continue
         tl.append(tln)
         tk = [tk1]
         for i in range(n - 1):
-            tki = _sample_coupled(rng, _window(h(tk[-1]), h(tl[i])), (0, 2 * tmax))
+            tki = _sample_coupled(rng, _window(tk[-1], tl[i]), (0, 2 * tmax))
             if tki is None:
                 ok = False
                 break

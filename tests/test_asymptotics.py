@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from wigner_asym.asymptotics import (
+    AsymDiagnostics,
     SmallSpinMarking,
     Violation,
     asym_3nj,
@@ -28,6 +29,8 @@ from wigner_asym.asymptotics import (
     oscillatory_tetrahedra,
     pr_6j,
     validate_hypotheses,
+    _chain_prep,
+    _small_l_factor,
 )
 from wigner_asym.errors import (
     CaseAngleOutOfRange,
@@ -43,6 +46,7 @@ from wigner_asym.geometry import (
     law_of_cosines,
     omega_classify,
     regge_action,
+    triangle_angle,
     volume,
 )
 from wigner_asym.halfint import HalfInt
@@ -514,6 +518,39 @@ def test_marking_from_a_list_is_its_tuple(rng):
         got, diag = fn(sym, SmallSpinMarking(["j", 1], small_l))
         want, want_diag = fn(sym, SmallSpinMarking(("j", 1), small_l))
         assert got == want and vars(diag) == vars(want_diag), fn.__name__
+
+
+@pytest.mark.parametrize("small_jk, small_l", [
+    (("j", 1), {2.7}), (("j", 1), {"3"}), (("j", 1), {True}), (("j", True), ()),
+])
+def test_marking_rejects_an_index_that_is_not_an_int(small_jk, small_l):
+    """A marking index is a plain int: a float, a str or a bool is refused,
+    not cast (2.7 used to be stored as 2, "3" as 3 and True kept as given)."""
+    with pytest.raises(ValueError):
+        SmallSpinMarking(small_jk, small_l)
+
+
+def test_small_l_factor_is_edmonds_6j_of_its_decomposition(rng):
+    """asym_3nj's factor for each small l_m is Edmonds' form of its
+    decomposition 6j {j_m k_m k1; k_{m+1} j_{m+1} l_m} without the phase:
+    bit for bit |edmonds_6j|, the product over m included; and asym_3nj
+    records phi_m, the angle between the j_m and k_m edges of the triangle
+    (j_m, k_m, k1).  j1 is an integer, so that k1 can stand in the x slot."""
+    for nsmall in (1, 2, 3):
+        for trial in range(4):
+            sym = sample_chain_15j(rng, base=40 + 2 * trial, t_small=rng.choice([2, 4]),
+                                   nsmall_l=nsmall)
+            mark = SmallSpinMarking(("j", 1), range(2, 2 + nsmall))
+            _, diag = asym_3nj(sym, mark)
+            j, k, l = sym.j, sym.k, sym.l
+            want = 1.0
+            for m in sorted(mark.small_l):
+                want *= edmonds_6j(j[m - 1], k[m - 1], k[0], k[m] - k[m - 1], j[m] - j[m - 1],
+                                   l[m - 1])
+                lengths = (float(j[m - 1]) + 0.5, float(k[m - 1]) + 0.5, float(k[0]) + 0.5)
+                assert diag.angles[f"phi_{m}"] == triangle_angle(*lengths), (nsmall, trial, m)
+            chain = _chain_prep(sym, mark, AsymDiagnostics())
+            assert abs(_small_l_factor(chain, AsymDiagnostics())) == abs(want), (nsmall, trial)
 
 
 def test_negative_spin_rejected_at_every_formula_entry(monkeypatch, rng, capsys):

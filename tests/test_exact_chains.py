@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +32,7 @@ from wigner_asym.identities import (
     orthogonality_sides,
     pentagon_mismatches,
     random_orthogonality_instance,
+    random_pentagon_instance,
     random_valid_9j,
 )
 
@@ -179,10 +181,12 @@ def _oracle_9j_terms(sym, pivot):
     return terms
 
 
-def _oracle_3nj(sym):
+def _oracle_3nj_terms(sym):
+    """[(x, signed chain term)] of the first-kind chain of sym, each term a
+    product of standalone 6j."""
     n, j, k, l = sym.n, sym.j, sym.k, sym.l
     if len({(a.twice + b.twice) % 2 for a, b in zip(j, k)}) != 1:
-        return SqrtRational.zero()
+        return []
     lo = max(abs(a.twice - b.twice) for a, b in zip(j, k))
     hi = min(a.twice + b.twice for a, b in zip(j, k))
     terms = []
@@ -193,8 +197,12 @@ def _oracle_3nj(sym):
         prod = SqrtRational.of(sign * (tx + 1))
         for p in range(n - 1):
             prod = prod * wigner6j(j[p], k[p], x, k[p + 1], j[p + 1], l[p])
-        terms.append(prod * wigner6j(j[n - 1], k[n - 1], x, j[0], k[0], l[n - 1]))
-    return _oracle_sum(terms)
+        terms.append((x, prod * wigner6j(j[n - 1], k[n - 1], x, j[0], k[0], l[n - 1])))
+    return terms
+
+
+def _oracle_3nj(sym):
+    return _oracle_sum(t for _, t in _oracle_3nj_terms(sym))
 
 
 def test_9j_engine_matches_6j_product_oracle():
@@ -219,19 +227,40 @@ def test_9j_engine_matches_6j_product_oracle():
     assert zeros > 0 and half > 0, (zeros, half)
 
 
+#: Per pivot, the 9j symmetry image (slots in grid order) whose j24 chain
+#: is the pivot's, and whether the image carries (-1)^R (an odd number of
+#: row and column exchanges).
+_PIVOT_IMAGES = {
+    "j24": (("j1", "j2", "j12", "s", "j4", "j34", "j13", "j24", "j5"), False),
+    "j2": (("j13", "j24", "j5", "s", "j4", "j34", "j1", "j2", "j12"), True),
+    "j12": (("j13", "j5", "j24", "s", "j34", "j4", "j1", "j12", "j2"), False),
+    "j5": (("j1", "j12", "j2", "s", "j34", "j4", "j13", "j5", "j24"), True),
+    "j34": (("j1", "j12", "j2", "s", "j34", "j4", "j13", "j5", "j24"), True),
+}
+
+
 def test_9j_equals_signed_3nj_of_its_chain():
-    """wigner9j(sym) == (-1)^R wigner3nj(sym.as_chain()) exactly, on 40
-    seeded 9j with half-integer spins and exact zeros among them (one drawn,
-    plus the {60 ... 59} zero)."""
+    """At every pivot (and the j34 alias), wigner9j(sym) == (-1)^R
+    wigner3nj(sym.as_chain()) exactly, and its terms are those of the 6j
+    product oracle of the 3nj chain of the pivot's symmetry image, times
+    (-1)^R unless the image carries that sign: on 40 seeded 9j with
+    half-integer spins and exact zeros among them (one drawn, plus the
+    {60 ... 59} zero)."""
     rng = random.Random(73)
     zeros = half = 0
     syms = [random_valid_9j(rng, tmax=13) for _ in range(40)]
     syms.append(Symbol9j.from_values(60, 60, 60, 60, 60, 60, 60, 60, 59))
     for sym in syms:
-        value = wigner9j(sym).value
+        odd_r = sym.r_total().twice // 2 % 2
         chain = wigner3nj(sym.as_chain())
-        assert value == (-chain if sym.r_total().twice // 2 % 2 else chain), sym
-        zeros += value.is_zero
+        for p, (slots, signed) in _PIVOT_IMAGES.items():
+            res = wigner9j(sym, pivot=p)
+            assert res.value == (-chain if odd_r else chain), (sym, p)
+            image = Symbol9j(*(getattr(sym, slot) for slot in slots))
+            sign = -1 if odd_r and not signed else 1
+            assert res.terms == [(x, t * sign) for x, t in _oracle_3nj_terms(image.as_chain())], (
+                sym, p)
+        zeros += res.value.is_zero
         half += any(v.twice % 2 for v in sym.grid[0] + sym.grid[1] + sym.grid[2])
     assert zeros > 1 and half > 0, (zeros, half)
 
@@ -708,3 +737,22 @@ def test_pentagon_and_orthogonality_small():
             continue
         lhs, rhs = orthogonality_sides(*inst)
         assert lhs == rhs, inst
+
+
+@pytest.mark.parametrize("sampler, digest", [
+    (random_pentagon_instance, "4c0d6a77d354ee354d9f44dd8cec06cd705574fe7bde677560c1869a2634767c"),
+    (random_orthogonality_instance,
+     "b15bcaa4f50a2459f1712bafc29613ece07ca26e38bc29dc66339bf73f527061"),
+    (random_valid_9j, "29e365c02876d46a93be00b8a5f34eae2a2cbc15cf1d70459f641df6b9680b2a"),
+])
+def test_identity_samplers_draw_pinned_instances(sampler, digest):
+    """The first 50 instances of each ``verify identities`` sampler at seed
+    2011, as twice spins, hash to the digest they had when the samplers
+    still drew on HalfInt windows: the same rng calls, the same instances."""
+    rng = random.Random(2011)
+    drawn = []
+    for _ in range(50):
+        inst = sampler(rng)
+        spins = inst if isinstance(inst, tuple) else [v for row in inst.grid for v in row]
+        drawn.append([v.twice for v in spins])
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == digest

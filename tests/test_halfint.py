@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from wigner_asym.asymptotics import _twice_phase
 from wigner_asym.errors import InternalConsistencyError
 from wigner_asym.halfint import (
     HalfInt,
+    _twice_phase,
     halfint_sum,
     triad_allowed,
     triad_ok,

@@ -126,6 +126,15 @@ def test_config_validation_errors():
         ({**FIG_A_CONFIG, "caustic_eps": "abc"}, "caustic_eps"),
         ({**FIG_A_CONFIG, "caustic_eps": math.inf}, "caustic_eps"),
         ({**FIG_A_CONFIG, "trim_fraction": 0.9}, "trim_fraction"),
+        # a JSON string or boolean is not a number
+        ({**FIG_A_CONFIG, "trim_fraction": "0.2"}, "trim_fraction"),
+        ({**FIG_A_CONFIG, "trim_fraction": False}, "trim_fraction"),
+        # a marking index is a JSON integer, never cast from a float, string
+        # or boolean
+        ({**fifteen, "marking": {"small_jk": ["j", 1.5], "small_l": [2.7]}}, "marking"),
+        ({**chain, "marking": {"small_jk": ["j", "2"]}}, "marking"),
+        ({**chain, "marking": {"small_jk": ["j", True]}}, "marking"),
+        ({**chain, "marking": {"small_jk": ["j", 1], "small_l": ["3"]}}, "marking"),
         ({**FIG_A_CONFIG, "trim_fracton": 0.2}, "trim_fracton"),
         ({**FIG_A_CONFIG, "out": 5}, "out"),
         ({**FIG_A_CONFIG, "formulas": 5}, "formulas"),
