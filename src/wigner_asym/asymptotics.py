@@ -52,7 +52,7 @@ from .geometry import (
     euler_from_glued_triangles,
     triangle_angle,
 )
-from .halfint import HalfInt, _twice_phase, projection_twice_ok
+from .halfint import HalfInt, _twice_phase, projection_twice_ok, sixj_ok
 from .wigner_d import _small_d
 
 QUARTER_PI = math.pi / 4.0
@@ -81,12 +81,11 @@ class Violation:
     message: str
 
 
-def _nonnegative(twice: list) -> list:
-    """``twice``, the twice spins at a formula's entry; ValueError naming
-    the smallest when it is negative."""
+def _nonnegative(twice: list) -> None:
+    """ValueError naming the smallest of ``twice``, the twice spins at a
+    formula's entry, when it is negative."""
     if min(twice, default=0) < 0:
         raise ValueError(f"spin {HalfInt.from_twice(min(twice))} is negative")
-    return twice
 
 
 def _oscillatory_tet(twice, p, diag: AsymDiagnostics) -> Tetrahedron:
@@ -136,9 +135,16 @@ def _index_keys(p: int) -> tuple:
 
 def pr_6j(spins):
     """Oscillatory 6j asymptotics cos(S_R + pi/4)/sqrt(12 pi V) for six
-    large spins in the standard layout {a b c; d e f}."""
+    large spins in the standard layout {a b c; d e f}.  A 6j that is not
+    admissible (:func:`sixj_ok`) is 0, flagged ``invalid_symbol``."""
     diag = AsymDiagnostics()
-    tet = _oscillatory_tet(_nonnegative([HalfInt(j).twice for j in spins]), None, diag)
+    twice = [HalfInt(j).twice for j in spins]
+    # a count other than six is left to the tetrahedron's ValueError
+    if len(twice) == 6 and not sixj_ok(*twice):
+        _nonnegative(twice)
+        diag.flags.append("invalid_symbol")
+        return 0.0, diag
+    tet = _oscillatory_tet(twice, None, diag)
     value = math.cos(tet._action + QUARTER_PI) / math.sqrt(12.0 * math.pi * tet._volume)
     return value, diag
 
@@ -147,14 +153,19 @@ def edmonds_6j(a, b, c, m, n, f) -> float:
     """One-small-spin 6j asymptotics for {a b c; b+m a+n f}:
     (-1)^(a+b+c+f+m) d^(f)_{mn}(phi_ab) / sqrt(d_a d_b),
     with phi_ab the angle between the a and b edges of the triangle
-    (a, b, c), edge lengths l = j + 1/2.
+    (a, b, c), edge lengths l = j + 1/2.  A 6j that is not admissible
+    (:func:`sixj_ok`) is 0, unless a spin is negative (ValueError) or a
+    projection out of range for f (InvalidProjection).
     """
     ta, tb, tc, tf, tm, tn = [HalfInt(x).twice for x in (a, b, c, f, m, n)]
-    _nonnegative([ta, tb, tc, tb + tm, ta + tn, tf])
-    for tp in (tm, tn):
-        if not projection_twice_ok(tp, tf):
-            raise InvalidProjection(f"projection {HalfInt.from_twice(tp)} invalid for small "
-                                    f"spin {HalfInt.from_twice(tf)}")
+    if not sixj_ok(ta, tb, tc, tb + tm, ta + tn, tf):
+        _nonnegative([ta, tb, tc, tb + tm, ta + tn, tf])
+        # a bad projection opens the triad (b, b+m, f) or (a, a+n, f)
+        for tp in (tm, tn):
+            if not projection_twice_ok(tp, tf):
+                raise InvalidProjection(f"projection {HalfInt.from_twice(tp)} invalid for "
+                                        f"small spin {HalfInt.from_twice(tf)}")
+        return 0.0
     factor = _small_spin_6j(ta, tb, tc, tf, tm, tn)[1]
     return _twice_phase(ta + tb + tc + tf + tm, "edmonds phase a+b+c+f+m") * factor
 

@@ -43,6 +43,10 @@ class HypothesisViolation(WignerAsymError):
         super().__init__(message)
         self.violations = violations or []
 
+    def __str__(self):
+        """The message, then each violation's code and message."""
+        return "; ".join([super().__str__(), *(f"{v.code}: {v.message}" for v in self.violations)])
+
 
 class CaseAngleOutOfRange(WignerAsymError):
     """A combined dihedral angle for a closed-form 15j case left [0, pi].

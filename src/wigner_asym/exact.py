@@ -33,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
 from math import comb, gcd, prod
 from operator import attrgetter, itemgetter
 
 from .errors import InternalConsistencyError
-from .halfint import HalfInt, _twice_phase, halfint_sum, projection_ok, triad_allowed, triad_ok
+from .halfint import (FACES, HalfInt, _twice_phase, halfint_sum, projection_twice_ok, ring_triads,
+                      sixj_ok, triad_ok)
 from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
@@ -115,19 +117,13 @@ def _split(lo, hi, ts, ns, ds):
 # ----------------------------------------------------------------------
 
 def wigner3j(j1, j2, j3, m1, m2, m3) -> SqrtRational:
-    """Exact Wigner 3j symbol.  Invalid quantum numbers give exact 0."""
-    j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
-    m1, m2, m3 = HalfInt(m1), HalfInt(m2), HalfInt(m3)
-    if m1.twice + m2.twice + m3.twice != 0:
+    """Exact Wigner 3j symbol.  Invalid quantum numbers give exact 0: a
+    nonzero m sum, a failed triad or a projection out of range."""
+    t1, t2, t3, u1, u2, u3 = (HalfInt(x).twice for x in (j1, j2, j3, m1, m2, m3))
+    if u1 + u2 + u3 or not (triad_ok(t1, t2, t3) and projection_twice_ok(u1, t1)
+                            and projection_twice_ok(u2, t2) and projection_twice_ok(u3, t3)):
         return SqrtRational.zero()
-    if not triad_allowed(j1, j2, j3):
-        return SqrtRational.zero()
-    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        if not projection_ok(m, j):
-            return SqrtRational.zero()
 
-    t1, t2, t3 = j1.twice, j2.twice, j3.twice
-    u1, u2, u3 = m1.twice, m2.twice, m3.twice
     a = (t1 + t2 - t3) // 2
     b = (t1 - u1) // 2
     c = (t2 + u2) // 2
@@ -177,18 +173,17 @@ def wigner6j(a, b, c, d, e, f) -> SqrtRational:
     term enters the square root of the four triangle coefficients squared:
     one ledger call.
 
-    Returns exact 0 when any of the four coupled triads
-    (a,b,c), (a,e,f), (d,b,f), (d,e,c) fails.
+    Returns exact 0 unless :func:`sixj_ok`: the four coupled triads
+    (a,b,c), (a,e,f), (d,b,f), (d,e,c) of :data:`FACES` all hold.
     """
     six = tuple(HalfInt(x).twice for x in (a, b, c, d, e, f))
-    ta, tb, tc, td, te, tf = six
-    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    if not all(triad_ok(*tri) for tri in triads):
+    if not sixj_ok(*six):
         return SqrtRational.zero()
     head, num, den = _racah_series(*six)
     # sqrt(deltas) * head = sqrt(deltas * head**2), head > 0
     rat, rad = DEFAULT_LEDGER.sqrt_factorial_quotient(
-        [t for tri in triads for t in _delta_terms(*tri)] + [(n, 2 * c) for n, c in head])
+        [t for face in FACES for t in _delta_terms(*itemgetter(*face)(six))]
+        + [(n, 2 * c) for n, c in head])
     return SqrtRational(1, Fraction(num, den) * rat, rad)
 
 
@@ -452,21 +447,19 @@ class Symbol9j:
         )
 
     def triads(self):
-        g = self.grid
-        rows = [tuple(g[i]) for i in range(3)]
-        cols = [tuple(g[i][j] for i in range(3)) for j in range(3)]
-        return rows + cols
+        """The six row and column triads, as the ring triads of
+        :meth:`as_chain`, in its order and orientation."""
+        return self.as_chain().triads()
 
     def is_valid(self) -> bool:
-        """Every row and column triad holds (:meth:`triads`, read in twice
-        values straight from the grid); checked once per symbol."""
+        """Every triad of :meth:`triads` holds, read in twice values;
+        checked once per symbol."""
         return self._valid
 
     @cached_property
     def _valid(self) -> bool:
-        t = [x.twice for x in _GRID_VALUES(self)]
-        return (all(triad_ok(*t[i:i + 3]) for i in (0, 3, 6))
-                and all(triad_ok(*t[i::3]) for i in (0, 1, 2)))
+        flat = [x.twice for x in _GRID_VALUES(self)]
+        return all(starmap(triad_ok, ring_triads(*[row(flat) for row in _CHAIN_OF_GRID])))
 
     def r_total(self) -> HalfInt:
         return halfint_sum(_GRID_VALUES(self))
@@ -571,18 +564,12 @@ class Symbol3nj:
         return len(self.j)
 
     def triads(self):
-        n = self.n
-        out = []
-        for i in range(n - 1):
-            out.append((self.j[i], self.l[i], self.j[i + 1]))
-        out.append((self.j[n - 1], self.l[n - 1], self.k[0]))
-        for i in range(n - 1):
-            out.append((self.k[i], self.l[i], self.k[i + 1]))
-        out.append((self.k[n - 1], self.l[n - 1], self.j[0]))
-        return out
+        """The 2n coupled triads, :func:`ring_triads` of the rows."""
+        return ring_triads(self.j, self.k, self.l)
 
     def is_valid(self) -> bool:
-        return all(triad_allowed(*t) for t in self.triads())
+        """Every triad of :meth:`triads` holds, read in twice values."""
+        return all(starmap(triad_ok, ring_triads(*_twice_rows(self))))
 
     def r_total(self) -> HalfInt:
         return halfint_sum(list(self.j) + list(self.k) + list(self.l))

@@ -20,10 +20,9 @@ from .errors import (
     DegenerateVertex,
     NotClassicallyAllowed,
 )
-from .halfint import HalfInt
+from .halfint import FACES, HalfInt
 
 EDGE_NAMES = ("a", "b", "c", "d", "e", "f")
-FACES = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
 
 #: Caustic guard: an allowed tetrahedron with CM <= eps * (mean edge)^6
 #: is flagged near-caustic.

@@ -163,6 +163,28 @@ def triad_ok(ta: int, tb: int, tc: int) -> bool:
     return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
+#: The four triads of a 6j {a b c; d e f}, as slots of (a, b, c, d, e, f):
+#: (a, b, c), (a, e, f), (d, b, f), (d, e, c), the faces of its tetrahedron.
+FACES = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
+
+
+def sixj_ok(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> bool:
+    """A 6j {a b c; d e f} (twice values) is admissible: :func:`triad_ok`
+    on its four triads, in the order of :data:`FACES`."""
+    return (triad_ok(ta, tb, tc) and triad_ok(ta, te, tf)
+            and triad_ok(td, tb, tf) and triad_ok(td, te, tc))
+
+
+def ring_triads(j, k, l) -> list:
+    """The 2n triads of a first-kind 3nj symbol with rows j, k, l of
+    length n: around the ring (j_1..j_n, k_1..k_n), each spin, the l of
+    its column and the next spin, (j_p, l_p, j_{p+1}) and
+    (k_p, l_p, k_{p+1}), closed by (j_n, l_n, k_1) and (k_n, l_n, j_1).
+    The entries are taken as given, HalfInts or twice values."""
+    ring = (*j, *k)
+    return list(zip(ring, (*l, *l), ring[1:] + ring[:1]))
+
+
 def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
     """Clebsch-Gordan condition: triangle inequality plus integer sum."""
     return triad_ok(a.twice, b.twice, c.twice)

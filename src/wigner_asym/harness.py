@@ -47,8 +47,8 @@ from .asymptotics import (
 )
 from .errors import ConfigError, WignerAsymError
 from .exact import _GRID_SLOTS, Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner3nj
-from .geometry import FACES, Tetrahedron
-from .halfint import HalfInt, triad_allowed
+from .geometry import Tetrahedron
+from .halfint import HalfInt, sixj_ok
 
 SLOT_NAMES = {
     "6j": ("a", "b", "c", "d", "e", "f"),
@@ -444,7 +444,7 @@ def _stop(children) -> None:
 
 def _triads_allowed(kind: str, sym) -> bool:
     if kind == "6j":
-        return all(triad_allowed(*(sym[i] for i in face)) for face in FACES)
+        return sixj_ok(*(x.twice for x in sym))
     return sym.is_valid()
 
 

@@ -30,6 +30,7 @@ from wigner_asym.asymptotics import (
     pr_6j,
     validate_hypotheses,
     _chain_prep,
+    _oscillatory_tet,
     _small_l_factor,
 )
 from wigner_asym.errors import (
@@ -84,15 +85,25 @@ def test_pr6j_flat_input_rejected():
         pr_6j([8, 8, 12, 8, 8, 12])
 
 
+def _pr6j_invalid_and_its_tetrahedron_rejected(twice, determinant):
+    """``twice`` has an odd a+b+c, so :func:`pr_6j` gives 0 flagged
+    ``invalid_symbol``; its tetrahedron, which the chain formulas can
+    meet at x = k1 in triads that are not the symbol's, still raises
+    NotClassicallyAllowed with ``determinant``."""
+    value, diag = pr_6j([H(t) for t in twice])
+    assert (value, diag.flags) == (0.0, ["invalid_symbol"])
+    with pytest.raises(NotClassicallyAllowed) as err:
+        _oscillatory_tet(twice, None, AsymDiagnostics())
+    assert err.value.determinant == determinant
+
+
 def test_pr6j_forbidden_inside_caustic_guard():
     # 288 V^2 = -4.5, closer to 0 than the guard 5.83: the sign decides
     twice = [17, 25, 41, 14, 38, 20]
     tet = Tetrahedron.from_spins([H(t) for t in twice])
     assert tet.cayley_menger() == -4.5 and -4.5 + tet.caustic_tolerance() > 0
     assert tet.status() == "forbidden"
-    with pytest.raises(NotClassicallyAllowed) as err:
-        pr_6j([H(t) for t in twice])
-    assert err.value.determinant == -4.5
+    _pr6j_invalid_and_its_tetrahedron_rejected(twice, -4.5)
 
 
 def test_pr6j_flat_tetrahedron_rejected():
@@ -100,9 +111,7 @@ def test_pr6j_flat_tetrahedron_rejected():
     tet = Tetrahedron.from_spins([H(t) for t in twice])
     assert tet.cayley_menger() == 0.0
     assert tet.status() == "near_caustic" and volume(tet) == 0.0
-    with pytest.raises(NotClassicallyAllowed) as err:
-        pr_6j([H(t) for t in twice])
-    assert err.value.determinant == 0.0
+    _pr6j_invalid_and_its_tetrahedron_rejected(twice, 0.0)
 
 
 def test_pr6j_near_caustic_is_flagged():
@@ -155,6 +164,57 @@ def test_edmonds_vs_exact_sample():
 def test_edmonds_length_convention_switch():
     with pytest.raises(InvalidProjection, match="invalid for small spin 1/2"):
         edmonds_6j(90, 100, 110, 0, 0, HalfInt("1/2"))   # m = 0 has wrong parity
+
+
+@pytest.mark.parametrize("twice", [
+    (81, 80, 80, 2, 0, 2),      # a+b+c not an integer: the phase exponent is not
+    (200, 60, 60, 0, 0, 2),     # c < a - b: the triangle (a, b, c) does not close
+    (20, 20, 40, -2, -2, 2),    # {10 10 20; 9 9 1}: only (b+m, a+n, c) fails
+])
+def test_edmonds_inadmissible_6j_is_zero(capsys, twice):
+    """A 6j {a b c; b+m a+n f} with a failing triad is exact 0, and so is
+    Edmonds' form; the CLI prints 0 and exits 0."""
+    from wigner_asym.cli import main
+
+    ta, tb, tc, tm, tn, tf = twice
+    assert wigner6j(*map(H, (ta, tb, tc, tb + tm, ta + tn, tf))).is_zero
+    assert edmonds_6j(*map(H, twice)) == 0.0
+    assert main(["asym", "edmonds", *map(str, twice)]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_edmonds_rejects_negative_spin_then_bad_projection():
+    """On an inadmissible 6j a negative spin is a ValueError first, then a
+    projection out of range an InvalidProjection, with their messages."""
+    with pytest.raises(ValueError, match=r"^spin -3/2 is negative$"):
+        edmonds_6j(20, H(1), 20, -2, 0, 2)           # b+m = -3/2
+    with pytest.raises(ValueError, match=r"^spin -5/2 is negative$"):
+        edmonds_6j(20, H(1), 20, -3, 0, 2)           # b+m = -5/2, |m| > f too
+    with pytest.raises(InvalidProjection, match=r"^projection 2 invalid for small spin 1$"):
+        edmonds_6j(20, 20, 20, 2, 0, 1)
+    with pytest.raises(InvalidProjection, match=r"^projection 1/2 invalid for small spin 1$"):
+        edmonds_6j(20, 20, 20, 0, H(1), 1)
+
+
+def test_pr6j_inadmissible_6j_is_zero_flagged(capsys):
+    """{61/2 30 30; 30 30 30} has a triad with a half-integer sum: exact 0,
+    and pr_6j returns 0 flagged invalid_symbol, so the CLI exits 3 under
+    --strict-allowed; a negative spin, and a spin count other than six,
+    stay a ValueError."""
+    from wigner_asym.cli import main
+
+    twice = (61, 60, 60, 60, 60, 60)
+    assert wigner6j(*map(H, twice)).is_zero
+    value, diag = pr_6j([H(t) for t in twice])
+    assert (value, diag.flags, diag.volumes) == (0.0, ["invalid_symbol"], {})
+    assert main(["asym", "pr6j", *map(str, twice)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["asym", "pr6j", *map(str, twice), "--strict-allowed"]) == 3
+    with pytest.raises(ValueError, match=r"^spin -1 is negative$"):
+        pr_6j([H(t) for t in (61, 60, 60, 60, -2, 60)])
+    for count in (5, 7):
+        with pytest.raises(ValueError, match=r"^a tetrahedron has six edges$"):
+            pr_6j([H(60)] * count)
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,24 @@ def test_3j_zero_conditions():
     assert wigner3j("1/2", 1, "1/2", "1/2", 0, 0).is_zero   # m3 parity
 
 
+def test_3j_each_zero_case_is_exact_zero():
+    """From the nonzero (3 2 2; 1 -1 0), each zero case gives exact 0:
+    the m sum, the triangle and each projection's range alone; a parity
+    failure, which the twice sums always pair with a second one; and a
+    negative spin."""
+    assert not wigner3j(*map(H, (6, 4, 4, 2, -2, 0))).is_zero   # twice values
+    cases = [(6, 4, 4, 2, -2, 2),       # m sum 1
+             (6, 4, 12, 2, -2, 0),      # j3 > j1 + j2
+             (2, 4, 4, 4, -4, 0),       # |m1| > j1
+             (6, 2, 4, 4, -4, 0),       # |m2| > j2
+             (6, 4, 2, 4, 0, -4),       # |m3| > j3
+             (6, 4, 4, 3, -3, 0),       # j1 - m1 and j2 - m2 not integers
+             (6, 4, 5, 2, -2, 0),       # j1 + j2 + j3 and j3 - m3 not integers
+             (6, 4, -4, 2, -2, 0)]      # negative j3
+    for twice in cases:
+        assert wigner3j(*map(H, twice)).is_zero, twice
+
+
 def threej_ledger_free(t):
     """Racah's 3j sum with plain math.factorial fractions: an independent
     route around the prime-exponent ledger and the term-ratio recurrence.

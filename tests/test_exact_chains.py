@@ -25,7 +25,7 @@ from wigner_asym.exact import (
     wigner15j,
     wigner3nj,
 )
-from wigner_asym.halfint import HalfInt, triad_ok
+from wigner_asym.halfint import HalfInt, triad_allowed, triad_ok
 from wigner_asym.primefac import DEFAULT_LEDGER
 from wigner_asym.sqrtrat import SqrtRational
 from wigner_asym.identities import (
@@ -427,6 +427,89 @@ def test_chain_recurrence_at_exact_large_scale():
         value = wigner3nj(sym)
         assert not value.is_zero
         assert value == _oracle_3nj(sym), sym
+
+
+def _two_loop_triads(sym: Symbol3nj) -> list:
+    """The triads of a first-kind 3nj as two hand loops over its HalfInts:
+    along j closed into k_1 by l_n, then along k closed into j_1."""
+    j, k, l, n = sym.j, sym.k, sym.l, sym.n
+    out = [(j[i], l[i], j[i + 1]) for i in range(n - 1)] + [(j[n - 1], l[n - 1], k[0])]
+    return out + [(k[i], l[i], k[i + 1]) for i in range(n - 1)] + [(k[n - 1], l[n - 1], j[0])]
+
+
+def _rows_and_columns(sym: Symbol9j) -> list:
+    """The triads of a 9j: its three rows and three columns, HalfInts."""
+    g = sym.grid
+    return [tuple(row) for row in g] + [tuple(g[i][c] for i in range(3)) for c in range(3)]
+
+
+def _random_9j(rng, valid: bool) -> Symbol9j:
+    """A seeded 9j: valid, or with nine twice spins drawn from -2..12."""
+    if valid:
+        return random_valid_9j(rng, tmax=16)
+    return Symbol9j.from_twice(*(rng.randrange(-2, 13) for _ in range(9)))
+
+
+def _random_3nj(rng, n: int, valid: bool) -> Symbol3nj:
+    """A seeded first-kind 3nj: valid, or with twice spins from -2..12."""
+    if valid:
+        return _chain_any_parity(rng, n, tmax=12)
+    return Symbol3nj(*(tuple(H(rng.randrange(-2, 13)) for _ in range(n)) for _ in range(3)))
+
+
+def test_triads_are_the_ring_triads():
+    """A 3nj's triads are the two hand loops' list in its order, n = 3..6;
+    a 9j's are its rows and columns, as a multiset of twice triples, read
+    in the ring order of its n = 3 chain."""
+    rng = random.Random(32)
+    for n in (3, 4, 5, 6):
+        for i in range(30):
+            sym = _random_3nj(rng, n, valid=i % 2 == 0)
+            assert sym.triads() == _two_loop_triads(sym), sym
+
+    def multiset(triads):
+        return sorted(sorted(x.twice for x in tri) for tri in triads)
+
+    for i in range(60):
+        sym = _random_9j(rng, valid=i % 2 == 0)
+        assert multiset(sym.triads()) == multiset(_rows_and_columns(sym)), sym
+        assert sym.triads() == sym.as_chain().triads()
+
+
+def _3nj_of_twice(*t) -> Symbol3nj:
+    """A 3nj from its rows j, k, l of twice values, one after the other."""
+    n = len(t) // 3
+    return Symbol3nj(*(tuple(map(H, t[i:i + n])) for i in range(0, 3 * n, n)))
+
+
+def test_is_valid_agrees_with_halfint_triad_oracle():
+    """is_valid() of 9j and 3nj symbols, read on twice spins, agrees with
+    triad_allowed on the HalfInt rows and columns or hand-loop triads, on
+    seeded symbols: valid ones, each of them with one spin moved by
+    up to 3, so that every triad is at some point the only one that fails,
+    and draws from -1..6 with negative spins."""
+    rng = random.Random(33)
+    shapes = [("9j", lambda: random_valid_9j(rng, tmax=12), Symbol9j.from_twice,
+               lambda sym: [x.twice for x in exact._GRID_VALUES(sym)], _rows_and_columns)]
+    shapes += [(n, lambda n=n: _chain_any_parity(rng, n, tmax=12), _3nj_of_twice,
+                lambda sym: [x.twice for x in sym.j + sym.k + sym.l], _two_loop_triads)
+               for n in (3, 4, 5, 6)]
+    for shape, valid, build, flat, oracle_triads in shapes:
+        sole, negative = set(), 0
+        for _ in range(20):
+            twice = flat(valid())
+            size = len(twice)
+            moved = [twice[:i] + [twice[i] + d] + twice[i + 1:]
+                     for i in range(size) for d in (-6, -4, -2, -1, 1, 2, 4, 6)]
+            drawn = [[rng.randrange(-1, 7) for _ in range(size)] for _ in range(40)]
+            for t in [twice] + moved + drawn:
+                sym = build(*t)
+                ok = [triad_allowed(*tri) for tri in oracle_triads(sym)]
+                assert sym.is_valid() == all(ok), (shape, t)
+                if ok.count(False) == 1:
+                    sole.add(ok.index(False))
+                negative += min(t) < 0 and not sym.is_valid()
+        assert sole == set(range(len(ok))) and negative, shape
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,13 +1,18 @@
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 
 from wigner_asym.errors import InternalConsistencyError
+from wigner_asym import geometry, halfint
 from wigner_asym.halfint import (
+    FACES,
     HalfInt,
     _twice_phase,
     halfint_sum,
+    ring_triads,
+    sixj_ok,
     triad_allowed,
     triad_ok,
 )
@@ -128,6 +133,57 @@ def test_triad_rule_needs_no_sign_test():
                 want = _triad_allowed_with_sign_test(H(ta), H(tb), H(tc))
                 assert triad_ok(ta, tb, tc) == want, (ta, tb, tc)
                 assert triad_allowed(H(ta), H(tb), H(tc)) == want, (ta, tb, tc)
+
+
+def test_sixj_ok_is_triad_ok_on_each_face(monkeypatch):
+    """The 6j rule checks the four triads of FACES, in that order: the same
+    verdict as triad_ok over FACES on every 6-tuple drawn from -2..7, and
+    triad_ok sees the FACES triads in order, up to the first that
+    fails."""
+    assert FACES == ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
+    assert geometry.FACES is FACES
+    rng = random.Random(32)
+    verdicts = set()
+    for _ in range(4000):
+        six = [rng.randrange(-2, 8) for _ in range(6)]
+        want = all(triad_ok(*(six[i] for i in face)) for face in FACES)
+        assert sixj_ok(*six) == want, six
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+    calls = []
+
+    def counting(*tri):
+        calls.append(tri)
+        return triad_ok(*tri)
+
+    monkeypatch.setattr(halfint, "triad_ok", counting)
+    # {1 1 1; 1 1 1}, or with one spin raised to 3: the first face to fail
+    # is FACES[first] (first = 4: none fails)
+    for six, first in (((2, 2, 2, 2, 2, 2), 4), ((2, 2, 6, 2, 2, 2), 0),
+                       ((2, 2, 2, 2, 2, 6), 1), ((2, 2, 2, 6, 2, 2), 2)):
+        calls.clear()
+        assert sixj_ok(*six) == (first == 4)
+        assert calls == [tuple(six[i] for i in face) for face in FACES[:first + 1]], six
+
+
+def _two_loop_triads(j, k, l):
+    """The first-kind 3nj triads as two hand loops: along j closed into
+    k_1, then along k closed into j_1."""
+    n = len(j)
+    out = [(j[i], l[i], j[i + 1]) for i in range(n - 1)] + [(j[n - 1], l[n - 1], k[0])]
+    return out + [(k[i], l[i], k[i + 1]) for i in range(n - 1)] + [(k[n - 1], l[n - 1], j[0])]
+
+
+def test_ring_triads_is_the_two_loop_list():
+    """The ring of the first-kind chain lists the 2n triads of the two hand
+    loops, in their order, on tuples and on lists."""
+    rng = random.Random(3)
+    for n in (3, 4, 5, 6):
+        for _ in range(20):
+            j, k, l = ([rng.randrange(0, 30) for _ in range(n)] for _ in range(3))
+            want = _two_loop_triads(j, k, l)
+            assert ring_triads(j, k, l) == want == ring_triads(tuple(j), tuple(k), tuple(l))
 
 
 def test_halfint_sum():

@@ -20,8 +20,8 @@ import pytest
 
 import wigner_asym
 from wigner_asym import cli
-from wigner_asym.asymptotics import CLOSED_15J_FORMS
-from wigner_asym.errors import ConfigError
+from wigner_asym.asymptotics import CLOSED_15J_FORMS, Violation
+from wigner_asym.errors import ConfigError, HypothesisViolation
 from wigner_asym.harness import (
     ASYM_FORMULAS,
     SweepConfig,
@@ -474,6 +474,21 @@ def test_cli_has_no_chain_length_option(command):
 def test_cli_marking_for_a_kind_without_one_exits_2(capsys, args):
     assert cli.main(["asym", *args]) == 2
     assert "reads no marking" in capsys.readouterr().err
+
+
+def test_cli_hypothesis_violation_names_the_rule(capsys):
+    """A marking that breaks a hypothesis exits 2 with the rule's code and
+    message after the error's own; the exception's args stay the
+    message alone."""
+    spins = "2 80 80 80 80 90 84 84 84 84 80 2 4 2 84".split()
+    assert cli.main(["asym", "3nj", "--small-jk", "j:1", "--small-l", "9", *spins]) == 2
+    assert capsys.readouterr().err == (
+        "error: marking violates applicability conditions; small_l_index: small l_9 "
+        "(after normalization) shares a decomposition 6j with the small j/k spin; "
+        "every small l must have index in 2..n-1\n")
+    exc = HypothesisViolation("m", [Violation("a", "error", "one"), Violation("b", "error", "two")])
+    assert (str(exc), exc.args) == ("m; a: one; b: two", ("m",))
+    assert str(HypothesisViolation("m")) == "m"
 
 
 def test_cli_strict_allowed_exit_3():
