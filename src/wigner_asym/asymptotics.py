@@ -24,7 +24,12 @@ only the set-up, :func:`_chain_prep`.
 
 Spins are converted and checked once, at each public entry.  Below it the
 formulas read twice spins t (plain ints) and the edge lengths t/2 + 1/2,
-with no HalfInt and no second projection check.
+with no HalfInt and no second projection check.  Every formula gates on
+admissibility first, as the exact symbols do: the 6j forms on
+:func:`sixj_ok`, the chain forms in :func:`_chain_prep` on
+:func:`ring_ok`.  An inadmissible symbol is 0, flagged
+``invalid_symbol``; an admissible ring puts every projection offset of
+the chain in range.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .geometry import (
     euler_from_glued_triangles,
     triangle_angle,
 )
-from .halfint import HalfInt, _twice_phase, projection_twice_ok, sixj_ok
+from .halfint import HalfInt, _twice_phase, projection_twice_ok, ring_ok, sixj_ok
 from .wigner_d import _small_d
 
 QUARTER_PI = math.pi / 4.0
@@ -335,8 +340,6 @@ class _Chain(NamedTuple):
     small_l: frozenset
     mu: int               # j2 - l1
     nu: int               # k_n - l_n
-    etas: dict            # m -> j_{m+1} - j_m, per small l_m
-    kappas: dict          # m -> k_{m+1} - k_m, per small l_m
     volumes: dict         # p -> volume of the oscillatory tetrahedron
     actions: dict         # p -> its Regge action
     thetas: dict          # p -> its internal dihedral at the k1 edge
@@ -346,16 +349,24 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
                 check_hypotheses: bool = False):
     """The set-up shared by the chain asymptotics.
 
-    Normalizes the marking and, with ``check_hypotheses``, checks it as
+    Normalizes the marking, then gates on the ring: a symbol that fails
+    :func:`ring_ok` vanishes, so it returns None, flagging
+    ``invalid_symbol`` (ValueError first on a negative spin).  Only then,
+    with ``check_hypotheses``, checks the marking as
     :func:`validate_hypotheses` does: HypothesisViolation on an error,
-    warnings into ``diag``.  Returns None, flagging ``invalid_symbol``, when
-    a projection offset is out of range and the symbol vanishes.  Otherwise
-    returns a :class:`_Chain`; every oscillatory tetrahedron is built,
-    checked and recorded by :func:`_oscillatory_tet`.
+    warnings into ``diag``.  Returns a :class:`_Chain`; every oscillatory
+    tetrahedron is built, checked and recorded by :func:`_oscillatory_tet`.
+    The ring's triads (j1, l1, j2), (k_n, l_n, j1), (j_m, l_m, j_{m+1}) and
+    (k_m, l_m, k_{m+1}) put the offsets mu, nu, eta_m and kappa_m in range
+    as projections of j1 and of l_m.
     """
     nsym, small_l = normalize_marking(sym, mark)
     j, k, l = _twice_rows(nsym)
-    _nonnegative(j + k + l)
+    if not ring_ok(j, k, l):
+        # an admissible ring has no negative spin, so only here can one be
+        _nonnegative(j + k + l)
+        diag.flags.append("invalid_symbol")
+        return None
     violations = _violations(j, k, l, small_l) if check_hypotheses else None
     if violations:
         hard = [v for v in violations if v.severity == "error"]
@@ -363,25 +374,12 @@ def _chain_prep(sym: Symbol3nj, mark: SmallSpinMarking, diag: AsymDiagnostics,
             raise HypothesisViolation("marking violates applicability conditions", hard)
         diag.warnings.extend(v.message for v in violations if v.severity == "warning")
 
-    # projections m of spin s need |m| <= s and s - m an integer
-    j1, mu, nu = j[0], j[1] - l[0], k[-1] - l[-1]
-    if abs(mu) > j1 or (j1 - mu) % 2 or abs(nu) > j1 or (j1 - nu) % 2:
-        diag.flags.append("invalid_symbol")
-        return None
-    etas, kappas = {}, {}
-    for m in sorted(small_l):
-        eta, kappa, lm = j[m] - j[m - 1], k[m] - k[m - 1], l[m - 1]
-        if abs(eta) > lm or (lm - eta) % 2 or abs(kappa) > lm or (lm - kappa) % 2:
-            diag.flags.append("invalid_symbol")
-            return None
-        etas[m], kappas[m] = eta, kappa
-
     volumes, actions, thetas = {}, {}, {}
     for p, twice in _chain_tets(j, k, l, small_l):
         tet = _oscillatory_tet(twice, p, diag)
         # allowed, so every angle is defined; the k1 edge is c
         volumes[p], actions[p], thetas[p] = tet._volume, tet._action, tet._thetas[2]
-    return _Chain(j, k, l, small_l, mu, nu, etas, kappas, volumes, actions, thetas)
+    return _Chain(j, k, l, small_l, j[1] - l[0], k[-1] - l[-1], volumes, actions, thetas)
 
 
 def _end_triangles(chain: _Chain, end1: int, endn: int):
@@ -400,15 +398,22 @@ def _spin_angle(ta: int, tb: int, tc: int) -> float:
     return triangle_angle(ta / 2.0 + 0.5, tb / 2.0 + 0.5, tc / 2.0 + 0.5)
 
 
+def _small_l_spins(chain: _Chain, m: int) -> tuple:
+    """(l_m, kappa_m, eta_m) of a small l_m, its twice spin and the twice
+    projections kappa_m = k_{m+1} - k_m and eta_m = j_{m+1} - j_m of its
+    small-d factor d^(l_m)_{kappa_m eta_m}."""
+    j, k = chain.j, chain.k
+    return chain.l[m - 1], k[m] - k[m - 1], j[m] - j[m - 1]
+
+
 def _small_l_factor(chain: _Chain, diag: AsymDiagnostics) -> float:
     """Product over the small l_m of d^(l_m)_{kappa_m eta_m}(phi_m) /
     sqrt(d_{j_m} d_{k_m}), the :func:`_small_spin_6j` factor of the 6j
     {j_m k_m k1; k_{m+1} j_{m+1} l_m}; phi_m is recorded."""
-    j, k, l = chain.j, chain.k, chain.l
+    j, k = chain.j, chain.k
     factor = 1.0
     for m in sorted(chain.small_l):
-        phi_m, f = _small_spin_6j(j[m - 1], k[m - 1], k[0], l[m - 1],
-                                  chain.kappas[m], chain.etas[m])
+        phi_m, f = _small_spin_6j(j[m - 1], k[m - 1], k[0], *_small_l_spins(chain, m))
         diag.angles[_index_keys(m)[2]] = phi_m
         factor *= f
     return factor
@@ -512,12 +517,9 @@ def asym_9j_one_small(sym: Symbol9j):
     is 0, flagged ``invalid_symbol``.
     """
     diag = AsymDiagnostics()
-    if not sym.is_valid():
-        # a valid triad has no negative spin, so only here can one be
-        _nonnegative([x.twice for row in sym.grid for x in row])
-        diag.flags.append("invalid_symbol")
-        return 0.0, diag
     chain = _chain_prep(sym.as_chain(), _J1_SMALL, diag, check_hypotheses=True)
+    if chain is None:
+        return 0.0, diag
     value = _chain_value(chain, diag, chain.j[1], chain.k[-1])
     # the chain's three rows hold the nine spins of the 9j
     return _twice_phase(sum(chain.j) + sum(chain.k) + sum(chain.l), "9j phase R") * value, diag
@@ -566,14 +568,13 @@ def asym_15j_four_small(sym: Symbol3nj, mark: SmallSpinMarking):
     chain, diag = _closed_15j_prep("15j-4", sym, mark)
     if chain is None:
         return 0.0, diag
-    mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
-    j, k, l = chain.j, chain.k, chain.l
+    j, k = chain.j, chain.k
     phi2 = _spin_angle(j[1], k[1], k[0])
     diag.angles["phi2"] = phi2
     value = 1.0 / ((j[1] + 1) ** 2 * (k[1] + 1) ** 2)
     for m in (2, 3, 4):
-        value *= _small_d(l[m - 1], kappas[m], etas[m], phi2)
-    value *= _small_d(j[0], mu, -nu, phi2)
+        value *= _small_d(*_small_l_spins(chain, m), phi2)
+    value *= _small_d(j[0], chain.mu, -chain.nu, phi2)
     return value, diag
 
 
@@ -584,7 +585,7 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
     chain, diag = _closed_15j_prep("15j-3", sym, mark)
     if chain is None:
         return 0.0, diag
-    mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
+    mu, nu = chain.mu, chain.nu
     j, k, l = chain.j, chain.k, chain.l
 
     vol4, action4 = chain.volumes[4], chain.actions[4]
@@ -604,8 +605,8 @@ def asym_15j_three_small(sym: Symbol3nj, mark: SmallSpinMarking):
     value = (
         phase
         / (dj2 * dk2 * math.sqrt(12.0 * math.pi * vol4 * dj2 * dk5))
-        * _small_d(l[1], kappas[2], etas[2], phi2)
-        * _small_d(l[2], kappas[3], etas[3], phi2)
+        * _small_d(*_small_l_spins(chain, 2), phi2)
+        * _small_d(*_small_l_spins(chain, 3), phi2)
         * _small_d(j[0], mu, nu, phi_mid)
         * math.cos(
             action4 + QUARTER_PI - (mu / 2.0) * theta_j4 - (nu / 2.0) * theta_k5
@@ -623,7 +624,7 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
     chain, diag = _closed_15j_prep("15j-2", sym, mark)
     if chain is None:
         return 0.0, diag
-    mu, nu, etas, kappas = chain.mu, chain.nu, chain.etas, chain.kappas
+    mu, nu = chain.mu, chain.nu
     j, k, l = chain.j, chain.k, chain.l
 
     vol3, vol4 = chain.volumes[3], chain.volumes[4]
@@ -673,7 +674,7 @@ def asym_15j_two_small(sym: Symbol3nj, mark: SmallSpinMarking):
     value = (
         phase
         / (24.0 * math.pi * (j[2] + 1) * math.sqrt((k[2] + 1) * (k[4] + 1) * vol3 * vol4))
-        * _small_d(l[1], kappas[2], etas[2], phi2)
+        * _small_d(*_small_l_spins(chain, 2), phi2)
         * bracket
     )
     return value, diag

@@ -2,9 +2,10 @@
 
 All spins are given as twice-integers (spin 1/2 -> 1, spin 30 -> 60), so
 half-integer inputs never need fraction parsing.  Exit codes: 0 ok,
-2 invalid input, 3 geometric rejection (a tetrahedron that is not
-classically allowed; with --strict-allowed also a near-caustic or invalid
-symbol), 4 verification failure.
+2 invalid input or a file that cannot be read or written, 3 geometric
+rejection (a tetrahedron that is not classically allowed; with
+--strict-allowed also a near-caustic or invalid symbol), 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     except NotClassicallyAllowed as exc:
         print(f"not classically allowed: {exc}", file=sys.stderr)
         return EXIT_NOT_ALLOWED
-    except (ValueError, WignerAsymError) as exc:
+    except (ValueError, OSError, WignerAsymError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

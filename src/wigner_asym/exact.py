@@ -33,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import starmap
 from math import comb, gcd, prod
 from operator import attrgetter, itemgetter
 
 from .errors import InternalConsistencyError
-from .halfint import (FACES, HalfInt, _twice_phase, halfint_sum, projection_twice_ok, ring_triads,
-                      sixj_ok, triad_ok)
+from .halfint import (FACES, HalfInt, _twice_phase, halfint_sum, projection_twice_ok, ring_ok,
+                      ring_triads, sixj_ok, triad_ok)
 from .primefac import DEFAULT_LEDGER
 from .sqrtrat import SqrtRational
 
@@ -459,7 +458,7 @@ class Symbol9j:
     @cached_property
     def _valid(self) -> bool:
         flat = [x.twice for x in _GRID_VALUES(self)]
-        return all(starmap(triad_ok, ring_triads(*[row(flat) for row in _CHAIN_OF_GRID])))
+        return ring_ok(*[row(flat) for row in _CHAIN_OF_GRID])
 
     def r_total(self) -> HalfInt:
         return halfint_sum(_GRID_VALUES(self))
@@ -503,12 +502,13 @@ def wigner9j(sym: Symbol9j, pivot: str = "j24") -> Wigner9jResult:
     permuted grid (:meth:`Symbol9j.as_chain`).  The value is a closed
     :class:`SqrtRational` and is identical for every pivot; ``terms`` lists
     each signed chain term (phase and 2x+1 included) by summation spin x.
+    A symbol that is not :meth:`~Symbol9j.is_valid` has a failed triad
+    among the chain's fixed ones, so the value is exact 0 and ``terms`` is
+    empty.
     """
     canonical = "j5" if pivot == "j34" else pivot
     if canonical not in PIVOTS:
         raise ValueError(f"unknown pivot {pivot!r}; expected one of {PIVOTS} (or 'j34')")
-    if not sym.is_valid():
-        return Wigner9jResult(SqrtRational.zero(), pivot)
 
     rows, cols, signed = _PIVOT_GRIDS[canonical]
     g = sym.grid
@@ -568,8 +568,9 @@ class Symbol3nj:
         return ring_triads(self.j, self.k, self.l)
 
     def is_valid(self) -> bool:
-        """Every triad of :meth:`triads` holds, read in twice values."""
-        return all(starmap(triad_ok, ring_triads(*_twice_rows(self))))
+        """Every triad of :meth:`triads` holds: :func:`ring_ok` on the
+        twice rows."""
+        return ring_ok(*_twice_rows(self))
 
     def r_total(self) -> HalfInt:
         return halfint_sum(list(self.j) + list(self.k) + list(self.l))

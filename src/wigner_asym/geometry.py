@@ -52,8 +52,9 @@ def edge_length_from_spin(j) -> float:
 
 
 def _clamped_acos(x: float, exc_type=DegenerateTriangle, context: str = "angle") -> float:
-    # the callers take acos of a cosine in [-1, 1] themselves
-    if abs(x) > 1.0 + ACOS_CLAMP_TOL:
+    # the callers take acos of a cosine in [-1, 1] themselves; a NaN
+    # cosine fails this test and raises
+    if not abs(x) <= 1.0 + ACOS_CLAMP_TOL:
         raise exc_type(f"{context}: cosine {x!r} out of range")
     return math.acos(min(1.0, max(-1.0, x)))
 
@@ -61,8 +62,8 @@ def _clamped_acos(x: float, exc_type=DegenerateTriangle, context: str = "angle")
 def triangle_angle(la: float, lb: float, lc: float) -> float:
     """Interior angle between the sides of lengths la and lb in the triangle
     (la, lb, lc); lc is the opposite side."""
-    if not (la > 0.0 and lb > 0.0 and lc > 0.0) and min(la, lb, lc) <= 0.0:
-        raise DegenerateTriangle(f"non-positive edge in ({la}, {lb}, {lc})")
+    if not (la > 0.0 and lb > 0.0 and lc > 0.0):
+        raise DegenerateTriangle(f"edge not positive in ({la}, {lb}, {lc})")
     cos_phi = (la * la + lb * lb - lc * lc) / (2.0 * la * lb)
     if -1.0 <= cos_phi <= 1.0:
         return math.acos(cos_phi)

@@ -185,6 +185,18 @@ def ring_triads(j, k, l) -> list:
     return list(zip(ring, (*l, *l), ring[1:] + ring[:1]))
 
 
+def ring_ok(j, k, l) -> bool:
+    """A first-kind 3nj symbol with twice rows j, k, l is admissible:
+    :func:`triad_ok` on each of its :func:`ring_triads`, in their order.
+    The triad test is written out, as the chain asymptotics run it on
+    every call."""
+    ring = (*j, *k)
+    for a, b, c in zip(ring, (*l, *l), ring[1:] + ring[:1]):
+        if (a + b + c) % 2 or not abs(a - b) <= c <= a + b:
+            return False
+    return True
+
+
 def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
     """Clebsch-Gordan condition: triangle inequality plus integer sum."""
     return triad_ok(a.twice, b.twice, c.twice)

@@ -598,7 +598,7 @@ def _write_plot(csv_path: str, csv_text: str, settings: list, curves: list) -> N
              for col, style, title in curves]
     script = ["set datafile separator ','", *settings, "plot " + ", \\\n     ".join(plots),
               "pause -1"]
-    with open(csv_path.rsplit(".", 1)[0] + ".gnuplot", "w", encoding="utf-8") as fh:
+    with open(os.path.splitext(csv_path)[0] + ".gnuplot", "w", encoding="utf-8") as fh:
         fh.write("\n".join(script) + "\n")
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from wigner_asym.asymptotics import (
+    CLOSED_15J_FORMS,
     AsymDiagnostics,
     SmallSpinMarking,
     Violation,
@@ -26,6 +27,7 @@ from wigner_asym.asymptotics import (
     asym_15j_three_small,
     asym_15j_two_small,
     edmonds_6j,
+    normalize_marking,
     oscillatory_tetrahedra,
     pr_6j,
     validate_hypotheses,
@@ -39,7 +41,8 @@ from wigner_asym.errors import (
     InvalidProjection,
     NotClassicallyAllowed,
 )
-from wigner_asym.exact import Symbol3nj, Symbol9j, wigner6j, wigner9j, wigner15j
+from wigner_asym.exact import (Symbol3nj, Symbol9j, _twice_rows, wigner3nj, wigner6j, wigner9j,
+                               wigner15j)
 from wigner_asym.geometry import (
     Tetrahedron,
     euler_from_glued_triangles,
@@ -638,6 +641,150 @@ def test_negative_spin_rejected_at_every_formula_entry(monkeypatch, rng, capsys)
                  ["edmonds", "20", "20", "20", "0", "0", "-2"]):
         assert main(["asym", *argv]) == 2
         assert capsys.readouterr().err == "error: spin -1 is negative\n"
+
+
+# ----------------------------------------------------------------------
+# the ring gate: an inadmissible chain symbol is 0, flagged
+# ----------------------------------------------------------------------
+
+def _symbol_of(j, k, l) -> Symbol3nj:
+    return Symbol3nj(tuple(map(H, j)), tuple(map(H, k)), tuple(map(H, l)))
+
+
+def _normalized_chain(rng, n: int, small_l) -> Symbol3nj:
+    """An admissible near-regular chain with j1 small and the l_m of
+    ``small_l`` small (labels of the normalized symbol)."""
+    for _ in range(10_000):
+        tj1 = rng.choice((1, 2, 3, 4))
+        tk = [2 * (40 + rng.randint(-3, 3)) for _ in range(n)]
+        tj = [tj1] + [2 * (40 + rng.randint(-3, 3)) + tj1 % 2 for _ in range(n - 1)]
+        tl = [2 * (40 + rng.randint(-3, 3)) for _ in range(n)]
+        for m in sorted(small_l):
+            tl[m - 1] = rng.choice((2, 4))
+            tj[m] = tj[m - 1] + rng.randrange(-tl[m - 1], tl[m - 1] + 1, 2)
+            tk[m] = tk[m - 1] + rng.randrange(-tl[m - 1], tl[m - 1] + 1, 2)
+        tl[0] = tj[1] + rng.randrange(-tj1, tj1 + 1, 2)
+        tl[-1] = tk[-1] + rng.randrange(-tj1, tj1 + 1, 2)
+        sym = _symbol_of(tj, tk, tl)
+        if sym.is_valid():
+            return sym
+    raise RuntimeError("chain sampler exhausted its attempts")
+
+
+def _break_one_triad(rng, j, k, l) -> tuple:
+    """Copies of the twice rows with one ring triad broken: one of its
+    three spins moved by +-1 (parity) or out of the triangle |a-b| <= c <=
+    a+b of the other two, never below 0."""
+    n = len(j)
+    ring, l = [*j, *k], list(l)
+    t = rng.randrange(2 * n)
+    # the triad (ring[t], l[t mod n], ring[t+1]), each spin as (row, index)
+    slots = [(ring, t), (l, t % n), (ring, (t + 1) % (2 * n))]
+    values = [row[idx] for row, idx in slots]
+    i = rng.randrange(3)
+    a, b = values[(i + 1) % 3], values[(i + 2) % 3]
+    if rng.random() < 0.5:
+        new = values[i] + (1 if values[i] == 0 or rng.random() < 0.5 else -1)
+    else:
+        new = rng.choice([a + b + 2] + ([abs(a - b) - 2] if abs(a - b) >= 2 else []))
+    row, idx = slots[i]
+    row[idx] = new
+    return ring[:n], ring[n:], l
+
+
+def _assert_zero_flagged(result, case):
+    value, diag = result
+    assert (value, diag.flags) == (0.0, ["invalid_symbol"]), case
+
+
+def test_chain_formulas_zero_on_a_broken_ring_repros(capsys):
+    """A 15j whose broken triads hold no small spin and a 3nj with a
+    half-integer triad sum away from its small spin: exact 0, so both
+    chain formulas return 0 flagged ``invalid_symbol`` (the CLI exits 3
+    under --strict-allowed), not a silent value or an internal error."""
+    from wigner_asym.cli import main
+
+    cases = [
+        (["15j-4"], (3, 145, 147, 145, 145, 143, 140, 144, 142, 142, 144, 4, 2, 4, 145),
+         asym_15j_four_small, SmallSpinMarking(("j", 1), {2, 3, 4})),
+        (["3nj", "--small-jk", "j:1"], (2, 80, 80, 80, 80, 90, 84, 84, 84, 84, 80, 82, 85, 82, 84),
+         asym_3nj, SmallSpinMarking(("j", 1))),
+    ]
+    for argv, twice, fn, mark in cases:
+        sym = _symbol_of(twice[:5], twice[5:10], twice[10:])
+        assert not sym.is_valid() and wigner15j(sym.j, sym.k, sym.l).is_zero
+        _assert_zero_flagged(fn(sym, mark), argv)
+        assert main(["asym", *argv, *map(str, twice)]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(["asym", *argv, *map(str, twice), "--strict-allowed"]) == 3
+
+
+#: Small-l sets of the normalized symbol per n, every index in 2..n-1.
+_SMALL_L_SETS = {3: [(), (2,)], 4: [(), (2,), (3,), (2, 3)],
+                 5: [(), (3,), (2, 4), (2, 3, 4)], 6: [(), (2, 5), (3, 4), (2, 3, 4, 5)]}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_asym_3nj_zero_on_every_broken_ring_triad(n):
+    """Seeded fuzz: an admissible chain, its small spin moved to j or k rows
+    at several positions, with one ring triad broken, gives 0 flagged
+    ``invalid_symbol`` where the exact value is 0.  At n = 3 the 9j whose
+    chain it is (no small l) gives the same through asym_9j_one_small."""
+    rng = random.Random(3300 + n)
+    for trial in range(48):
+        small_l = rng.choice(_SMALL_L_SETS[n])
+        nj, nk, nl = _twice_rows(_normalized_chain(rng, n, small_l))
+        bj, bk, bl = _break_one_triad(rng, nj, nk, nl)
+        broken = _symbol_of(bj, bk, bl)
+        assert not broken.is_valid() and wigner3nj(broken).is_zero
+        row, idx = rng.choice([("j", 1), ("j", 2), ("j", n), ("k", 1), ("k", 2), ("k", n)])
+        mark = SmallSpinMarking((row, idx), frozenset())
+        shift = mark.normalized_shift(n)
+        # the symbol and marking whose normalization is (broken, small_l)
+        sym = broken.rotated(-shift)
+        mark = SmallSpinMarking((row, idx), {(m - 1 + shift) % n + 1 for m in small_l})
+        assert normalize_marking(sym, mark) == (broken, frozenset(small_l))
+        _assert_zero_flagged(asym_3nj(sym, mark), (n, trial))
+        if n == 3 and not small_l:
+            # rows j = (s, j1, j2), k = (j24, j5, j34), l = (j13, j12, j4)
+            nine = Symbol9j.from_twice(bj[1], bj[2], bl[1], bj[0], bl[2], bk[2],
+                                       bl[0], bk[0], bk[1])
+            assert not nine.is_valid() and wigner9j(nine).value.is_zero
+            _assert_zero_flagged(asym_9j_one_small(nine), (n, trial))
+
+
+@pytest.mark.parametrize("name", ["15j-1", "15j-2", "15j-3", "15j-4"])
+def test_closed_15j_forms_zero_on_every_broken_ring_triad(name):
+    """Seeded fuzz on each closed 15j form under its own marking: one ring
+    triad broken gives 0 flagged ``invalid_symbol``, where the exact 15j
+    is 0."""
+    fn, mark = CLOSED_15J_FORMS[name]
+    rng = random.Random(int(name[-1]))
+    for trial in range(48):
+        sym = _normalized_chain(rng, 5, mark.small_l)
+        broken = _symbol_of(*_break_one_triad(rng, *_twice_rows(sym)))
+        assert wigner15j(broken.j, broken.k, broken.l).is_zero
+        _assert_zero_flagged(fn(broken, mark), (name, trial))
+
+
+def test_ring_gate_runs_before_the_hypothesis_check():
+    """An inadmissible symbol is 0 flagged ``invalid_symbol`` whatever its
+    marking: an error-grade marking (a small l beside the small j/k spin)
+    no longer raises HypothesisViolation, even when the broken triad holds
+    the small spin; a negative spin still raises ValueError."""
+    rng = random.Random(33)
+    sym = _normalized_chain(rng, 5, (3,))
+    j, k, l = _twice_rows(sym)
+    bad_mark = SmallSpinMarking(("j", 1), {1, 3})
+    with pytest.raises(HypothesisViolation):
+        asym_3nj(sym, bad_mark)
+    # (j1, l1, j2) holds the small j1; (j4, l4, j5) holds no small spin
+    for broken in (_symbol_of(j, k, [l[0] + 1, *l[1:]]),
+                   _symbol_of(j, k, [*l[:3], j[3] + j[4] + 2, l[4]])):
+        assert not broken.is_valid()
+        _assert_zero_flagged(asym_3nj(broken, bad_mark), broken)
+    with pytest.raises(ValueError, match=r"^spin -1 is negative$"):
+        asym_3nj(_symbol_of(j, k, [-2, *l[1:]]), bad_mark)
 
 
 def test_n3_specialization_exact_against_9j_formula():

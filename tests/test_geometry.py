@@ -61,6 +61,29 @@ def test_triangle_angle_frozen_cases():
         triangle_angle(1, -1, 1)
 
 
+@pytest.mark.parametrize("sides", [
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+])
+def test_triangle_angle_rejects_nan_and_infinite_sides(sides):
+    """A NaN side, or an infinite one, has no angle: it raises, where the
+    NaN cosine used to be clamped to -1 and read as the angle pi."""
+    with pytest.raises(DegenerateTriangle):
+        triangle_angle(*sides)
+
+
+def test_clamped_acos_rejects_nan():
+    """A NaN cosine raises the caller's error, in the glued-vertex solver
+    too, instead of clamping to -1."""
+    with pytest.raises(DegenerateVertex, match="glued mid-angle: cosine nan"):
+        _clamped_acos(math.nan, DegenerateVertex, "glued mid-angle")
+    c, s = math.cos(1.0), math.sin(1.0)
+    with pytest.raises(DegenerateVertex):
+        _glued_vertex(c, s, c, s, math.nan)
+    # within the tolerance the clamp still holds
+    assert _clamped_acos(-1.0 - ACOS_CLAMP_TOL / 2) == math.pi
+
+
 def test_volume_frozen_cases():
     regular = Tetrahedron((1,) * 6)
     assert abs(volume(regular) - 1 / (6 * math.sqrt(2))) < 1e-14

@@ -254,8 +254,9 @@ def test_flags_match_cayley_menger_sign():
 
 def test_sweep_checks_each_9j_once(monkeypatch):
     """A 9j sweep with exact and asymptotic values checks the triads of
-    each symbol it builds once, though the harness, ``asym_9j_one_small``
-    and ``wigner9j`` all ask."""
+    each symbol it builds once: only the harness asks, as
+    ``asym_9j_one_small`` gates on the ring of its chain and ``wigner9j``
+    gets exact 0 from its chain series."""
     from wigner_asym.exact import Symbol9j
 
     built, checked = [], []
@@ -530,6 +531,41 @@ def test_cli_sweep_and_verify(tmp_path):
     proc = run_cli("verify", "identities")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+
+
+def test_sweep_plot_script_stays_in_its_directory(tmp_path):
+    """The gnuplot script takes the CSV path's extension off its last
+    component only: an output without one, in a directory with a dot in
+    its name, gets its script beside it."""
+    cfg_path = tmp_path / "cfg.json"
+    doc = {**FIG_A_CONFIG,
+           "sweep": {"slot": "j24", "start_twice": 110, "stop_twice": 118, "step_twice": 4}}
+    cfg_path.write_text(json.dumps(doc))
+    (tmp_path / "dotdir.v2").mkdir()
+    out = tmp_path / "dotdir.v2" / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (tmp_path / "dotdir.v2").iterdir()) == ["sweep", "sweep.gnuplot"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dotdir.v2"]
+    assert "plot 'sweep' using" in (tmp_path / "dotdir.v2" / "sweep.gnuplot").read_text()
+
+
+def test_cli_file_errors_exit_2(tmp_path, capsys):
+    """A file the CLI cannot read or write is an input error: ``error: ...``
+    on stderr and exit 2, no traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    doc = {**FIG_A_CONFIG,
+           "sweep": {"slot": "j24", "start_twice": 110, "stop_twice": 114, "step_twice": 4}}
+    cfg_path.write_text(json.dumps(doc))
+    missing = tmp_path / "missing"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv in (["sweep", "--config", str(missing / "cfg.json")],
+                 ["sweep", "--config", str(cfg_path), "--out", str(missing / "x.csv")],
+                 ["verify", "fig4", "--out", str(a_file)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_cli_asym_diagnostics_dump():
