@@ -8,6 +8,7 @@ exact integer arithmetic, with no rational parsing anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
 
 from .errors import InternalConsistencyError
 
@@ -187,14 +188,8 @@ def ring_triads(j, k, l) -> list:
 
 def ring_ok(j, k, l) -> bool:
     """A first-kind 3nj symbol with twice rows j, k, l is admissible:
-    :func:`triad_ok` on each of its :func:`ring_triads`, in their order.
-    The triad test is written out, as the chain asymptotics run it on
-    every call."""
-    ring = (*j, *k)
-    for a, b, c in zip(ring, (*l, *l), ring[1:] + ring[:1]):
-        if (a + b + c) % 2 or not abs(a - b) <= c <= a + b:
-            return False
-    return True
+    :func:`triad_ok` on each of its :func:`ring_triads`, in their order."""
+    return all(starmap(triad_ok, ring_triads(j, k, l)))
 
 
 def triad_allowed(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:

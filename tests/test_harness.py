@@ -253,10 +253,11 @@ def test_flags_match_cayley_menger_sign():
 
 
 def test_sweep_checks_each_9j_once(monkeypatch):
-    """A 9j sweep with exact and asymptotic values checks the triads of
-    each symbol it builds once: only the harness asks, as
-    ``asym_9j_one_small`` gates on the ring of its chain and ``wigner9j``
-    gets exact 0 from its chain series."""
+    """A 9j sweep with exact and asymptotic values runs the cached
+    ``Symbol9j._valid`` once per symbol it builds, in the harness.
+    ``wigner9j`` asks no validity question of its own, and
+    ``asym_9j_one_small`` checks the ring of its chain again with
+    ``ring_ok`` in ``_chain_prep``, which this test does not count."""
     from wigner_asym.exact import Symbol9j
 
     built, checked = [], []
